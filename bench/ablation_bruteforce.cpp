@@ -44,14 +44,14 @@ int main() {
 
         GaConfig ga_cfg = bench::default_ga();
         Rng ga_rng(600 + t);
-        const GaResult plain = run_ga(eval, ga_cfg, ga_rng);
+        const GaResult plain = run_ga(eval, ga_rng, {.config = ga_cfg});
 
         Rng hrng(700 + t), init_rng(600 + t);
         std::vector<Topology> seeds;
         for (const auto& h : run_all_heuristics(eval, hrng)) {
           seeds.push_back(h.topology);
         }
-        const GaResult init = run_ga(eval, ga_cfg, init_rng, seeds);
+        const GaResult init = run_ga(eval, init_rng, {.config = ga_cfg, .seeds = seeds});
 
         const double tol = 1e-9 * std::max(1.0, exact.cost);
         if (plain.best_cost <= exact.cost + tol) ++ga_hits;

@@ -44,7 +44,7 @@ int main() {
       cfg.population = big.m;
       cfg.generations = big.t;
       Rng rng(42 + t);
-      reference[t] = run_ga(eval, cfg, rng).best_cost;
+      reference[t] = run_ga(eval, rng, {.config = cfg}).best_cost;
     }
   }
 
@@ -58,7 +58,7 @@ int main() {
       cfg.population = b.m;
       cfg.generations = b.t;
       Rng rng(42 + t);
-      const GaResult r = run_ga(eval, cfg, rng);
+      const GaResult r = run_ga(eval, rng, {.config = cfg});
       rel.push_back(r.best_cost / reference[t]);
       evals += r.evaluations;
     }

@@ -50,7 +50,7 @@ int main() {
       for (const auto& h : run_all_heuristics(eval_ga, hrng)) {
         seeds.push_back(h.topology);
       }
-      const GaResult ga = run_ga(eval_ga, bench::default_ga(), garng, seeds);
+      const GaResult ga = run_ga(eval_ga, garng, {.config = bench::default_ga(), .seeds = seeds});
       ga_evals += ga.evaluations;
 
       // Hill climbing from the MST.

@@ -48,8 +48,8 @@ int main() {
 
         Rng ga_rng(3000 + trial), init_rng(3000 + trial);
         const GaConfig ga_cfg = bench::default_ga();
-        const GaResult plain = run_ga(eval, ga_cfg, ga_rng);
-        const GaResult initialized = run_ga(eval, ga_cfg, init_rng, seeds);
+        const GaResult plain = run_ga(eval, ga_rng, {.config = ga_cfg});
+        const GaResult initialized = run_ga(eval, init_rng, {.config = ga_cfg, .seeds = seeds});
 
         const double base = initialized.best_cost;
         for (const auto& h : heuristics) rel[h.name].push_back(h.cost / base);

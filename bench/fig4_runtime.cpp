@@ -27,7 +27,7 @@ void run_one_ga(std::size_t n, std::uint64_t seed) {
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, 4e-4, 10.0});
   GaConfig cfg = cold::bench::default_ga();
   Rng rng(seed);
-  benchmark::DoNotOptimize(run_ga(eval, cfg, rng).best_cost);
+  benchmark::DoNotOptimize(run_ga(eval, rng, {.config = cfg}).best_cost);
 }
 
 void BM_GaRuntime(benchmark::State& state) {

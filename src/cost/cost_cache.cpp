@@ -5,15 +5,17 @@
 
 namespace cold {
 
-namespace cache_detail {
+namespace {
 
+// Smallest power-of-two set count holding `capacity` entries at `ways` ways,
+// so the set index is a mask.
 std::size_t sets_for_capacity(std::size_t capacity, std::size_t ways) {
-  // Round capacity / ways up to a power of two so the set index is a mask.
   const std::size_t want =
       std::max<std::size_t>(1, (capacity + ways - 1) / ways);
   return std::bit_ceil(want);
 }
 
+// Packs `g`'s edge set as sorted-within-pair (u << 32 | v), u < v.
 void pack_edges(const Topology& g, std::vector<std::uint64_t>& out) {
   out.clear();
   out.reserve(g.num_edges());
@@ -27,10 +29,11 @@ void pack_edges(const Topology& g, std::vector<std::uint64_t>& out) {
   }
 }
 
-bool matches(const Entry& e, const Topology& g) {
-  if (e.n != g.num_nodes() || e.m != g.num_edges()) return false;
-  // Equal edge counts make one-sided containment a full equality check.
-  for (const std::uint64_t packed : e.edges) {
+// True iff the stored edge list is exactly `g`'s edge set, given equal n
+// and m (equal edge counts make one-sided containment a full equality
+// check).
+bool same_edges(const std::vector<std::uint64_t>& edges, const Topology& g) {
+  for (const std::uint64_t packed : edges) {
     const NodeId u = static_cast<NodeId>(packed >> 32);
     const NodeId v = static_cast<NodeId>(packed & 0xffffffffULL);
     if (!g.has_edge(u, v)) return false;
@@ -38,48 +41,59 @@ bool matches(const Entry& e, const Topology& g) {
   return true;
 }
 
-}  // namespace cache_detail
+}  // namespace
 
-CostCache::CostCache(const EvalCacheConfig& config)
-    : num_sets_(cache_detail::sets_for_capacity(config.capacity, kWays)),
-      table_(num_sets_ * kWays) {}
-
-std::size_t CostCache::set_base(std::uint64_t key) const {
-  // The key is an already avalanched fingerprint (SplitMix64-mixed edge
-  // keys) XOR an avalanched salt, so the low bits index well.
-  return (key & (num_sets_ - 1)) * kWays;
+SharedCostCache::SharedCostCache(const EvalCacheConfig& config)
+    : sets_per_shard_(
+          sets_for_capacity((config.capacity + kShards - 1) / kShards, kWays)),
+      shards_(std::make_unique<Shard[]>(kShards)) {
+  // Total capacity rounds up to at least kShards * kWays entries so every
+  // shard keeps at least one full set.
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shards_[s].table.resize(sets_per_shard_ * kWays);
+  }
 }
 
-CostCache::Entry* CostCache::find_entry(const Topology& g,
-                                        std::uint64_t key) {
-  Entry* base = table_.data() + set_base(key);
+SharedCostCache::Entry* SharedCostCache::find_entry(Shard& shard,
+                                                    const Topology& g,
+                                                    std::uint64_t key) {
+  Entry* base = shard.table.data() + set_base(key);
   for (std::size_t w = 0; w < kWays; ++w) {
     Entry& e = base[w];
-    if (e.stamp != 0 && e.fingerprint == key && cache_detail::matches(e, g)) {
+    if (e.stamp != 0 && e.fingerprint == key && e.n == g.num_nodes() &&
+        e.m == g.num_edges() && same_edges(e.edges, g)) {
       return &e;
     }
   }
   return nullptr;
 }
 
-const CostBreakdown* CostCache::find(const Topology& g, std::uint64_t salt) {
-  Entry* e = find_entry(g, g.fingerprint() ^ salt);
+bool SharedCostCache::find(const Topology& g, CostBreakdown& out,
+                           std::uint64_t salt) {
+  const std::uint64_t key = g.fingerprint() ^ salt;
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  Entry* e = find_entry(shard, g, key);
   if (e == nullptr) {
-    ++stats_.misses;
-    return nullptr;
+    ++shard.stats.misses;
+    return false;
   }
-  e->stamp = ++clock_;
-  ++stats_.hits;
-  return &e->value;
+  e->stamp = ++shard.clock;
+  ++shard.stats.hits;
+  out = e->value;
+  return true;
 }
 
-void CostCache::insert(const Topology& g, const CostBreakdown& b,
-                       std::uint64_t salt) {
+bool SharedCostCache::insert(const Topology& g, const CostBreakdown& b,
+                             std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Entry* victim = find_entry(g, key);
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  bool evicted = false;
+  Entry* victim = find_entry(shard, g, key);
   if (victim == nullptr) {
     // Prefer an empty way; otherwise evict the set's LRU entry.
-    Entry* base = table_.data() + set_base(key);
+    Entry* base = shard.table.data() + set_base(key);
     victim = base;
     for (std::size_t w = 0; w < kWays; ++w) {
       Entry& e = base[w];
@@ -90,18 +104,38 @@ void CostCache::insert(const Topology& g, const CostBreakdown& b,
       if (e.stamp < victim->stamp) victim = &e;
     }
     if (victim->stamp != 0) {
-      ++stats_.evictions;
+      ++shard.stats.evictions;
+      evicted = true;
     } else {
-      ++live_;
+      ++shard.live;
     }
     victim->fingerprint = key;
     victim->n = static_cast<std::uint32_t>(g.num_nodes());
     victim->m = static_cast<std::uint32_t>(g.num_edges());
-    cache_detail::pack_edges(g, victim->edges);
+    pack_edges(g, victim->edges);
   }
   victim->value = b;
-  victim->stamp = ++clock_;
-  ++stats_.inserts;
+  victim->stamp = ++shard.clock;
+  ++shard.stats.inserts;
+  return evicted;
+}
+
+EvalCacheStats SharedCostCache::stats() const {
+  EvalCacheStats total;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::lock_guard<std::mutex> lock(shards_[s].mu);
+    total += shards_[s].stats;
+  }
+  return total;
+}
+
+std::size_t SharedCostCache::size() const {
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::lock_guard<std::mutex> lock(shards_[s].mu);
+    total += shards_[s].live;
+  }
+  return total;
 }
 
 }  // namespace cold

@@ -1,34 +1,46 @@
-// Memoized cost evaluation — the cache behind the evaluation engine.
+// Memoized cost evaluation — the cache behind the evaluation engine — plus
+// the engine configuration and counter types threaded down to Evaluator.
 //
 // GA populations revisit topologies constantly (elites survive unchanged,
 // crossover recreates parents, mutation round-trips), so a large fraction of
-// cost evaluations are exact repeats. CostCache memoizes CostBreakdown
+// cost evaluations are exact repeats. SharedCostCache memoizes CostBreakdown
 // results keyed by the topology's Zobrist fingerprint (graph/topology.h)
 // plus (n, m), turning a repeat from an O(n * (n+m) log n) routing sweep
-// into an O(m) verification.
+// into an O(m) verification. One instance is shared by a root Evaluator and
+// every clone of it, so an elite scored on worker 0 hits on worker 3.
 //
-// Organisation: a set-associative, open-addressed table. The fingerprint
-// selects a power-of-two set; each set holds kWays entries managed LRU by a
-// global access stamp. Eviction replaces the least-recently-used way of the
-// full set, which bounds memory at ~capacity entries with no rehashing and
-// no tombstones.
+// Organisation: kShards independent set-associative tables, each guarded by
+// its own mutex (lock striping). A lookup or insert locks exactly one shard,
+// so workers touch disjoint shards concurrently and colliding workers
+// serialize only per-shard. The shard comes from the *high* fingerprint
+// bits, the set within the shard from the *low* bits — independent slices
+// of an already avalanched 64-bit fingerprint. Each set holds kWays entries
+// managed LRU by a per-shard access stamp; eviction replaces the
+// least-recently-used way of a full set, which bounds memory at ~capacity
+// entries with no rehashing and no tombstones.
 //
 // Collision policy: fingerprints are 64-bit XORs of per-edge keys, so
 // distinct edge sets *can* collide. A hit is therefore only reported after
-// full-adjacency verification — the entry stores its packed edge list and
+// full edge-set verification — the entry stores its packed edge list and
 // every stored edge is checked against the queried topology (equal edge
 // counts make one-sided containment sufficient). A verification failure
-// counts as a miss; correctness never rests on hash uniqueness.
+// counts as a miss; correctness never rests on hash uniqueness. find()
+// copies the stored breakdown out under the shard lock — returning a
+// pointer would race with a concurrent eviction.
 //
 // Determinism: the cache stores exact breakdowns, so cached and recomputed
 // results are bit-identical and enabling the cache cannot change any
-// optimization trajectory. One CostCache belongs to one Evaluator (no
-// internal locking); parallel engines give each worker clone its own.
+// optimization trajectory, cost or trace — only hit rates and wall-clock.
+// Per-shard counters are updated under the shard lock, which makes the
+// aggregate stats() conservation exact: hits + misses == find calls,
+// regardless of interleaving.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -42,13 +54,6 @@ namespace cold {
 struct EvalCacheConfig {
   bool enabled = false;        ///< off by default; --eval-cache turns it on
   std::size_t capacity = 1 << 14;  ///< max resident entries (LRU-bounded)
-
-  /// Share one lock-striped cache (cost/shared_cost_cache.h) across every
-  /// worker clone of the run instead of giving each clone a private
-  /// CostCache: an elite scored on worker 0 then hits on worker 3.
-  /// Exact either way — hits return stored breakdowns bit-for-bit, so the
-  /// setting changes hit rates, never results. --shared-cache on the CLI.
-  bool shared = false;
 
   friend bool operator==(const EvalCacheConfig&,
                          const EvalCacheConfig&) = default;
@@ -234,73 +239,71 @@ struct EvalCacheStats {
                          const EvalCacheStats&) = default;
 };
 
-/// Internals shared between CostCache (per-worker, unlocked) and
-/// SharedCostCache (cross-worker, lock-striped): the stored-entry layout and
-/// the full edge-set verification that makes fingerprint collisions harmless.
-namespace cache_detail {
-
-struct Entry {
-  std::uint64_t fingerprint = 0;
-  std::uint64_t stamp = 0;  ///< LRU access clock; 0 marks an empty way
-  std::uint32_t n = 0;
-  std::uint32_t m = 0;
-  std::vector<std::uint64_t> edges;  ///< packed (u << 32 | v), u < v
-  CostBreakdown value;
-};
-
-/// True iff `e` stores exactly `g`'s topology: fingerprint, n and m match
-/// and every stored edge exists in `g` (equal edge counts make one-sided
-/// containment a full equality check).
-bool matches(const Entry& e, const Topology& g);
-
-/// Packs `g`'s edge set as sorted-within-pair (u << 32 | v), u < v.
-void pack_edges(const Topology& g, std::vector<std::uint64_t>& out);
-
-/// Smallest power-of-two set count holding `capacity` entries at kWays ways.
-std::size_t sets_for_capacity(std::size_t capacity, std::size_t ways);
-
-}  // namespace cache_detail
-
-/// Fingerprint-keyed memo table for CostBreakdown results. Not thread-safe;
-/// see file comment for sharing rules.
-class CostCache {
+/// Sharded, lock-striped, fingerprint-keyed memo table for CostBreakdown
+/// results. Thread-safe; one instance is shared by an Evaluator and all of
+/// its clones (see the file comment).
+class SharedCostCache {
  public:
-  explicit CostCache(const EvalCacheConfig& config);
+  explicit SharedCostCache(const EvalCacheConfig& config);
 
-  /// Looks up `g`. Returns the cached breakdown after full-adjacency
-  /// verification, or nullptr (counting a miss, including on fingerprint
-  /// collisions that fail verification). `salt` is XORed into the lookup
-  /// key so evaluators scoring the same topologies under different
-  /// objectives (plain vs resilient) index disjoint entries: equal
-  /// topologies have equal fingerprints, so their keys differ unless the
-  /// salts match too.
-  const CostBreakdown* find(const Topology& g, std::uint64_t salt = 0);
+  /// Looks up `g`; on a verified hit copies the stored breakdown into `out`
+  /// and returns true. Counts one hit or one miss on the shard (including
+  /// fingerprint collisions that fail verification). `salt` is XORed into
+  /// the lookup key so evaluators scoring the same topologies under
+  /// different objectives (plain vs resilient) index disjoint entries:
+  /// equal topologies have equal fingerprints, so their keys differ unless
+  /// the salts match too.
+  bool find(const Topology& g, CostBreakdown& out, std::uint64_t salt = 0);
 
   /// Stores `b` as the breakdown for `g` under `salt`, evicting the set's
-  /// LRU way if needed. Overwrites in place if `g` is already resident
-  /// under the same salt.
-  void insert(const Topology& g, const CostBreakdown& b,
+  /// LRU way if needed (overwriting in place if `g` is already resident
+  /// under the same salt, e.g. when two workers missed on the same topology
+  /// concurrently). Returns true iff a live entry was evicted.
+  bool insert(const Topology& g, const CostBreakdown& b,
               std::uint64_t salt = 0);
 
-  const EvalCacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = EvalCacheStats{}; }
+  /// Sums the per-shard counters (locks each shard once).
+  EvalCacheStats stats() const;
 
-  std::size_t size() const { return live_; }
-  std::size_t capacity() const { return num_sets_ * kWays; }
+  /// Live entries across all shards (locks each shard once).
+  std::size_t size() const;
 
-  static constexpr std::size_t kWays = 4;  ///< associativity per set
+  std::size_t capacity() const { return kShards * sets_per_shard_ * kWays; }
+
+  static constexpr std::size_t kWays = 4;    ///< associativity per set
+  static constexpr std::size_t kShards = 64;  ///< power of two (mask index)
 
  private:
-  using Entry = cache_detail::Entry;
+  struct Entry {
+    std::uint64_t fingerprint = 0;  ///< fingerprint ^ salt
+    std::uint64_t stamp = 0;  ///< LRU access clock; 0 marks an empty way
+    std::uint32_t n = 0;
+    std::uint32_t m = 0;
+    std::vector<std::uint64_t> edges;  ///< packed (u << 32 | v), u < v
+    CostBreakdown value;
+  };
 
-  std::size_t set_base(std::uint64_t key) const;
-  Entry* find_entry(const Topology& g, std::uint64_t key);
+  struct Shard {
+    mutable std::mutex mu;
+    std::vector<Entry> table;  ///< sets_per_shard_ * kWays ways, set-major
+    std::uint64_t clock = 0;   ///< per-shard LRU stamp source
+    std::size_t live = 0;
+    EvalCacheStats stats;
+  };
 
-  std::size_t num_sets_;
-  std::vector<Entry> table_;  ///< num_sets_ * kWays ways, set-major
-  std::uint64_t clock_ = 0;
-  std::size_t live_ = 0;
-  EvalCacheStats stats_;
+  Shard& shard_for(std::uint64_t key) {
+    // High bits pick the shard; set_base() below uses the low bits, so the
+    // two indices never alias.
+    return shards_[(key >> 48) & (kShards - 1)];
+  }
+  std::size_t set_base(std::uint64_t key) const {
+    return (key & (sets_per_shard_ - 1)) * kWays;
+  }
+  /// Returns the way storing `g` under `key` in (locked) `shard`, or nullptr.
+  Entry* find_entry(Shard& shard, const Topology& g, std::uint64_t key);
+
+  std::size_t sets_per_shard_;
+  std::unique_ptr<Shard[]> shards_;  ///< mutexes make Shard non-movable
 };
 
 }  // namespace cold

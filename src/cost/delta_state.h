@@ -14,7 +14,7 @@
 // fingerprint down as a hint; hinted slot first, then most-recent-first).
 //
 // The store is deliberately *not* shared across worker clones: a state is
-// ~29 n^2 bytes, so copying trees under a shard lock (shared_cost_cache.h
+// ~29 n^2 bytes, so copying trees under a shard lock (cost_cache.h
 // style) would serialize the workers on exactly the data the delta path
 // needs fastest. Each clone retains the parents it scored, and the GA's
 // scorer routes each offspring to the worker that retains its parent's
@@ -42,7 +42,7 @@ struct RoutingState {
 };
 
 /// Fixed-capacity LRU ring of RoutingStates. Single-threaded, owned by one
-/// Evaluator (clones build their own, like CostCache).
+/// Evaluator (clones build their own).
 class RoutingStateStore {
  public:
   explicit RoutingStateStore(std::size_t capacity);

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cost/shared_cost_cache.h"
 #include "traffic/gravity.h"
 
 namespace cold {
@@ -64,10 +63,10 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
     throw std::invalid_argument("Evaluator: traffic/lengths size mismatch");
   }
   init_engine_state();
-  // Only root evaluators create the shared cache; clones receive the same
-  // instance in clone() so every worker sees every entry.
-  if (engine_.cache.enabled && engine_.cache.shared) {
-    shared_cache_ = std::make_shared<SharedCostCache>(engine_.cache);
+  // Only root evaluators create the cache; clones receive the same instance
+  // in clone() so every worker sees every entry.
+  if (engine_.cache.enabled) {
+    cache_ = std::make_shared<SharedCostCache>(engine_.cache);
   }
 }
 
@@ -77,14 +76,11 @@ Evaluator::Evaluator(CloneTag, const Evaluator& parent)
       params_(parent.params_),
       engine_(parent.engine_) {
   init_engine_state();
-  shared_cache_ = parent.shared_cache_;
+  cache_ = parent.cache_;
 }
 
 void Evaluator::init_engine_state() {
   const std::size_t n = lengths_.rows();
-  if (engine_.cache.enabled && !engine_.cache.shared) {
-    cache_ = std::make_unique<CostCache>(engine_.cache);
-  }
   if (engine_.delta.enabled(n)) {
     delta_store_ = std::make_unique<RoutingStateStore>(
         engine_.delta.resolved_states(n));
@@ -109,18 +105,6 @@ void Evaluator::init_engine_state() {
 
 Evaluator Evaluator::clone() const { return Evaluator(CloneTag{}, *this); }
 
-EvalCacheStats Evaluator::take_cache_stats() {
-  EvalCacheStats s = merged_cache_stats_;
-  merged_cache_stats_ = EvalCacheStats{};
-  if (cache_) {
-    s += cache_->stats();
-    cache_->reset_stats();
-  }
-  s += shared_stats_;
-  shared_stats_ = EvalCacheStats{};
-  return s;
-}
-
 void Evaluator::merge_stats(Evaluator& worker) {
   evaluations_ += worker.evaluations_;
   worker.evaluations_ = 0;
@@ -128,37 +112,15 @@ void Evaluator::merge_stats(Evaluator& worker) {
   worker.dedup_skipped_ = 0;
   delta_stats_ += worker.delta_stats_;
   worker.delta_stats_ = DeltaStats{};
-  merged_cache_stats_ += worker.take_cache_stats();
+  cache_stats_ += std::exchange(worker.cache_stats_, {});
   resilience_stats_ += std::exchange(worker.resilience_stats_, {});
   if (worker.resilience_) resilience_stats_ += worker.resilience_->take_stats();
   multipath_stats_ += std::exchange(worker.multipath_stats_, {});
 }
 
-EvalCacheStats Evaluator::cache_stats() const {
-  EvalCacheStats s = merged_cache_stats_;
-  if (cache_) s += cache_->stats();
-  s += shared_stats_;
-  return s;
-}
-
-const Matrix<double>& Evaluator::last_loads() const {
-  if (!loads_valid_) {
-    throw std::logic_error(
-        "Evaluator::last_loads: no feasible routing backs the loads (the "
-        "last evaluation was infeasible, served from cache, or never ran)");
-  }
-  loads_.scatter(legacy_loads_);
-  return legacy_loads_;
-}
-
 EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
-  // An explicit request hint wins; otherwise consume (one-shot) whatever
-  // the deprecated set_parent_hint() planted, so legacy flows behave
-  // exactly as before.
-  const std::uint64_t hint =
-      req.parent_hint != 0 ? req.parent_hint : std::exchange(parent_hint_, 0);
   EvalResult r;
-  r.breakdown = breakdown_impl(g, hint);
+  r.breakdown = breakdown_impl(g, req.parent_hint);
   if (req.want_loads && loads_valid_) {
     r.loads = loads_;
     r.loads_valid = true;
@@ -168,10 +130,6 @@ EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
 
 double Evaluator::cost(const Topology& g) { return evaluate(g).total(); }
 
-CostBreakdown Evaluator::breakdown(const Topology& g) {
-  return evaluate(g).breakdown;
-}
-
 CostBreakdown Evaluator::breakdown_impl(const Topology& g,
                                         std::uint64_t hint) {
   if (g.num_nodes() != num_nodes()) {
@@ -180,23 +138,17 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g,
   // Cache hits count: evaluations_ tracks requested evaluations so budgets
   // and traces are identical whether or not the cache is enabled.
   ++evaluations_;
-  if (shared_cache_ != nullptr) {
+  if (cache_ != nullptr) {
     CostBreakdown hit;
-    if (shared_cache_->find(g, hit, cache_salt_)) {
-      ++shared_stats_.hits;
+    if (cache_->find(g, hit, cache_salt_)) {
+      ++cache_stats_.hits;
       loads_valid_ = false;  // hit skips routing; loads_ is stale
       // The cache stores no routing state; keep any retained state for this
       // topology warm so its children can still delta from it.
       if (delta_store_) delta_store_->touch(g, g.fingerprint());
       return hit;
     }
-    ++shared_stats_.misses;
-  } else if (cache_ != nullptr) {
-    if (const CostBreakdown* hit = cache_->find(g, cache_salt_)) {
-      loads_valid_ = false;  // hit skips routing; loads_ is stale
-      if (delta_store_) delta_store_->touch(g, g.fingerprint());
-      return *hit;
-    }
+    ++cache_stats_.misses;
   }
   if (delta_store_) return breakdown_delta(g, hint);
   if (resilience_ != nullptr) {
@@ -391,12 +343,9 @@ CostBreakdown Evaluator::finish_breakdown(
 }
 
 void Evaluator::insert_in_cache(const Topology& g, const CostBreakdown& b) {
-  if (shared_cache_ != nullptr) {
-    if (shared_cache_->insert(g, b, cache_salt_)) ++shared_stats_.evictions;
-    ++shared_stats_.inserts;
-  } else if (cache_ != nullptr) {
-    cache_->insert(g, b, cache_salt_);
-  }
+  if (cache_ == nullptr) return;
+  if (cache_->insert(g, b, cache_salt_)) ++cache_stats_.evictions;
+  ++cache_stats_.inserts;
 }
 
 }  // namespace cold

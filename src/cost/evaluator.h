@@ -9,8 +9,9 @@
 // read-only) and own private scratch.
 //
 // The evaluation engine (EvalEngineConfig) adds three orthogonal levers:
-//   * a memoization cache (cost/cost_cache.h) that short-circuits repeat
-//     evaluations by Zobrist fingerprint with full-adjacency verification;
+//   * a memoization cache (cost/cost_cache.h), shared by an evaluator and
+//     all of its clones, that short-circuits repeat evaluations by Zobrist
+//     fingerprint with full-adjacency verification;
 //   * the shortest-path solver choice (graph/shortest_paths.h);
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips
@@ -33,26 +34,23 @@
 
 namespace cold {
 
-class SharedCostCache;
-
-/// Inputs of one evaluation beyond the topology itself. The request carries
-/// everything the old stateful surface smuggled through the evaluator
-/// (set_parent_hint) plus which outputs the caller wants, so one call site
-/// reads as one evaluation.
+/// Inputs of one evaluation beyond the topology itself: the delta engine's
+/// parent hint plus which outputs the caller wants, so one call site reads
+/// as one evaluation.
 struct EvalRequest {
   /// Zobrist fingerprint of the topology this candidate was derived from —
-  /// the delta engine's parent probe (purely a performance hint; matches
-  /// are verified by a real adjacency diff). 0 means "no hint", in which
-  /// case any hint planted via the deprecated set_parent_hint() is used.
+  /// the delta engine's parent probe (the GA records it during variation).
+  /// Purely a performance hint: matches are verified by a real adjacency
+  /// diff, so a wrong or missing hint can only cost probe time, never
+  /// exactness. 0 means "no hint"; ignored when the delta engine is off.
   std::uint64_t parent_hint = 0;
   /// Copy the per-link loads into the result when the routing is feasible
   /// and actually ran (cache hits skip routing and cannot produce loads).
   bool want_loads = false;
 };
 
-/// Outcome of one evaluation. Owns its outputs: unlike the deprecated
-/// last_loads() accessor, the loads here cannot be invalidated by a later
-/// evaluation on the same evaluator.
+/// Outcome of one evaluation. Owns its outputs: the loads cannot be
+/// invalidated by a later evaluation on the same evaluator.
 struct EvalResult {
   CostBreakdown breakdown;
   /// True iff `loads` is populated (requested + feasible + freshly routed).
@@ -81,11 +79,10 @@ class Evaluator {
 
   /// A thread-private copy: shares `lengths`/`traffic` with this evaluator
   /// (immutable, so concurrent reads are safe) but owns fresh `loads`/
-  /// routing scratch and zeroed statistics. With a private cache the clone
-  /// gets its own empty cache (same engine config); with
-  /// EvalCacheConfig::shared it shares this evaluator's SharedCostCache, so
-  /// an entry filled on any worker hits on every other. The clone and the
-  /// original may then be used concurrently from different threads.
+  /// routing scratch and zeroed statistics. It shares this evaluator's
+  /// cache (when enabled), so an entry filled on any worker hits on every
+  /// other. The clone and the original may then be used concurrently from
+  /// different threads.
   Evaluator clone() const;
 
   /// Folds a clone's statistics (evaluation count and cache counters) into
@@ -106,23 +103,6 @@ class Evaluator {
   /// evaluate(g).total().
   double cost(const Topology& g);
 
-  /// DEPRECATED(PR7): use evaluate(g).breakdown. Thin wrapper kept so
-  /// pre-sparse call sites compile; consumes any planted parent hint, like
-  /// evaluate().
-  CostBreakdown breakdown(const Topology& g);
-
-  /// DEPRECATED(PR7): use evaluate(g, {.want_loads = true}).loads, which the
-  /// caller owns. This accessor scatters the sparse loads into a dense
-  /// matrix view that is invalidated by the next evaluation. Throws
-  /// std::logic_error when no feasible routing backs the loads: before the
-  /// first evaluation, after an infeasible one, and after a cache hit
-  /// (which skips routing entirely).
-  const Matrix<double>& last_loads() const;
-
-  /// DEPRECATED(PR7): query evaluate()'s EvalResult::loads_valid instead.
-  /// Whether last_loads() is currently backed by a fresh feasible routing.
-  bool has_last_loads() const { return loads_valid_; }
-
   std::size_t num_nodes() const { return lengths_.rows(); }
   const DistanceProvider& lengths() const { return lengths_; }
   const CompressedTraffic& traffic() const { return traffic_; }
@@ -134,13 +114,12 @@ class Evaluator {
   /// included — the counter tracks requested evaluations, not routings.
   std::size_t evaluations() const { return evaluations_; }
 
-  /// Cache counters: this instance's live cache (private or its own view of
-  /// the shared one) plus everything folded in via merge_stats(). All zeros
-  /// when the cache is disabled. With a shared cache each instance counts
-  /// its *own* lookups/inserts, so clone totals still sum without double
-  /// counting and conservation (hits + misses == lookups, inserts <= misses)
-  /// holds per instance and after every merge.
-  EvalCacheStats cache_stats() const;
+  /// Cache counters: this instance's own lookups/inserts on the shared
+  /// cache plus everything folded in via merge_stats(). All zeros when the
+  /// cache is disabled. Counting per instance keeps clone totals summing
+  /// without double counting, so conservation (hits + misses == lookups,
+  /// inserts <= misses) holds per instance and after every merge.
+  const EvalCacheStats& cache_stats() const { return cache_stats_; }
 
   /// Charges `n` evaluations that the GA's generation-level dedup served by
   /// fanning out an already-computed result (no routing, no cache lookup).
@@ -153,18 +132,6 @@ class Evaluator {
 
   /// Evaluations served by dedup fan-out (merged like evaluations()).
   std::size_t dedup_skipped() const { return dedup_skipped_; }
-
-  /// DEPRECATED(PR7): pass the hint in EvalRequest::parent_hint instead.
-  /// Plants the Zobrist fingerprint of the topology the *next* evaluation's
-  /// argument was derived from (the GA records it during variation). Purely
-  /// a performance hint for the delta engine's parent probe — matches are
-  /// verified by a real adjacency diff, and a wrong or missing hint can
-  /// only cost probe time, never exactness. Consumed by one evaluation;
-  /// 0 means "no hint"; a nonzero EvalRequest::parent_hint wins over a
-  /// planted one. Ignored when the delta engine is off.
-  void set_parent_hint(std::uint64_t fingerprint) {
-    parent_hint_ = fingerprint;
-  }
 
   /// Delta-engine counters (merged across clones like evaluations()):
   /// hits = evaluations served by incremental tree repair, fallbacks =
@@ -204,30 +171,26 @@ class Evaluator {
   /// excluded: it changes timing, never values. Exposed for tests.
   std::uint64_t cache_salt() const { return cache_salt_; }
 
-  /// The cross-worker cache, or nullptr when not in shared mode. Exposed so
-  /// tests can assert clones share one instance and inspect its totals.
-  const SharedCostCache* shared_cache() const { return shared_cache_.get(); }
+  /// The memo cache shared with every clone, or nullptr when disabled.
+  /// Exposed so tests can assert clones share one instance and inspect its
+  /// totals.
+  const SharedCostCache* cache() const { return cache_.get(); }
 
  private:
   /// Clone construction: shares the parent's context (provider cores, CSR,
-  /// shared cache) with fresh scratch, caches and counters.
+  /// cache) with fresh scratch and counters.
   struct CloneTag {};
   Evaluator(CloneTag, const Evaluator& parent);
 
-  /// Creates the per-instance engine state (private cache, delta store)
-  /// from engine_; shared by both public ctors and the clone ctor.
+  /// Creates the per-instance engine state (delta store, resilience engine,
+  /// cache salt) from engine_; shared by both public ctors and the clone
+  /// ctor.
   void init_engine_state();
 
-  /// Returns this instance's cache counters and zeroes them (the live
-  /// cache's, this instance's shared-cache view, and the merged
-  /// accumulator's).
-  EvalCacheStats take_cache_stats();
-
-  /// Stores `b` for `g` in whichever cache (shared or private) is active.
+  /// Stores `b` for `g` in the cache, if enabled.
   void insert_in_cache(const Topology& g, const CostBreakdown& b);
 
   /// evaluate()'s core: cache probe, then routing (delta or full sweep).
-  /// `hint` is already resolved; does not touch parent_hint_.
   CostBreakdown breakdown_impl(const Topology& g, std::uint64_t hint);
 
   /// Routes `g` via the delta engine: incremental repair of a retained
@@ -266,15 +229,10 @@ class Evaluator {
   CompressedTraffic traffic_;
   CostParams params_;
   EvalEngineConfig engine_;
-  std::unique_ptr<CostCache> cache_;  ///< null when disabled or shared
-  std::shared_ptr<SharedCostCache> shared_cache_;  ///< null unless shared
-  EvalCacheStats shared_stats_;  ///< *this* instance's shared-cache ops
-  EvalCacheStats merged_cache_stats_;  ///< folded in from workers
+  std::shared_ptr<SharedCostCache> cache_;  ///< null when disabled
+  EvalCacheStats cache_stats_;  ///< own cache ops + merged-in workers'
   EdgeLoads loads_;  ///< O(n + m) per-link loads of the last feasible routing
   bool loads_valid_ = false;
-  /// Dense scatter backing the deprecated last_loads() accessor only;
-  /// empty until that accessor is used.
-  mutable Matrix<double> legacy_loads_;
   RoutingWorkspace ws_;
   std::size_t evaluations_ = 0;
   std::size_t dedup_skipped_ = 0;
@@ -283,7 +241,6 @@ class Evaluator {
   // delta_state.h for why states are not shared across clones).
   std::unique_ptr<RoutingStateStore> delta_store_;  ///< null when off
   DeltaStats delta_stats_;
-  std::uint64_t parent_hint_ = 0;
   SpUpdateWorkspace sp_ws_;
   std::vector<Edge> diff_added_;
   std::vector<Edge> diff_removed_;

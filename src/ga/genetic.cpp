@@ -495,21 +495,4 @@ GaResult run_ga(Evaluator& eval, Rng& rng, const GaRunOptions& options) {
   return run_ga(objective, rng, options);
 }
 
-GaResult run_ga(Objective& objective, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds) {
-  GaRunOptions options;
-  options.config = config;
-  options.seeds = seeds;
-  return run_ga(objective, rng, options);
-}
-
-GaResult run_ga(Evaluator& eval, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds) {
-  EvaluatorObjective objective(eval);
-  GaRunOptions options;
-  options.config = config;
-  options.seeds = seeds;
-  return run_ga(objective, rng, options);
-}
-
 }  // namespace cold

@@ -103,15 +103,14 @@ struct GaResult {
   std::uint64_t steals = 0;
 };
 
-/// Everything one GA invocation needs beyond the objective and the RNG —
-/// the single entry point that replaced the growing positional-argument
-/// overload set.
+/// Everything one GA invocation needs beyond the objective and the RNG, so
+/// run_ga has one entry point however many options it grows.
 struct GaRunOptions {
   GaConfig config;
 
   /// Injected into the initial population (truncated if more than
   /// `config.population`); the result is never worse than the best seed.
-  std::vector<Topology> seeds;
+  std::vector<Topology> seeds{};
 
   /// Borrowed; may be null. Receives one GenerationEnd per generation,
   /// emitted from the sequential section after the parallel scoring join —
@@ -146,13 +145,5 @@ GaResult run_ga(Evaluator& eval, Rng& rng, const GaRunOptions& options);
 std::vector<std::size_t> dedup_representatives(
     const std::vector<Topology>& gs,
     const std::vector<std::uint64_t>& fingerprints, std::size_t begin);
-
-/// Deprecated positional-argument wrappers (pre-telemetry API). They
-/// forward to the GaRunOptions entry point with no observer and no stop
-/// condition; prefer run_ga(objective, rng, {.config = ..., .seeds = ...}).
-GaResult run_ga(Objective& objective, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds = {});
-GaResult run_ga(Evaluator& eval, const GaConfig& config, Rng& rng,
-                const std::vector<Topology>& seeds = {});
 
 }  // namespace cold

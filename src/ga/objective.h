@@ -51,7 +51,7 @@ class Objective {
   /// Fingerprint of the topology the next cost() argument was derived from
   /// (the GA records each offspring's parent during variation). Purely a
   /// performance hint for the delta evaluation engine; see
-  /// Evaluator::set_parent_hint. No-op by default.
+  /// EvalRequest::parent_hint. No-op by default.
   virtual void set_parent_hint(std::uint64_t /*fingerprint*/) {}
 
   /// This objective's delta-engine counters, or nullptr when it has no

@@ -27,7 +27,7 @@ struct HeapGreater {
 // Blocked dense kernel.
 //
 // The production dense solver. Instead of the scalar scan's branchy 3-way
-// compare per node per round (kept verbatim in shortest_path_tree_reference),
+// compare per node per round (kept verbatim in tests/reference.h),
 // the frontier lives in a contiguous SoA key array: frontier_key[v] is
 // dist[v] while v is unsettled and reachable, +inf otherwise. Each round is
 //
@@ -196,59 +196,6 @@ void shortest_path_tree_sparse(const Topology& g, const DistanceProvider& length
 }
 
 }  // namespace
-
-void shortest_path_tree_reference(const Topology& g,
-                                  const DistanceProvider& lengths,
-                                  NodeId source, ShortestPathTree& out) {
-  const std::size_t n = g.num_nodes();
-  if (lengths.rows() != n || lengths.cols() != n) {
-    throw std::invalid_argument(
-        "shortest_path_tree_reference: length shape mismatch");
-  }
-  if (source >= n) {
-    throw std::out_of_range("shortest_path_tree_reference: source range");
-  }
-  out.source = source;
-  out.resize(n);
-  out.dist[source] = 0.0;
-  out.hops[source] = 0;
-  out.parent[source] = source;
-  // The pre-blocked O(n^2) scan, byte-for-byte: repeatedly settle the
-  // unsettled node with the smallest (dist, hops, id) key. A yardstick, not
-  // a production path — it reads dense rows, so it requires the dense view.
-  for (std::size_t round = 0; round < n; ++round) {
-    NodeId best = n;
-    for (NodeId v = 0; v < n; ++v) {
-      if (out.settled[v] || out.dist[v] == kInf) continue;
-      if (best == n || out.dist[v] < out.dist[best] ||
-          (out.dist[v] == out.dist[best] &&
-           (out.hops[v] < out.hops[best] ||
-            (out.hops[v] == out.hops[best] && v < best)))) {
-        best = v;
-      }
-    }
-    if (best == n) break;  // remaining nodes unreachable
-    out.settled[best] = 1;
-    out.order.push_back(best);
-    const std::uint8_t* r = g.dense_row(best);
-    for (NodeId u = 0; u < n; ++u) {
-      if (!r[u] || out.settled[u]) continue;
-      const double cand = out.dist[best] + lengths(best, u);
-      const int cand_hops = out.hops[best] + 1;
-      const bool better =
-          cand < out.dist[u] ||
-          (cand == out.dist[u] &&
-           (cand_hops < out.hops[u] ||
-            (cand_hops == out.hops[u] && out.dist[u] != kInf &&
-             best < out.parent[u])));
-      if (better) {
-        out.dist[u] = cand;
-        out.hops[u] = cand_hops;
-        out.parent[u] = best;
-      }
-    }
-  }
-}
 
 void shortest_path_tree_batch(const Topology& g, const DistanceProvider& lengths,
                               const NodeId* sources, std::size_t count,

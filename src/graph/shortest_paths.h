@@ -13,8 +13,8 @@
 // Both settle nodes in exactly the same order — smallest composite
 // (dist, hops, id) key first — and apply the same relaxation tie-break, so
 // dist/hops/parent/order are bit-identical between them on every input
-// (shortest_path_tree_reference keeps the original scalar dense scan as the
-// exactness yardstick). select_sp_algorithm() picks by density; SpAlgorithm
+// (tests/reference.h keeps the original scalar dense scan as the exactness
+// yardstick). select_sp_algorithm() picks by density; SpAlgorithm
 // overrides. shortest_path_tree_batch() computes whole source blocks over
 // one topology in lockstep, sharing the cache-resident frontier state —
 // the evaluator's full sweeps go through it.
@@ -126,15 +126,6 @@ ShortestPathTree shortest_path_tree(const Topology& g,
                                     const DistanceProvider& lengths,
                                     NodeId source,
                                     SpAlgorithm algo = SpAlgorithm::kAuto);
-
-/// The original scalar dense scan, kept verbatim as the exactness yardstick
-/// for the blocked kernel: tests cross-check bit-identity against it and
-/// bench/evaluator measures the blocked kernel's speedup over it. Not a
-/// production path; requires `g` to carry the dense view (it reads dense
-/// rows) and throws std::logic_error otherwise.
-void shortest_path_tree_reference(const Topology& g,
-                                  const DistanceProvider& lengths,
-                                  NodeId source, ShortestPathTree& out);
 
 /// Batched multi-source sweep: computes trees[i] from sources[i] for every
 /// i < count over one (g, lengths), bit-identical to per-source

@@ -103,11 +103,6 @@ class Topology {
     return {list.data(), list.size()};
   }
 
-  /// DEPRECATED: use neighbors() (same data, same lifetime, as a span).
-  /// Kept so pre-sparse-era call sites compile unchanged for one release;
-  /// new in-tree calls fail the deprecated-API lint.
-  const std::vector<NodeId>& adjacency(NodeId v) const { return nbrs_[v]; }
-
   /// Nodes with degree > 1 — the paper's "core" PoPs, which pay the k3 cost.
   std::size_t num_core_nodes() const;
 
@@ -131,11 +126,6 @@ class Topology {
   /// blocked dense kernel's backend accessor; general consumers should
   /// iterate neighbors(v) instead. Valid until the next mutation.
   const std::uint8_t* dense_row(NodeId v) const;
-
-  /// DEPRECATED: use neighbors() for iteration or dense_row() inside a
-  /// dense-backend kernel. Same contract as dense_row(). New in-tree calls
-  /// fail the deprecated-API lint.
-  const std::uint8_t* row(NodeId v) const { return dense_row(v); }
 
   /// Builds the dense view from the adjacency lists (no-op when present).
   void materialize_dense_view();

@@ -59,19 +59,6 @@ void EdgeLoads::build(const Topology& g) {
   value.assign(next, 0.0);
 }
 
-void EdgeLoads::scatter(Matrix<double>& out) const {
-  if (out.rows() != n || out.cols() != n) {
-    out = Matrix<double>::square(n, 0.0);
-  } else {
-    out.fill(0.0);
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t s = off[u]; s < off[u + 1]; ++s) {
-      out(u, adj[s]) = value[eid[s]];
-    }
-  }
-}
-
 bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
                  RoutingWorkspace& ws, SpAlgorithm algo) {
@@ -108,39 +95,6 @@ bool route_loads(const Topology& g, const DistanceProvider& lengths,
   return true;
 }
 
-bool route_loads_dense(  // deprecated-api-allowed (definition)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    RoutingWorkspace& ws, SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads: traffic shape mismatch");
-  }
-  if (loads.rows() != n || loads.cols() != n) {
-    loads = Matrix<double>::square(n, 0.0);
-  } else {
-    loads.fill(0.0);
-  }
-  ws.aggregate.assign(n, 0.0);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  const std::size_t bw = ws.block_width(n);
-  ws.block.resize(bw);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, ws.block.data(),
-                             algo, cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (ws.block[b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads_dense(  // deprecated-api-allowed (dense impl)
-          ws.block[b], traffic, sources[b], loads, ws.aggregate);
-    }
-  }
-  return true;
-}
-
 void accumulate_tree_loads(const ShortestPathTree& tree,
                            const CompressedTraffic& traffic, NodeId s,
                            EdgeLoads& loads, std::vector<double>& aggregate) {
@@ -161,25 +115,6 @@ void accumulate_tree_loads(const ShortestPathTree& tree,
     const NodeId t = tree.order[i];
     const NodeId p = tree.parent[t];
     loads.value[loads.index_of(p, t)] += aggregate[t];
-    aggregate[p] += aggregate[t];
-  }
-}
-
-void accumulate_tree_loads_dense(  // deprecated-api-allowed (definition)
-    const ShortestPathTree& tree, const CompressedTraffic& traffic, NodeId s,
-    Matrix<double>& loads, std::vector<double>& aggregate) {
-  // Dense-loads walk: same order, two symmetric writes per hand-off.
-  const std::size_t n = tree.dist.size();
-  aggregate.assign(n, 0.0);
-  const CompressedTraffic::RowSpan row = traffic.row_span(s);
-  for (std::size_t k = 0; k < row.len; ++k) {
-    aggregate[row.col[k]] = row.val[k];
-  }
-  for (std::size_t i = n; i-- > 1;) {  // skip the source (order[0])
-    const NodeId t = tree.order[i];
-    const NodeId p = tree.parent[t];
-    loads(p, t) += aggregate[t];
-    loads(t, p) += aggregate[t];
     aggregate[p] += aggregate[t];
   }
 }
@@ -210,39 +145,6 @@ bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
       if (trees[base + b].order.size() != n) return false;  // disconnected
       accumulate_tree_loads(trees[base + b], traffic, sources[b], loads,
                             ws.aggregate);
-    }
-  }
-  return true;
-}
-
-bool route_loads_retained_dense(  // deprecated-api-allowed (definition)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads_retained: traffic shape mismatch");
-  }
-  if (loads.rows() != n || loads.cols() != n) {
-    loads = Matrix<double>::square(n, 0.0);
-  } else {
-    loads.fill(0.0);
-  }
-  trees.resize(n);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  const std::size_t bw = ws.block_width(n);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, &trees[base], algo,
-                             cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (trees[base + b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads_dense(  // deprecated-api-allowed (dense impl)
-          trees[base + b], traffic, sources[b], loads, ws.aggregate);
     }
   }
   return true;

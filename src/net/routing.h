@@ -11,9 +11,7 @@
 // Currencies: lengths arrive as a DistanceProvider (dense matrix or
 // matrix-free coordinates — bit-identical either way) and traffic as a
 // CompressedTraffic CSR (a dense TrafficMatrix converts implicitly). Loads
-// accumulate into EdgeLoads, the O(n + m) sparse form. The historical
-// Matrix<double>-shaped loads overloads are DEPRECATED (renamed *_dense,
-// linted by tools/check_deprecated_api.py) and kept only as compat shims.
+// accumulate into EdgeLoads, the O(n + m) sparse form.
 //
 // Direction convention: the traffic matrix is interpreted as ordered-pair
 // demands; an undirected link's load is the sum over both directions
@@ -75,10 +73,6 @@ struct EdgeLoads {
   double at(NodeId u, NodeId v) const { return value[index_of(u, v)]; }
 
   std::size_t num_edges() const { return value.size(); }
-
-  /// Expands into a symmetric dense matrix (compat shim for callers that
-  /// still want Matrix-shaped loads; resizes/zeroes `out`).
-  void scatter(Matrix<double>& out) const;
 };
 
 /// Rough resident size of one ShortestPathTree at n nodes (labels, order,
@@ -144,14 +138,6 @@ bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
                  RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto);
 
-/// DEPRECATED: dense Matrix-shaped loads. Use the EdgeLoads overload of
-/// route_loads; scatter() if a dense view is really needed. Linted by
-/// tools/check_deprecated_api.py.
-bool route_loads_dense(  // deprecated-api-allowed (declaration)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto);
-
 /// The per-source half of route_loads: pushes row `s` of `traffic` down
 /// `tree` (the shortest-path tree rooted at s, which must span all n nodes),
 /// accumulating into `loads` (must have been built from the routed
@@ -163,12 +149,6 @@ void accumulate_tree_loads(const ShortestPathTree& tree,
                            const CompressedTraffic& traffic, NodeId s,
                            EdgeLoads& loads, std::vector<double>& aggregate);
 
-/// DEPRECATED: dense Matrix-shaped loads variant of the per-source
-/// aggregation. Use the EdgeLoads overload of accumulate_tree_loads.
-void accumulate_tree_loads_dense(  // deprecated-api-allowed (declaration)
-    const ShortestPathTree& tree, const CompressedTraffic& traffic, NodeId s,
-    Matrix<double>& loads, std::vector<double>& aggregate);
-
 /// route_loads, but each source's tree is computed into (and left in)
 /// `trees[s]` instead of transient workspace — the delta engine retains them
 /// as parent state for incremental re-routing. `trees` is resized to n.
@@ -179,14 +159,6 @@ bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
                           std::vector<ShortestPathTree>& trees,
                           RoutingWorkspace& ws,
                           SpAlgorithm algo = SpAlgorithm::kAuto);
-
-/// DEPRECATED: dense Matrix-shaped loads variant of route_loads_retained.
-/// Use the EdgeLoads overload.
-bool route_loads_retained_dense(  // deprecated-api-allowed (declaration)
-    const Topology& g, const DistanceProvider& lengths,
-    const CompressedTraffic& traffic, Matrix<double>& loads,
-    std::vector<ShortestPathTree>& trees, RoutingWorkspace& ws,
-    SpAlgorithm algo = SpAlgorithm::kAuto);
 
 /// Sum over routes of demand * route physical length (the paper's
 /// sum_r t_r L_r from eq. (1)). Returns infinity if disconnected.

@@ -32,8 +32,8 @@ std::string num(double x) {
 }
 
 // Cache and dedup counters are performance data like wall_ns: their values
-// depend on the engine configuration (and, for private caches, the thread
-// partition), so they ride behind the same `timing` switch to keep
+// depend on the engine configuration (and, for the cache's hit/miss split,
+// on which worker scores a topology first), so they ride behind the same `timing` switch to keep
 // timing-free output invariant across engine configs.
 struct CanonicalPrinter {
   std::ostream& os;

@@ -164,14 +164,12 @@ struct EnsembleExemplars {
 
 /// A run ended (normally or via the stop condition).
 ///
-/// The cache_* counters aggregate the evaluation cache (cost/cost_cache.h
-/// private per worker, or cost/shared_cost_cache.h shared across workers)
-/// over every evaluator clone of the run; all zeros when the cache is
-/// disabled. Note they are part of the *performance* data, not the logical
-/// event stream: with private caches the hit/miss split depends on how
-/// offspring were partitioned across threads (hits + misses stays
-/// deterministic), and all of the counters naturally vary with the engine
-/// configuration. Costs and trajectories are unaffected either way.
+/// The cache_* counters aggregate the evaluation cache (cost/cost_cache.h,
+/// shared across workers) over every evaluator clone of the run; all zeros
+/// when the cache is disabled. Note they are part of the *performance*
+/// data, not the logical event stream: the hit/miss split depends on which
+/// worker scored a topology first (hits + misses stays deterministic), and
+/// all of the counters naturally vary with the engine configuration. Costs and trajectories are unaffected either way.
 /// Per-worker delta-engine counters (one per GA scorer worker, worker 0 =
 /// the primary evaluator). Like the cache counters, part of the
 /// performance data: with affinity scheduling the per-worker split depends

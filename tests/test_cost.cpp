@@ -57,7 +57,7 @@ TEST(Evaluator, HandComputedPathCost) {
   Topology path(3);
   path.add_edge(0, 1);
   path.add_edge(1, 2);
-  const CostBreakdown b = eval.breakdown(path);
+  const CostBreakdown b = eval.evaluate(path).breakdown;
   ASSERT_TRUE(b.feasible);
   EXPECT_DOUBLE_EQ(b.existence, 20.0);
   EXPECT_DOUBLE_EQ(b.length, 2.0);
@@ -71,7 +71,7 @@ TEST(Evaluator, TriangleAddsDirectLink) {
   // goes direct: loads all 2 (1 each direction).
   Evaluator eval = line_evaluator(CostParams{10.0, 1.0, 0.1, 5.0});
   const Topology tri = Topology::complete(3);
-  const CostBreakdown b = eval.breakdown(tri);
+  const CostBreakdown b = eval.evaluate(tri).breakdown;
   EXPECT_DOUBLE_EQ(b.existence, 30.0);
   EXPECT_DOUBLE_EQ(b.length, 4.0);          // 1 + 1 + 2
   EXPECT_NEAR(b.bandwidth, 0.1 * (2.0 + 2.0 + 4.0), 1e-12);
@@ -83,7 +83,7 @@ TEST(Evaluator, DisconnectedIsInfeasible) {
   Topology g(3);
   g.add_edge(0, 1);
   EXPECT_EQ(eval.cost(g), kInf);
-  EXPECT_FALSE(eval.breakdown(g).feasible);
+  EXPECT_FALSE(eval.evaluate(g).feasible());
 }
 
 TEST(Evaluator, CountsEvaluations) {
@@ -91,7 +91,7 @@ TEST(Evaluator, CountsEvaluations) {
   EXPECT_EQ(eval.evaluations(), 0u);
   Topology g = Topology::complete(3);
   eval.cost(g);
-  eval.breakdown(g);
+  eval.evaluate(g);
   EXPECT_EQ(eval.evaluations(), 2u);
 }
 
@@ -126,8 +126,9 @@ TEST(Evaluator, LastLoadsExposed) {
   Topology path(3);
   path.add_edge(0, 1);
   path.add_edge(1, 2);
-  eval.cost(path);
-  EXPECT_DOUBLE_EQ(eval.last_loads()(0, 1), 4.0);
+  const EvalResult r = eval.evaluate(path, {.want_loads = true});
+  ASSERT_TRUE(r.loads_valid);
+  EXPECT_DOUBLE_EQ(r.loads.at(0, 1), 4.0);
 }
 
 TEST(Evaluator, MoreTrafficNeverCheaper) {

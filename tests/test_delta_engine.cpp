@@ -59,9 +59,9 @@ TEST(DeltaEngine, BitIdenticalToFullSweepsOverMutationChain) {
     const std::uint64_t parent_fp = g.fingerprint();
     flip_random_edge(g, rng);
     if (step % 2 == 0) flip_random_edge(g, rng);  // crossover-sized diffs too
-    delta.set_parent_hint(parent_fp);
-    const CostBreakdown want = plain.breakdown(g);
-    const CostBreakdown got = delta.breakdown(g);
+    const CostBreakdown want = plain.evaluate(g).breakdown;
+    const CostBreakdown got =
+        delta.evaluate(g, {.parent_hint = parent_fp}).breakdown;
     ASSERT_EQ(got.feasible, want.feasible);
     ASSERT_EQ(got.total(), want.total());  // exact, no tolerance
     ASSERT_EQ(got.existence, want.existence);
@@ -87,8 +87,7 @@ TEST(DeltaEngine, FirstEvaluationFallsBackThenChildHits) {
 
   const std::uint64_t parent_fp = g.fingerprint();
   g.remove_edge(0, 1);
-  eval.set_parent_hint(parent_fp);
-  eval.cost(g);
+  eval.evaluate(g, {.parent_hint = parent_fp});
   EXPECT_EQ(eval.delta_stats().hits, 1u);
   EXPECT_EQ(eval.delta_stats().fallbacks, 1u);
   EXPECT_EQ(eval.delta_store()->size(), 2u);
@@ -109,8 +108,8 @@ TEST(DeltaEngine, MissingOrWrongHintIsHarmless) {
   // A bogus hint matches no slot; the probe falls through to MRU order and
   // the result is still exact.
   g.remove_edge(4, 5);
-  eval.set_parent_hint(0xdeadbeefdeadbeefULL);
-  EXPECT_EQ(eval.cost(g), plain.cost(g));
+  EXPECT_EQ(eval.evaluate(g, {.parent_hint = 0xdeadbeefdeadbeefULL}).total(),
+            plain.cost(g));
   EXPECT_EQ(eval.delta_stats().hits, 2u);
 }
 
@@ -118,7 +117,7 @@ TEST(DeltaEngine, InfeasibleResultsAreNeverRetained) {
   const Context ctx = small_context(8, 5);
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, delta_on());
   const Topology disconnected = Topology::from_edges(8, {{0, 1}, {2, 3}});
-  EXPECT_FALSE(eval.breakdown(disconnected).feasible);
+  EXPECT_FALSE(eval.evaluate(disconnected).feasible());
   ASSERT_NE(eval.delta_store(), nullptr);
   EXPECT_EQ(eval.delta_store()->size(), 0u);  // slot stayed free
 
@@ -126,13 +125,12 @@ TEST(DeltaEngine, InfeasibleResultsAreNeverRetained) {
   // the hit path must also refuse to retain the infeasible child.
   Topology ring = Topology::from_edges(
       8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}});
-  ASSERT_TRUE(eval.breakdown(ring).feasible);
+  ASSERT_TRUE(eval.evaluate(ring).feasible());
   EXPECT_EQ(eval.delta_store()->size(), 1u);
   const std::uint64_t parent_fp = ring.fingerprint();
   ring.remove_edge(0, 1);  // breaks the cycle into a path: still connected
   ring.remove_edge(4, 5);  // now two components
-  eval.set_parent_hint(parent_fp);
-  EXPECT_FALSE(eval.breakdown(ring).feasible);
+  EXPECT_FALSE(eval.evaluate(ring, {.parent_hint = parent_fp}).feasible());
   EXPECT_EQ(eval.delta_store()->size(), 1u);
 }
 
@@ -150,8 +148,8 @@ TEST(DeltaEngine, CloneOwnsPrivateStoreAndMergeFoldsStats) {
 
   worker.cost(g);  // fallback in the worker (its store is empty)
   g.remove_edge(0, 1);
-  worker.set_parent_hint(Topology::complete(10).fingerprint());
-  worker.cost(g);  // hit against the worker's own retained state
+  // Hit against the worker's own retained state.
+  worker.evaluate(g, {.parent_hint = Topology::complete(10).fingerprint()});
   EXPECT_EQ(worker.delta_stats().fallbacks, 1u);
   EXPECT_EQ(worker.delta_stats().hits, 1u);
 
@@ -190,9 +188,9 @@ TEST(DeltaEngine, CacheHitKeepsRetainedStateWarm) {
 
   Topology child = parent;
   child.remove_edge(0, 1);
-  eval.set_parent_hint(parent.fingerprint());
   const std::uint64_t hits_before = eval.delta_stats().hits;
-  EXPECT_EQ(eval.cost(child), plain.cost(child));
+  EXPECT_EQ(eval.evaluate(child, {.parent_hint = parent.fingerprint()}).total(),
+            plain.cost(child));
   EXPECT_EQ(eval.delta_stats().hits, hits_before + 1);
 }
 

@@ -87,7 +87,7 @@ TEST(GaConfig, RejectsParentsBeyondClampedTournament) {
 TEST(RunGa, ProducesConnectedFiniteBest) {
   Evaluator eval = make_evaluator(15, CostParams{10, 1, 4e-4, 10});
   Rng rng(1);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga()});
   EXPECT_TRUE(is_connected(r.best));
   EXPECT_TRUE(std::isfinite(r.best_cost));
   EXPECT_NEAR(r.best_cost, eval.cost(r.best), 1e-9);
@@ -97,8 +97,8 @@ TEST(RunGa, DeterministicGivenSeed) {
   Evaluator eval1 = make_evaluator(12, CostParams{10, 1, 1e-4, 0});
   Evaluator eval2 = make_evaluator(12, CostParams{10, 1, 1e-4, 0});
   Rng rng1(7), rng2(7);
-  const GaResult a = run_ga(eval1, small_ga(), rng1);
-  const GaResult b = run_ga(eval2, small_ga(), rng2);
+  const GaResult a = run_ga(eval1, rng1, {.config = small_ga()});
+  const GaResult b = run_ga(eval2, rng2, {.config = small_ga()});
   EXPECT_TRUE(a.best == b.best);
   EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
 }
@@ -107,7 +107,7 @@ TEST(RunGa, BestCostMonotoneOverGenerations) {
   // Elitism guarantees the running best never regresses.
   Evaluator eval = make_evaluator(15, CostParams{10, 1, 4e-4, 10});
   Rng rng(2);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga()});
   for (std::size_t g = 1; g < r.best_cost_history.size(); ++g) {
     EXPECT_LE(r.best_cost_history[g], r.best_cost_history[g - 1] + 1e-12);
   }
@@ -126,14 +126,14 @@ TEST(RunGa, NeverWorseThanSeeds) {
     best_seed_cost = std::min(best_seed_cost, h.cost);
   }
   Rng rng(3);
-  const GaResult r = run_ga(eval, small_ga(), rng, seeds);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga(), .seeds = seeds});
   EXPECT_LE(r.best_cost, best_seed_cost + 1e-9);
 }
 
 TEST(RunGa, NeverWorseThanMstAndClique) {
   Evaluator eval = make_evaluator(12, CostParams{10, 1, 1e-3, 0});
   Rng rng(4);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga()});
   EXPECT_LE(r.best_cost,
             eval.cost(minimum_spanning_tree(eval.lengths())) + 1e-9);
   EXPECT_LE(r.best_cost, eval.cost(Topology::complete(12)) + 1e-9);
@@ -154,7 +154,7 @@ TEST(RunGa, FindsExactOptimumOnSmallInstances) {
     GaConfig cfg;
     cfg.population = 48;
     cfg.generations = 48;
-    const GaResult r = run_ga(eval, cfg, rng, seeds);
+    const GaResult r = run_ga(eval, rng, {.config = cfg, .seeds = seeds});
     EXPECT_NEAR(r.best_cost, exact.cost, 1e-9) << "seed " << seed;
   }
 }
@@ -163,7 +163,7 @@ TEST(RunGa, FinalPopulationConsistent) {
   Evaluator eval = make_evaluator(10, CostParams{10, 1, 1e-4, 0});
   Rng rng(5);
   GaConfig cfg = small_ga();
-  const GaResult r = run_ga(eval, cfg, rng);
+  const GaResult r = run_ga(eval, rng, {.config = cfg});
   EXPECT_EQ(r.final_population.size(), cfg.population);
   EXPECT_EQ(r.final_costs.size(), cfg.population);
   for (std::size_t i = 0; i < r.final_population.size(); ++i) {
@@ -178,7 +178,7 @@ TEST(RunGa, FinalPopulationConsistent) {
 TEST(RunGa, SeedSizeMismatchThrows) {
   Evaluator eval = make_evaluator(10, CostParams{});
   Rng rng(6);
-  EXPECT_THROW(run_ga(eval, small_ga(), rng, {Topology(5)}),
+  EXPECT_THROW(run_ga(eval, rng, {.config = small_ga(), .seeds = {Topology(5)}}),
                std::invalid_argument);
 }
 
@@ -193,14 +193,14 @@ TEST(RunGa, HighHubCostProducesHubbyNetworks) {
     seeds.push_back(h.topology);
   }
   Rng rng(8);
-  const GaResult r = run_ga(eval, small_ga(), rng, seeds);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga(), .seeds = seeds});
   EXPECT_LE(r.best.num_core_nodes(), 3u);
 }
 
 TEST(RunGa, HighBandwidthCostProducesMeshyNetworks) {
   Evaluator eval = make_evaluator(12, CostParams{1, 1, 1.0, 0});
   Rng rng(9);
-  const GaResult r = run_ga(eval, small_ga(), rng);
+  const GaResult r = run_ga(eval, rng, {.config = small_ga()});
   // k2 dominant: approaching a clique (avg degree near n-1).
   EXPECT_GT(average_degree(r.best), 8.0);
 }
@@ -357,19 +357,17 @@ TEST(RunGaDedup, InvariantAcrossThreadCounts) {
 }
 
 // The evaluation engine's headline guarantee extended to the delta engine:
-// the GA trajectory is invariant across every {dsssp, thread count, cache
-// mode} combination — enabling --dsssp can never change results.
+// the GA trajectory is invariant across every {dsssp, thread count, cache}
+// combination — enabling --dsssp can never change results.
 TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
   ContextConfig ctx_cfg;
   ctx_cfg.num_pops = 18;
   Rng ctx_rng(9);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
-  enum class Cache { kOff, kPrivate, kShared };
-  const auto run = [&ctx](DsspMode dsssp, std::size_t threads, Cache cache) {
+  const auto run = [&ctx](DsspMode dsssp, std::size_t threads, bool cache) {
     EvalEngineConfig engine;
     engine.delta.mode = dsssp;
-    engine.cache.enabled = cache != Cache::kOff;
-    engine.cache.shared = cache == Cache::kShared;
+    engine.cache.enabled = cache;
     Evaluator eval(ctx.distances, ctx.traffic, CostParams{10, 1, 4e-4, 10},
                    engine);
     GaRunOptions options;
@@ -380,11 +378,10 @@ TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
     return run_ga(eval, rng, options);
   };
 
-  const GaResult reference = run(DsspMode::kOff, 1, Cache::kOff);
+  const GaResult reference = run(DsspMode::kOff, 1, false);
   for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
     for (const std::size_t threads : {1u, 4u}) {
-      for (const Cache cache :
-           {Cache::kOff, Cache::kPrivate, Cache::kShared}) {
+      for (const bool cache : {false, true}) {
         const GaResult r = run(dsssp, threads, cache);
         ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
         ASSERT_EQ(r.best_cost, reference.best_cost);

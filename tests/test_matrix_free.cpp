@@ -18,6 +18,7 @@
 #include "geom/point_process.h"
 #include "graph/algorithms.h"
 #include "net/routing.h"
+#include "reference.h"
 #include "telemetry/report.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
@@ -184,11 +185,10 @@ TEST(MatrixFree, ZeroDemandRowRoutesIdentically) {
   connect_components(g, len);
 
   Matrix<double> dense_loads;
-  RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_dense(g, len, ct, dense_loads, ws));
+  ASSERT_TRUE(reference::route_loads_dense(g, len, ct, dense_loads));
   EdgeLoads sparse_loads;
-  RoutingWorkspace ws2;
-  ASSERT_TRUE(route_loads(g, len, ct, sparse_loads, ws2));
+  RoutingWorkspace ws;
+  ASSERT_TRUE(route_loads(g, len, ct, sparse_loads, ws));
   for (const Edge& edge : g.edges()) {
     EXPECT_EQ(sparse_loads.at(edge.u, edge.v), dense_loads(edge.u, edge.v));
   }

@@ -542,16 +542,15 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
   std::vector<double> reference;
   double reference_cost = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const int cache_mode : {0, 1, 2}) {  // off | private | shared
+    for (const bool cache : {false, true}) {
       for (const bool dsssp : {false, true}) {
         SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
         cfg.ga.parallel.num_threads = threads;
-        cfg.engine.cache.enabled = cache_mode != 0;
-        cfg.engine.cache.shared = cache_mode == 2;
+        cfg.engine.cache.enabled = cache;
         cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
         const SynthesisResult r = Synthesizer(cfg).synthesize(7);
         const std::string what = "threads=" + std::to_string(threads) +
-                                 " cache=" + std::to_string(cache_mode) +
+                                 " cache=" + std::to_string(cache) +
                                  " dsssp=" + std::to_string(dsssp);
         if (reference.empty()) {
           reference = r.ga.best_cost_history;
@@ -571,7 +570,6 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
     SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
     cfg.ga.parallel.num_threads = 8;
     cfg.engine.cache.enabled = true;
-    cfg.engine.cache.shared = true;
     cfg.engine.delta.mode = DsspMode::kOn;
     cfg.engine.sp_algorithm = algo;
     const SynthesisResult r = Synthesizer(cfg).synthesize(7);

@@ -118,8 +118,6 @@ TEST(EvaluatorClone, SharesContextOwnsScratch) {
   // Identical scoring.
   const Topology mesh = Topology::complete(10);
   EXPECT_DOUBLE_EQ(copy.cost(mesh), eval.cost(mesh));
-  // Private scratch: the clone's loads are its own object.
-  EXPECT_NE(&copy.last_loads(), &eval.last_loads());
 }
 
 TEST(EvaluatorClone, CountsMergeExactly) {
@@ -154,12 +152,12 @@ TEST(RunGa, ThreadCountDoesNotChangeResults) {
   const GaResult ref = [&] {
     Evaluator eval = make_evaluator(14, CostParams{10, 1, 4e-4, 10});
     Rng rng(11);
-    return run_ga(eval, parallel_ga(1), rng);
+    return run_ga(eval, rng, {.config = parallel_ga(1)});
   }();
   for (const std::size_t threads : {2u, 8u}) {
     Evaluator eval = make_evaluator(14, CostParams{10, 1, 4e-4, 10});
     Rng rng(11);
-    const GaResult r = run_ga(eval, parallel_ga(threads), rng);
+    const GaResult r = run_ga(eval, rng, {.config = parallel_ga(threads)});
     EXPECT_DOUBLE_EQ(r.best_cost, ref.best_cost) << threads;
     EXPECT_TRUE(r.best == ref.best) << threads;
     ASSERT_EQ(r.best_cost_history.size(), ref.best_cost_history.size());
@@ -185,7 +183,7 @@ TEST(RunGa, CloneEvaluationsFoldIntoPrimary) {
   for (const std::size_t threads : {1u, 4u}) {
     Evaluator eval = make_evaluator(10, CostParams{10, 1, 4e-4, 10});
     Rng rng(3);
-    const GaResult r = run_ga(eval, parallel_ga(threads), rng);
+    const GaResult r = run_ga(eval, rng, {.config = parallel_ga(threads)});
     EXPECT_EQ(eval.evaluations(), r.evaluations) << threads;
   }
 }

@@ -61,7 +61,7 @@ TEST_P(CostGridProperty, GaNeverLosesToItsSeeds) {
   ga.population = 20;
   ga.generations = 15;
   Rng rng(5);
-  const GaResult r = run_ga(eval, ga, rng);
+  const GaResult r = run_ga(eval, rng, {.config = ga});
   EXPECT_LE(r.best_cost, std::min(mst_cost, clique_cost) + 1e-9);
 }
 
@@ -150,13 +150,13 @@ TEST_P(DensificationProperty, AddingLinksNeverRaisesBandwidthComponent) {
   const Context ctx = generate_context(cfg, rng);
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{0, 0, 1.0, 0});
   Topology g = minimum_spanning_tree(ctx.distances);
-  double prev = eval.breakdown(g).bandwidth;
+  double prev = eval.evaluate(g).breakdown.bandwidth;
   for (int additions = 0; additions < 15; ++additions) {
     // Add a random missing edge.
     NodeId i = rng.uniform_index(12), j = rng.uniform_index(12);
     if (i == j || g.has_edge(i, j)) continue;
     g.add_edge(i, j);
-    const double now = eval.breakdown(g).bandwidth;
+    const double now = eval.evaluate(g).breakdown.bandwidth;
     EXPECT_LE(now, prev + 1e-9);
     prev = now;
   }
@@ -265,7 +265,7 @@ TEST_P(OptimizerEquivalenceProperty, AllOptimizersProduceFeasibleNetworks) {
   ga_cfg.population = 16;
   ga_cfg.generations = 12;
   Rng ga_rng(GetParam());
-  const GaResult ga = run_ga(eval_ga, ga_cfg, ga_rng);
+  const GaResult ga = run_ga(eval_ga, ga_rng, {.config = ga_cfg});
   EXPECT_TRUE(is_connected(ga.best));
 
   Evaluator eval_hc(ctx.distances, ctx.traffic, costs);

@@ -24,7 +24,6 @@
 #include "core/synthesizer.h"
 #include "cost/cost_cache.h"
 #include "cost/evaluator.h"
-#include "cost/shared_cost_cache.h"
 #include "ga/repair.h"
 #include "graph/algorithms.h"
 #include "graph/connectivity.h"
@@ -240,32 +239,8 @@ TEST(ResilientObjective, PositiveWeightChargesThePenalty) {
 
 // ---------------------------------------------------------------------------
 // Cache-key separation: plain and resilient breakdowns of the same topology
-// must never conflate, in either cache implementation.
+// must never conflate in the cache.
 // ---------------------------------------------------------------------------
-
-TEST(CacheSalt, PrivateCacheSeparatesObjectives) {
-  Topology g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  EvalCacheConfig cfg;
-  cfg.enabled = true;
-  CostCache cache(cfg);
-  CostBreakdown plain;
-  plain.existence = 1.0;
-  CostBreakdown resilient = plain;
-  resilient.resilience = 7.0;
-
-  cache.insert(g, plain, /*salt=*/0);
-  EXPECT_EQ(cache.find(g, /*salt=*/0x5a5a), nullptr);  // salted probe misses
-  cache.insert(g, resilient, /*salt=*/0x5a5a);
-  const CostBreakdown* a = cache.find(g, 0);
-  const CostBreakdown* b = cache.find(g, 0x5a5a);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->resilience, 0.0);
-  EXPECT_EQ(b->resilience, 7.0);
-}
 
 TEST(CacheSalt, SharedCacheSeparatesObjectives) {
   Topology g(4);
@@ -274,7 +249,6 @@ TEST(CacheSalt, SharedCacheSeparatesObjectives) {
   g.add_edge(2, 3);
   EvalCacheConfig cfg;
   cfg.enabled = true;
-  cfg.shared = true;
   SharedCostCache cache(cfg);
   CostBreakdown stored;
   stored.existence = 3.0;
@@ -285,6 +259,15 @@ TEST(CacheSalt, SharedCacheSeparatesObjectives) {
   EXPECT_FALSE(cache.find(g, out, /*salt=*/0x78));
   ASSERT_TRUE(cache.find(g, out, /*salt=*/0x77));
   EXPECT_EQ(out.existence, 3.0);
+
+  // Both objectives' entries for one topology coexist.
+  CostBreakdown resilient = stored;
+  resilient.resilience = 7.0;
+  cache.insert(g, resilient, /*salt=*/0x5a5a);
+  ASSERT_TRUE(cache.find(g, out, /*salt=*/0x77));
+  EXPECT_EQ(out.resilience, 0.0);
+  ASSERT_TRUE(cache.find(g, out, /*salt=*/0x5a5a));
+  EXPECT_EQ(out.resilience, 7.0);
 }
 
 TEST(CacheSalt, EvaluatorSaltsDependOnTheResilienceConfig) {
@@ -326,19 +309,18 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   std::vector<double> reference;
   double reference_cost = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const int cache_mode : {0, 1, 2}) {  // off | private | shared
+    for (const bool cache : {false, true}) {
       for (const bool dsssp : {false, true}) {
         for (const bool dedup : {false, true}) {
           SynthesisConfig cfg = resilient_config();
           cfg.ga.parallel.num_threads = threads;
-          cfg.engine.cache.enabled = cache_mode != 0;
-          cfg.engine.cache.shared = cache_mode == 2;
+          cfg.engine.cache.enabled = cache;
           cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
           cfg.ga.dedup = dedup;
           const SynthesisResult r = Synthesizer(cfg).synthesize(7);
           const std::string what =
               "threads=" + std::to_string(threads) +
-              " cache=" + std::to_string(cache_mode) +
+              " cache=" + std::to_string(cache) +
               " dsssp=" + std::to_string(dsssp) +
               " dedup=" + std::to_string(dedup);
           if (reference.empty()) {
@@ -359,7 +341,6 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   SynthesisConfig cfg = resilient_config();
   cfg.ga.parallel.num_threads = 8;
   cfg.engine.cache.enabled = true;
-  cfg.engine.cache.shared = true;
   cfg.engine.delta.mode = DsspMode::kOn;
   cfg.ga.dedup = true;
   const SynthesisResult r = Synthesizer(cfg).synthesize(7);

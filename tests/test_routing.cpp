@@ -24,13 +24,13 @@ TEST(RouteLoads, PathGraphAccumulates) {
   Matrix<double> len = Matrix<double>::square(3, 1.0);
   Matrix<double> traffic = Matrix<double>::square(3, 1.0);
   for (int i = 0; i < 3; ++i) traffic(i, i) = 0.0;
-  Matrix<double> loads;
+  EdgeLoads loads;
   RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_dense(g, len, traffic, loads, ws));
-  EXPECT_DOUBLE_EQ(loads(0, 1), 4.0);
-  EXPECT_DOUBLE_EQ(loads(1, 2), 4.0);
-  EXPECT_DOUBLE_EQ(loads(1, 0), loads(0, 1));  // symmetric
-  EXPECT_DOUBLE_EQ(loads(0, 2), 0.0);          // no such link
+  ASSERT_TRUE(route_loads(g, len, traffic, loads, ws));
+  EXPECT_DOUBLE_EQ(loads.at(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(loads.at(1, 2), 4.0);
+  EXPECT_DOUBLE_EQ(loads.at(1, 0), loads.at(0, 1));  // symmetric
+  EXPECT_EQ(loads.num_edges(), 2u);  // one accumulator per link, none for (0,2)
 }
 
 TEST(RouteLoads, DisconnectedReturnsFalse) {
@@ -38,9 +38,9 @@ TEST(RouteLoads, DisconnectedReturnsFalse) {
   g.add_edge(0, 1);
   Matrix<double> len = Matrix<double>::square(3, 1.0);
   Matrix<double> traffic = gravity_matrix({1.0, 1.0, 1.0});
-  Matrix<double> loads;
+  EdgeLoads loads;
   RoutingWorkspace ws;
-  EXPECT_FALSE(route_loads_dense(g, len, traffic, loads, ws));
+  EXPECT_FALSE(route_loads(g, len, traffic, loads, ws));
 }
 
 TEST(RouteLoads, AgreesWithExplicitPathAccumulation) {
@@ -57,9 +57,9 @@ TEST(RouteLoads, AgreesWithExplicitPathAccumulation) {
     for (std::size_t i = 0; i < n; ++i) pops.push_back(rng.exponential(30.0));
     const auto traffic = gravity_matrix(pops);
 
-    Matrix<double> loads;
+    EdgeLoads loads;
     RoutingWorkspace ws;
-    ASSERT_TRUE(route_loads_dense(g, len, traffic, loads, ws));
+    ASSERT_TRUE(route_loads(g, len, traffic, loads, ws));
 
     Matrix<double> expected = Matrix<double>::square(n, 0.0);
     for (NodeId s = 0; s < n; ++s) {
@@ -73,10 +73,9 @@ TEST(RouteLoads, AgreesWithExplicitPathAccumulation) {
         }
       }
     }
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = 0; j < n; ++j) {
-        EXPECT_NEAR(loads(i, j), expected(i, j), 1e-6);
-      }
+    // Path walks deposit only on links, so the links cover every load.
+    for (const Edge& e : g.edges()) {
+      EXPECT_NEAR(loads.at(e.u, e.v), expected(e.u, e.v), 1e-6);
     }
   }
 }
@@ -93,11 +92,11 @@ TEST(RouteLoads, TotalLoadLengthEqualsDemandWeightedLength) {
   for (std::size_t i = 0; i < n; ++i) pops.push_back(rng.exponential(30.0));
   const auto traffic = gravity_matrix(pops);
 
-  Matrix<double> loads;
+  EdgeLoads loads;
   RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_dense(g, len, traffic, loads, ws));
+  ASSERT_TRUE(route_loads(g, len, traffic, loads, ws));
   double lhs = 0.0;
-  for (const Edge& e : g.edges()) lhs += len(e.u, e.v) * loads(e.u, e.v);
+  for (const Edge& e : g.edges()) lhs += len(e.u, e.v) * loads.at(e.u, e.v);
   const double rhs = total_demand_weighted_length(g, len, traffic);
   EXPECT_NEAR(lhs, rhs, 1e-6 * rhs);
 }
@@ -146,11 +145,11 @@ TEST(RouteLoads, MatchesRoutePathWalksOnRandomGraphs) {
     for (std::size_t i = 0; i < n; ++i) pops.push_back(rng.exponential(30.0));
     const auto traffic = gravity_matrix(pops);
 
-    Matrix<double> loads_dense, loads_sparse;
-    ASSERT_TRUE(route_loads_dense(g, len, traffic, loads_dense, ws,
-                            SpAlgorithm::kDense));
-    ASSERT_TRUE(route_loads_dense(g, len, traffic, loads_sparse, ws,
-                            SpAlgorithm::kSparse));
+    EdgeLoads loads_dense, loads_sparse;
+    ASSERT_TRUE(
+        route_loads(g, len, traffic, loads_dense, ws, SpAlgorithm::kDense));
+    ASSERT_TRUE(
+        route_loads(g, len, traffic, loads_sparse, ws, SpAlgorithm::kSparse));
     const auto next = routing_matrix(g, len, ws);
 
     Matrix<double> walked = Matrix<double>::square(n, 0.0);
@@ -164,15 +163,13 @@ TEST(RouteLoads, MatchesRoutePathWalksOnRandomGraphs) {
         }
       }
     }
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = 0; j < n; ++j) {
-        // Both solvers pick identical trees, so their loads are bitwise
-        // equal; the walk accumulates in a different order, so compare it
-        // with a tolerance.
-        ASSERT_EQ(loads_dense(i, j), loads_sparse(i, j));
-        ASSERT_NEAR(loads_dense(i, j), walked(i, j),
-                    1e-9 * std::max(1.0, walked(i, j)));
-      }
+    // Both solvers pick identical trees, so their loads are bitwise equal;
+    // the walk accumulates in a different order, so compare it with a
+    // tolerance.
+    ASSERT_EQ(loads_dense.value, loads_sparse.value);
+    for (const Edge& e : g.edges()) {
+      ASSERT_NEAR(loads_dense.at(e.u, e.v), walked(e.u, e.v),
+                  1e-9 * std::max(1.0, walked(e.u, e.v)));
     }
   }
 }

@@ -1,5 +1,5 @@
-// Tests for the shared cross-worker cost cache and the engine-wide
-// determinism contract it must uphold.
+// Tests for the cross-worker cost cache and the engine-wide determinism
+// contract it must uphold.
 //
 // Three layers:
 //   1. SharedCostCache unit behavior (verified hits, collision rejection,
@@ -8,9 +8,9 @@
 //      run under TSan as well as the regular suites.
 //   3. The engine's headline property: GA trajectories, best-cost
 //      histories, and timing-free telemetry (canonical traces + JSON
-//      reports) are byte-identical across {no cache, private cache, shared
-//      cache} x {dedup on/off} x {1, 2, 4, 8 threads}.
-#include "cost/shared_cost_cache.h"
+//      reports) are byte-identical across {cache off, on} x {dedup on/off}
+//      x {1, 2, 4, 8 threads}.
+#include "cost/cost_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 
 #include "core/context.h"
 #include "core/synthesizer.h"
-#include "cost/cost_cache.h"
 #include "cost/evaluator.h"
 #include "telemetry/report.h"
 #include "telemetry/sinks.h"
@@ -47,7 +46,7 @@ const CostParams kCosts{10.0, 1.0, 4e-4, 10.0};
 // ---------------------------------------------------------------------------
 
 TEST(SharedCostCache, MissThenVerifiedHit) {
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{true, 256});
   const Topology g = Topology::from_edges(4, {{0, 1}, {1, 2}});
   CostBreakdown out;
   EXPECT_FALSE(cache.find(g, out));
@@ -60,13 +59,14 @@ TEST(SharedCostCache, MissThenVerifiedHit) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
   // Same edge set on different node counts XORs to the same fingerprint;
   // full verification must still reject the lookup.
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{true, 256});
   const Topology a = Topology::from_edges(4, {{0, 1}});
   const Topology b = Topology::from_edges(5, {{0, 1}});
   ASSERT_EQ(a.fingerprint(), b.fingerprint());
@@ -78,7 +78,7 @@ TEST(SharedCostCache, VerificationRejectsEqualFingerprintDifferentGraph) {
 }
 
 TEST(SharedCostCache, OverwritesInPlace) {
-  SharedCostCache cache(EvalCacheConfig{true, 256, true});
+  SharedCostCache cache(EvalCacheConfig{true, 256});
   const Topology g = Topology::from_edges(3, {{0, 1}});
   cache.insert(g, feasible_breakdown(1.0));
   cache.insert(g, feasible_breakdown(2.0));
@@ -95,7 +95,7 @@ TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
   // inserting every single-edge topology of K_70 (2415 distinct graphs)
   // must evict, stay within capacity, and keep size == inserts - evictions
   // (all graphs distinct, so no overwrites).
-  SharedCostCache cache(EvalCacheConfig{true, 64, true});
+  SharedCostCache cache(EvalCacheConfig{true, 64});
   ASSERT_EQ(cache.capacity(), 256u);
   std::size_t inserted = 0;
   for (NodeId u = 0; u < 70; ++u) {
@@ -112,6 +112,36 @@ TEST(SharedCostCache, EvictionKeepsConservationInvariants) {
   EXPECT_EQ(cache.size(), stats.inserts - stats.evictions);
 }
 
+TEST(SharedCostCache, LruEvictsLeastRecentlyUsed) {
+  // Capacity 64 rounds up to one 4-way set per shard, so five graphs that
+  // land in one shard (high fingerprint bits, as the cache documents)
+  // compete for its four ways and the LRU policy is fully observable.
+  SharedCostCache cache(EvalCacheConfig{true, 64});
+  const auto shard_of = [](const Topology& g) {
+    return (g.fingerprint() >> 48) & (SharedCostCache::kShards - 1);
+  };
+  std::vector<Topology> graphs;
+  for (NodeId v = 1; graphs.size() < 5; ++v) {
+    Topology g = Topology::from_edges(4096, {{0, v}});
+    if (graphs.empty() || shard_of(g) == shard_of(graphs[0])) {
+      graphs.push_back(std::move(g));
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    cache.insert(graphs[i], feasible_breakdown(i));
+  }
+  CostBreakdown out;
+  ASSERT_TRUE(cache.find(graphs[0], out));  // freshen graph 0
+  EXPECT_TRUE(cache.insert(graphs[4], feasible_breakdown(4.0)));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.find(graphs[1], out));  // the LRU entry was evicted
+  EXPECT_TRUE(cache.find(graphs[0], out));
+  EXPECT_TRUE(cache.find(graphs[2], out));
+  EXPECT_TRUE(cache.find(graphs[3], out));
+  EXPECT_TRUE(cache.find(graphs[4], out));
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency stress — run under TSan in CI.
 // ---------------------------------------------------------------------------
@@ -121,7 +151,7 @@ TEST(SharedCostCacheStress, EightThreadsOnCollidingShards) {
   // compete for 256 ways. Each topology's identity is encoded in its stored
   // breakdown, so any cross-entry corruption (a hit returning another
   // graph's value) is detected exactly.
-  SharedCostCache cache(EvalCacheConfig{true, 64, true});
+  SharedCostCache cache(EvalCacheConfig{true, 64});
   constexpr std::size_t kGraphs = 512;
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kOpsPerThread = 10'000;
@@ -187,15 +217,14 @@ TEST(SharedEvaluatorCache, CloneHitsOnPrimaryInsert) {
   const Context ctx = small_context(8, 5);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
-  engine.cache.shared = true;
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-  ASSERT_NE(eval.shared_cache(), nullptr);
+  ASSERT_NE(eval.cache(), nullptr);
   const Topology g = Topology::complete(8);
 
   eval.cost(g);  // miss; fills the shared cache
   Evaluator worker = eval.clone();
-  EXPECT_EQ(worker.shared_cache(), eval.shared_cache());
-  worker.cost(g);  // cross-instance hit — impossible with private caches
+  EXPECT_EQ(worker.cache(), eval.cache());
+  worker.cost(g);  // cross-instance hit
   EXPECT_EQ(worker.cache_stats().hits, 1u);
   EXPECT_EQ(worker.cache_stats().misses, 0u);
 
@@ -211,7 +240,6 @@ TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
   const Context ctx = small_context(10, 6);
   EvalEngineConfig engine;
   engine.cache.enabled = true;
-  engine.cache.shared = true;
   Evaluator shared_a(ctx.distances, ctx.traffic, kCosts, engine);
   Evaluator shared_b = shared_a.clone();
   Evaluator plain(ctx.distances, ctx.traffic, kCosts);
@@ -222,15 +250,16 @@ TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
     const NodeId u = rng.uniform_index(10);
     const NodeId v = (u + 1 + rng.uniform_index(9)) % 10;
     g.set_edge(u, v, !g.has_edge(u, v));
-    const CostBreakdown want = plain.breakdown(g);
+    const CostBreakdown want = plain.evaluate(g).breakdown;
     // Alternate which instance evaluates first: whoever comes second should
     // often hit the shared entry, and must match exactly either way.
     Evaluator& first = (step % 2 == 0) ? shared_a : shared_b;
     Evaluator& second = (step % 2 == 0) ? shared_b : shared_a;
-    ASSERT_EQ(first.breakdown(g).total(), want.total());
-    ASSERT_EQ(second.breakdown(g).total(), want.total());
-    ASSERT_EQ(second.breakdown(g).existence, want.existence);
-    ASSERT_EQ(second.breakdown(g).bandwidth, want.bandwidth);
+    ASSERT_EQ(first.cost(g), want.total());
+    const CostBreakdown got = second.evaluate(g).breakdown;
+    ASSERT_EQ(got.total(), want.total());
+    ASSERT_EQ(got.existence, want.existence);
+    ASSERT_EQ(got.bandwidth, want.bandwidth);
   }
   shared_a.merge_stats(shared_b);
   const EvalCacheStats stats = shared_a.cache_stats();
@@ -251,7 +280,7 @@ struct ComboOutput {
   std::size_t evaluations = 0;
 };
 
-ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
+ComboOutput run_combo(std::size_t pops, std::uint64_t seed, bool cache,
                       bool dedup, std::size_t threads, bool heuristics) {
   SynthesisConfig cfg;
   cfg.context.num_pops = pops;
@@ -260,8 +289,7 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
   cfg.ga.generations = 3;
   cfg.ga.dedup = dedup;
   cfg.ga.parallel.num_threads = threads;
-  cfg.engine.cache.enabled = cache_mode != 0;
-  cfg.engine.cache.shared = cache_mode == 2;
+  cfg.engine.cache.enabled = cache;
 
   TraceSink trace;
   JsonReportSink report;
@@ -281,7 +309,7 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, int cache_mode,
 }
 
 TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
-  // >= 50 random trials; each runs all 24 engine combinations and demands
+  // >= 50 random trials; each runs all 16 engine combinations and demands
   // byte-identical timing-free telemetry. Most trials skip heuristic
   // seeding to keep the suite fast; a handful keep it on so the heuristics
   // phase is covered too.
@@ -292,18 +320,18 @@ TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
     const bool heuristics = trial >= kTrials - 5;
 
     const ComboOutput reference =
-        run_combo(pops, seed, /*cache_mode=*/0, /*dedup=*/false,
+        run_combo(pops, seed, /*cache=*/false, /*dedup=*/false,
                   /*threads=*/1, heuristics);
     ASSERT_FALSE(reference.trace.empty());
-    for (const int cache_mode : {0, 1, 2}) {
+    for (const bool cache : {false, true}) {
       for (const bool dedup : {false, true}) {
         for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-          if (cache_mode == 0 && !dedup && threads == 1) continue;
+          if (!cache && !dedup && threads == 1) continue;
           const ComboOutput got =
-              run_combo(pops, seed, cache_mode, dedup, threads, heuristics);
+              run_combo(pops, seed, cache, dedup, threads, heuristics);
           const std::string label =
               "trial=" + std::to_string(trial) +
-              " cache=" + std::to_string(cache_mode) +
+              " cache=" + std::to_string(cache) +
               " dedup=" + std::to_string(dedup) +
               " threads=" + std::to_string(threads);
           ASSERT_EQ(got.trace, reference.trace) << label;

@@ -9,6 +9,7 @@
 #include "geom/distance.h"
 #include "geom/point_process.h"
 #include "graph/algorithms.h"
+#include "reference.h"
 #include "util/rng.h"
 
 namespace cold {
@@ -196,7 +197,7 @@ TEST(SpAlgorithm, BlockedDenseIsBitIdenticalToReference) {
     ShortestPathTree blocked, reference;
     for (NodeId s = 0; s < n; ++s) {
       shortest_path_tree(g, len, s, blocked, SpAlgorithm::kDense);
-      shortest_path_tree_reference(g, len, s, reference);
+      reference::shortest_path_tree(g, len, s, reference);
       ASSERT_EQ(blocked.order, reference.order) << "n=" << n << " s=" << s;
       ASSERT_EQ(blocked.parent, reference.parent);
       ASSERT_EQ(blocked.hops, reference.hops);

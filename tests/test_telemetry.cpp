@@ -279,22 +279,6 @@ TEST(GaTelemetry, ObserverCanRequestStop) {
   EXPECT_EQ(r.generations_run, 4u);
 }
 
-TEST(GaTelemetry, DeprecatedWrappersMatchOptionsApi) {
-  Evaluator eval1 = small_evaluator(7);
-  Evaluator eval2 = small_evaluator(7);
-  GaConfig cfg;
-  cfg.population = 16;
-  cfg.generations = 6;
-  Rng rng1(9), rng2(9);
-  const GaResult via_wrapper = run_ga(eval1, cfg, rng1);
-  GaRunOptions options;
-  options.config = cfg;
-  const GaResult via_options = run_ga(eval2, rng2, options);
-  EXPECT_EQ(via_wrapper.best_cost, via_options.best_cost);
-  EXPECT_EQ(via_wrapper.best, via_options.best);
-  EXPECT_EQ(via_wrapper.evaluations, via_options.evaluations);
-}
-
 // ---------------------------------------------------------------------------
 // Synthesizer phase timeline.
 // ---------------------------------------------------------------------------
@@ -546,7 +530,6 @@ TEST(RunReport, PerPhaseEngineCountersTrackCacheActivity) {
 TEST(RunReport, SharedCachePhaseCountersShowCrossWorkerHits) {
   SynthesisConfig cfg = small_config();
   cfg.engine.cache.enabled = true;
-  cfg.engine.cache.shared = true;
   cfg.ga.parallel.num_threads = 4;
   JsonReportSink sink;
   cfg.observer = &sink;

@@ -4,7 +4,7 @@
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--eval-cache] [--eval-cache-size N]
-//                 [--shared-cache] [--dedup] [--dijkstra auto|dense|sparse]
+//                 [--dedup] [--dijkstra auto|dense|sparse]
 //                 [--dsssp on|off|auto] [--affinity on|off]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
@@ -74,10 +74,9 @@ const std::vector<OptionSpec> kGaOpts = {
 // Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
 // produces bit-identical networks; these trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
-    {"eval-cache", false, "memoize cost evaluations"},
+    {"eval-cache", false, "memoize cost evaluations (one cache shared by "
+                          "every worker)"},
     {"eval-cache-size", true, "N entries (16384)"},
-    {"shared-cache", false, "share one cache across workers (implies "
-                            "--eval-cache)"},
     {"dedup", false, "score each distinct GA offspring once"},
     {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
@@ -226,10 +225,9 @@ void print_usage() {
       "            and --max-evals N (stop budgets; partial results stay\n"
       "            valid)\n"
       "  engine    (synth/ensemble/grow): --eval-cache memoizes cost\n"
-      "            evaluations, --eval-cache-size N bounds it (16384),\n"
-      "            --shared-cache shares one cache across worker threads\n"
-      "            (implies --eval-cache), --dedup scores each distinct GA\n"
-      "            offspring once per generation, --dijkstra\n"
+      "            evaluations in one cache shared by every worker thread,\n"
+      "            --eval-cache-size N bounds it (16384), --dedup scores\n"
+      "            each distinct GA offspring once per generation, --dijkstra\n"
       "            auto|dense|sparse picks the shortest-path solver, and\n"
       "            --dsssp on|off|auto re-routes near-parent offspring\n"
       "            incrementally (auto enables it above 16 PoPs), and\n"
@@ -303,8 +301,7 @@ EvalEngineConfig engine_from(const CliOptions& args) {
     DistanceProvider::set_dense_auto_threshold(threshold);
   }
   EvalEngineConfig engine;
-  engine.cache.enabled = args.has("eval-cache") || args.has("shared-cache");
-  engine.cache.shared = args.has("shared-cache");
+  engine.cache.enabled = args.has("eval-cache");
   engine.cache.capacity =
       args.uint("eval-cache-size", engine.cache.capacity);
   const std::string algo = args.get("dijkstra", "auto");
