@@ -1,6 +1,6 @@
 // Memoized + sparse evaluation engine benchmark.
 //
-// Three measurements, all on GA-shaped inputs:
+// Seven measurements, all on GA-shaped inputs:
 //
 //   1. Cache throughput: record the exact topology sequence a real GA run
 //      evaluates (elites, crossover echoes, mutation round-trips make it
@@ -29,13 +29,7 @@
 //      n = 96 near-clique, the blocked/batched dense solver vs the original
 //      scalar scan (tests/reference.h). Gate: >= 2x trees/sec
 //      with bit-identical trees (dist, hops, parent, settle order).
-//   7. Affinity routing: replay the hinted n = 80 trace over 4 delta-enabled
-//      Evaluator clones, routing each child to the worker that retains its
-//      parent's routing state (the scorer's affinity policy) vs blind
-//      round-robin. Gate: the affinity delta hit rate strictly beats
-//      round-robin, with an absolute floor; per-worker hit/fallback splits
-//      go into the artifact.
-//   8. Multipath (ECMP) throughput: evaluate the n = 80 m ~ n instance with
+//   7. Multipath (ECMP) throughput: evaluate the n = 80 m ~ n instance with
 //      the traffic engine forced single-path vs ECMP DAG splitting, both
 //      with zero objective weights. Euclidean instances have unique
 //      shortest paths, so the ECMP costs must be bit-identical to the
@@ -51,7 +45,6 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -313,69 +306,6 @@ KernelSample measure_blocked_kernel(std::size_t n, std::size_t reps) {
   return s;
 }
 
-struct AffinitySample {
-  bool affinity = false;   // routing policy: affinity vs blind round-robin
-  double hit_rate = 0.0;   // delta hits / (hits + fallbacks), all workers
-  bool identical = false;  // costs match the full-sweep reference
-  std::vector<DeltaStats> workers;  // per-worker split, worker order
-};
-
-/// Replays the hinted trace over `workers` delta-enabled Evaluator clones on
-/// the calling thread — the sequential analogue of ParallelScorer's routed
-/// scoring pass, so the hit-rate comparison is exact and machine-independent.
-/// With `affinity` set, a hinted child goes to the worker whose store
-/// retains the parent fingerprint (unhinted/unknown falls back to
-/// round-robin, without consuming a round-robin slot — exactly the scorer's
-/// build_queues policy); otherwise every item is dealt round-robin.
-AffinitySample replay_affinity(const Context& ctx, const CostParams& costs,
-                               const std::vector<Topology>& trace,
-                               const std::vector<std::uint64_t>& hints,
-                               const std::vector<double>& reference,
-                               std::size_t workers, bool affinity) {
-  EvalEngineConfig engine;
-  engine.delta.mode = DsspMode::kOn;  // production cutoffs: only a genuinely
-                                      // near parent matches, so routing is
-                                      // what decides hit vs fallback
-  engine.delta.retained_states = 64;  // per worker
-  Evaluator primary(ctx.distances, ctx.traffic, costs, engine);
-  std::vector<Evaluator> clones;
-  clones.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) clones.push_back(primary.clone());
-
-  AffinitySample s;
-  s.affinity = affinity;
-  s.identical = true;
-  std::unordered_map<std::uint64_t, std::size_t> retained_on;
-  std::size_t rr = 0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    std::size_t w = rr % workers;
-    bool routed = false;
-    if (affinity && hints[i] != 0) {
-      const auto it = retained_on.find(hints[i]);
-      if (it != retained_on.end()) {
-        w = it->second;
-        routed = true;  // does not consume a round-robin slot
-      }
-    }
-    if (!routed) ++rr;
-    EvalRequest req;
-    req.parent_hint = hints[i];
-    const double c = clones[w].evaluate(trace[i], req).total();
-    s.identical &= c == reference[i];
-    if (!std::isinf(c)) retained_on[trace[i].fingerprint()] = w;
-  }
-
-  std::uint64_t hits = 0, fallbacks = 0;
-  for (Evaluator& c : clones) {
-    s.workers.push_back(c.delta_stats());
-    hits += c.delta_stats().hits;
-    fallbacks += c.delta_stats().fallbacks;
-  }
-  s.hit_rate =
-      static_cast<double>(hits) / static_cast<double>(hits + fallbacks);
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -548,24 +478,6 @@ int main(int argc, char** argv) {
       kernel.pops, kernel.edges, kernel.reference_tps, kernel.blocked_tps,
       kernel_speedup, kernel.identical ? "yes" : "NO");
 
-  // --- Affinity routing vs round-robin over delta-enabled workers. ---------
-  // Same hinted n = 80 trace as the dsssp section. Round-robin lands a
-  // child on the worker holding its parent's routing state only by luck
-  // (~1/workers); affinity routes it there, so nearly every hinted child is
-  // served by the delta engine.
-  const std::size_t aff_workers = 4;
-  const AffinitySample aff_rr = replay_affinity(
-      delta_ctx, costs, delta_trace, delta_hints, delta_ref, aff_workers,
-      /*affinity=*/false);
-  const AffinitySample aff_on = replay_affinity(
-      delta_ctx, costs, delta_trace, delta_hints, delta_ref, aff_workers,
-      /*affinity=*/true);
-  std::printf(
-      "affinity workers=%zu  delta hit rate: round-robin %.1f%% | "
-      "affinity %.1f%% | identical=%s\n",
-      aff_workers, 100.0 * aff_rr.hit_rate, 100.0 * aff_on.hit_rate,
-      aff_rr.identical && aff_on.identical ? "yes" : "NO");
-
   // --- Multipath (ECMP) vs single-path throughput. -------------------------
   const MultipathSample mp =
       measure_multipath(80, cold::bench::trials(60, 300));
@@ -597,13 +509,6 @@ int main(int argc, char** argv) {
   gates.require("dsssp_identical_costs", delta_identical);
   gates.require_at_least("dense_blocked_speedup", kernel_speedup, 2.0);
   gates.require("dense_blocked_identical", kernel.identical);
-  gates.require("affinity_identical_costs",
-                aff_rr.identical && aff_on.identical);
-  gates.require("affinity_beats_round_robin",
-                aff_on.hit_rate > aff_rr.hit_rate);
-  gates.require_at_least("affinity_hit_rate", aff_on.hit_rate, 0.1);
-  gates.require_at_least("affinity_hit_rate_gain",
-                         aff_on.hit_rate / aff_rr.hit_rate, 1.2);
   gates.require_at_least("multipath_n80_ratio", mp_ratio, 0.35);
   gates.require("multipath_n80_identical", mp.identical);
   std::printf("\n");
@@ -668,23 +573,6 @@ int main(int argc, char** argv) {
                  kernel.pops, kernel.edges, kernel.reference_tps,
                  kernel.blocked_tps, kernel_speedup,
                  kernel.identical ? "true" : "false");
-    std::fprintf(f,
-                 "  \"affinity_replay\": {\"workers\": %zu, "
-                 "\"round_robin_hit_rate\": %.4f, "
-                 "\"affinity_hit_rate\": %.4f, \"identical_costs\": %s,\n",
-                 aff_workers, aff_rr.hit_rate, aff_on.hit_rate,
-                 aff_rr.identical && aff_on.identical ? "true" : "false");
-    for (const AffinitySample* s : {&aff_rr, &aff_on}) {
-      std::fprintf(f, "    \"%s_workers\": [",
-                   s->affinity ? "affinity" : "round_robin");
-      for (std::size_t w = 0; w < s->workers.size(); ++w) {
-        std::fprintf(f, "{\"hits\": %llu, \"fallbacks\": %llu}%s",
-                     static_cast<unsigned long long>(s->workers[w].hits),
-                     static_cast<unsigned long long>(s->workers[w].fallbacks),
-                     w + 1 < s->workers.size() ? ", " : "");
-      }
-      std::fprintf(f, "]%s\n", s->affinity ? "},"  : ",");
-    }
     std::fprintf(f,
                  "  \"multipath\": {\"pops\": %zu, \"edges\": %zu, "
                  "\"evals_per_sec_single\": %.1f, "

@@ -148,14 +148,6 @@ SynthesisResult Synthesizer::optimize(
     summary.dsssp_hits = delta.hits;
     summary.dsssp_fallbacks = delta.fallbacks;
     summary.vertices_resettled = delta.vertices_resettled;
-    // Per-worker split from the GA's scoring pool, snapshotted before the
-    // clone merge (which folds workers into the aggregate above).
-    summary.worker_dsssp.reserve(result.ga.worker_delta.size());
-    for (const DeltaStats& w : result.ga.worker_delta) {
-      summary.worker_dsssp.push_back({w.hits, w.fallbacks,
-                                      w.vertices_resettled});
-    }
-    summary.ga_steals = result.ga.steals;
     summary.traffic_kept_mass = context.traffic.kept_mass();
     if (config_.engine.resilience.enabled) {
       summary.has_resilience = true;

@@ -16,12 +16,12 @@
 // The store is deliberately *not* shared across worker clones: a state is
 // ~29 n^2 bytes, so copying trees under a shard lock (cost_cache.h
 // style) would serialize the workers on exactly the data the delta path
-// needs fastest. Each clone retains the parents it scored, and the GA's
-// scorer routes each offspring to the worker that retains its parent's
-// state (GaConfig::affinity + ThreadPool::parallel_for_assigned), stealing
-// only when idle — so cross-worker misses happen only on steals and map
-// churn, and simply fall back to a full sweep, costing time, never
-// exactness.
+// needs fastest. Each clone retains the parents it scored; the GA's scorer
+// hands offspring to whichever worker is free (one dynamic parallel_for
+// cursor), so a child whose parent lives in another clone's store misses
+// and falls back to a full sweep, costing time, never exactness. Routing
+// children to their parent's worker was measured and did not pay (see
+// DESIGN.md §4.6).
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -96,9 +94,8 @@ std::vector<Topology> initial_population(Objective& eval, const GaConfig& cfg,
 /// sequential engine exactly (same objects, same call order).
 class ParallelScorer {
  public:
-  ParallelScorer(Objective& primary, std::size_t num_threads, bool dedup,
-                 bool affinity)
-      : primary_(primary), dedup_(dedup), affinity_(affinity) {
+  ParallelScorer(Objective& primary, std::size_t num_threads, bool dedup)
+      : primary_(primary), dedup_(dedup) {
     objectives_.push_back(&primary);
     for (std::size_t w = 1; w < num_threads; ++w) {
       std::unique_ptr<Objective> c = primary.clone();
@@ -116,18 +113,6 @@ class ParallelScorer {
   ~ParallelScorer() {
     // Fold clone statistics (evaluation counts) back into the primary.
     for (auto& c : clones_) primary_.merge_from(*c);
-  }
-
-  /// Snapshots the per-worker delta-engine counters into `result` — must
-  /// run before destruction folds the clones' counters into the primary.
-  void finalize(GaResult& result) const {
-    result.worker_delta.clear();
-    if (objectives_[0]->delta_stats() == nullptr) return;
-    result.worker_delta.reserve(objectives_.size());
-    for (const Objective* o : objectives_) {
-      const DeltaStats* s = o->delta_stats();
-      result.worker_delta.push_back(s != nullptr ? *s : DeltaStats{});
-    }
   }
 
   /// Repairs and scores items [begin, size) of `gs` into `costs`, updating
@@ -162,23 +147,8 @@ class ParallelScorer {
       ++per_worker[w].evaluations;
       if (hints != nullptr) objectives_[w]->set_parent_hint((*hints)[i]);
       costs[i] = objectives_[w]->cost(gs[i]);
-      executor_[i] = static_cast<std::uint32_t>(w);  // slot-owned
     };
-    if (affinity_active()) {
-      executor_.assign(gs.size(), 0);
-      build_queues(gs.size(), begin,
-                   [&](std::size_t i) {
-                     return hints != nullptr ? (*hints)[i] : 0;
-                   });
-      pool_->parallel_for_assigned(queues_, body, &steal_stats_);
-      result.steals += steal_stats_.total_stolen();
-      for (std::size_t i = begin; i < gs.size(); ++i) {
-        record_executor(gs[i], costs[i], executor_[i]);
-      }
-    } else {
-      executor_.assign(gs.size(), 0);
-      pool_->parallel_for(begin, gs.size(), body);
-    }
+    pool_->parallel_for(begin, gs.size(), body);
     for (const Counters& c : per_worker) {
       result.repairs += c.repairs;
       result.links_repaired += c.links_repaired;
@@ -188,47 +158,6 @@ class ParallelScorer {
   }
 
  private:
-  /// Affinity pays off only when there is retained state to hit and more
-  /// than one worker to route between.
-  bool affinity_active() const {
-    return affinity_ && objectives_.size() > 1 &&
-           objectives_[0]->delta_stats() != nullptr;
-  }
-
-  /// Builds queues_ for `count` items starting at `begin`: each item goes
-  /// to the worker whose store last scored (and therefore retains) its
-  /// hinted parent, unhinted/unknown items round-robin for balance. The
-  /// assignment is deterministic; only wall-clock depends on it.
-  template <typename HintOf>
-  void build_queues(std::size_t count, std::size_t begin, HintOf hint_of) {
-    queues_.assign(objectives_.size(), {});
-    std::size_t rr = 0;
-    for (std::size_t i = begin; i < count; ++i) {
-      const std::uint64_t hint = hint_of(i);
-      std::size_t w = rr++ % objectives_.size();
-      if (hint != 0) {
-        if (const auto it = retained_on_.find(hint);
-            it != retained_on_.end()) {
-          w = it->second;
-          --rr;  // hinted items don't consume round-robin slots
-        }
-      }
-      queues_[w].push_back(i);
-    }
-  }
-
-  /// Remembers which worker's RoutingStateStore now retains `g`'s routing
-  /// state, so `g`'s children can be routed there next pass. Infeasible
-  /// topologies commit no state; skip them.
-  void record_executor(const Topology& g, double cost, std::size_t worker) {
-    if (std::isinf(cost)) return;
-    retained_on_[g.fingerprint()] = worker;
-    // The stores retain a bounded number of states; a bounded map with
-    // occasional full resets (stale entries only cost a fallback) keeps
-    // lookups O(1) without LRU bookkeeping.
-    if (retained_on_.size() > kAffinityMapCap) retained_on_.clear();
-  }
-
   /// End-of-pass hygiene: a hint is one-shot, but if a worker's last
   /// set_parent_hint was never consumed (an objective threw, or a dedup
   /// group emptied), it must not bias the first unhinted evaluation of the
@@ -237,7 +166,6 @@ class ParallelScorer {
     for (Objective* o : objectives_) o->set_parent_hint(0);
   }
 
-  static constexpr std::size_t kAffinityMapCap = 1 << 14;
   /// The GaConfig::dedup variant of score(): group [begin, size) by
   /// fingerprint (elites [0, begin) seed the groups), repair + score one
   /// representative per group in parallel, then fan the results out
@@ -259,27 +187,13 @@ class ParallelScorer {
       if (rep_of[i] == i) uniques.push_back(i);
     }
     std::vector<std::size_t> added(gs.size(), 0);
-    executor_.assign(gs.size(), 0);
     const auto body = [&](std::size_t k, std::size_t w) {
       const std::size_t i = uniques[k];
       added[i] = repair_connectivity(gs[i], objectives_[w]->lengths());
       if (hints != nullptr) objectives_[w]->set_parent_hint((*hints)[i]);
       costs[i] = objectives_[w]->cost(gs[i]);
-      executor_[i] = static_cast<std::uint32_t>(w);  // slot-owned
     };
-    if (affinity_active()) {
-      build_queues(uniques.size(), 0,
-                   [&](std::size_t k) {
-                     return hints != nullptr ? (*hints)[uniques[k]] : 0;
-                   });
-      pool_->parallel_for_assigned(queues_, body, &steal_stats_);
-      result.steals += steal_stats_.total_stolen();
-      for (const std::size_t i : uniques) {
-        record_executor(gs[i], costs[i], executor_[i]);
-      }
-    } else {
-      pool_->parallel_for(0, uniques.size(), body);
-    }
+    pool_->parallel_for(0, uniques.size(), body);
     clear_hints();
     // Sequential fan-out after the join. Counters are charged per candidate
     // using its representative's repair work, exactly what scoring the
@@ -304,20 +218,9 @@ class ParallelScorer {
 
   Objective& primary_;
   bool dedup_;
-  bool affinity_;
   std::vector<std::unique_ptr<Objective>> clones_;
   std::vector<Objective*> objectives_;  ///< [0] = primary, then clones
   std::unique_ptr<ThreadPool> pool_;
-
-  // Affinity scheduling state. retained_on_ maps a topology fingerprint to
-  // the worker whose RoutingStateStore scored it most recently (and so
-  // likely retains its trees); executor_ records, slot-owned, which worker
-  // ran each item of the current pass. All reads and writes of retained_on_
-  // happen in the sequential sections before/after the parallel join.
-  std::unordered_map<std::uint64_t, std::size_t> retained_on_;
-  std::vector<std::uint32_t> executor_;
-  std::vector<std::vector<std::size_t>> queues_;
-  StealStats steal_stats_;
 };
 
 }  // namespace
@@ -364,7 +267,7 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
   const DistanceProvider& lengths = eval.lengths();
   ParallelScorer scorer(
       eval, std::min(cfg.parallel.resolved_threads(), cfg.population),
-      cfg.dedup, cfg.affinity);
+      cfg.dedup);
 
   std::vector<Topology> pop = initial_population(eval, cfg, rng, options.seeds);
   std::vector<double> costs(pop.size(), 0.0);
@@ -486,7 +389,6 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
   result.best_cost_history.push_back(costs[best]);
   result.final_population = std::move(pop);
   result.final_costs = std::move(costs);
-  scorer.finalize(result);  // before ~ParallelScorer merges the clones
   return result;
 }
 

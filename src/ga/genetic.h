@@ -63,15 +63,6 @@ struct GaConfig {
   /// are bit-identical with dedup on or off (--dedup on the CLI).
   bool dedup = false;
 
-  /// Route each offspring to the worker whose delta-engine state store
-  /// retains its parent's routing state (ThreadPool::parallel_for_assigned;
-  /// idle workers steal, so a skewed assignment never serializes). Exact:
-  /// every worker clone returns bit-identical costs, so routing — and any
-  /// steal interleaving — changes which clone evaluates an item and the
-  /// delta hit rate, never trajectories. Ignored (plain dynamic scheduling)
-  /// when the objective reports no delta engine. --affinity on the CLI.
-  bool affinity = true;
-
   /// Returns a copy with derived fields resolved and validated; throws
   /// std::invalid_argument on inconsistent settings.
   GaConfig resolved() const;
@@ -90,17 +81,6 @@ struct GaResult {
   std::size_t generations_run = 0;       ///< completed generations
   bool stopped_early = false;            ///< a StopCondition fired
   StopReason stop_reason = StopReason::kNone;
-
-  /// Per-scorer-worker delta-engine counters, snapshotted before the clone
-  /// merge (worker 0 = the primary objective). Empty when the objective has
-  /// no delta engine. Scheduling-dependent — which worker serves a hit can
-  /// vary with steal timing — so these are reported like timing data; the
-  /// aggregate telemetry counters remain exact sums.
-  std::vector<DeltaStats> worker_delta;
-  /// Scoring items executed off their preferred worker's queue (0 when
-  /// affinity scheduling never engaged). Scheduling-dependent, like
-  /// worker_delta.
-  std::uint64_t steals = 0;
 };
 
 /// Everything one GA invocation needs beyond the objective and the RNG, so

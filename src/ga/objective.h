@@ -55,10 +55,9 @@ class Objective {
   virtual void set_parent_hint(std::uint64_t /*fingerprint*/) {}
 
   /// This objective's delta-engine counters, or nullptr when it has no
-  /// active delta engine. Non-null tells the GA scorer that parent-state
-  /// affinity routing can pay off on this objective, and lets it report
-  /// per-worker hit/fallback counts. Counters accumulate until the next
-  /// merge_from() folds them away.
+  /// active delta engine; a read-only view for instrumentation that wraps
+  /// an objective (the GA scorer schedules without it). Counters
+  /// accumulate until the next merge_from() folds them away.
   virtual const DeltaStats* delta_stats() const { return nullptr; }
 
   std::size_t num_nodes() const { return lengths().rows(); }

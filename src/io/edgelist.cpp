@@ -75,6 +75,7 @@ EdgeListData read_edge_list(std::istream& is) {
     }
     data.topology.add_edge(u, v);
   }
+  if (edges.empty()) throw std::runtime_error("edge list: no edges");
   return data;
 }
 

@@ -4,7 +4,8 @@
 // Format (comments start with '#'):
 //   node <id> <x> <y> [population]
 //   edge <u> <v>
-// Node ids must be dense 0..n-1; every edge endpoint must be declared.
+// Node ids must be dense 0..n-1; every edge endpoint must be declared; the
+// input must hold at least one edge (an empty network has no metrics).
 #pragma once
 
 #include <iosfwd>

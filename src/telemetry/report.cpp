@@ -63,15 +63,8 @@ void write_run_report_json(std::ostream& os, const RunReport& report,
                            bool include_timing) {
   JsonObject root;
   root["schema"] = "cold-run-report";
-  // v2 added result.cache; v3 added per-phase/per-generation engine
-  // counters and gates all of them (result.cache included) behind
-  // include_timing; v4 added the delta-evaluation counters; v5 added the
-  // per-worker dsssp split and the affinity steal count; v6 added the
-  // streamed ensemble_aggregates block; v7 added run.traffic_topk and the
-  // ensemble_exemplars reservoir block; v8 added run.traffic_kept_mass
-  // (logical) and the timing-gated result.resilience block; v9 added the
-  // timing-gated result.multipath block; see report.h.
-  root["version"] = 9;
+  // The only version run_report_from_json accepts; see report.h.
+  root["version"] = kRunReportVersion;
 
   JsonObject run;
   run["seed"] = static_cast<double>(report.seed);
@@ -98,16 +91,6 @@ void write_run_report_json(std::ostream& os, const RunReport& report,
     dsssp["fallbacks"] = static_cast<double>(report.dsssp_fallbacks);
     dsssp["vertices_resettled"] =
         static_cast<double>(report.vertices_resettled);
-    dsssp["steals"] = static_cast<double>(report.ga_steals);
-    JsonArray workers;
-    for (const WorkerDeltaStats& w : report.worker_dsssp) {
-      JsonObject obj;
-      obj["hits"] = static_cast<double>(w.hits);
-      obj["fallbacks"] = static_cast<double>(w.fallbacks);
-      obj["vertices_resettled"] = static_cast<double>(w.vertices_resettled);
-      workers.push_back(std::move(obj));
-    }
-    dsssp["workers"] = std::move(workers);
     result["dsssp"] = std::move(dsssp);
     if (report.has_resilience) {
       const ResilienceTelemetry& r = report.resilience;
@@ -256,18 +239,20 @@ RunReport run_report_from_json(const std::string& json) {
     throw std::runtime_error("run report: unexpected schema '" +
                              doc.field("schema").str() + "'");
   }
+  if (!doc.has("version") ||
+      doc.field("version").number() != kRunReportVersion) {
+    throw std::runtime_error(
+        "run report: unsupported version (this build reads only version " +
+        std::to_string(kRunReportVersion) + ")");
+  }
 
   RunReport report;
   const JsonValue& run = doc.field("run");
   report.seed = static_cast<std::uint64_t>(run.field("seed").number());
   report.num_pops = static_cast<std::size_t>(run.field("num_pops").number());
-  if (run.has("traffic_topk")) {  // absent before v7
-    report.traffic_topk =
-        static_cast<std::size_t>(run.field("traffic_topk").number());
-  }
-  if (run.has("traffic_kept_mass")) {  // absent before v8
-    report.traffic_kept_mass = run.field("traffic_kept_mass").number();
-  }
+  report.traffic_topk =
+      static_cast<std::size_t>(run.field("traffic_topk").number());
+  report.traffic_kept_mass = run.field("traffic_kept_mass").number();
 
   const JsonValue& result = doc.field("result");
   report.best_cost = result.field("best_cost").number();
@@ -275,9 +260,8 @@ RunReport run_report_from_json(const std::string& json) {
       static_cast<std::size_t>(result.field("evaluations").number());
   report.stopped_early = result.field("stopped_early").boolean();
   report.stop_reason = stop_reason_from_string(result.field("stop_reason").str());
-  // Engine counters are optional everywhere: absent in v1 (no cache
-  // object), absent per-phase/per-generation in v2, and absent in any
-  // version when the report was written timing-free.
+  // Engine counters are performance data: absent when the report was
+  // written timing-free.
   if (result.has("cache")) {
     const JsonValue& cache = result.field("cache");
     report.cache_hits =
@@ -293,7 +277,7 @@ RunReport run_report_from_json(const std::string& json) {
     report.dedup_skipped =
         static_cast<std::size_t>(result.field("dedup_skipped").number());
   }
-  if (result.has("dsssp")) {  // absent before v4 and in timing-free reports
+  if (result.has("dsssp")) {
     const JsonValue& dsssp = result.field("dsssp");
     report.dsssp_hits =
         static_cast<std::uint64_t>(dsssp.field("hits").number());
@@ -301,21 +285,8 @@ RunReport run_report_from_json(const std::string& json) {
         static_cast<std::uint64_t>(dsssp.field("fallbacks").number());
     report.vertices_resettled = static_cast<std::uint64_t>(
         dsssp.field("vertices_resettled").number());
-    if (dsssp.has("steals")) {  // the v5 additions travel together
-      report.ga_steals =
-          static_cast<std::uint64_t>(dsssp.field("steals").number());
-      for (const JsonValue& w : dsssp.field("workers").array()) {
-        WorkerDeltaStats stats;
-        stats.hits = static_cast<std::uint64_t>(w.field("hits").number());
-        stats.fallbacks =
-            static_cast<std::uint64_t>(w.field("fallbacks").number());
-        stats.vertices_resettled = static_cast<std::uint64_t>(
-            w.field("vertices_resettled").number());
-        report.worker_dsssp.push_back(stats);
-      }
-    }
   }
-  if (result.has("resilience")) {  // v8, resilient-objective timed reports
+  if (result.has("resilience")) {  // resilient-objective timed reports
     const JsonValue& res = result.field("resilience");
     ResilienceTelemetry r;
     r.weight = res.field("weight").number();
@@ -337,7 +308,7 @@ RunReport run_report_from_json(const std::string& json) {
     report.resilience = r;
     report.has_resilience = true;
   }
-  if (result.has("multipath")) {  // v9, ECMP/WCMP timed reports
+  if (result.has("multipath")) {  // ECMP/WCMP timed reports
     const JsonValue& mp = result.field("multipath");
     MultipathTelemetry m;
     m.mode = mp.field("mode").str();
@@ -360,7 +331,7 @@ RunReport run_report_from_json(const std::string& json) {
     stats.phase = phase_from_string(p.field("name").str());
     stats.evaluations =
         static_cast<std::size_t>(p.field("evaluations").number());
-    if (p.has("cache_hits")) {  // the v3 counters travel together
+    if (p.has("cache_hits")) {  // the timed engine counters travel together
       stats.cache_hits =
           static_cast<std::uint64_t>(p.field("cache_hits").number());
       stats.cache_misses =
@@ -371,8 +342,6 @@ RunReport run_report_from_json(const std::string& json) {
           static_cast<std::uint64_t>(p.field("cache_evictions").number());
       stats.dedup_skipped =
           static_cast<std::size_t>(p.field("dedup_skipped").number());
-    }
-    if (p.has("dsssp_hits")) {  // the v4 trio travels together
       stats.dsssp_hits =
           static_cast<std::uint64_t>(p.field("dsssp_hits").number());
       stats.dsssp_fallbacks =
@@ -419,7 +388,7 @@ RunReport run_report_from_json(const std::string& json) {
     report.ensemble_runs.push_back(run_done);
   }
 
-  if (doc.has("ensemble_aggregates")) {  // absent before v6
+  if (doc.has("ensemble_aggregates")) {  // ensemble reports only
     const JsonValue& agg = doc.field("ensemble_aggregates");
     EnsembleAggregates a;
     a.runs = static_cast<std::size_t>(agg.field("runs").number());
@@ -435,7 +404,7 @@ RunReport run_report_from_json(const std::string& json) {
     report.has_ensemble_aggregates = true;
   }
 
-  if (doc.has("ensemble_exemplars")) {  // absent before v7
+  if (doc.has("ensemble_exemplars")) {  // streamed ensembles with a reservoir
     const JsonValue& block = doc.field("ensemble_exemplars");
     EnsembleExemplars ex;
     ex.reservoir = static_cast<std::size_t>(block.field("reservoir").number());
@@ -503,8 +472,6 @@ void JsonReportSink::on_run_end(const RunSummary& e) {
   report_.dsssp_hits = e.dsssp_hits;
   report_.dsssp_fallbacks = e.dsssp_fallbacks;
   report_.vertices_resettled = e.vertices_resettled;
-  report_.worker_dsssp = e.worker_dsssp;
-  report_.ga_steals = e.ga_steals;
   report_.traffic_kept_mass = e.traffic_kept_mass;
   report_.has_resilience = e.has_resilience;
   report_.resilience = e.resilience;

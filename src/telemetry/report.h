@@ -10,7 +10,7 @@
 //
 //   {
 //     "schema": "cold-run-report",
-//     "version": 9,
+//     "version": 10,
 //     "run": {"seed": u64, "num_pops": n, "traffic_topk": n,
 //             "traffic_kept_mass": x},
 //     "result": {"best_cost": x, "evaluations": n,
@@ -19,10 +19,7 @@
 //                           "inserts": n, "evictions": n}],
 //                ["dedup_skipped": n],
 //                ["dsssp": {"hits": n, "fallbacks": n,
-//                           "vertices_resettled": n,
-//                           "steals": n,
-//                           "workers": [{"hits": n, "fallbacks": n,
-//                                        "vertices_resettled": n}, ...]}],
+//                           "vertices_resettled": n}],
 //                ["resilience": {"weight": x, "scenarios": n,
 //                                "disconnecting": n,
 //                                "disconnected_fraction": x,
@@ -60,34 +57,18 @@
 //                                           "num_links": n}, ...]}
 //   }
 //
-// Version history: v1 had no "cache" object; v2 added it (emitted
-// unconditionally); v3 added per-phase engine-counter deltas and the dedup
-// counters, and reclassified all engine counters as performance data (only
-// emitted with timing); v4 added the delta-evaluation (dynamic SSSP)
-// counters, timing-gated like the rest; v5 added the per-worker split and
-// the affinity-scheduler steal count inside the dsssp object ("workers" /
-// "steals"), so the affinity effect is directly observable per worker;
-// v6 added "ensemble_aggregates" — the streamed Welford moments of every
-// ensemble metric (avg_degree, diameter, clustering, degree_cv, hubs,
-// assortativity, best_cost). The aggregates are logical content, not
-// performance data: they depend only on the folded runs (bit-identical for
-// any thread count), so they are emitted even timing-free — they are what
-// a streamed ensemble retains instead of per-run results; v7 added
-// "run.traffic_topk" (the gravity top-K truncation in effect, 0 = exact)
-// and the "ensemble_exemplars" block — the streamed ensemble's
-// deterministic reservoir sample (run index, seed, best cost, network
-// size per exemplar, sorted by index), present only when a reservoir was
-// configured and populated. Both are logical content, emitted even
-// timing-free; v8 added "run.traffic_kept_mass" (the demand-mass fraction
-// the top-K truncation kept, 1.0 = exact — logical content, always
-// emitted) and the "result.resilience" block for resilient-objective runs
-// (the winner's survivability aggregates plus the run's sweep counters —
-// timing-gated like the other engine counters, since the delta/fresh split
-// varies with engine knobs while costs do not); v9 added the
-// "result.multipath" block for ECMP/WCMP runs (the winner's utilization
-// aggregates plus the run's routing counters — timing-gated for the same
-// reason). The parser accepts all nine versions — missing counters/objects
-// read back as zero/empty/1.0; the writer always emits v9.
+// Only the current version is read: run_report_from_json throws on a
+// missing version or any version other than kRunReportVersion, so there
+// are no upgrade paths. Within it, the bracketed blocks are absent from
+// timing-free reports, "result.resilience" / "result.multipath" appear
+// only for resilient / multipath runs, and the "ensemble_*" blocks only
+// for ensembles. "ensemble_aggregates" (streamed Welford moments of every
+// ensemble metric) and "ensemble_exemplars" (the deterministic reservoir
+// sample) are logical content — they depend only on the folded runs — so
+// they are emitted even timing-free, as are "run.traffic_topk" (the
+// gravity top-K truncation, 0 = exact) and "run.traffic_kept_mass" (the
+// demand-mass fraction it kept, 1.0 = exact). Version 10 dropped the
+// per-worker "dsssp.workers" split and the "dsssp.steals" count.
 //
 // Round-trips through io/json: run_report_from_json(run_report_to_json(r))
 // reproduces every field (wall times included when serialized with timing).
@@ -102,39 +83,40 @@
 
 namespace cold {
 
+/// The schema version the writer emits and the only one the parser reads.
+inline constexpr int kRunReportVersion = 10;
+
 struct RunReport {
   std::uint64_t seed = 0;
   std::size_t num_pops = 0;
-  std::size_t traffic_topk = 0;  ///< gravity top-K, 0 = exact (schema v7)
-  double traffic_kept_mass = 1.0;  ///< kept demand-mass fraction (schema v8)
+  std::size_t traffic_topk = 0;  ///< gravity top-K, 0 = exact
+  double traffic_kept_mass = 1.0;  ///< kept demand-mass fraction
 
   double best_cost = 0.0;
   std::size_t evaluations = 0;
   std::uint64_t wall_ns = 0;
   bool stopped_early = false;
   StopReason stop_reason = StopReason::kNone;
-  std::uint64_t cache_hits = 0;  ///< evaluation-cache counters (schema v2+)
+  std::uint64_t cache_hits = 0;  ///< evaluation-cache counters
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_inserts = 0;
   std::uint64_t cache_evictions = 0;
-  std::size_t dedup_skipped = 0;  ///< GA dedup fan-out total (schema v3)
-  std::uint64_t dsssp_hits = 0;   ///< delta-engine counters (schema v4)
+  std::size_t dedup_skipped = 0;  ///< GA dedup fan-out total
+  std::uint64_t dsssp_hits = 0;   ///< delta-engine counters
   std::uint64_t dsssp_fallbacks = 0;
   std::uint64_t vertices_resettled = 0;
-  std::vector<WorkerDeltaStats> worker_dsssp;  ///< per-worker split (v5)
-  std::uint64_t ga_steals = 0;  ///< affinity-scheduler steals (v5)
-  bool has_resilience = false;  ///< resilience block present (v8)
+  bool has_resilience = false;  ///< resilience block present
   ResilienceTelemetry resilience;
-  bool has_multipath = false;   ///< multipath block present (v9)
+  bool has_multipath = false;   ///< multipath block present
   MultipathTelemetry multipath;
 
   std::vector<PhaseStats> phases;           ///< in completion order
   std::vector<HeuristicDone> heuristics;    ///< in run order
   std::vector<GenerationEnd> generations;   ///< per GA generation
   std::vector<EnsembleRunDone> ensemble_runs;
-  bool has_ensemble_aggregates = false;  ///< aggregates block present (v6)
+  bool has_ensemble_aggregates = false;  ///< aggregates block present
   EnsembleAggregates ensemble_aggregates;
-  bool has_ensemble_exemplars = false;  ///< exemplars block present (v7)
+  bool has_ensemble_exemplars = false;  ///< exemplars block present
   EnsembleExemplars ensemble_exemplars;
 };
 
@@ -147,7 +129,8 @@ std::string run_report_to_json(const RunReport& report,
                                bool include_timing = true);
 
 /// Parses a report written by write_run_report_json. Throws
-/// std::runtime_error on malformed or schema-mismatched input.
+/// std::runtime_error on malformed input, a foreign schema, or a version
+/// other than kRunReportVersion.
 RunReport run_report_from_json(const std::string& json);
 
 /// Observer that accumulates the full event stream into a RunReport.

@@ -162,24 +162,6 @@ struct EnsembleExemplars {
   std::vector<EnsembleExemplar> exemplars;
 };
 
-/// A run ended (normally or via the stop condition).
-///
-/// The cache_* counters aggregate the evaluation cache (cost/cost_cache.h,
-/// shared across workers) over every evaluator clone of the run; all zeros
-/// when the cache is disabled. Note they are part of the *performance*
-/// data, not the logical event stream: the hit/miss split depends on which
-/// worker scored a topology first (hits + misses stays deterministic), and
-/// all of the counters naturally vary with the engine configuration. Costs and trajectories are unaffected either way.
-/// Per-worker delta-engine counters (one per GA scorer worker, worker 0 =
-/// the primary evaluator). Like the cache counters, part of the
-/// performance data: with affinity scheduling the per-worker split depends
-/// on steal timing, while the aggregate dsssp_* sums stay exact.
-struct WorkerDeltaStats {
-  std::uint64_t hits = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t vertices_resettled = 0;
-};
-
 /// Survivability aggregates of a resilient-objective run: the winning
 /// topology's ResilienceSummary plus the run's sweep counters. Mirrors the
 /// cost/resilience.h types as plain fields so the telemetry layer stays
@@ -218,6 +200,15 @@ struct MultipathTelemetry {
   std::uint64_t dag_edges = 0;     ///< predecessor edges across all DAGs
 };
 
+/// A run ended (normally or via the stop condition).
+///
+/// The cache_* counters aggregate the evaluation cache (cost/cost_cache.h,
+/// shared across workers) over every evaluator clone of the run; all zeros
+/// when the cache is disabled. Note they are part of the *performance*
+/// data, not the logical event stream: the hit/miss split depends on which
+/// worker scored a topology first (hits + misses stays deterministic), and
+/// all of the counters naturally vary with the engine configuration. Costs
+/// and trajectories are unaffected either way.
 struct RunSummary {
   double best_cost = 0.0;
   std::size_t evaluations = 0;  ///< total objective evaluations in the run
@@ -232,13 +223,6 @@ struct RunSummary {
   std::uint64_t dsssp_hits = 0;       ///< delta-engine incremental evals
   std::uint64_t dsssp_fallbacks = 0;  ///< delta-enabled evals swept fully
   std::uint64_t vertices_resettled = 0;  ///< labels repaired incrementally
-  /// Per-worker split of the dsssp_* counters from the final GA's scoring
-  /// pool (empty when the delta engine is off). Performance data, like the
-  /// per-worker cache splits.
-  std::vector<WorkerDeltaStats> worker_dsssp;
-  /// Scoring items run off their preferred worker under affinity
-  /// scheduling (0 when affinity never engaged). Performance data.
-  std::uint64_t ga_steals = 0;
   /// Fraction of the exact gravity demand mass the run's --traffic-topk
   /// truncation kept (1.0 exact / no truncation). Logical content like
   /// traffic_topk: it pins down which demands the run optimized against.

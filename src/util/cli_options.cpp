@@ -1,5 +1,6 @@
 #include "util/cli_options.h"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace cold {
@@ -82,14 +83,27 @@ double CliOptions::num(const std::string& key, double fallback) const {
   }
 }
 
-std::size_t CliOptions::uint(const std::string& key,
-                             std::size_t fallback) const {
-  const double value =
-      num(key, static_cast<double>(fallback));
-  if (value < 0) {
-    throw std::invalid_argument("option --" + key + " must be >= 0");
+std::uint64_t CliOptions::uint(const std::string& key,
+                               std::uint64_t fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  const char* const last = text.data() + text.size();
+  std::uint64_t value = 0;
+  // from_chars accepts no sign, space or exponent for integers; a leading
+  // '-' or '+' fails here, and a '.', 'e' or 'n' stops it short of `last`.
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("option --" + key + " exceeds " +
+                                std::to_string(UINT64_MAX) + ", got '" +
+                                text + "'");
   }
-  return static_cast<std::size_t>(value);
+  if (ec != std::errc() || end != last) {
+    throw std::invalid_argument("option --" + key +
+                                " expects a non-negative integer, got '" +
+                                text + "'");
+  }
+  return value;
 }
 
 std::vector<OptionSpec> concat_specs(

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -41,8 +42,11 @@ class CliOptions {
   /// Numeric option; throws std::invalid_argument on a malformed number.
   double num(const std::string& key, double fallback) const;
 
-  /// Non-negative integer option (counts, sizes, seeds).
-  std::size_t uint(const std::string& key, std::size_t fallback) const;
+  /// Non-negative integer option (counts, sizes, seeds): plain decimal
+  /// digits over the full uint64_t range, parsed exactly. Throws
+  /// std::invalid_argument on anything else — fractions, NaN, signs,
+  /// exponents, an empty value, or overflow.
+  std::uint64_t uint(const std::string& key, std::uint64_t fallback) const;
 
   /// "--a, --b, --c" — used in error messages and usage text.
   std::string valid_options() const;

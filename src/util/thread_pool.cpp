@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace cold {
 
@@ -14,7 +13,6 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  cursors_ = std::make_unique<std::atomic<std::size_t>[]>(num_threads);
   workers_.reserve(num_threads - 1);
   for (std::size_t w = 1; w < num_threads; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -34,10 +32,6 @@ void ThreadPool::work(std::size_t worker) {
   // body_/end_ are stable for the duration of the job: the caller published
   // them under the mutex before bumping epoch_, and clears them only after
   // every worker has decremented active_.
-  if (queues_ != nullptr) {
-    work_assigned(worker);
-    return;
-  }
   const auto* body = body_;
   const std::size_t end = end_;
   std::size_t i;
@@ -49,42 +43,6 @@ void ThreadPool::work(std::size_t worker) {
       if (!error_) error_ = std::current_exception();
       next_.store(end, std::memory_order_relaxed);  // stop handing out work
     }
-  }
-}
-
-void ThreadPool::work_assigned(std::size_t worker) {
-  const std::vector<std::vector<std::size_t>>& queues = *queues_;
-  const auto* body = body_;
-  const std::size_t num_queues = queues.size();
-  std::uint64_t executed = 0;
-  std::uint64_t stolen = 0;
-  // d == 0 drains this worker's own queue; d > 0 steals round-robin. Every
-  // position is handed out exactly once (fetch_add on the queue's cursor),
-  // so stealing never duplicates or drops an index, for any interleaving.
-  for (std::size_t d = 0; d < num_queues; ++d) {
-    const std::size_t q = (worker + d) % num_queues;
-    const std::vector<std::size_t>& queue = queues[q];
-    std::size_t k;
-    while ((k = cursors_[q].fetch_add(1, std::memory_order_relaxed)) <
-           queue.size()) {
-      try {
-        (*body)(queue[k], worker);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (!error_) error_ = std::current_exception();
-        // Stop handing out work: exhaust every cursor.
-        for (std::size_t j = 0; j < num_queues; ++j) {
-          cursors_[j].store(queues[j].size(), std::memory_order_relaxed);
-        }
-      }
-      ++executed;
-      if (d != 0) ++stolen;
-    }
-  }
-  if (steal_stats_ != nullptr) {
-    // Slot-owned writes: worker w only touches index w.
-    steal_stats_->executed[worker] += executed;
-    steal_stats_->stolen[worker] += stolen;
   }
 }
 
@@ -134,73 +92,6 @@ void ThreadPool::parallel_for(
     lk.unlock();
     std::rethrow_exception(e);
   }
-}
-
-void ThreadPool::parallel_for_assigned(
-    const std::vector<std::vector<std::size_t>>& queues,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    StealStats* stats) {
-  if (queues.size() != size()) {
-    throw std::invalid_argument(
-        "parallel_for_assigned: need exactly one queue per worker");
-  }
-  if (stats != nullptr) {
-    stats->executed.assign(size(), 0);
-    stats->stolen.assign(size(), 0);
-  }
-  std::size_t total = 0;
-  for (const auto& q : queues) total += q.size();
-  if (total == 0) return;
-  for (std::size_t q = 0; q < queues.size(); ++q) {
-    cursors_[q].store(0, std::memory_order_relaxed);
-  }
-  if (workers_.empty()) {
-    // Inline path: the caller drains its own queue, then "steals" the rest
-    // in round-robin order — the same visit order the threaded path gives
-    // worker 0. Exceptions propagate through error_ for uniformity with the
-    // threaded path (the body may have advanced other cursors).
-    queues_ = &queues;
-    body_ = &body;
-    steal_stats_ = stats;
-    error_ = nullptr;
-    work_assigned(0);
-    queues_ = nullptr;
-    body_ = nullptr;
-    steal_stats_ = nullptr;
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    body_ = &body;
-    queues_ = &queues;
-    steal_stats_ = stats;
-    error_ = nullptr;
-    active_ = workers_.size();
-    ++epoch_;
-  }
-  wake_cv_.notify_all();
-  work(0);  // the caller is worker 0
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] { return active_ == 0; });
-  body_ = nullptr;
-  queues_ = nullptr;
-  steal_stats_ = nullptr;
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    lk.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
-  parallel_for(0, tasks.size(),
-               [&tasks](std::size_t i, std::size_t) { tasks[i](); });
 }
 
 }  // namespace cold

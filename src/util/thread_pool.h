@@ -11,16 +11,6 @@
 // topology, or a whole synthesis run — are large enough that cursor
 // contention is noise, and dynamic scheduling absorbs the heavy variance
 // between items (a repaired sparse mutant costs far less than a dense one).
-//
-// parallel_for_assigned adds affinity scheduling on top: the caller hands
-// each worker a preferred queue of indices (e.g. "the offspring whose
-// retained parent state lives on this worker"), each worker drains its own
-// queue through a per-queue atomic cursor, and idle workers steal from the
-// other queues round-robin — so a skewed assignment degrades to balanced
-// dynamic scheduling instead of serializing on one thread. Queues are fixed
-// before the job starts and cursors only hand out each index once, which
-// makes the stealing trivially exactly-once; determinism still comes from
-// the caller's slot-owned writes, never from the interleaving.
 #pragma once
 
 #include <atomic>
@@ -28,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,27 +34,6 @@ struct ParallelConfig {
   /// The actual worker count: num_threads, or hardware_concurrency() (at
   /// least 1) when num_threads is 0.
   std::size_t resolved_threads() const;
-};
-
-/// Per-worker execution counters filled by parallel_for_assigned.
-/// Conservation invariants (checked by the scheduler tests): the executed
-/// counts sum to the total number of queued indices, and stolen[w] counts
-/// the subset of executed[w] taken from another worker's queue, so
-/// stolen[w] <= executed[w] always.
-struct StealStats {
-  std::vector<std::uint64_t> executed;  ///< items run, by executing worker
-  std::vector<std::uint64_t> stolen;    ///< of those, from another queue
-
-  std::uint64_t total_executed() const {
-    std::uint64_t t = 0;
-    for (const std::uint64_t e : executed) t += e;
-    return t;
-  }
-  std::uint64_t total_stolen() const {
-    std::uint64_t t = 0;
-    for (const std::uint64_t s : stolen) t += s;
-    return t;
-  }
 };
 
 /// Fixed-size pool. `size()` counts the calling thread, so `ThreadPool(4)`
@@ -92,30 +60,9 @@ class ThreadPool {
                     const std::function<void(std::size_t index,
                                              std::size_t worker)>& body);
 
-  /// Affinity-scheduled variant of parallel_for. `queues[w]` lists the
-  /// indices preferred to run on worker w (queues.size() must equal
-  /// size(); an index must appear in exactly one queue). Worker w drains
-  /// queues[w] in order through a per-queue atomic cursor, then steals from
-  /// the other queues round-robin (w+1, w+2, ...) until everything has run,
-  /// so no thread idles while work remains — even when one queue holds all
-  /// the items. The body contract is parallel_for's: body(i, worker) runs
-  /// exactly once per queued index i, `worker` identifies the executing
-  /// thread. `stats`, if non-null, is resized to size() and receives
-  /// per-worker executed/stolen counts (see StealStats). Exceptions behave
-  /// like parallel_for's: the first one is rethrown after the join.
-  void parallel_for_assigned(
-      const std::vector<std::vector<std::size_t>>& queues,
-      const std::function<void(std::size_t index, std::size_t worker)>& body,
-      StealStats* stats = nullptr);
-
-  /// Task-batch submit: runs every task once, in parallel, and joins.
-  /// Tasks needing per-thread scratch should use parallel_for instead.
-  void run_tasks(const std::vector<std::function<void()>>& tasks);
-
  private:
   void worker_loop(std::size_t worker);
   void work(std::size_t worker);
-  void work_assigned(std::size_t worker);
 
   std::vector<std::thread> workers_;
 
@@ -127,12 +74,6 @@ class ThreadPool {
   const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
   std::atomic<std::size_t> next_{0};  ///< shared work cursor
   std::size_t end_ = 0;
-  // Assigned-queue job state (parallel_for_assigned); queues_ == nullptr
-  // means the current job is a plain parallel_for. cursors_[q] hands out
-  // positions in queues_[q]; sized size() once, in the constructor.
-  const std::vector<std::vector<std::size_t>>* queues_ = nullptr;
-  std::unique_ptr<std::atomic<std::size_t>[]> cursors_;
-  StealStats* steal_stats_ = nullptr;
   std::size_t active_ = 0;   ///< workers still inside the current job
   std::uint64_t epoch_ = 0;  ///< job counter; a change wakes the workers
   std::exception_ptr error_;

@@ -1,6 +1,7 @@
 // Tests for the strict CLI option parser used by the cold tools.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +78,31 @@ TEST(CliOptions, RejectsMalformedNumbers) {
   parse(negative, {"--pops", "-3"});
   EXPECT_THROW(negative.uint("pops", 0), std::invalid_argument);
   EXPECT_EQ(negative.num("pops", 0), -3.0);  // num itself allows negatives
+  // uint takes plain decimal digits only: no fraction, NaN, sign, exponent,
+  // padding or hex, nothing empty, nothing past UINT64_MAX.
+  for (const char* bad :
+       {"6.9", "6.0", "nan", "NaN", "inf", "+3", "-0", "1e3", "1E3", "",
+        " 7", "7 ", "0x10", "18446744073709551616",
+        "99999999999999999999999"}) {
+    CliOptions options = demo_options();
+    parse(options, {"--pops", bad});
+    EXPECT_THROW(options.uint("pops", 0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(CliOptions, UintParsesTheFullUint64RangeExactly) {
+  // 2^53 + 1 is the first integer a double cannot hold; through double it
+  // collapsed onto 2^53 and replayed a different seed's network.
+  CliOptions seed = demo_options();
+  parse(seed, {"--pops", "9007199254740993"});
+  EXPECT_EQ(seed.uint("pops", 0), 9007199254740993ull);
+  CliOptions max = demo_options();
+  parse(max, {"--pops", "18446744073709551615"});
+  EXPECT_EQ(max.uint("pops", 0), UINT64_MAX);
+  CliOptions zero = demo_options();
+  parse(zero, {"--pops=0"});
+  EXPECT_EQ(zero.uint("pops", 5), 0u);
 }
 
 TEST(CliOptions, ValidOptionsRendersSpecOrder) {

@@ -150,6 +150,12 @@ TEST(EdgeList, ReportsErrorsWithLineNumbers) {
   EXPECT_THROW(edge_list_from_string("node 0 0 0\nnode 0 1 1\nedge 0 0\n"),
                std::runtime_error);
   EXPECT_THROW(edge_list_from_string("node 5 0 0\n"), std::runtime_error);
+  // No links: an empty input, or nodes without a single edge.
+  EXPECT_THROW(edge_list_from_string(""), std::runtime_error);
+  EXPECT_THROW(edge_list_from_string("# only a comment\n"),
+               std::runtime_error);
+  EXPECT_THROW(edge_list_from_string("node 0 0 0\nnode 1 1 1\n"),
+               std::runtime_error);
 }
 
 

@@ -86,19 +86,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   }
 }
 
-TEST(ThreadPool, RunTasksBatch) {
-  ThreadPool pool(4);
-  std::vector<int> done(6, 0);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    tasks.push_back([&done, i] { done[i] = static_cast<int>(i) + 1; });
-  }
-  pool.run_tasks(tasks);
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    EXPECT_EQ(done[i], static_cast<int>(i) + 1);
-  }
-}
-
 Evaluator make_evaluator(std::size_t n, CostParams params,
                          std::uint64_t seed = 1) {
   ContextConfig cfg;

@@ -485,7 +485,7 @@ TEST(RunReport, EmitsV5WithCacheCountersWhenCacheEnabled) {
   EXPECT_EQ(report.cache_misses, report.cache_inserts);  // every miss inserts
 
   const std::string json = run_report_to_json(report);
-  EXPECT_EQ(parse_json(json).field("version").number(), 9.0);
+  EXPECT_EQ(parse_json(json).field("version").number(), kRunReportVersion);
   const RunReport parsed = run_report_from_json(json);
   EXPECT_EQ(parsed.cache_hits, report.cache_hits);
   EXPECT_EQ(parsed.cache_misses, report.cache_misses);
@@ -588,42 +588,52 @@ TEST(RunReport, DedupCountersRoundTripWhenTimed) {
   EXPECT_EQ(parsed.generations[0].dedup_skipped, 0u);
 }
 
-TEST(RunReport, AcceptsV1ReportsWithoutCacheObject) {
-  SynthesisConfig cfg = small_config();
-  cfg.ga.generations = 4;
-  JsonReportSink sink;
-  cfg.observer = &sink;
-  Synthesizer(cfg).synthesize(8);
-
-  // Rewrite the emitted document into its v1 form: drop result.cache (the
-  // object has no nested braces) and downgrade the version stamp.
-  std::string json = run_report_to_json(sink.report());
-  const std::size_t cache_pos = json.find("\"cache\": {");
-  ASSERT_NE(cache_pos, std::string::npos);
-  std::size_t end = json.find('}', cache_pos);
-  ASSERT_NE(end, std::string::npos);
-  ASSERT_EQ(json[end + 1], ',');
-  json.erase(cache_pos, end + 2 - cache_pos);
-  const std::size_t ver = json.find("\"version\": 9");
-  ASSERT_NE(ver, std::string::npos);
-  json[ver + std::string("\"version\": ").size()] = '1';
-
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.seed, 8u);
-  EXPECT_EQ(parsed.best_cost, sink.report().best_cost);
-  EXPECT_EQ(parsed.cache_hits, 0u);
-  EXPECT_EQ(parsed.cache_misses, 0u);
-  EXPECT_EQ(parsed.cache_inserts, 0u);
-  EXPECT_EQ(parsed.cache_evictions, 0u);
-  // Re-serializing a v1-sourced report upgrades it to the current schema.
-  EXPECT_EQ(parse_json(run_report_to_json(parsed)).field("version").number(),
-            9.0);
+// The parser reads the current schema version only: a report in any older
+// shape must be refused by the version check itself, not read back with
+// silently defaulted fields or tripped up later by a missing key.
+void expect_version_rejected(const std::string& json) {
+  try {
+    run_report_from_json(json);
+    ADD_FAILURE() << "old-version report was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(RunReport, AcceptsV3ReportsWithoutDssspCounters) {
-  // Hand-built v3 document: cache + per-phase counters present, but none of
-  // the v4 delta-engine fields. They must parse back as zeros.
-  const std::string json = R"({"schema": "cold-run-report", "version": 3,
+TEST(RunReport, RejectsV1Reports) {
+  // v1: no result.cache object.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 1,
+    "run": {"seed": 9, "num_pops": 6},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none", "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [],
+    "ensemble_runs": []})");
+}
+
+TEST(RunReport, RejectsV2Reports) {
+  // v2: result.cache present, no per-phase or per-generation counters.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 2,
+    "run": {"seed": 9, "num_pops": 6},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none",
+               "cache": {"hits": 12, "misses": 38, "inserts": 38,
+                         "evictions": 4},
+               "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [{"gen": 0, "best_cost": 2.25, "mean_cost": 3.0,
+                     "repairs": 1, "links_repaired": 2, "evaluations": 25,
+                     "wall_ns": 450}],
+    "ensemble_runs": []})");
+}
+
+TEST(RunReport, RejectsV3Reports) {
+  // v3: per-phase cache counters, no delta-engine fields.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 3,
     "run": {"seed": 9, "num_pops": 6},
     "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
                "stop_reason": "none",
@@ -635,17 +645,68 @@ TEST(RunReport, AcceptsV3ReportsWithoutDssspCounters) {
                 "cache_evictions": 4, "dedup_skipped": 5, "wall_ns": 900}],
     "heuristics": [],
     "generations": [],
-    "ensemble_runs": []})";
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.cache_hits, 12u);
-  EXPECT_EQ(parsed.dedup_skipped, 5u);
-  EXPECT_EQ(parsed.dsssp_hits, 0u);
-  EXPECT_EQ(parsed.dsssp_fallbacks, 0u);
-  EXPECT_EQ(parsed.vertices_resettled, 0u);
-  ASSERT_EQ(parsed.phases.size(), 1u);
-  EXPECT_EQ(parsed.phases[0].cache_hits, 12u);
-  EXPECT_EQ(parsed.phases[0].dsssp_hits, 0u);
-  EXPECT_EQ(parsed.phases[0].vertices_resettled, 0u);
+    "ensemble_runs": []})");
+}
+
+TEST(RunReport, RejectsV4Reports) {
+  // v4: the dsssp object holds only the aggregate trio.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 4,
+    "run": {"seed": 9, "num_pops": 6},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none",
+               "cache": {"hits": 12, "misses": 38, "inserts": 38,
+                         "evictions": 4},
+               "dedup_skipped": 5,
+               "dsssp": {"hits": 30, "fallbacks": 20,
+                         "vertices_resettled": 444},
+               "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [],
+    "ensemble_runs": []})");
+}
+
+TEST(RunReport, RejectsV7Reports) {
+  // v7: no run.traffic_kept_mass and no result.resilience.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 7,
+    "run": {"seed": 9, "num_pops": 6, "traffic_topk": 3},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none",
+               "cache": {"hits": 12, "misses": 38, "inserts": 38,
+                         "evictions": 4},
+               "dedup_skipped": 5, "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [],
+    "ensemble_runs": []})");
+}
+
+TEST(RunReport, RejectsNonCurrentVersions) {
+  SynthesisConfig cfg = small_config();
+  cfg.ga.generations = 4;
+  JsonReportSink sink;
+  cfg.observer = &sink;
+  Synthesizer(cfg).synthesize(8);
+
+  const std::string json = run_report_to_json(sink.report());
+  const std::string current =
+      "\"version\": " + std::to_string(kRunReportVersion);
+  const std::size_t ver = json.find(current);
+  ASSERT_NE(ver, std::string::npos);
+  EXPECT_EQ(run_report_from_json(json).seed, 8u);
+
+  // The current document restamped with the previous, a newer, a
+  // fractional or no version throws as well.
+  for (const std::string replacement :
+       {"\"version\": 9", "\"version\": 11", "\"version\": 10.5",
+        "\"revision\": 10"}) {
+    std::string changed = json;
+    changed.replace(ver, current.size(), replacement);
+    expect_version_rejected(changed);
+  }
+  std::string quoted = json;
+  quoted.replace(ver, current.size(), "\"version\": \"10\"");
+  EXPECT_THROW(run_report_from_json(quoted), std::runtime_error);
 }
 
 TEST(RunReport, DssspCountersRoundTripWhenTimed) {
@@ -677,113 +738,6 @@ TEST(RunReport, DssspCountersRoundTripWhenTimed) {
   const RunReport parsed = run_report_from_json(bare);
   EXPECT_EQ(parsed.dsssp_hits, 0u);
   EXPECT_EQ(parsed.vertices_resettled, 0u);
-}
-
-TEST(RunReport, WorkerSplitAndStealsRoundTripWhenTimed) {
-  // v5 fields: the per-worker delta split and the affinity steal count
-  // travel inside the dsssp object, timing-gated like the aggregate trio.
-  SynthesisConfig cfg = small_config();
-  cfg.engine.delta.mode = DsspMode::kOn;
-  cfg.ga.parallel.num_threads = 4;
-  JsonReportSink sink;
-  cfg.observer = &sink;
-  Synthesizer(cfg).synthesize(5);
-
-  const RunReport& report = sink.report();
-  ASSERT_EQ(report.worker_dsssp.size(), 4u);
-  std::uint64_t split_hits = 0, split_fallbacks = 0;
-  for (const WorkerDeltaStats& w : report.worker_dsssp) {
-    split_hits += w.hits;
-    split_fallbacks += w.fallbacks;
-  }
-  // The split is snapshotted when the GA's scoring pool winds down: worker
-  // 0 (the primary) includes the heuristics phase, but the assembly phase's
-  // single breakdown of the best topology runs after the snapshot and lands
-  // only in the aggregate.
-  EXPECT_GT(split_hits + split_fallbacks, 0u);
-  EXPECT_EQ(split_hits + split_fallbacks + 1,
-            report.dsssp_hits + report.dsssp_fallbacks);
-
-  const RunReport timed = run_report_from_json(
-      run_report_to_json(report, /*include_timing=*/true));
-  ASSERT_EQ(timed.worker_dsssp.size(), report.worker_dsssp.size());
-  for (std::size_t w = 0; w < timed.worker_dsssp.size(); ++w) {
-    EXPECT_EQ(timed.worker_dsssp[w].hits, report.worker_dsssp[w].hits) << w;
-    EXPECT_EQ(timed.worker_dsssp[w].fallbacks,
-              report.worker_dsssp[w].fallbacks)
-        << w;
-    EXPECT_EQ(timed.worker_dsssp[w].vertices_resettled,
-              report.worker_dsssp[w].vertices_resettled)
-        << w;
-  }
-  EXPECT_EQ(timed.ga_steals, report.ga_steals);
-
-  // Timing-free reports drop the split with the rest of the dsssp object.
-  const RunReport bare = run_report_from_json(
-      run_report_to_json(report, /*include_timing=*/false));
-  EXPECT_TRUE(bare.worker_dsssp.empty());
-  EXPECT_EQ(bare.ga_steals, 0u);
-}
-
-TEST(RunReport, AcceptsV4ReportsWithoutWorkerSplit) {
-  // Hand-built v4 document: the dsssp object carries only the aggregate
-  // trio — no "steals", no "workers" (v5 additions). They must parse back
-  // as zero/empty.
-  const std::string json = R"({"schema": "cold-run-report", "version": 4,
-    "run": {"seed": 9, "num_pops": 6},
-    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
-               "stop_reason": "none",
-               "cache": {"hits": 12, "misses": 38, "inserts": 38,
-                         "evictions": 4},
-               "dedup_skipped": 5,
-               "dsssp": {"hits": 30, "fallbacks": 20,
-                         "vertices_resettled": 444},
-               "wall_ns": 1000},
-    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
-    "heuristics": [],
-    "generations": [],
-    "ensemble_runs": []})";
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.dsssp_hits, 30u);
-  EXPECT_EQ(parsed.dsssp_fallbacks, 20u);
-  EXPECT_EQ(parsed.vertices_resettled, 444u);
-  EXPECT_TRUE(parsed.worker_dsssp.empty());
-  EXPECT_EQ(parsed.ga_steals, 0u);
-  // Re-serializing upgrades to v5 with an explicit (empty) worker split.
-  const RunReport round =
-      run_report_from_json(run_report_to_json(parsed));
-  EXPECT_EQ(round.dsssp_hits, 30u);
-  EXPECT_TRUE(round.worker_dsssp.empty());
-}
-
-TEST(RunReport, AcceptsV2ReportsWithoutPerPhaseCounters) {
-  // Hand-built v2 document: result.cache present, but no per-phase or
-  // per-generation engine counters (v3 additions).
-  const std::string json = R"({"schema": "cold-run-report", "version": 2,
-    "run": {"seed": 9, "num_pops": 6},
-    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
-               "stop_reason": "none",
-               "cache": {"hits": 12, "misses": 38, "inserts": 38,
-                         "evictions": 4},
-               "wall_ns": 1000},
-    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
-    "heuristics": [],
-    "generations": [{"gen": 0, "best_cost": 2.25, "mean_cost": 3.0,
-                     "repairs": 1, "links_repaired": 2, "evaluations": 25,
-                     "wall_ns": 450}],
-    "ensemble_runs": []})";
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.seed, 9u);
-  EXPECT_EQ(parsed.cache_hits, 12u);
-  EXPECT_EQ(parsed.cache_misses, 38u);
-  EXPECT_EQ(parsed.cache_evictions, 4u);
-  EXPECT_EQ(parsed.dedup_skipped, 0u);
-  ASSERT_EQ(parsed.phases.size(), 1u);
-  EXPECT_EQ(parsed.phases[0].evaluations, 50u);
-  EXPECT_EQ(parsed.phases[0].cache_hits, 0u);  // absent in v2 → zero
-  EXPECT_EQ(parsed.phases[0].dedup_skipped, 0u);
-  ASSERT_EQ(parsed.generations.size(), 1u);
-  EXPECT_EQ(parsed.generations[0].dedup_skipped, 0u);
 }
 
 TEST(RunReport, RejectsMalformedInput) {
@@ -1000,35 +954,6 @@ TEST(RunReport, ResilienceBlockRoundTripsWhenTimed) {
       run_report_to_json(report, /*include_timing=*/false);
   EXPECT_EQ(bare.find("resilience"), std::string::npos);
   EXPECT_FALSE(run_report_from_json(bare).has_resilience);
-}
-
-TEST(RunReport, AcceptsV7ReportsWithoutResilienceFields) {
-  // Hand-built v7 document: no run.traffic_kept_mass, no result.resilience
-  // (v8 additions). They must parse back as 1.0 / absent.
-  const std::string json = R"({"schema": "cold-run-report", "version": 7,
-    "run": {"seed": 9, "num_pops": 6, "traffic_topk": 3},
-    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
-               "stop_reason": "none",
-               "cache": {"hits": 12, "misses": 38, "inserts": 38,
-                         "evictions": 4},
-               "dedup_skipped": 5, "wall_ns": 1000},
-    "phases": [{"name": "ga", "evaluations": 50, "wall_ns": 900}],
-    "heuristics": [],
-    "generations": [],
-    "ensemble_runs": []})";
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.traffic_topk, 3u);
-  EXPECT_EQ(parsed.traffic_kept_mass, 1.0);
-  EXPECT_FALSE(parsed.has_resilience);
-  EXPECT_EQ(parsed.resilience.scenarios, 0u);
-  // Re-serializing upgrades to v9 with the kept-mass default made explicit.
-  const std::string upgraded = run_report_to_json(parsed);
-  EXPECT_EQ(parse_json(upgraded).field("version").number(), 9.0);
-  EXPECT_EQ(parse_json(upgraded)
-                .field("run")
-                .field("traffic_kept_mass")
-                .number(),
-            1.0);
 }
 
 TEST(ReportDiff, ResilientAtZeroWeightVsPlainIsLogicallyEqual) {

@@ -5,7 +5,7 @@
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--eval-cache] [--eval-cache-size N]
 //                 [--dedup] [--dijkstra auto|dense|sparse]
-//                 [--dsssp on|off|auto] [--affinity on|off]
+//                 [--dsssp on|off|auto]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
@@ -81,8 +81,6 @@ const std::vector<OptionSpec> kEngineOpts = {
     {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
                     "offspring"},
-    {"affinity", true, "on|off (on): route offspring to the worker "
-                       "retaining their parent's routing state"},
     {"dense-threshold", true,
      "N (512): largest n with dense adjacency/distance backends; 0 forces "
      "the matrix-free path (exact: results are bit-identical either way)"},
@@ -231,12 +229,10 @@ void print_usage() {
       "            auto|dense|sparse picks the shortest-path solver, and\n"
       "            --dsssp on|off|auto re-routes near-parent offspring\n"
       "            incrementally (auto enables it above 16 PoPs), and\n"
-      "            --affinity on|off (on) routes offspring to the worker\n"
-      "            retaining their parent's routing state (work-stealing\n"
-      "            keeps threads busy), and --dense-threshold N (512) caps\n"
-      "            the n below which dense adjacency/distance backends\n"
-      "            materialize (0 forces the matrix-free path); all are\n"
-      "            exact and change performance only\n";
+      "            --dense-threshold N (512) caps the n below which dense\n"
+      "            adjacency/distance backends materialize (0 forces the\n"
+      "            matrix-free path); all are exact and change performance\n"
+      "            only\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -329,16 +325,6 @@ EvalEngineConfig engine_from(const CliOptions& args) {
   return engine;
 }
 
-/// GaConfig::affinity from --affinity on|off (default on). Exact either
-/// way; off pins the scorer to plain dynamic scheduling.
-bool affinity_from(const CliOptions& args) {
-  const std::string affinity = args.get("affinity", "on");
-  if (affinity == "on") return true;
-  if (affinity == "off") return false;
-  throw std::invalid_argument("unknown --affinity: " + affinity +
-                              " (expected on or off)");
-}
-
 SynthesisConfig config_from(const CliOptions& args) {
   SynthesisConfig cfg;
   cfg.context.num_pops = args.uint("pops", 30);
@@ -349,7 +335,6 @@ SynthesisConfig config_from(const CliOptions& args) {
   cfg.ga.population = args.uint("population", 48);
   cfg.ga.generations = args.uint("generations", 40);
   cfg.ga.dedup = args.has("dedup");
-  cfg.ga.affinity = affinity_from(args);
   cfg.overprovision = args.num("overprovision", 1.0);
   cfg.context.gravity.topk = args.uint("traffic-topk", 0);
   cfg.engine = engine_from(args);
@@ -704,7 +689,6 @@ int cmd_grow(const CliOptions& args) {
   cfg.ga.population = args.uint("population", 48);
   cfg.ga.generations = args.uint("generations", 40);
   cfg.ga.dedup = args.has("dedup");
-  cfg.ga.affinity = affinity_from(args);
   cfg.ga.parallel.num_threads = args.uint("threads", 0);
   cfg.engine = engine_from(args);
   cfg.observer = telemetry.observer();
