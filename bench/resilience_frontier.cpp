@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
     table.add_row({p.lambda, p.base_cost, p.penalty, p.disconnected_fraction,
                    p.worst_utilization, static_cast<double>(p.links)});
     std::fprintf(stderr, "  lambda=%g done (%llu scenarios swept)\n", lambda,
-                 static_cast<unsigned long long>(r.resilience.scenarios));
+                 static_cast<unsigned long long>(
+                     r.counters[Counter::kResilienceScenarios]));
   }
   table.print_both(std::cout, "resilience_frontier");
 

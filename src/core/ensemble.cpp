@@ -106,9 +106,7 @@ void EnsembleAccumulator::fold(SynthesisResult&& run,
   agg_.best_cost.fold(run.ga.best_cost);
 
   evaluations_ += run.ga.evaluations;
-  dedup_skipped_ += run.ga.dedup_skipped;
-  cache_ += run.cache;
-  delta_ += run.delta;
+  counters_ += run.counters;
   best_cost_ = std::min(best_cost_, run.ga.best_cost);
 
   if (!seen_.insert(network_hash(run.network)).second) {
@@ -219,20 +217,7 @@ EnsembleResult generate_ensemble(const Synthesizer& synth,
     // samples at construction (nothing folded) and destruction (after the
     // last fold, on this thread).
     const auto eval_count = [&result] { return result.acc.evaluations(); };
-    const auto engine_count = [&result] {
-      EngineCounters c;
-      const EvalCacheStats& cache = result.acc.cache();
-      const DeltaStats& delta = result.acc.delta();
-      c.cache_hits = cache.hits;
-      c.cache_misses = cache.misses;
-      c.cache_inserts = cache.inserts;
-      c.cache_evictions = cache.evictions;
-      c.dedup_skipped = result.acc.dedup_skipped();
-      c.dsssp_hits = delta.hits;
-      c.dsssp_fallbacks = delta.fallbacks;
-      c.vertices_resettled = delta.vertices_resettled;
-      return c;
-    };
+    const auto engine_count = [&result] { return result.acc.counters(); };
     PhaseTimer phase(observer, Phase::kEnsemble, eval_count, engine_count);
     // Dispatch in waves of one index per worker so the stop condition gets
     // a run-granular checkpoint; inside a wave each run also honors the
@@ -342,19 +327,10 @@ EnsembleResult generate_ensemble(const Synthesizer& synth,
 
   if (observer != nullptr) {
     RunSummary summary;
-    const EvalCacheStats& cache = result.acc.cache();
-    const DeltaStats& delta = result.acc.delta();
     summary.best_cost =
         result.acc.count() == 0 ? 0.0 : result.acc.best_cost();
     summary.evaluations = result.acc.evaluations();
-    summary.cache_hits = cache.hits;
-    summary.cache_misses = cache.misses;
-    summary.cache_inserts = cache.inserts;
-    summary.cache_evictions = cache.evictions;
-    summary.dedup_skipped = result.acc.dedup_skipped();
-    summary.dsssp_hits = delta.hits;
-    summary.dsssp_fallbacks = delta.fallbacks;
-    summary.vertices_resettled = delta.vertices_resettled;
+    summary.counters = result.acc.counters();
     summary.wall_ns = elapsed_ns(started);
     summary.stopped_early = result.stopped_early;
     summary.stop_reason = result.stop_reason;

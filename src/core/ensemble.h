@@ -99,11 +99,9 @@ class EnsembleAccumulator {
   /// distinct", never a false "distinct").
   bool all_distinct_hashed() const { return all_distinct_; }
 
-  /// Running engine totals across folded runs, for telemetry.
+  /// Running totals across folded runs, for telemetry.
   std::size_t evaluations() const { return evaluations_; }
-  std::size_t dedup_skipped() const { return dedup_skipped_; }
-  const EvalCacheStats& cache() const { return cache_; }
-  const DeltaStats& delta() const { return delta_; }
+  const EngineCounters& counters() const { return counters_; }
   double best_cost() const { return best_cost_; }
 
  private:
@@ -124,9 +122,7 @@ class EnsembleAccumulator {
   std::unordered_set<std::uint64_t> seen_;
   bool all_distinct_ = true;
   std::size_t evaluations_ = 0;
-  std::size_t dedup_skipped_ = 0;
-  EvalCacheStats cache_;
-  DeltaStats delta_;
+  EngineCounters counters_;
   double best_cost_;
 };
 

@@ -3,9 +3,32 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cost/evaluator.h"
-
 namespace cold {
+
+EngineCounters engine_counters(const Evaluator& eval) {
+  EngineCounters c;
+  const EvalCacheStats& cache = eval.cache_stats();
+  c[Counter::kCacheHits] = cache.hits;
+  c[Counter::kCacheMisses] = cache.misses;
+  c[Counter::kCacheInserts] = cache.inserts;
+  c[Counter::kCacheEvictions] = cache.evictions;
+  c[Counter::kDedupSkipped] = eval.dedup_skipped();
+  const DeltaStats& delta = eval.delta_stats();
+  c[Counter::kDssspHits] = delta.hits;
+  c[Counter::kDssspFallbacks] = delta.fallbacks;
+  c[Counter::kVerticesResettled] = delta.vertices_resettled;
+  const ResilienceStats res = eval.resilience_stats();
+  c[Counter::kResilienceSweeps] = res.sweeps;
+  c[Counter::kResilienceScenarios] = res.scenarios;
+  c[Counter::kResilienceDeltaRepairs] = res.delta_repairs;
+  c[Counter::kResilienceFreshTrees] = res.fresh_trees;
+  c[Counter::kResilienceVerticesResettled] = res.vertices_resettled;
+  const MultipathStats& mp = eval.multipath_stats();
+  c[Counter::kMultipathSweeps] = mp.sweeps;
+  c[Counter::kMultipathBranchPoints] = mp.branch_points;
+  c[Counter::kMultipathDagEdges] = mp.dag_edges;
+  return c;
+}
 
 Synthesizer::Synthesizer(SynthesisConfig config) : config_(std::move(config)) {
   config_.costs.validate();
@@ -76,23 +99,10 @@ SynthesisResult Synthesizer::optimize(
   Evaluator eval(context.distances, context.traffic, config_.costs,
                  config_.engine);
   const auto eval_count = [&eval] { return eval.evaluations(); };
-  // Per-phase engine-counter deltas (report schema v3). Sampled by the
-  // PhaseTimers on this thread, outside any parallel section — worker-clone
-  // counters are merged before the GA phase ends.
-  const auto engine_count = [&eval] {
-    EngineCounters c;
-    const EvalCacheStats s = eval.cache_stats();
-    c.cache_hits = s.hits;
-    c.cache_misses = s.misses;
-    c.cache_inserts = s.inserts;
-    c.cache_evictions = s.evictions;
-    c.dedup_skipped = eval.dedup_skipped();
-    const DeltaStats& d = eval.delta_stats();
-    c.dsssp_hits = d.hits;
-    c.dsssp_fallbacks = d.fallbacks;
-    c.vertices_resettled = d.vertices_resettled;
-    return c;
-  };
+  // Per-phase engine-counter deltas. Sampled by the PhaseTimers on this
+  // thread, outside any parallel section — worker-clone counters are merged
+  // before the GA phase ends.
+  const auto engine_count = [&eval] { return engine_counters(eval); };
 
   SynthesisResult result;
   result.context = context;
@@ -128,10 +138,7 @@ SynthesisResult Synthesizer::optimize(
         build_network(result.ga.best, context.locations, context.populations,
                       context.traffic, build_options);
   }
-  result.cache = eval.cache_stats();  // includes merged GA worker caches
-  result.delta = eval.delta_stats();
-  result.resilience = eval.resilience_stats();
-  result.multipath = eval.multipath_stats();
+  result.counters = engine_counters(eval);  // includes merged GA workers
   if (observer != nullptr) {
     RunSummary summary;
     summary.best_cost = result.ga.best_cost;
@@ -139,46 +146,30 @@ SynthesisResult Synthesizer::optimize(
     summary.wall_ns = elapsed_ns(started);
     summary.stopped_early = result.ga.stopped_early;
     summary.stop_reason = result.ga.stop_reason;
-    summary.cache_hits = result.cache.hits;
-    summary.cache_misses = result.cache.misses;
-    summary.cache_inserts = result.cache.inserts;
-    summary.cache_evictions = result.cache.evictions;
-    summary.dedup_skipped = eval.dedup_skipped();
-    const DeltaStats& delta = eval.delta_stats();
-    summary.dsssp_hits = delta.hits;
-    summary.dsssp_fallbacks = delta.fallbacks;
-    summary.vertices_resettled = delta.vertices_resettled;
+    summary.counters = result.counters;
     summary.traffic_kept_mass = context.traffic.kept_mass();
     if (config_.engine.resilience.enabled) {
-      summary.has_resilience = true;
       const ResilienceSummary& rs = result.cost.resilience_summary;
-      summary.resilience.weight = config_.engine.resilience.weight;
-      summary.resilience.scenarios = rs.scenarios;
-      summary.resilience.disconnecting = rs.disconnecting;
-      summary.resilience.disconnected_fraction = rs.disconnected_fraction;
-      summary.resilience.mean_stretch = rs.mean_stretch;
-      summary.resilience.worst_stretch = rs.worst_stretch;
-      summary.resilience.worst_utilization = rs.worst_utilization;
-      summary.resilience.penalty = rs.penalty();
-      summary.resilience.sweeps = result.resilience.sweeps;
-      summary.resilience.delta_repairs = result.resilience.delta_repairs;
-      summary.resilience.fresh_trees = result.resilience.fresh_trees;
-      summary.resilience.vertices_resettled =
-          result.resilience.vertices_resettled;
+      ResilienceTelemetry& r = summary.resilience.emplace();
+      r.weight = config_.engine.resilience.weight;
+      r.scenarios = rs.scenarios;
+      r.disconnecting = rs.disconnecting;
+      r.disconnected_fraction = rs.disconnected_fraction;
+      r.mean_stretch = rs.mean_stretch;
+      r.worst_stretch = rs.worst_stretch;
+      r.worst_utilization = rs.worst_utilization;
+      r.penalty = rs.penalty();
     }
     if (config_.engine.multipath.enabled()) {
-      summary.has_multipath = true;
       const MultipathConfig& mp = config_.engine.multipath;
       const MultipathSummary& ms = result.cost.multipath_summary;
-      summary.multipath.mode = multipath_mode_name(mp.mode);
-      summary.multipath.max_util_weight = mp.max_util_weight;
-      summary.multipath.oversub_weight = mp.oversub_weight;
-      summary.multipath.reference_capacity = ms.reference_capacity;
-      summary.multipath.max_utilization = ms.max_utilization;
-      summary.multipath.oversubscription = ms.oversubscription;
-      summary.multipath.sweeps = result.multipath.sweeps;
-      summary.multipath.branch_points = result.multipath.branch_points;
-      summary.multipath.dag_edges = result.multipath.dag_edges;
+      MultipathTelemetry& m = summary.multipath.emplace();
+      m.mode = multipath_mode_name(mp.mode);
+      m.max_util_weight = mp.max_util_weight;
+      m.oversub_weight = mp.oversub_weight;
+      m.reference_capacity = ms.reference_capacity;
+      m.max_utilization = ms.max_utilization;
+      m.oversubscription = ms.oversubscription;
     }
     observer->on_run_end(summary);
   }

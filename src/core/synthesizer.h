@@ -21,6 +21,7 @@
 #include "core/context.h"
 #include "cost/cost_cache.h"
 #include "cost/cost_model.h"
+#include "cost/evaluator.h"
 #include "ga/genetic.h"
 #include "heuristics/hub_heuristics.h"
 #include "net/network.h"
@@ -79,11 +80,15 @@ struct SynthesisResult {
   CostBreakdown cost;    ///< cost decomposition of the winning topology
   GaResult ga;           ///< GA diagnostics (history, final population, ...)
   std::vector<HeuristicResult> heuristics;  ///< seeds, if enabled
-  EvalCacheStats cache;  ///< evaluation-cache counters (zeros when disabled)
-  DeltaStats delta;      ///< delta-engine counters (zeros when disabled)
-  ResilienceStats resilience;  ///< failure-sweep counters (zeros when off)
-  MultipathStats multipath;    ///< multipath-routing counters (zeros when off)
+  /// The run's engine counters, merged over every evaluator clone (zeros
+  /// for the levers that were off).
+  EngineCounters counters;
 };
+
+/// Reads an evaluator's engine counters (its own plus everything merged in
+/// from worker clones) into the telemetry record: cache, dedup, delta,
+/// resilience-sweep and multipath-sweep counters.
+EngineCounters engine_counters(const Evaluator& eval);
 
 class Synthesizer {
  public:

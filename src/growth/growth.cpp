@@ -193,15 +193,7 @@ GrowthResult grow_network(const Network& base, const GrowthConfig& config,
     summary.wall_ns = elapsed_ns(started);
     summary.stopped_early = ga.stopped_early;
     summary.stop_reason = ga.stop_reason;
-    const EvalCacheStats cache = eval.inner().cache_stats();
-    summary.cache_hits = cache.hits;
-    summary.cache_misses = cache.misses;
-    summary.cache_inserts = cache.inserts;
-    summary.cache_evictions = cache.evictions;
-    const DeltaStats& delta = eval.inner().delta_stats();
-    summary.dsssp_hits = delta.hits;
-    summary.dsssp_fallbacks = delta.fallbacks;
-    summary.vertices_resettled = delta.vertices_resettled;
+    summary.counters = engine_counters(eval.inner());
     config.observer->on_run_end(summary);
   }
   return result;

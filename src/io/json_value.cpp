@@ -1,6 +1,7 @@
 #include "io/json_value.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -20,8 +21,22 @@ const JsonArray& JsonValue::array() const {
 }
 
 double JsonValue::number() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&v)) {
+    return static_cast<double>(*u);
+  }
   if (!is_number()) throw std::runtime_error("JSON: expected number");
   return std::get<double>(v);
+}
+
+std::uint64_t JsonValue::uint() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&v)) return *u;
+  const double x = number();
+  // 2^64 is a double, and every double in [0, 2^64) converts exactly; the
+  // negated comparison also rejects NaN.
+  if (!(x >= 0.0 && x < 18446744073709551616.0) || x != std::floor(x)) {
+    throw std::runtime_error("JSON: expected an unsigned 64-bit integer");
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 bool JsonValue::boolean() const {
@@ -194,6 +209,13 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("expected value");
+    // Plain digit runs that fit 64 bits stay exact; everything else
+    // (signs, fractions, exponents, overflow) is a double.
+    std::uint64_t u = 0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, u);
+    if (ec == std::errc() && end == last) return JsonValue{u};
     try {
       return JsonValue{std::stod(text_.substr(start, pos_ - start))};
     } catch (const std::exception&) {
@@ -250,6 +272,8 @@ void write_json(std::ostream& os, const JsonValue& value, int indent) {
     os << "null";
   } else if (value.is_bool()) {
     os << (value.boolean() ? "true" : "false");
+  } else if (const auto* u = std::get_if<std::uint64_t>(&value.v)) {
+    os << *u;
   } else if (value.is_number()) {
     write_number(os, value.number());
   } else if (value.is_string()) {

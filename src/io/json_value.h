@@ -5,10 +5,13 @@
 // reports, CLI `--format json` output) shares one JSON implementation.
 // Only the subset the schemas need (objects, arrays, numbers, strings,
 // bools, null) is modeled, but the parser accepts any standard JSON so
-// schema evolution stays painless.
+// schema evolution stays painless. Numbers are doubles, except that
+// non-negative integer literals within 64 bits parse — and unsigned
+// integers write — exactly, so seeds and counters round-trip verbatim.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -24,8 +27,8 @@ using JsonArray = std::vector<JsonValue>;
 using JsonObject = std::map<std::string, JsonValue>;
 
 struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
+  std::variant<std::nullptr_t, bool, double, std::uint64_t, std::string,
+               JsonArray, JsonObject>
       v = nullptr;
 
   JsonValue() = default;
@@ -33,7 +36,7 @@ struct JsonValue {
   JsonValue(bool b) : v(b) {}
   JsonValue(double d) : v(d) {}
   JsonValue(int i) : v(static_cast<double>(i)) {}
-  JsonValue(std::size_t u) : v(static_cast<double>(u)) {}
+  JsonValue(std::uint64_t u) : v(u) {}
   JsonValue(const char* s) : v(std::string(s)) {}
   JsonValue(std::string s) : v(std::move(s)) {}
   JsonValue(JsonArray a) : v(std::move(a)) {}
@@ -41,7 +44,10 @@ struct JsonValue {
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v); }
   bool is_bool() const { return std::holds_alternative<bool>(v); }
-  bool is_number() const { return std::holds_alternative<double>(v); }
+  bool is_number() const {
+    return std::holds_alternative<double>(v) ||
+           std::holds_alternative<std::uint64_t>(v);
+  }
   bool is_string() const { return std::holds_alternative<std::string>(v); }
   bool is_object() const { return std::holds_alternative<JsonObject>(v); }
   bool is_array() const { return std::holds_alternative<JsonArray>(v); }
@@ -49,7 +55,11 @@ struct JsonValue {
   /// Typed accessors; throw std::runtime_error on a type mismatch.
   const JsonObject& object() const;
   const JsonArray& array() const;
-  double number() const;
+  double number() const;  ///< any number (exact integers convert to double)
+  /// An exact unsigned integer: an integer literal, or a double holding an
+  /// integral value below 2^64. Throws std::runtime_error on a negative,
+  /// fractional, non-finite or out-of-range number.
+  std::uint64_t uint() const;
   bool boolean() const;
   const std::string& str() const;
 
@@ -65,8 +75,9 @@ struct JsonValue {
 JsonValue parse_json(const std::string& text);
 
 /// Writes `value` with 2-space indentation per nesting level, starting at
-/// `indent` levels. Numbers print with 17 significant digits (round-trip
-/// exact for doubles); non-finite numbers throw std::invalid_argument.
+/// `indent` levels. Doubles print with 17 significant digits (round-trip
+/// exact), unsigned integers verbatim; non-finite numbers throw
+/// std::invalid_argument.
 void write_json(std::ostream& os, const JsonValue& value, int indent = 0);
 
 std::string json_to_string(const JsonValue& value);

@@ -4,42 +4,31 @@
 // wall-time went, how the GA converged, what stopped the run).
 //
 // The schema (fields in [brackets] are performance data — wall-clock plus
-// the evaluation engine's cache/dedup counters — and are omitted when a
-// report is written with include_timing == false, which makes reports
-// byte-identical across thread counts and engine configurations):
+// the evaluation engine's counters — and are omitted when a report is
+// written with include_timing == false, which makes reports byte-identical
+// across thread counts and engine configurations):
 //
 //   {
 //     "schema": "cold-run-report",
-//     "version": 10,
+//     "version": 11,
 //     "run": {"seed": u64, "num_pops": n, "traffic_topk": n,
 //             "traffic_kept_mass": x},
 //     "result": {"best_cost": x, "evaluations": n,
 //                "stopped_early": bool, "stop_reason": str,
-//                ["cache": {"hits": n, "misses": n,
-//                           "inserts": n, "evictions": n}],
-//                ["dedup_skipped": n],
-//                ["dsssp": {"hits": n, "fallbacks": n,
-//                           "vertices_resettled": n}],
+//                ["counters": {"<counter>": n, ...}],
 //                ["resilience": {"weight": x, "scenarios": n,
 //                                "disconnecting": n,
 //                                "disconnected_fraction": x,
 //                                "mean_stretch": x, "worst_stretch": x,
-//                                "worst_utilization": x, "penalty": x,
-//                                "sweeps": n, "delta_repairs": n,
-//                                "fresh_trees": n,
-//                                "vertices_resettled": n}],
+//                                "worst_utilization": x, "penalty": x}],
 //                ["multipath": {"mode": str, "max_util_weight": x,
 //                               "oversub_weight": x,
 //                               "reference_capacity": x,
 //                               "max_utilization": x,
-//                               "oversubscription": x, "sweeps": n,
-//                               "branch_points": n, "dag_edges": n}],
+//                               "oversubscription": x}],
 //                ["wall_ns": n]},
 //     "phases": [{"name": str, "evaluations": n,
-//                 ["cache_hits": n, "cache_misses": n, "cache_inserts": n,
-//                  "cache_evictions": n, "dedup_skipped": n],
-//                 ["dsssp_hits": n, "dsssp_fallbacks": n,
-//                  "vertices_resettled": n],
+//                 ["counters": {"<counter>": n, ...}],
 //                 ["wall_ns": n]}, ...],
 //     "heuristics": [{"name": str, "cost": x, ["wall_ns": n]}, ...],
 //     "generations": [{"gen": n, "best_cost": x, "mean_cost": x,
@@ -57,72 +46,67 @@
 //                                           "num_links": n}, ...]}
 //   }
 //
+// A "counters" object holds one entry per engine counter, keyed by its
+// kCounterNames name (telemetry.h): the run totals under "result", the
+// phase's deltas under each phase. The writer emits every counter; the
+// parser reads absent ones as 0 and rejects unknown names, so a new counter
+// needs no version bump. Integers (seeds, counts, indices, counters,
+// wall_ns) are written verbatim and read exactly: the parser throws on a
+// negative, fractional or out-of-range value where it expects one.
+//
 // Only the current version is read: run_report_from_json throws on a
 // missing version or any version other than kRunReportVersion, so there
 // are no upgrade paths. Within it, the bracketed blocks are absent from
 // timing-free reports, "result.resilience" / "result.multipath" appear
-// only for resilient / multipath runs, and the "ensemble_*" blocks only
-// for ensembles. "ensemble_aggregates" (streamed Welford moments of every
-// ensemble metric) and "ensemble_exemplars" (the deterministic reservoir
-// sample) are logical content — they depend only on the folded runs — so
-// they are emitted even timing-free, as are "run.traffic_topk" (the
-// gravity top-K truncation, 0 = exact) and "run.traffic_kept_mass" (the
-// demand-mass fraction it kept, 1.0 = exact). Version 10 dropped the
-// per-worker "dsssp.workers" split and the "dsssp.steals" count.
+// only for resilient / multipath synthesis runs, and the "ensemble_*"
+// blocks only for ensembles. "ensemble_aggregates" (streamed Welford
+// moments of every ensemble metric) and "ensemble_exemplars" (the
+// deterministic reservoir sample) are logical content — they depend only
+// on the folded runs — so they are emitted even timing-free, as are
+// "run.traffic_topk" (the gravity top-K truncation, 0 = exact) and
+// "run.traffic_kept_mass" (the demand-mass fraction it kept, 1.0 = exact).
+// Version 11 replaced the "result.cache" / "result.dsssp" /
+// "result.dedup_skipped" blocks, the sweep counters of the resilience and
+// multipath blocks and the flat per-phase counter keys with the
+// "counters" objects.
 //
 // Round-trips through io/json: run_report_from_json(run_report_to_json(r))
-// reproduces every field (wall times included when serialized with timing).
+// reproduces every field (wall times and counters included when serialized
+// with timing).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "io/json_value.h"
 #include "telemetry/telemetry.h"
 
 namespace cold {
 
 /// The schema version the writer emits and the only one the parser reads.
-inline constexpr int kRunReportVersion = 10;
+inline constexpr int kRunReportVersion = 11;
 
 struct RunReport {
-  std::uint64_t seed = 0;
-  std::size_t num_pops = 0;
-  std::size_t traffic_topk = 0;  ///< gravity top-K, 0 = exact
-  double traffic_kept_mass = 1.0;  ///< kept demand-mass fraction
-
-  double best_cost = 0.0;
-  std::size_t evaluations = 0;
-  std::uint64_t wall_ns = 0;
-  bool stopped_early = false;
-  StopReason stop_reason = StopReason::kNone;
-  std::uint64_t cache_hits = 0;  ///< evaluation-cache counters
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_inserts = 0;
-  std::uint64_t cache_evictions = 0;
-  std::size_t dedup_skipped = 0;  ///< GA dedup fan-out total
-  std::uint64_t dsssp_hits = 0;   ///< delta-engine counters
-  std::uint64_t dsssp_fallbacks = 0;
-  std::uint64_t vertices_resettled = 0;
-  bool has_resilience = false;  ///< resilience block present
-  ResilienceTelemetry resilience;
-  bool has_multipath = false;   ///< multipath block present
-  MultipathTelemetry multipath;
+  RunStart run;        ///< the "run" block (traffic_kept_mass is in summary)
+  RunSummary summary;  ///< the "result" block, plus run.traffic_kept_mass
 
   std::vector<PhaseStats> phases;           ///< in completion order
   std::vector<HeuristicDone> heuristics;    ///< in run order
   std::vector<GenerationEnd> generations;   ///< per GA generation
   std::vector<EnsembleRunDone> ensemble_runs;
-  bool has_ensemble_aggregates = false;  ///< aggregates block present
-  EnsembleAggregates ensemble_aggregates;
-  bool has_ensemble_exemplars = false;  ///< exemplars block present
-  EnsembleExemplars ensemble_exemplars;
+  std::optional<EnsembleAggregates> ensemble_aggregates;
+  std::optional<EnsembleExemplars> ensemble_exemplars;
 };
 
-/// Serializes a report. With `include_timing == false` every performance
-/// field (wall_ns plus the engine's cache/dedup counters) is omitted and
-/// the output depends only on the logical run content.
+/// The report as a JSON document. With `include_timing == false` every
+/// performance field (wall_ns plus the engine counters) is omitted and the
+/// document depends only on the logical run content.
+JsonValue run_report_json(const RunReport& report, bool include_timing = true);
+
+/// Serializes run_report_json(report, include_timing).
 void write_run_report_json(std::ostream& os, const RunReport& report,
                            bool include_timing = true);
 std::string run_report_to_json(const RunReport& report,

@@ -1,7 +1,9 @@
 #include "telemetry/report_diff.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -18,250 +20,111 @@ std::string num(double x) {
   return os.str();
 }
 
-/// Collects divergences for one bucket (logical or perf) under a path
-/// prefix, so per-element comparisons read like field assignments.
+/// Exact rendering of a leaf: doubles round-trip-exact, so a diff of
+/// "same-looking" values cannot hide a bit-level divergence (and NaN or -0.0
+/// compare by their bits' rendering, not by operator==).
+std::string render(const JsonValue& v) {
+  if (v.is_string()) return v.str();
+  if (v.is_bool()) return v.boolean() ? "true" : "false";
+  if (const auto* u = std::get_if<std::uint64_t>(&v.v)) {
+    return std::to_string(*u);
+  }
+  if (v.is_number()) return num(v.number());
+  if (v.is_object()) return "<object>";
+  if (v.is_array()) return "<array>";
+  return "null";
+}
+
+/// Whether the subtree at `path` (field `key`) is performance data: wall
+/// clocks and every engine counter, plus the resilience and multipath
+/// winner summaries — a resilient-vs-plain pair at weight 0, or an
+/// ECMP-vs-single-path pair on a unique-shortest-path topology, must stay
+/// logically equal, so even those blocks' presence is perf drift.
+bool is_perf(const std::string& path, const std::string& key) {
+  return key == "wall_ns" || key == "counters" || counter_from_name(key) ||
+         path == "result.resilience" || path == "result.multipath";
+}
+
+const JsonValue* child(const JsonValue& obj, const std::string& key) {
+  return obj.has(key) ? &obj.field(key) : nullptr;
+}
+
+/// Walks two report documents in step, bucketing every divergence.
 class Differ {
  public:
-  explicit Differ(std::vector<ReportDiffEntry>& out) : out_(&out) {}
+  explicit Differ(ReportDiff& out) : out_(out) {}
 
-  void field(const std::string& path, const std::string& a,
-             const std::string& b) {
-    if (a != b) out_->push_back({path, a, b});
-  }
-  void field(const std::string& path, double a, double b) {
-    // Compare the exact renderings: NaN != NaN under operator!= would
-    // report forever-diffs, and -0.0 == 0.0 would hide a bit difference.
-    field(path, num(a), num(b));
-  }
-  // size_t and uint64_t are the same type on LP64, so one overload
-  // covers every counter field.
-  void field(const std::string& path, std::uint64_t a, std::uint64_t b) {
-    if (a != b) {
-      out_->push_back({path, std::to_string(a), std::to_string(b)});
+  /// Field `key` of two parent objects at `parent`; nullptr marks a side
+  /// that lacks it.
+  void field(const std::string& parent, const std::string& key,
+             const JsonValue* a, const JsonValue* b, bool perf) {
+    const std::string path = parent.empty() ? key : parent + "." + key;
+    perf = perf || is_perf(path, key);
+    if (a != nullptr && b != nullptr) {
+      walk(path, *a, *b, perf);
+    } else {
+      // A block on one side only, e.g. a resilient vs a plain run.
+      bucket(perf).push_back({path + ".present", a ? "true" : "false",
+                              b ? "true" : "false"});
     }
   }
-  void field(const std::string& path, bool a, bool b) {
-    if (a != b) {
-      out_->push_back({path, a ? "true" : "false", b ? "true" : "false"});
+
+  void walk(const std::string& path, const JsonValue& a, const JsonValue& b,
+            bool perf) {
+    if (a.is_object() && b.is_object()) {
+      std::set<std::string> keys;
+      for (const auto& entry : a.object()) keys.insert(entry.first);
+      for (const auto& entry : b.object()) keys.insert(entry.first);
+      for (const std::string& key : keys) {
+        field(path, key, child(a, key), child(b, key), perf);
+      }
+    } else if (a.is_array() && b.is_array()) {
+      // A length mismatch yields one entry plus "<absent>" markers for the
+      // tail of the longer side.
+      const JsonArray& x = a.array();
+      const JsonArray& y = b.array();
+      if (x.size() != y.size()) {
+        bucket(perf).push_back({path + ".length", std::to_string(x.size()),
+                                std::to_string(y.size())});
+      }
+      for (std::size_t i = 0; i < std::max(x.size(), y.size()); ++i) {
+        const std::string element = path + "[" + std::to_string(i) + "]";
+        if (i < x.size() && i < y.size()) {
+          walk(element, x[i], y[i], perf);
+        } else if (i < x.size()) {
+          bucket(perf).push_back({element, "<present>", "<absent>"});
+        } else {
+          bucket(perf).push_back({element, "<absent>", "<present>"});
+        }
+      }
+    } else if (const std::string x = render(a), y = render(b); x != y) {
+      bucket(perf).push_back({path, x, y});
     }
   }
 
  private:
-  std::vector<ReportDiffEntry>* out_;
+  std::vector<ReportDiffEntry>& bucket(bool perf) {
+    return perf ? out_.perf : out_.logical;
+  }
+
+  ReportDiff& out_;
 };
-
-std::string idx(const std::string& array, std::size_t i) {
-  return array + "[" + std::to_string(i) + "]";
-}
-
-/// Diffs two arrays element-wise; a length mismatch yields one entry plus
-/// "<absent>" markers for the tail of the longer side.
-template <typename T, typename Fn>
-void diff_array(Differ& d, std::vector<ReportDiffEntry>& bucket,
-                const std::string& name, const std::vector<T>& a,
-                const std::vector<T>& b, Fn&& diff_element) {
-  d.field(name + ".length", a.size(), b.size());
-  const std::size_t common = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < common; ++i) {
-    diff_element(idx(name, i), a[i], b[i]);
-  }
-  const std::vector<T>& longer = a.size() > b.size() ? a : b;
-  for (std::size_t i = common; i < longer.size(); ++i) {
-    if (a.size() > b.size()) {
-      bucket.push_back({idx(name, i), "<present>", "<absent>"});
-    } else {
-      bucket.push_back({idx(name, i), "<absent>", "<present>"});
-    }
-  }
-}
 
 }  // namespace
 
 ReportDiff diff_run_reports(const RunReport& a, const RunReport& b) {
+  const JsonValue x = run_report_json(a);
+  const JsonValue y = run_report_json(b);
   ReportDiff out;
-  Differ logical(out.logical);
-  Differ perf(out.perf);
-
-  logical.field("run.seed", a.seed, b.seed);
-  logical.field("run.num_pops", a.num_pops, b.num_pops);
-  logical.field("run.traffic_topk", a.traffic_topk, b.traffic_topk);
-  logical.field("run.traffic_kept_mass", a.traffic_kept_mass,
-                b.traffic_kept_mass);
-  logical.field("result.best_cost", a.best_cost, b.best_cost);
-  logical.field("result.evaluations", a.evaluations, b.evaluations);
-  logical.field("result.stopped_early", a.stopped_early, b.stopped_early);
-  logical.field("result.stop_reason", to_string(a.stop_reason),
-                to_string(b.stop_reason));
-
-  perf.field("result.wall_ns", a.wall_ns, b.wall_ns);
-  perf.field("result.cache.hits", a.cache_hits, b.cache_hits);
-  perf.field("result.cache.misses", a.cache_misses, b.cache_misses);
-  perf.field("result.cache.inserts", a.cache_inserts, b.cache_inserts);
-  perf.field("result.cache.evictions", a.cache_evictions, b.cache_evictions);
-  perf.field("result.dedup_skipped", a.dedup_skipped, b.dedup_skipped);
-  perf.field("result.dsssp.hits", a.dsssp_hits, b.dsssp_hits);
-  perf.field("result.dsssp.fallbacks", a.dsssp_fallbacks, b.dsssp_fallbacks);
-  perf.field("result.dsssp.vertices_resettled", a.vertices_resettled,
-             b.vertices_resettled);
-
-  // The resilience block is perf data end to end: a resilient-vs-plain pair
-  // at weight 0 must stay logically equal (identical costs), so even the
-  // block's presence only counts as perf drift.
-  perf.field("result.resilience.present", a.has_resilience, b.has_resilience);
-  if (a.has_resilience && b.has_resilience) {
-    const ResilienceTelemetry& x = a.resilience;
-    const ResilienceTelemetry& y = b.resilience;
-    perf.field("result.resilience.weight", x.weight, y.weight);
-    perf.field("result.resilience.scenarios", x.scenarios, y.scenarios);
-    perf.field("result.resilience.disconnecting", x.disconnecting,
-               y.disconnecting);
-    perf.field("result.resilience.disconnected_fraction",
-               x.disconnected_fraction, y.disconnected_fraction);
-    perf.field("result.resilience.mean_stretch", x.mean_stretch,
-               y.mean_stretch);
-    perf.field("result.resilience.worst_stretch", x.worst_stretch,
-               y.worst_stretch);
-    perf.field("result.resilience.worst_utilization", x.worst_utilization,
-               y.worst_utilization);
-    perf.field("result.resilience.penalty", x.penalty, y.penalty);
-    perf.field("result.resilience.sweeps", x.sweeps, y.sweeps);
-    perf.field("result.resilience.delta_repairs", x.delta_repairs,
-               y.delta_repairs);
-    perf.field("result.resilience.fresh_trees", x.fresh_trees, y.fresh_trees);
-    perf.field("result.resilience.vertices_resettled", x.vertices_resettled,
-               y.vertices_resettled);
+  Differ differ(out);
+  // Top-level blocks in document order (the JSON object sorts its keys).
+  for (const std::string key :
+       {"run", "result", "phases", "heuristics", "generations",
+        "ensemble_runs", "ensemble_aggregates", "ensemble_exemplars"}) {
+    if (x.has(key) || y.has(key)) {
+      differ.field("", key, child(x, key), child(y, key), /*perf=*/false);
+    }
   }
-
-  // Same rule for the multipath block: an ECMP-vs-single-path pair on a
-  // unique-shortest-path topology must stay logically equal (identical
-  // costs and loads), so its presence and counters are all perf drift.
-  perf.field("result.multipath.present", a.has_multipath, b.has_multipath);
-  if (a.has_multipath && b.has_multipath) {
-    const MultipathTelemetry& x = a.multipath;
-    const MultipathTelemetry& y = b.multipath;
-    perf.field("result.multipath.mode", x.mode, y.mode);
-    perf.field("result.multipath.max_util_weight", x.max_util_weight,
-               y.max_util_weight);
-    perf.field("result.multipath.oversub_weight", x.oversub_weight,
-               y.oversub_weight);
-    perf.field("result.multipath.reference_capacity", x.reference_capacity,
-               y.reference_capacity);
-    perf.field("result.multipath.max_utilization", x.max_utilization,
-               y.max_utilization);
-    perf.field("result.multipath.oversubscription", x.oversubscription,
-               y.oversubscription);
-    perf.field("result.multipath.sweeps", x.sweeps, y.sweeps);
-    perf.field("result.multipath.branch_points", x.branch_points,
-               y.branch_points);
-    perf.field("result.multipath.dag_edges", x.dag_edges, y.dag_edges);
-  }
-
-  diff_array(logical, out.logical, "phases", a.phases, b.phases,
-             [&](const std::string& p, const PhaseStats& x,
-                 const PhaseStats& y) {
-               logical.field(p + ".name", to_string(x.phase),
-                             to_string(y.phase));
-               logical.field(p + ".evaluations", x.evaluations,
-                             y.evaluations);
-               perf.field(p + ".wall_ns", x.wall_ns, y.wall_ns);
-               perf.field(p + ".cache_hits", x.cache_hits, y.cache_hits);
-               perf.field(p + ".cache_misses", x.cache_misses,
-                          y.cache_misses);
-               perf.field(p + ".cache_inserts", x.cache_inserts,
-                          y.cache_inserts);
-               perf.field(p + ".cache_evictions", x.cache_evictions,
-                          y.cache_evictions);
-               perf.field(p + ".dedup_skipped", x.dedup_skipped,
-                          y.dedup_skipped);
-               perf.field(p + ".dsssp_hits", x.dsssp_hits, y.dsssp_hits);
-               perf.field(p + ".dsssp_fallbacks", x.dsssp_fallbacks,
-                          y.dsssp_fallbacks);
-               perf.field(p + ".vertices_resettled", x.vertices_resettled,
-                          y.vertices_resettled);
-             });
-
-  diff_array(logical, out.logical, "heuristics", a.heuristics, b.heuristics,
-             [&](const std::string& p, const HeuristicDone& x,
-                 const HeuristicDone& y) {
-               logical.field(p + ".name", x.name, y.name);
-               logical.field(p + ".cost", x.cost, y.cost);
-               perf.field(p + ".wall_ns", x.wall_ns, y.wall_ns);
-             });
-
-  diff_array(logical, out.logical, "generations", a.generations,
-             b.generations,
-             [&](const std::string& p, const GenerationEnd& x,
-                 const GenerationEnd& y) {
-               logical.field(p + ".gen", x.gen, y.gen);
-               logical.field(p + ".best_cost", x.best_cost, y.best_cost);
-               logical.field(p + ".mean_cost", x.mean_cost, y.mean_cost);
-               logical.field(p + ".repairs", x.repairs, y.repairs);
-               logical.field(p + ".links_repaired", x.links_repaired,
-                             y.links_repaired);
-               logical.field(p + ".evaluations", x.evaluations,
-                             y.evaluations);
-               perf.field(p + ".dedup_skipped", x.dedup_skipped,
-                          y.dedup_skipped);
-               perf.field(p + ".wall_ns", x.wall_ns, y.wall_ns);
-             });
-
-  diff_array(logical, out.logical, "ensemble_runs", a.ensemble_runs,
-             b.ensemble_runs,
-             [&](const std::string& p, const EnsembleRunDone& x,
-                 const EnsembleRunDone& y) {
-               logical.field(p + ".index", x.index, y.index);
-               logical.field(p + ".seed", x.seed, y.seed);
-               logical.field(p + ".best_cost", x.best_cost, y.best_cost);
-               perf.field(p + ".wall_ns", x.wall_ns, y.wall_ns);
-             });
-
-  // Streamed aggregates are logical content: folded in seed order on the
-  // coordinating thread, they are bit-identical for any thread count.
-  logical.field("ensemble_aggregates.present", a.has_ensemble_aggregates,
-                b.has_ensemble_aggregates);
-  if (a.has_ensemble_aggregates && b.has_ensemble_aggregates) {
-    const auto diff_agg = [&](const std::string& p, const MetricAggregate& x,
-                              const MetricAggregate& y) {
-      logical.field(p + ".count", x.count, y.count);
-      logical.field(p + ".mean", x.mean, y.mean);
-      logical.field(p + ".m2", x.m2, y.m2);
-      logical.field(p + ".min", x.min, y.min);
-      logical.field(p + ".max", x.max, y.max);
-    };
-    const EnsembleAggregates& x = a.ensemble_aggregates;
-    const EnsembleAggregates& y = b.ensemble_aggregates;
-    logical.field("ensemble_aggregates.runs", x.runs, y.runs);
-    logical.field("ensemble_aggregates.streamed", x.streamed, y.streamed);
-    diff_agg("ensemble_aggregates.avg_degree", x.avg_degree, y.avg_degree);
-    diff_agg("ensemble_aggregates.diameter", x.diameter, y.diameter);
-    diff_agg("ensemble_aggregates.clustering", x.clustering, y.clustering);
-    diff_agg("ensemble_aggregates.degree_cv", x.degree_cv, y.degree_cv);
-    diff_agg("ensemble_aggregates.hubs", x.hubs, y.hubs);
-    diff_agg("ensemble_aggregates.assortativity", x.assortativity,
-             y.assortativity);
-    diff_agg("ensemble_aggregates.best_cost", x.best_cost, y.best_cost);
-  }
-
-  // The reservoir sample is logical too: Algorithm R's choices depend only
-  // on (base_seed, fold order).
-  logical.field("ensemble_exemplars.present", a.has_ensemble_exemplars,
-                b.has_ensemble_exemplars);
-  if (a.has_ensemble_exemplars && b.has_ensemble_exemplars) {
-    logical.field("ensemble_exemplars.reservoir",
-                  a.ensemble_exemplars.reservoir,
-                  b.ensemble_exemplars.reservoir);
-    diff_array(logical, out.logical, "ensemble_exemplars.exemplars",
-               a.ensemble_exemplars.exemplars, b.ensemble_exemplars.exemplars,
-               [&](const std::string& p, const EnsembleExemplar& x,
-                   const EnsembleExemplar& y) {
-                 logical.field(p + ".index", x.index, y.index);
-                 logical.field(p + ".seed", x.seed, y.seed);
-                 logical.field(p + ".best_cost", x.best_cost, y.best_cost);
-                 logical.field(p + ".num_pops", x.num_pops, y.num_pops);
-                 logical.field(p + ".num_links", x.num_links, y.num_links);
-               });
-  }
-
   return out;
 }
 

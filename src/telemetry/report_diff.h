@@ -4,13 +4,21 @@
 // configurations ({--dsssp on,off}, thread counts, cache modes) and diffs
 // the reports: the *logical* content — costs, trajectories, evaluation
 // counts, stop reasons — must be bit-identical (the engine's exactness
-// contract), while *performance* data (wall-clock, cache/dedup/dsssp
-// counters) legitimately varies. diff_run_reports() therefore buckets every
+// contract), while *performance* data (wall-clock, every engine counter)
+// legitimately varies. diff_run_reports() therefore buckets every
 // divergence into `logical` (a real regression: exit 1 in the CLI) or
 // `perf` (informational only).
 //
+// The comparison walks the two reports' timed JSON documents
+// (run_report_json) in step, so every field the schema carries is compared
+// with no per-field code. Everything is logical except `wall_ns`, every
+// engine counter (the `counters` objects and the per-generation
+// `dedup_skipped`), and the `result.resilience` / `result.multipath`
+// winner summaries. A block present on one side only yields one
+// "<path>.present" entry in its bucket.
+//
 // Field paths use a compact dotted notation, e.g. "result.best_cost",
-// "phases[2].evaluations", "generations[17].best_cost". Doubles are
+// "phases[2].evaluations", "result.counters.cache_hits". Doubles are
 // rendered round-trip-exact so a diff of "same-looking" values cannot
 // hide a bit-level divergence.
 #pragma once
@@ -39,9 +47,11 @@ struct ReportDiff {
   bool logically_equal() const { return logical.empty(); }
 };
 
-/// Compares two reports field by field. Array length mismatches produce one
-/// entry for the length plus entries for the missing tail elements'
-/// positions (rendered as "<absent>").
+/// Compares two reports field by field, in document order (run, result,
+/// phases, heuristics, generations, ensemble blocks; keys sorted within an
+/// object). Array length mismatches produce one entry for the length plus
+/// entries for the missing tail elements' positions (rendered as
+/// "<absent>").
 ReportDiff diff_run_reports(const RunReport& a, const RunReport& b);
 
 /// Human-readable rendering: one line per divergence, logical first.

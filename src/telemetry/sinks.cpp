@@ -31,10 +31,17 @@ std::string num(double x) {
   return os.str();
 }
 
-// Cache and dedup counters are performance data like wall_ns: their values
-// depend on the engine configuration (and, for the cache's hit/miss split,
-// on which worker scores a topology first), so they ride behind the same `timing` switch to keep
-// timing-free output invariant across engine configs.
+/// Appends " name=value" for every engine counter, in Counter order.
+void print_counters(std::ostream& os, const EngineCounters& c) {
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    os << " " << kCounterNames[i] << "=" << c.values[i];
+  }
+}
+
+// Engine counters are performance data like wall_ns: their values depend on
+// the engine configuration (and, for the cache's hit/miss split, on which
+// worker scores a topology first), so they ride behind the same `timing`
+// switch to keep timing-free output invariant across engine configs.
 struct CanonicalPrinter {
   std::ostream& os;
   bool timing;
@@ -48,15 +55,8 @@ struct CanonicalPrinter {
   void operator()(const PhaseStats& e) const {
     os << "phase_end " << to_string(e.phase) << " evals=" << e.evaluations;
     if (timing) {
-      os << " cache_hits=" << e.cache_hits
-         << " cache_misses=" << e.cache_misses
-         << " cache_inserts=" << e.cache_inserts
-         << " cache_evictions=" << e.cache_evictions
-         << " dedup_skipped=" << e.dedup_skipped
-         << " dsssp_hits=" << e.dsssp_hits
-         << " dsssp_fallbacks=" << e.dsssp_fallbacks
-         << " vertices_resettled=" << e.vertices_resettled
-         << " wall_ns=" << e.wall_ns;
+      print_counters(os, e.counters);
+      os << " wall_ns=" << e.wall_ns;
     }
     os << "\n";
   }
@@ -71,7 +71,8 @@ struct CanonicalPrinter {
        << " links_repaired=" << e.links_repaired
        << " evals=" << e.evaluations;
     if (timing) {
-      os << " dedup_skipped=" << e.dedup_skipped << " wall_ns=" << e.wall_ns;
+      os << " " << counter_name(Counter::kDedupSkipped) << "="
+         << e.dedup_skipped << " wall_ns=" << e.wall_ns;
     }
     os << "\n";
   }
@@ -86,15 +87,8 @@ struct CanonicalPrinter {
        << " stopped_early=" << (e.stopped_early ? 1 : 0)
        << " stop_reason=" << to_string(e.stop_reason);
     if (timing) {
-      os << " cache_hits=" << e.cache_hits
-         << " cache_misses=" << e.cache_misses
-         << " cache_inserts=" << e.cache_inserts
-         << " cache_evictions=" << e.cache_evictions
-         << " dedup_skipped=" << e.dedup_skipped
-         << " dsssp_hits=" << e.dsssp_hits
-         << " dsssp_fallbacks=" << e.dsssp_fallbacks
-         << " vertices_resettled=" << e.vertices_resettled
-         << " wall_ns=" << e.wall_ns;
+      print_counters(os, e.counters);
+      os << " wall_ns=" << e.wall_ns;
     }
     os << "\n";
   }
@@ -102,6 +96,25 @@ struct CanonicalPrinter {
 
 double ms(std::uint64_t wall_ns) {
   return static_cast<double>(wall_ns) / 1e6;
+}
+
+/// The progress line's engine summary: cache hit share, dedup savings and
+/// delta-engine share, each only when that lever fired.
+void print_engine(std::ostream& os, const EngineCounters& c) {
+  const std::uint64_t lookups =
+      c[Counter::kCacheHits] + c[Counter::kCacheMisses];
+  if (lookups > 0) {
+    os << ", cache " << c[Counter::kCacheHits] << "/" << lookups << " hits";
+  }
+  if (c[Counter::kDedupSkipped] > 0) {
+    os << ", dedup skipped " << c[Counter::kDedupSkipped];
+  }
+  const std::uint64_t delta_evals =
+      c[Counter::kDssspHits] + c[Counter::kDssspFallbacks];
+  if (delta_evals > 0) {
+    os << ", dsssp " << c[Counter::kDssspHits] << "/" << delta_evals
+       << " delta";
+  }
 }
 
 }  // namespace
@@ -126,15 +139,7 @@ void ProgressSink::on_phase_end(const PhaseStats& e) {
       << std::setprecision(1) << ms(e.wall_ns) << " ms";
   os_.unsetf(std::ios::fixed);
   if (e.evaluations > 0) os_ << " (" << e.evaluations << " evaluations)";
-  if (e.cache_hits + e.cache_misses > 0) {
-    os_ << ", cache " << e.cache_hits << "/"
-        << (e.cache_hits + e.cache_misses) << " hits";
-  }
-  if (e.dedup_skipped > 0) os_ << ", dedup skipped " << e.dedup_skipped;
-  if (e.dsssp_hits + e.dsssp_fallbacks > 0) {
-    os_ << ", dsssp " << e.dsssp_hits << "/"
-        << (e.dsssp_hits + e.dsssp_fallbacks) << " delta";
-  }
+  print_engine(os_, e.counters);
   os_ << "\n";
 }
 
@@ -160,15 +165,7 @@ void ProgressSink::on_run_end(const RunSummary& e) {
       << " evaluations, " << std::fixed << std::setprecision(1)
       << ms(e.wall_ns) << " ms";
   os_.unsetf(std::ios::fixed);
-  if (e.cache_hits + e.cache_misses > 0) {
-    os_ << ", cache " << e.cache_hits << "/"
-        << (e.cache_hits + e.cache_misses) << " hits";
-  }
-  if (e.dedup_skipped > 0) os_ << ", dedup skipped " << e.dedup_skipped;
-  if (e.dsssp_hits + e.dsssp_fallbacks > 0) {
-    os_ << ", dsssp " << e.dsssp_hits << "/"
-        << (e.dsssp_hits + e.dsssp_fallbacks) << " delta";
-  }
+  print_engine(os_, e.counters);
   if (e.stopped_early) {
     os_ << " — stopped early (" << to_string(e.stop_reason) << ")";
   }
@@ -179,13 +176,15 @@ void ProgressSink::on_run_end(const RunSummary& e) {
         << "% of demand mass\n";
     os_.unsetf(std::ios::fixed);
   }
-  if (e.has_resilience) {
-    const ResilienceTelemetry& r = e.resilience;
+  if (e.resilience) {
+    const ResilienceTelemetry& r = *e.resilience;
+    const std::uint64_t repairs = e.counters[Counter::kResilienceDeltaRepairs];
     os_ << "[cold]   resilience: penalty " << r.penalty << " over "
         << r.scenarios << " scenarios (" << r.disconnecting
-        << " disconnecting), sweeps " << r.sweeps << ", delta repairs "
-        << r.delta_repairs << "/" << (r.delta_repairs + r.fresh_trees)
-        << "\n";
+        << " disconnecting), sweeps "
+        << e.counters[Counter::kResilienceSweeps] << ", delta repairs "
+        << repairs << "/"
+        << (repairs + e.counters[Counter::kResilienceFreshTrees]) << "\n";
   }
 }
 

@@ -21,7 +21,7 @@ struct TraceEvent {
 
 /// Records every event in arrival order. canonical() renders the stream as
 /// one line per event; with `include_timing == false` (the default) all
-/// performance fields — wall-clock plus the engine's cache/dedup counters —
+/// performance fields — wall-clock plus the engine counters —
 /// are omitted, so the output is byte-identical across thread counts,
 /// machines and engine configurations — the determinism contract the tests
 /// pin.

@@ -106,20 +106,7 @@ PhaseTimer::~PhaseTimer() {
   stats.phase = phase_;
   stats.wall_ns = elapsed_ns(start_);
   if (eval_counter_) stats.evaluations = eval_counter_() - evals_at_start_;
-  if (engine_counter_) {
-    const EngineCounters now = engine_counter_();
-    stats.cache_hits = now.cache_hits - engine_at_start_.cache_hits;
-    stats.cache_misses = now.cache_misses - engine_at_start_.cache_misses;
-    stats.cache_inserts = now.cache_inserts - engine_at_start_.cache_inserts;
-    stats.cache_evictions =
-        now.cache_evictions - engine_at_start_.cache_evictions;
-    stats.dedup_skipped = now.dedup_skipped - engine_at_start_.dedup_skipped;
-    stats.dsssp_hits = now.dsssp_hits - engine_at_start_.dsssp_hits;
-    stats.dsssp_fallbacks =
-        now.dsssp_fallbacks - engine_at_start_.dsssp_fallbacks;
-    stats.vertices_resettled =
-        now.vertices_resettled - engine_at_start_.vertices_resettled;
-  }
+  if (engine_counter_) stats.counters = engine_counter_() - engine_at_start_;
   observer_->on_phase_end(stats);
 }
 

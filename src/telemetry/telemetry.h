@@ -17,8 +17,8 @@
 // Determinism contract: events are emitted from the sequential sections of
 // the pipeline, after any parallel join, so the *logical* event stream
 // (everything except performance data: wall-clock durations and the
-// engine's cache/dedup counters, whose splits depend on work partitioning
-// and engine configuration) is bit-identical for any ParallelConfig and any
+// EngineCounters record, whose splits depend on work partitioning and
+// engine configuration) is bit-identical for any ParallelConfig and any
 // EvalEngineConfig. Serializers therefore take an `include_timing` switch
 // covering all performance data; with it off, traces and reports are
 // byte-identical across thread counts and engine configurations.
@@ -28,12 +28,15 @@
 // caller keeps the observer and stop condition alive for the whole run.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/stats.h"
@@ -76,23 +79,106 @@ struct RunStart {
   std::size_t traffic_topk = 0;
 };
 
+/// The evaluation engine's monotonic counters, in one fixed list. Every
+/// layer that carries counters (phase and run events, synthesis and
+/// ensemble results, run reports, report-diff) holds an EngineCounters, and
+/// writers, parsers and printers loop over kCounterNames — so adding a
+/// counter is one enum entry plus one name, with no schema bump. The
+/// telemetry layer stays independent of cost/ headers: core's
+/// engine_counters(const Evaluator&) fills the record from the
+/// EvalCacheStats, DeltaStats, ResilienceStats and MultipathStats it mirrors.
+enum class Counter : std::size_t {
+  kCacheHits,         ///< verified evaluation-cache hits
+  kCacheMisses,       ///< cache lookups that recomputed
+  kCacheInserts,      ///< cache entries written
+  kCacheEvictions,    ///< LRU replacements
+  kDedupSkipped,      ///< evaluations served by GA dedup fan-out
+  kDssspHits,         ///< delta-engine incremental evaluations
+  kDssspFallbacks,    ///< delta-enabled evaluations swept fully
+  kVerticesResettled, ///< labels the delta engine repaired incrementally
+  kResilienceSweeps,  ///< failure-sweep candidate assessments
+  kResilienceScenarios,          ///< failure scenarios swept
+  kResilienceDeltaRepairs,       ///< per-source trees repaired in place
+  kResilienceFreshTrees,         ///< per-source trees swept fully
+  kResilienceVerticesResettled,  ///< labels repaired by failure sweeps
+  kMultipathSweeps,        ///< full multipath routing sweeps
+  kMultipathBranchPoints,  ///< DAG nodes where flow split
+  kMultipathDagEdges,      ///< predecessor edges across all DAGs
+  kCount,
+};
+
+inline constexpr std::size_t kNumCounters =
+    static_cast<std::size_t>(Counter::kCount);
+
+/// Stable names, indexed by Counter: the keys of the `counters` objects in
+/// run reports and of the counter fields in traces and report-diff paths.
+inline constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
+    "cache_hits",
+    "cache_misses",
+    "cache_inserts",
+    "cache_evictions",
+    "dedup_skipped",
+    "dsssp_hits",
+    "dsssp_fallbacks",
+    "vertices_resettled",
+    "resilience_sweeps",
+    "resilience_scenarios",
+    "resilience_delta_repairs",
+    "resilience_fresh_trees",
+    "resilience_vertices_resettled",
+    "multipath_sweeps",
+    "multipath_branch_points",
+    "multipath_dag_edges",
+};
+static_assert(!kCounterNames.back().empty(), "every Counter needs a name");
+
+constexpr std::string_view counter_name(Counter c) {
+  return kCounterNames[static_cast<std::size_t>(c)];
+}
+
+/// The counter called `name`, or nullopt for an unknown name.
+constexpr std::optional<Counter> counter_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    if (kCounterNames[i] == name) return static_cast<Counter>(i);
+  }
+  return std::nullopt;
+}
+
+/// One value per Counter. Performance data, not logical content: the
+/// cache's hit/miss split depends on which worker scored a topology first,
+/// and every counter varies with the engine configuration, so serializers
+/// emit the record only behind their include_timing switch.
+struct EngineCounters {
+  std::array<std::uint64_t, kNumCounters> values{};
+
+  std::uint64_t& operator[](Counter c) {
+    return values[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t operator[](Counter c) const {
+    return values[static_cast<std::size_t>(c)];
+  }
+
+  EngineCounters& operator+=(const EngineCounters& other) {
+    for (std::size_t i = 0; i < kNumCounters; ++i) values[i] += other.values[i];
+    return *this;
+  }
+  friend EngineCounters operator-(EngineCounters a, const EngineCounters& b) {
+    for (std::size_t i = 0; i < kNumCounters; ++i) a.values[i] -= b.values[i];
+    return a;
+  }
+  friend bool operator==(const EngineCounters&,
+                         const EngineCounters&) = default;
+};
+
 /// A phase finished. `evaluations` counts objective evaluations consumed by
 /// the phase (0 where no evaluator is involved, e.g. context generation).
-/// The cache_*/dedup counters are per-phase deltas of the evaluation
-/// engine's counters (see EngineCounters below); all zeros when no engine
-/// counter source was wired to the phase's PhaseTimer.
+/// `counters` holds the phase's deltas of the engine counters; all zeros
+/// when no engine counter source was wired to the phase's PhaseTimer.
 struct PhaseStats {
   Phase phase = Phase::kContext;
   std::uint64_t wall_ns = 0;
   std::size_t evaluations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_inserts = 0;
-  std::uint64_t cache_evictions = 0;
-  std::size_t dedup_skipped = 0;
-  std::uint64_t dsssp_hits = 0;       ///< delta-engine incremental evals
-  std::uint64_t dsssp_fallbacks = 0;  ///< delta-enabled evals swept fully
-  std::uint64_t vertices_resettled = 0;  ///< labels repaired incrementally
+  EngineCounters counters;
 };
 
 /// One greedy hub heuristic finished.
@@ -162,12 +248,12 @@ struct EnsembleExemplars {
   std::vector<EnsembleExemplar> exemplars;
 };
 
-/// Survivability aggregates of a resilient-objective run: the winning
-/// topology's ResilienceSummary plus the run's sweep counters. Mirrors the
-/// cost/resilience.h types as plain fields so the telemetry layer stays
-/// independent of cost/ headers (like EngineCounters). Performance data:
-/// which candidate wins is logical (it shows in best_cost), but the sweep
-/// counters vary with engine knobs, so the whole block is timing-gated.
+/// Survivability summary of a resilient-objective run's winning topology
+/// (its ResilienceSummary, mirrored as plain fields so the telemetry layer
+/// stays independent of cost/ headers). The run's sweep counters live in
+/// RunSummary::counters. Reports timing-gate the block: the winner is
+/// logical (it shows in best_cost), but a resilient-vs-plain pair at weight
+/// 0 must stay logically equal, so the block's presence is perf data.
 struct ResilienceTelemetry {
   double weight = 0.0;       ///< λ of the weighted-sum objective
   std::size_t scenarios = 0; ///< failure scenarios of the winner's sweep
@@ -177,17 +263,11 @@ struct ResilienceTelemetry {
   double worst_stretch = 1.0;
   double worst_utilization = 0.0;
   double penalty = 0.0;      ///< the winner's unweighted penalty
-  std::uint64_t sweeps = 0;        ///< candidate assessments run
-  std::uint64_t delta_repairs = 0; ///< per-source trees repaired in place
-  std::uint64_t fresh_trees = 0;   ///< per-source trees swept fully
-  std::uint64_t vertices_resettled = 0;
 };
 
-/// Multipath-routing aggregates of an ECMP/WCMP run: the winning
-/// topology's MultipathSummary plus the run's sweep counters, mirrored as
-/// plain fields like ResilienceTelemetry. Performance data for the same
-/// reason: the winner is logical (visible in best_cost), but the counters
-/// vary with engine knobs, so the whole block is timing-gated.
+/// Multipath-routing summary of an ECMP/WCMP run's winning topology (its
+/// MultipathSummary plus the objective weights), timing-gated like
+/// ResilienceTelemetry. The sweep counters live in RunSummary::counters.
 struct MultipathTelemetry {
   std::string mode;                ///< "ecmp" or "wcmp"
   double max_util_weight = 0.0;    ///< objective weight on max utilization
@@ -195,44 +275,25 @@ struct MultipathTelemetry {
   double reference_capacity = 0.0; ///< mean link load of the winner
   double max_utilization = 0.0;    ///< winner's max load / reference
   double oversubscription = 0.0;   ///< winner's summed excess utilization
-  std::uint64_t sweeps = 0;        ///< multipath routing sweeps run
-  std::uint64_t branch_points = 0; ///< DAG nodes where flow split
-  std::uint64_t dag_edges = 0;     ///< predecessor edges across all DAGs
 };
 
-/// A run ended (normally or via the stop condition).
-///
-/// The cache_* counters aggregate the evaluation cache (cost/cost_cache.h,
-/// shared across workers) over every evaluator clone of the run; all zeros
-/// when the cache is disabled. Note they are part of the *performance*
-/// data, not the logical event stream: the hit/miss split depends on which
-/// worker scored a topology first (hits + misses stays deterministic), and
-/// all of the counters naturally vary with the engine configuration. Costs
-/// and trajectories are unaffected either way.
+/// A run ended (normally or via the stop condition). `counters` totals the
+/// engine counters over every evaluator clone of the run (performance data,
+/// see EngineCounters); costs and trajectories are unaffected by them.
 struct RunSummary {
   double best_cost = 0.0;
   std::size_t evaluations = 0;  ///< total objective evaluations in the run
   std::uint64_t wall_ns = 0;
   bool stopped_early = false;
   StopReason stop_reason = StopReason::kNone;
-  std::uint64_t cache_hits = 0;       ///< verified evaluation-cache hits
-  std::uint64_t cache_misses = 0;     ///< lookups that recomputed
-  std::uint64_t cache_inserts = 0;    ///< cache entries written
-  std::uint64_t cache_evictions = 0;  ///< LRU replacements
-  std::size_t dedup_skipped = 0;  ///< evaluations served by GA dedup fan-out
-  std::uint64_t dsssp_hits = 0;       ///< delta-engine incremental evals
-  std::uint64_t dsssp_fallbacks = 0;  ///< delta-enabled evals swept fully
-  std::uint64_t vertices_resettled = 0;  ///< labels repaired incrementally
+  EngineCounters counters;
   /// Fraction of the exact gravity demand mass the run's --traffic-topk
   /// truncation kept (1.0 exact / no truncation). Logical content like
   /// traffic_topk: it pins down which demands the run optimized against.
   double traffic_kept_mass = 1.0;
-  /// Resilient-objective aggregates; meaningful only when has_resilience.
-  bool has_resilience = false;
-  ResilienceTelemetry resilience;
-  /// Multipath-routing aggregates; meaningful only when has_multipath.
-  bool has_multipath = false;
-  MultipathTelemetry multipath;
+  /// Winner summaries of resilient-objective / multipath-routing runs.
+  std::optional<ResilienceTelemetry> resilience;
+  std::optional<MultipathTelemetry> multipath;
 };
 
 // ---------------------------------------------------------------------------
@@ -381,23 +442,9 @@ class StopCondition {
 // Phase-scoped RAII timer.
 // ---------------------------------------------------------------------------
 
-/// A snapshot of the evaluation engine's monotonic counters, sampled by
-/// PhaseTimer to report per-phase deltas in PhaseStats. Mirrors
-/// EvalCacheStats plus the dedup counter as plain integers so the telemetry
-/// layer stays independent of cost/ headers.
-struct EngineCounters {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_inserts = 0;
-  std::uint64_t cache_evictions = 0;
-  std::size_t dedup_skipped = 0;
-  std::uint64_t dsssp_hits = 0;
-  std::uint64_t dsssp_fallbacks = 0;
-  std::uint64_t vertices_resettled = 0;
-};
-
 /// Emits on_phase_start on construction and on_phase_end (with wall-clock
 /// and the deltas of optional evaluation / engine counters) on destruction.
+/// The engine counter source returns a snapshot of monotonic totals.
 /// A null observer makes the timer a no-op, so call sites stay
 /// unconditional. Counter callbacks are invoked from the constructing
 /// thread only, at construction and destruction — both outside any parallel

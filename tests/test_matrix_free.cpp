@@ -237,10 +237,10 @@ TEST(MatrixFree, ReportRecordsTrafficTopk) {
   JsonReportSink sink;
   cfg.observer = &sink;
   Synthesizer(cfg).synthesize(9);
-  EXPECT_EQ(sink.report().traffic_topk, 6u);
+  EXPECT_EQ(sink.report().run.traffic_topk, 6u);
   const RunReport parsed = run_report_from_json(
       run_report_to_json(sink.report(), /*include_timing=*/false));
-  EXPECT_EQ(parsed.traffic_topk, 6u);
+  EXPECT_EQ(parsed.run.traffic_topk, 6u);
 }
 
 // --exemplars: a streamed ensemble's reservoir surfaces as the report's
@@ -261,9 +261,9 @@ TEST(MatrixFree, EnsembleExemplarsDeterministicAndRoundTrip) {
 
   const std::vector<EnsembleExemplar> exemplars = e.acc.exemplars();
   ASSERT_EQ(exemplars.size(), 3u);
-  ASSERT_TRUE(sink.report().has_ensemble_exemplars);
-  EXPECT_EQ(sink.report().ensemble_exemplars.reservoir, 3u);
-  ASSERT_EQ(sink.report().ensemble_exemplars.exemplars.size(), 3u);
+  ASSERT_TRUE(sink.report().ensemble_exemplars);
+  EXPECT_EQ(sink.report().ensemble_exemplars->reservoir, 3u);
+  ASSERT_EQ(sink.report().ensemble_exemplars->exemplars.size(), 3u);
   for (std::size_t k = 0; k < exemplars.size(); ++k) {
     // Exemplars are seed-addressed: seed = base_seed + index, so any one of
     // them can be replayed with synthesize(seed).
@@ -272,7 +272,7 @@ TEST(MatrixFree, EnsembleExemplarsDeterministicAndRoundTrip) {
     EXPECT_GT(exemplars[k].num_links, 0u);
     if (k > 0) EXPECT_LT(exemplars[k - 1].index, exemplars[k].index);
     const EnsembleExemplar& in_report =
-        sink.report().ensemble_exemplars.exemplars[k];
+        sink.report().ensemble_exemplars->exemplars[k];
     EXPECT_EQ(in_report.seed, exemplars[k].seed);
     EXPECT_EQ(in_report.best_cost, exemplars[k].best_cost);
   }
@@ -289,10 +289,10 @@ TEST(MatrixFree, EnsembleExemplarsDeterministicAndRoundTrip) {
   EXPECT_EQ(run_report_to_json(par_sink.report(), /*include_timing=*/false),
             report_seq);
   const RunReport parsed = run_report_from_json(report_seq);
-  ASSERT_TRUE(parsed.has_ensemble_exemplars);
-  EXPECT_EQ(parsed.ensemble_exemplars.exemplars.size(), 3u);
-  EXPECT_EQ(parsed.ensemble_exemplars.exemplars[0].seed,
-            sink.report().ensemble_exemplars.exemplars[0].seed);
+  ASSERT_TRUE(parsed.ensemble_exemplars);
+  EXPECT_EQ(parsed.ensemble_exemplars->exemplars.size(), 3u);
+  EXPECT_EQ(parsed.ensemble_exemplars->exemplars[0].seed,
+            sink.report().ensemble_exemplars->exemplars[0].seed);
 }
 
 }  // namespace

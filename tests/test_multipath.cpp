@@ -560,7 +560,7 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
           EXPECT_EQ(r.ga.best_cost_history, reference) << what;
           EXPECT_EQ(r.ga.best_cost, reference_cost) << what;
         }
-        EXPECT_GT(r.multipath.sweeps, 0u) << what;
+        EXPECT_GT(r.counters[Counter::kMultipathSweeps], 0u) << what;
       }
     }
   }
@@ -582,7 +582,7 @@ TEST(MultipathGa, WcmpSynthesizesAValidProvisionedNetwork) {
   SynthesisConfig cfg = multipath_config(MultipathMode::kWcmp);
   cfg.overprovision = 1.5;
   const SynthesisResult r = Synthesizer(cfg).synthesize(3);
-  EXPECT_GT(r.multipath.sweeps, 0u);
+  EXPECT_GT(r.counters[Counter::kMultipathSweeps], 0u);
   EXPECT_GT(r.cost.multipath_summary.reference_capacity, 0.0);
   validate_network(r.network);  // capacity == overprovision * load per link
   // The network's loads are the winner's evaluation loads bit for bit.

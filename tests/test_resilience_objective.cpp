@@ -331,7 +331,7 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
             EXPECT_EQ(r.ga.best_cost_history, reference) << what;
             EXPECT_EQ(r.ga.best_cost, reference_cost) << what;
           }
-          EXPECT_GT(r.resilience.sweeps, 0u) << what;
+          EXPECT_GT(r.counters[Counter::kResilienceSweeps], 0u) << what;
         }
       }
     }

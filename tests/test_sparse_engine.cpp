@@ -288,15 +288,15 @@ TEST(EnsembleAggregatesReport, RoundTripsThroughJson) {
   const Synthesizer synth(cfg);
   generate_ensemble(synth, 4, /*base_seed=*/77);
 
-  ASSERT_TRUE(sink.report().has_ensemble_aggregates);
-  const EnsembleAggregates& a = sink.report().ensemble_aggregates;
+  ASSERT_TRUE(sink.report().ensemble_aggregates);
+  const EnsembleAggregates& a = *sink.report().ensemble_aggregates;
   EXPECT_EQ(a.runs, 4u);
 
   for (const bool timing : {true, false}) {
     const RunReport parsed =
         run_report_from_json(run_report_to_json(sink.report(), timing));
-    ASSERT_TRUE(parsed.has_ensemble_aggregates) << "timing=" << timing;
-    const EnsembleAggregates& p = parsed.ensemble_aggregates;
+    ASSERT_TRUE(parsed.ensemble_aggregates) << "timing=" << timing;
+    const EnsembleAggregates& p = *parsed.ensemble_aggregates;
     EXPECT_EQ(p.runs, a.runs);
     EXPECT_EQ(p.streamed, a.streamed);
     EXPECT_EQ(p.avg_degree.count, a.avg_degree.count);

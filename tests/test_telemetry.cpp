@@ -4,6 +4,7 @@
 // report round-trip.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "ga/genetic.h"
 #include "ga/objective.h"
 #include "graph/algorithms.h"
+#include "growth/growth.h"
 #include "io/json_value.h"
 #include "telemetry/report.h"
 #include "telemetry/report_diff.h"
@@ -125,26 +127,32 @@ TEST(PhaseTimer, EmitsPairedEventsWithEvalDelta) {
 TEST(PhaseTimer, EmitsEngineCounterDeltas) {
   TraceSink sink;
   EngineCounters counters;
-  counters.cache_hits = 5;
-  counters.cache_misses = 7;
-  counters.cache_inserts = 7;
-  counters.cache_evictions = 1;
-  counters.dedup_skipped = 2;
+  counters[Counter::kCacheHits] = 5;
+  counters[Counter::kCacheMisses] = 7;
+  counters[Counter::kCacheInserts] = 7;
+  counters[Counter::kCacheEvictions] = 1;
+  counters[Counter::kDedupSkipped] = 2;
+  counters[Counter::kMultipathDagEdges] = 40;
   {
     PhaseTimer timer(&sink, Phase::kGa, {}, [&] { return counters; });
-    counters.cache_hits = 25;
-    counters.cache_misses = 10;
-    counters.cache_inserts = 9;
-    counters.cache_evictions = 1;
-    counters.dedup_skipped = 8;
+    counters[Counter::kCacheHits] = 25;
+    counters[Counter::kCacheMisses] = 10;
+    counters[Counter::kCacheInserts] = 9;
+    counters[Counter::kCacheEvictions] = 1;
+    counters[Counter::kDedupSkipped] = 8;
+    counters[Counter::kMultipathDagEdges] = 100;
   }
   ASSERT_EQ(sink.events().size(), 2u);
-  const auto& stats = std::get<PhaseStats>(sink.events()[1].v);
-  EXPECT_EQ(stats.cache_hits, 20u);  // deltas, not absolutes
-  EXPECT_EQ(stats.cache_misses, 3u);
-  EXPECT_EQ(stats.cache_inserts, 2u);
-  EXPECT_EQ(stats.cache_evictions, 0u);
-  EXPECT_EQ(stats.dedup_skipped, 6u);
+  const EngineCounters& delta = std::get<PhaseStats>(sink.events()[1].v).counters;
+  EXPECT_EQ(delta[Counter::kCacheHits], 20u);  // deltas, not absolutes
+  EXPECT_EQ(delta[Counter::kCacheMisses], 3u);
+  EXPECT_EQ(delta[Counter::kCacheInserts], 2u);
+  EXPECT_EQ(delta[Counter::kCacheEvictions], 0u);
+  EXPECT_EQ(delta[Counter::kDedupSkipped], 6u);
+  EXPECT_EQ(delta[Counter::kMultipathDagEdges], 60u);
+  EngineCounters start = counters - delta;  // the record's arithmetic
+  start += delta;
+  EXPECT_EQ(start, counters);
 }
 
 TEST(PhaseTimer, NullObserverIsNoop) {
@@ -152,30 +160,33 @@ TEST(PhaseTimer, NullObserverIsNoop) {
 }
 
 TEST(TraceSink, EngineCountersArePerformanceData) {
-  // Cache/dedup counters vary across engine configurations, so canonical()
+  // Engine counters vary across engine configurations, so canonical()
   // treats them exactly like wall_ns: present with timing, absent without —
   // that is what keeps timing-free traces comparable across configs.
   TraceSink sink;
   PhaseStats phase;
   phase.phase = Phase::kGa;
-  phase.cache_hits = 3;
+  phase.counters[Counter::kCacheHits] = 3;
   sink.on_phase_end(phase);
   GenerationEnd gen;
   gen.dedup_skipped = 4;
   sink.on_generation_end(gen);
   RunSummary summary;
-  summary.cache_hits = 9;
-  summary.dedup_skipped = 4;
+  summary.counters[Counter::kCacheHits] = 9;
+  summary.counters[Counter::kDedupSkipped] = 4;
+  summary.counters[Counter::kResilienceSweeps] = 6;
   sink.on_run_end(summary);
 
   const std::string bare = sink.canonical(/*include_timing=*/false);
-  EXPECT_EQ(bare.find("cache_"), std::string::npos);
-  EXPECT_EQ(bare.find("dedup_"), std::string::npos);
+  for (const std::string_view name : kCounterNames) {
+    EXPECT_EQ(bare.find(name), std::string::npos) << name;
+  }
   const std::string timed = sink.canonical(/*include_timing=*/true);
   EXPECT_NE(timed.find("phase_end ga evals=0 cache_hits=3"),
             std::string::npos);
   EXPECT_NE(timed.find("cache_hits=9"), std::string::npos);
   EXPECT_NE(timed.find("dedup_skipped=4"), std::string::npos);
+  EXPECT_NE(timed.find("resilience_sweeps=6"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,13 +415,14 @@ TEST(RunReport, SinkCapturesSynthesisRun) {
   const SynthesisResult r = Synthesizer(cfg).synthesize(2);
 
   const RunReport& report = sink.report();
-  EXPECT_EQ(report.seed, 2u);
-  EXPECT_EQ(report.num_pops, 10u);
-  EXPECT_EQ(report.best_cost, r.ga.best_cost);
+  EXPECT_EQ(report.run.seed, 2u);
+  EXPECT_EQ(report.run.num_pops, 10u);
+  EXPECT_EQ(report.summary.best_cost, r.ga.best_cost);
   EXPECT_EQ(report.generations.size(), cfg.ga.generations);
   EXPECT_EQ(report.phases.size(), 4u);
   EXPECT_EQ(report.heuristics.size(), r.heuristics.size());
-  EXPECT_GT(report.wall_ns, 0u);
+  EXPECT_GT(report.summary.wall_ns, 0u);
+  EXPECT_EQ(report.summary.counters, r.counters);
 }
 
 TEST(RunReport, JsonRoundTripPreservesEverything) {
@@ -431,10 +443,31 @@ TEST(RunReport, JsonRoundTripPreservesEverything) {
   // Spot-check parsed content.
   const RunReport parsed =
       run_report_from_json(run_report_to_json(sink.report()));
-  EXPECT_EQ(parsed.seed, 3u);
+  EXPECT_EQ(parsed.run.seed, 3u);
   EXPECT_EQ(parsed.generations.size(), 5u);
-  EXPECT_EQ(parsed.best_cost, sink.report().best_cost);
-  EXPECT_EQ(parsed.stop_reason, StopReason::kNone);
+  EXPECT_EQ(parsed.summary.best_cost, sink.report().summary.best_cost);
+  EXPECT_EQ(parsed.summary.stop_reason, StopReason::kNone);
+
+  // Seeds and counters are u64: every value, including those a double
+  // cannot hold (2^53 + 1, UINT64_MAX), is written verbatim and read back
+  // exactly.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1} << 53, (std::uint64_t{1} << 53) + 1,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    RunReport report = sink.report();
+    report.run.seed = seed;
+    report.summary.counters[Counter::kMultipathDagEdges] = seed;
+    report.ensemble_runs.push_back({0, seed, 1.0, 0});
+    const std::string json = run_report_to_json(report);
+    EXPECT_NE(json.find("\"seed\": " + std::to_string(seed) + ",\n"),
+              std::string::npos)
+        << seed;
+    const RunReport back = run_report_from_json(json);
+    EXPECT_EQ(back.run.seed, seed);
+    EXPECT_EQ(back.summary.counters, report.summary.counters);
+    EXPECT_EQ(back.ensemble_runs.at(0).seed, seed);
+    EXPECT_EQ(run_report_to_json(back), json);
+  }
 }
 
 TEST(RunReport, TimingFreeReportIsIdenticalAcrossThreadCounts) {
@@ -466,8 +499,8 @@ TEST(RunReport, StoppedRunProducesValidReport) {
 
   const RunReport parsed =
       run_report_from_json(run_report_to_json(sink.report()));
-  EXPECT_TRUE(parsed.stopped_early);
-  EXPECT_EQ(parsed.stop_reason, StopReason::kEvalBudget);
+  EXPECT_TRUE(parsed.summary.stopped_early);
+  EXPECT_EQ(parsed.summary.stop_reason, StopReason::kEvalBudget);
   EXPECT_LT(parsed.generations.size(), 10'000u);
   EXPECT_GT(parsed.generations.size(), 0u);
 }
@@ -479,18 +512,18 @@ TEST(RunReport, EmitsV5WithCacheCountersWhenCacheEnabled) {
   cfg.observer = &sink;
   Synthesizer(cfg).synthesize(5);
 
-  const RunReport& report = sink.report();
-  EXPECT_GT(report.cache_hits, 0u);  // elites re-score as hits
-  EXPECT_GT(report.cache_inserts, 0u);
-  EXPECT_EQ(report.cache_misses, report.cache_inserts);  // every miss inserts
+  const EngineCounters& c = sink.report().summary.counters;
+  EXPECT_GT(c[Counter::kCacheHits], 0u);  // elites re-score as hits
+  EXPECT_GT(c[Counter::kCacheInserts], 0u);
+  // Every miss inserts.
+  EXPECT_EQ(c[Counter::kCacheMisses], c[Counter::kCacheInserts]);
 
-  const std::string json = run_report_to_json(report);
-  EXPECT_EQ(parse_json(json).field("version").number(), kRunReportVersion);
-  const RunReport parsed = run_report_from_json(json);
-  EXPECT_EQ(parsed.cache_hits, report.cache_hits);
-  EXPECT_EQ(parsed.cache_misses, report.cache_misses);
-  EXPECT_EQ(parsed.cache_inserts, report.cache_inserts);
-  EXPECT_EQ(parsed.cache_evictions, report.cache_evictions);
+  const std::string json = run_report_to_json(sink.report());
+  const JsonValue doc = parse_json(json);
+  EXPECT_EQ(doc.field("version").number(), kRunReportVersion);
+  EXPECT_EQ(doc.field("result").field("counters").object().size(),
+            kNumCounters);
+  EXPECT_EQ(run_report_from_json(json).summary.counters, c);
 }
 
 TEST(RunReport, PerPhaseEngineCountersTrackCacheActivity) {
@@ -504,26 +537,21 @@ TEST(RunReport, PerPhaseEngineCountersTrackCacheActivity) {
   // holds — so its delta must show a hit — and the per-phase deltas must
   // add up to the run totals.
   const RunReport& report = sink.report();
-  std::uint64_t hits = 0, misses = 0, inserts = 0, evictions = 0;
+  EngineCounters sum;
   bool saw_assembly_hit = false;
   for (const PhaseStats& p : report.phases) {
-    hits += p.cache_hits;
-    misses += p.cache_misses;
-    inserts += p.cache_inserts;
-    evictions += p.cache_evictions;
-    if (p.phase == Phase::kAssembly) saw_assembly_hit = p.cache_hits > 0;
+    sum += p.counters;
+    if (p.phase == Phase::kAssembly) {
+      saw_assembly_hit = p.counters[Counter::kCacheHits] > 0;
+    }
   }
   EXPECT_TRUE(saw_assembly_hit);
-  EXPECT_EQ(hits, report.cache_hits);
-  EXPECT_EQ(misses, report.cache_misses);
-  EXPECT_EQ(inserts, report.cache_inserts);
-  EXPECT_EQ(evictions, report.cache_evictions);
+  EXPECT_EQ(sum, report.summary.counters);
 
   // Counters survive a timed round trip.
   const RunReport parsed = run_report_from_json(run_report_to_json(report));
   for (std::size_t i = 0; i < report.phases.size(); ++i) {
-    EXPECT_EQ(parsed.phases[i].cache_hits, report.phases[i].cache_hits);
-    EXPECT_EQ(parsed.phases[i].cache_misses, report.phases[i].cache_misses);
+    EXPECT_EQ(parsed.phases[i].counters, report.phases[i].counters);
   }
 }
 
@@ -541,28 +569,29 @@ TEST(RunReport, SharedCachePhaseCountersShowCrossWorkerHits) {
   const RunReport& report = sink.report();
   bool saw_assembly_hit = false;
   for (const PhaseStats& p : report.phases) {
-    if (p.phase == Phase::kAssembly && p.cache_hits > 0) {
+    if (p.phase == Phase::kAssembly && p.counters[Counter::kCacheHits] > 0) {
       saw_assembly_hit = true;
     }
   }
   EXPECT_TRUE(saw_assembly_hit);
-  EXPECT_GT(report.cache_hits, 0u);
-  EXPECT_EQ(report.cache_misses, report.cache_inserts);
+  const EngineCounters& c = report.summary.counters;
+  EXPECT_GT(c[Counter::kCacheHits], 0u);
+  EXPECT_EQ(c[Counter::kCacheMisses], c[Counter::kCacheInserts]);
 }
 
 TEST(RunReport, DedupCountersRoundTripWhenTimed) {
   RunReport report;
-  report.seed = 11;
-  report.num_pops = 4;
-  report.best_cost = 1.5;
-  report.evaluations = 40;
-  report.dedup_skipped = 7;
-  report.cache_hits = 3;
+  report.run.seed = 11;
+  report.run.num_pops = 4;
+  report.summary.best_cost = 1.5;
+  report.summary.evaluations = 40;
+  report.summary.counters[Counter::kDedupSkipped] = 7;
+  report.summary.counters[Counter::kCacheHits] = 3;
   PhaseStats ga;
   ga.phase = Phase::kGa;
   ga.evaluations = 40;
-  ga.cache_hits = 3;
-  ga.dedup_skipped = 7;
+  ga.counters[Counter::kCacheHits] = 3;
+  ga.counters[Counter::kDedupSkipped] = 7;
   report.phases.push_back(ga);
   GenerationEnd gen;
   gen.gen = 0;
@@ -572,9 +601,8 @@ TEST(RunReport, DedupCountersRoundTripWhenTimed) {
 
   const RunReport timed = run_report_from_json(
       run_report_to_json(report, /*include_timing=*/true));
-  EXPECT_EQ(timed.dedup_skipped, 7u);
-  EXPECT_EQ(timed.phases[0].dedup_skipped, 7u);
-  EXPECT_EQ(timed.phases[0].cache_hits, 3u);
+  EXPECT_EQ(timed.summary.counters, report.summary.counters);
+  EXPECT_EQ(timed.phases[0].counters, ga.counters);
   EXPECT_EQ(timed.generations[0].dedup_skipped, 4u);
 
   // Timing-free reports treat the counters as performance data and drop
@@ -582,10 +610,34 @@ TEST(RunReport, DedupCountersRoundTripWhenTimed) {
   const std::string bare = run_report_to_json(report, /*include_timing=*/false);
   EXPECT_EQ(bare.find("dedup_skipped"), std::string::npos);
   EXPECT_EQ(bare.find("cache"), std::string::npos);
+  EXPECT_EQ(bare.find("counters"), std::string::npos);
   const RunReport parsed = run_report_from_json(bare);
-  EXPECT_EQ(parsed.dedup_skipped, 0u);
-  EXPECT_EQ(parsed.phases[0].cache_hits, 0u);
+  EXPECT_EQ(parsed.summary.counters, EngineCounters{});
+  EXPECT_EQ(parsed.phases[0].counters, EngineCounters{});
   EXPECT_EQ(parsed.generations[0].dedup_skipped, 0u);
+
+  // A timed grow_network report with dedup on: the run total is the sum of
+  // the generations' dedup savings. The GA's own MST seed is off because it
+  // would duplicate grow_network's MST seed in the initial population, whose
+  // savings count in the run total but in no generation.
+  SynthesisConfig base_cfg = small_config();
+  const Network base = Synthesizer(base_cfg).synthesize(1).network;
+  GrowthConfig grow;
+  grow.new_pops = 3;
+  grow.ga.population = 16;
+  grow.ga.generations = 8;
+  grow.ga.dedup = true;
+  grow.ga.include_mst_seed = false;
+  JsonReportSink sink;
+  grow.observer = &sink;
+  grow_network(base, grow, 2);
+  const RunReport grown = run_report_from_json(run_report_to_json(sink.report()));
+  std::uint64_t per_generation = 0;
+  for (const GenerationEnd& g : grown.generations) {
+    per_generation += g.dedup_skipped;
+  }
+  EXPECT_GT(per_generation, 0u);
+  EXPECT_EQ(grown.summary.counters[Counter::kDedupSkipped], per_generation);
 }
 
 // The parser reads the current schema version only: a report in any older
@@ -682,6 +734,28 @@ TEST(RunReport, RejectsV7Reports) {
 }
 
 TEST(RunReport, RejectsNonCurrentVersions) {
+  // v10: cache/dsssp blocks, dedup_skipped and flat per-phase counter
+  // keys instead of the "counters" objects.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 10,
+    "run": {"seed": 9, "num_pops": 6, "traffic_topk": 0,
+            "traffic_kept_mass": 1},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none",
+               "cache": {"hits": 12, "misses": 38, "inserts": 38,
+                         "evictions": 4},
+               "dedup_skipped": 5,
+               "dsssp": {"hits": 30, "fallbacks": 20,
+                         "vertices_resettled": 444},
+               "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50, "cache_hits": 12,
+                "cache_misses": 38, "cache_inserts": 38,
+                "cache_evictions": 4, "dedup_skipped": 5, "dsssp_hits": 30,
+                "dsssp_fallbacks": 20, "vertices_resettled": 444,
+                "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [],
+    "ensemble_runs": []})");
+
   SynthesisConfig cfg = small_config();
   cfg.ga.generations = 4;
   JsonReportSink sink;
@@ -693,19 +767,19 @@ TEST(RunReport, RejectsNonCurrentVersions) {
       "\"version\": " + std::to_string(kRunReportVersion);
   const std::size_t ver = json.find(current);
   ASSERT_NE(ver, std::string::npos);
-  EXPECT_EQ(run_report_from_json(json).seed, 8u);
+  EXPECT_EQ(run_report_from_json(json).run.seed, 8u);
 
   // The current document restamped with the previous, a newer, a
   // fractional or no version throws as well.
   for (const std::string replacement :
-       {"\"version\": 9", "\"version\": 11", "\"version\": 10.5",
-        "\"revision\": 10"}) {
+       {"\"version\": 10", "\"version\": 12", "\"version\": 11.5",
+        "\"revision\": 11"}) {
     std::string changed = json;
     changed.replace(ver, current.size(), replacement);
     expect_version_rejected(changed);
   }
   std::string quoted = json;
-  quoted.replace(ver, current.size(), "\"version\": \"10\"");
+  quoted.replace(ver, current.size(), "\"version\": \"11\"");
   EXPECT_THROW(run_report_from_json(quoted), std::runtime_error);
 }
 
@@ -717,27 +791,25 @@ TEST(RunReport, DssspCountersRoundTripWhenTimed) {
   Synthesizer(cfg).synthesize(5);
 
   const RunReport& report = sink.report();
-  EXPECT_GT(report.dsssp_hits + report.dsssp_fallbacks, 0u);
+  const EngineCounters& c = report.summary.counters;
+  EXPECT_GT(c[Counter::kDssspHits] + c[Counter::kDssspFallbacks], 0u);
 
   const RunReport timed = run_report_from_json(
       run_report_to_json(report, /*include_timing=*/true));
-  EXPECT_EQ(timed.dsssp_hits, report.dsssp_hits);
-  EXPECT_EQ(timed.dsssp_fallbacks, report.dsssp_fallbacks);
-  EXPECT_EQ(timed.vertices_resettled, report.vertices_resettled);
+  EXPECT_EQ(timed.summary.counters, c);
   std::uint64_t phase_hits = 0;
   for (std::size_t i = 0; i < report.phases.size(); ++i) {
-    EXPECT_EQ(timed.phases[i].dsssp_hits, report.phases[i].dsssp_hits);
-    phase_hits += report.phases[i].dsssp_hits;
+    EXPECT_EQ(timed.phases[i].counters, report.phases[i].counters);
+    phase_hits += report.phases[i].counters[Counter::kDssspHits];
   }
-  EXPECT_EQ(phase_hits, report.dsssp_hits);  // phase deltas sum to the total
+  // Phase deltas sum to the total.
+  EXPECT_EQ(phase_hits, c[Counter::kDssspHits]);
 
   // Timing-free reports drop the trio like every other perf counter.
   const std::string bare =
       run_report_to_json(report, /*include_timing=*/false);
   EXPECT_EQ(bare.find("dsssp"), std::string::npos);
-  const RunReport parsed = run_report_from_json(bare);
-  EXPECT_EQ(parsed.dsssp_hits, 0u);
-  EXPECT_EQ(parsed.vertices_resettled, 0u);
+  EXPECT_EQ(run_report_from_json(bare).summary.counters, EngineCounters{});
 }
 
 TEST(RunReport, RejectsMalformedInput) {
@@ -745,6 +817,36 @@ TEST(RunReport, RejectsMalformedInput) {
   EXPECT_THROW(run_report_from_json("{}"), std::runtime_error);
   EXPECT_THROW(run_report_from_json(R"({"schema": "other", "version": 1})"),
                std::runtime_error);
+
+  // Seeds, counts and counters must be exact u64 values: a negative,
+  // fractional, out-of-range or 2^64 literal in any of them throws instead
+  // of reaching an undefined float-to-integer cast.
+  RunReport report;
+  report.run.seed = 77;
+  report.run.num_pops = 6;
+  report.summary.wall_ns = 999;
+  report.summary.counters[Counter::kMultipathDagEdges] = 4242;
+  const std::string json = run_report_to_json(report);
+  ASSERT_NO_THROW(run_report_from_json(json));
+  for (const std::string field :
+       {"\"seed\": 77", "\"num_pops\": 6", "\"wall_ns\": 999",
+        "\"multipath_dag_edges\": 4242"}) {
+    const std::size_t at = json.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::string key = field.substr(0, field.find(':') + 2);
+    for (const std::string bad :
+         {"-1", "1.5", "1e300", "18446744073709551616"}) {
+      std::string changed = json;
+      changed.replace(at, field.size(), key + bad);
+      EXPECT_THROW(run_report_from_json(changed), std::runtime_error)
+          << key << bad;
+    }
+  }
+  // An unknown counter name is refused rather than dropped.
+  std::string unknown = json;
+  unknown.replace(json.find("\"multipath_dag_edges\""), 21,
+                  "\"multipath_dag_edgez\"");
+  EXPECT_THROW(run_report_from_json(unknown), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,13 +879,13 @@ TEST(JsonValueLayer, ErrorsAreTyped) {
 
 RunReport diff_fixture() {
   RunReport r;
-  r.seed = 5;
-  r.num_pops = 10;
-  r.best_cost = 3.25;
-  r.evaluations = 100;
-  r.wall_ns = 1000;
-  r.cache_hits = 7;
-  r.dsssp_hits = 3;
+  r.run.seed = 5;
+  r.run.num_pops = 10;
+  r.summary.best_cost = 3.25;
+  r.summary.evaluations = 100;
+  r.summary.wall_ns = 1000;
+  r.summary.counters[Counter::kCacheHits] = 7;
+  r.summary.counters[Counter::kDssspHits] = 3;
   PhaseStats ga;
   ga.phase = Phase::kGa;
   ga.evaluations = 100;
@@ -811,21 +913,29 @@ TEST(ReportDiff, PerfOnlyDivergenceStaysLogicallyEqual) {
   // in the perf bucket and never fail an equivalence check.
   const RunReport a = diff_fixture();
   RunReport b = a;
-  b.wall_ns = 2000;
-  b.cache_hits = 0;
-  b.dsssp_hits = 99;
-  b.vertices_resettled = 1234;
+  b.summary.wall_ns = 2000;
+  b.summary.counters[Counter::kCacheHits] = 0;
+  b.summary.counters[Counter::kDssspHits] = 99;
+  b.summary.counters[Counter::kVerticesResettled] = 1234;
   b.phases[0].wall_ns = 1800;
+  b.phases[0].counters[Counter::kResilienceSweeps] = 5;
   const ReportDiff d = diff_run_reports(a, b);
   EXPECT_TRUE(d.logically_equal());
   EXPECT_TRUE(d.logical.empty());
-  EXPECT_GE(d.perf.size(), 4u);
+  // Every counter lands in the perf bucket under its name.
+  std::vector<std::string> paths;
+  for (const ReportDiffEntry& e : d.perf) paths.push_back(e.path);
+  const std::vector<std::string> expected = {
+      "result.counters.cache_hits", "result.counters.dsssp_hits",
+      "result.counters.vertices_resettled", "result.wall_ns",
+      "phases[0].counters.resilience_sweeps", "phases[0].wall_ns"};
+  EXPECT_EQ(paths, expected);
 }
 
 TEST(ReportDiff, LogicalDivergenceIsDetected) {
   const RunReport a = diff_fixture();
   RunReport b = a;
-  b.best_cost = 3.5;
+  b.summary.best_cost = 3.5;
   b.generations[0].best_cost = 3.5;
   const ReportDiff d = diff_run_reports(a, b);
   EXPECT_FALSE(d.logically_equal());
@@ -853,8 +963,8 @@ TEST(ReportDiff, ArrayLengthMismatchIsLogical) {
 TEST(ReportDiff, RendersTextAndJson) {
   const RunReport a = diff_fixture();
   RunReport b = a;
-  b.best_cost = 9.0;
-  b.wall_ns = 2000;
+  b.summary.best_cost = 9.0;
+  b.summary.wall_ns = 2000;
   const ReportDiff d = diff_run_reports(a, b);
 
   std::ostringstream text;
@@ -897,14 +1007,15 @@ TEST(RunReport, TrafficKeptMassRoundTripsAsLogicalContent) {
   Synthesizer(cfg).synthesize(3);
 
   const RunReport& report = sink.report();
-  EXPECT_GT(report.traffic_kept_mass, 0.0);
-  EXPECT_LT(report.traffic_kept_mass, 1.0);
+  EXPECT_GT(report.summary.traffic_kept_mass, 0.0);
+  EXPECT_LT(report.summary.traffic_kept_mass, 1.0);
 
   // Logical content: the field survives both timed and timing-free trips.
   for (const bool timing : {true, false}) {
     const RunReport parsed =
         run_report_from_json(run_report_to_json(report, timing));
-    EXPECT_EQ(parsed.traffic_kept_mass, report.traffic_kept_mass)
+    EXPECT_EQ(parsed.summary.traffic_kept_mass,
+              report.summary.traffic_kept_mass)
         << "timing=" << timing;
   }
 
@@ -913,7 +1024,7 @@ TEST(RunReport, TrafficKeptMassRoundTripsAsLogicalContent) {
   JsonReportSink exact_sink;
   exact.observer = &exact_sink;
   Synthesizer(exact).synthesize(3);
-  EXPECT_EQ(exact_sink.report().traffic_kept_mass, 1.0);
+  EXPECT_EQ(exact_sink.report().summary.traffic_kept_mass, 1.0);
 }
 
 TEST(RunReport, ResilienceBlockRoundTripsWhenTimed) {
@@ -924,36 +1035,47 @@ TEST(RunReport, ResilienceBlockRoundTripsWhenTimed) {
   cfg.observer = &sink;
   Synthesizer(cfg).synthesize(5);
 
-  const RunReport& report = sink.report();
-  ASSERT_TRUE(report.has_resilience);
-  EXPECT_EQ(report.resilience.weight, 0.5);
-  EXPECT_GT(report.resilience.scenarios, 0u);
-  EXPECT_GT(report.resilience.sweeps, 0u);
+  const RunSummary& summary = sink.report().summary;
+  ASSERT_TRUE(summary.resilience);
+  const ResilienceTelemetry& r = *summary.resilience;
+  EXPECT_EQ(r.weight, 0.5);
+  EXPECT_GT(r.scenarios, 0u);
+  EXPECT_GT(summary.counters[Counter::kResilienceSweeps], 0u);
 
   const RunReport timed = run_report_from_json(
-      run_report_to_json(report, /*include_timing=*/true));
-  ASSERT_TRUE(timed.has_resilience);
-  EXPECT_EQ(timed.resilience.weight, report.resilience.weight);
-  EXPECT_EQ(timed.resilience.scenarios, report.resilience.scenarios);
-  EXPECT_EQ(timed.resilience.disconnecting, report.resilience.disconnecting);
-  EXPECT_EQ(timed.resilience.disconnected_fraction,
-            report.resilience.disconnected_fraction);
-  EXPECT_EQ(timed.resilience.mean_stretch, report.resilience.mean_stretch);
-  EXPECT_EQ(timed.resilience.worst_stretch, report.resilience.worst_stretch);
-  EXPECT_EQ(timed.resilience.worst_utilization,
-            report.resilience.worst_utilization);
-  EXPECT_EQ(timed.resilience.penalty, report.resilience.penalty);
-  EXPECT_EQ(timed.resilience.sweeps, report.resilience.sweeps);
-  EXPECT_EQ(timed.resilience.delta_repairs, report.resilience.delta_repairs);
-  EXPECT_EQ(timed.resilience.fresh_trees, report.resilience.fresh_trees);
-  EXPECT_EQ(timed.resilience.vertices_resettled,
-            report.resilience.vertices_resettled);
+      run_report_to_json(sink.report(), /*include_timing=*/true));
+  ASSERT_TRUE(timed.summary.resilience);
+  const ResilienceTelemetry& t = *timed.summary.resilience;
+  EXPECT_EQ(t.weight, r.weight);
+  EXPECT_EQ(t.scenarios, r.scenarios);
+  EXPECT_EQ(t.disconnecting, r.disconnecting);
+  EXPECT_EQ(t.disconnected_fraction, r.disconnected_fraction);
+  EXPECT_EQ(t.mean_stretch, r.mean_stretch);
+  EXPECT_EQ(t.worst_stretch, r.worst_stretch);
+  EXPECT_EQ(t.worst_utilization, r.worst_utilization);
+  EXPECT_EQ(t.penalty, r.penalty);
+  EXPECT_EQ(timed.summary.counters, summary.counters);
 
   // Timing-free reports drop the block like every other perf counter.
   const std::string bare =
-      run_report_to_json(report, /*include_timing=*/false);
+      run_report_to_json(sink.report(), /*include_timing=*/false);
   EXPECT_EQ(bare.find("resilience"), std::string::npos);
-  EXPECT_FALSE(run_report_from_json(bare).has_resilience);
+  EXPECT_FALSE(run_report_from_json(bare).summary.resilience);
+
+  // A resilient ensemble's report carries the sweep counters of every run.
+  cfg.context.num_pops = 8;
+  cfg.parallel.num_threads = 2;
+  JsonReportSink ensemble_sink;
+  cfg.observer = &ensemble_sink;
+  const EnsembleResult e = generate_ensemble(Synthesizer(cfg), 3, 21);
+  std::uint64_t sweeps = 0;
+  for (const SynthesisResult& run : e.runs()) {
+    sweeps += run.counters[Counter::kResilienceSweeps];
+  }
+  EXPECT_GT(sweeps, 0u);
+  const RunReport ensemble = run_report_from_json(
+      run_report_to_json(ensemble_sink.report(), /*include_timing=*/true));
+  EXPECT_EQ(ensemble.summary.counters[Counter::kResilienceSweeps], sweeps);
 }
 
 TEST(ReportDiff, ResilientAtZeroWeightVsPlainIsLogicallyEqual) {

@@ -431,10 +431,9 @@ int cmd_synth(const CliOptions& args) {
   std::cerr << "cost " << r.cost.total() << " ("
             << synth.config().costs.to_string() << "), "
             << r.network.num_links() << " links";
-  if (r.cache.lookups() > 0) {
-    std::cerr << ", cache " << r.cache.hits << "/" << r.cache.lookups()
-              << " hits";
-  }
+  const std::uint64_t hits = r.counters[Counter::kCacheHits];
+  const std::uint64_t lookups = hits + r.counters[Counter::kCacheMisses];
+  if (lookups > 0) std::cerr << ", cache " << hits << "/" << lookups << " hits";
   if (r.ga.stopped_early) {
     std::cerr << " [stopped early: " << to_string(r.ga.stop_reason) << "]";
   }
@@ -552,10 +551,10 @@ void write_analysis_report(const CliOptions& args, std::uint64_t seed,
                            std::size_t evaluations) {
   if (!args.has("report")) return;
   RunReport report;
-  report.seed = seed;
-  report.num_pops = num_pops;
-  report.best_cost = best_cost;
-  report.evaluations = evaluations;
+  report.run.seed = seed;
+  report.run.num_pops = num_pops;
+  report.summary.best_cost = best_cost;
+  report.summary.evaluations = evaluations;
   const std::string path = args.get("report", "");
   std::ofstream file(path);
   if (!file) throw std::runtime_error("cannot open report file: " + path);
