@@ -106,6 +106,26 @@ double replay(const std::vector<Topology>& trace, std::size_t passes,
   return static_cast<double>(passes * trace.size()) / secs;
 }
 
+/// The engine configuration every reference and timing loop uses: the
+/// library default with the cache off, so repeats are routed, not served
+/// from memory.
+EvalEngineConfig uncached() {
+  EvalEngineConfig engine;
+  engine.cache.enabled = false;
+  return engine;
+}
+
+/// A cache budget that holds every topology of `trace` even if all of them
+/// are distinct, so a replay measures the cache, not its eviction policy.
+EvalEngineConfig cached_holding(const std::vector<Topology>& trace) {
+  EvalEngineConfig engine;
+  engine.cache.max_bytes = 0;
+  for (const Topology& g : trace) {
+    engine.cache.max_bytes += SharedCostCache::entry_bytes(g.num_edges());
+  }
+  return engine;
+}
+
 /// An m ~ n topology of the kind synthesis produces: the MST of random
 /// PoP locations plus ~n/8 random chords.
 Topology sparse_instance(const Context& ctx, std::uint64_t seed) {
@@ -128,7 +148,8 @@ struct ReplaySample {
 
 /// Replays `trace` round-robin over `workers` Evaluator clones (trace item i
 /// goes to clone i % workers — the deterministic analogue of the GA's
-/// offspring partition), all sharing the primary's cache. Workers run on the
+/// offspring partition), all sharing the primary's cache, which holds the
+/// whole trace like the single-evaluator replay's. Workers run on the
 /// calling thread: this measures hit rates, not contention, so the result is
 /// exact and machine-independent.
 ReplaySample replay_multi_worker(const Context& ctx, const CostParams& costs,
@@ -138,9 +159,7 @@ ReplaySample replay_multi_worker(const Context& ctx, const CostParams& costs,
   ReplaySample s;
   s.workers = workers;
   s.identical = true;
-  EvalEngineConfig engine;
-  engine.cache.enabled = true;
-  Evaluator primary(ctx.distances, ctx.traffic, costs, engine);
+  Evaluator primary(ctx.distances, ctx.traffic, costs, cached_holding(trace));
   std::vector<Evaluator> clones;
   clones.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
@@ -179,7 +198,7 @@ SparseSample measure_sparse_vs_dense(std::size_t n, std::size_t reps) {
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
   double dense_cost = 0.0, sparse_cost = 0.0;
   for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    EvalEngineConfig engine;
+    EvalEngineConfig engine = uncached();
     engine.sp_algorithm = algo;
     Evaluator eval(ctx.distances, ctx.traffic, costs, engine);
     eval.cost(g);  // warm the workspace outside the timed region
@@ -226,7 +245,7 @@ MultipathSample measure_multipath(std::size_t n, std::size_t reps) {
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
   double single_cost = 0.0, ecmp_cost = 0.0;
   for (const MultipathMode mode : {MultipathMode::kOff, MultipathMode::kEcmp}) {
-    EvalEngineConfig engine;
+    EvalEngineConfig engine = uncached();
     engine.multipath.mode = mode;
     Evaluator eval(ctx.distances, ctx.traffic, costs, engine);
     eval.cost(g);  // warm the workspace outside the timed region
@@ -326,7 +345,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> trace_hints;
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
   {
-    Evaluator eval(ctx.distances, ctx.traffic, costs);
+    Evaluator eval(ctx.distances, ctx.traffic, costs, uncached());
     RecordingObjective recorder(eval, trace, trace_hints);
     GaRunOptions options;
     options.config.population = 64;
@@ -343,12 +362,10 @@ int main(int argc, char** argv) {
   costs_off.reserve(passes * trace.size());
   costs_on.reserve(passes * trace.size());
 
-  Evaluator eval_off(ctx.distances, ctx.traffic, costs);
+  Evaluator eval_off(ctx.distances, ctx.traffic, costs, uncached());
   const double eps_off = replay(trace, passes, eval_off, costs_off);
 
-  EvalEngineConfig cached_engine;
-  cached_engine.cache.enabled = true;
-  Evaluator eval_on(ctx.distances, ctx.traffic, costs, cached_engine);
+  Evaluator eval_on(ctx.distances, ctx.traffic, costs, cached_holding(trace));
   std::vector<double> first_pass;
   const double first_eps = replay(trace, 1, eval_on, first_pass);
   const double cold_hit_rate = eval_on.cache_stats().hit_rate();
@@ -422,7 +439,7 @@ int main(int argc, char** argv) {
   std::vector<Topology> delta_trace;
   std::vector<std::uint64_t> delta_hints;
   {
-    Evaluator eval(delta_ctx.distances, delta_ctx.traffic, costs);
+    Evaluator eval(delta_ctx.distances, delta_ctx.traffic, costs, uncached());
     RecordingObjective recorder(eval, delta_trace, delta_hints);
     GaRunOptions options;
     options.config.population = 64;
@@ -433,13 +450,14 @@ int main(int argc, char** argv) {
 
   std::vector<double> delta_ref;
   delta_ref.reserve(delta_trace.size());
-  Evaluator eval_full(delta_ctx.distances, delta_ctx.traffic, costs);
+  Evaluator eval_full(delta_ctx.distances, delta_ctx.traffic, costs,
+                      uncached());
   const auto t_full = std::chrono::steady_clock::now();
   for (const Topology& g : delta_trace) delta_ref.push_back(eval_full.cost(g));
   const double eps_full =
       static_cast<double>(delta_trace.size()) / seconds_since(t_full);
 
-  EvalEngineConfig delta_engine;
+  EvalEngineConfig delta_engine = uncached();
   delta_engine.delta.mode = DsspMode::kOn;
   delta_engine.delta.max_diff_edges = delta_n * delta_n;  // accept any parent
   delta_engine.delta.max_resettle_ratio = 1.0;            // never abandon

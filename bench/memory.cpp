@@ -115,7 +115,9 @@ ThroughputSample measure_matrix_free_throughput(std::size_t n,
     Rng ctx_rng(11 + n);
     const Context ctx = generate_context(ctx_cfg, ctx_rng);
     const Topology g = sparse_instance(ctx, 11 + n);
-    Evaluator eval(ctx.distances, ctx.traffic, costs);
+    EvalEngineConfig uncached;  // time routings, not cache hits
+    uncached.cache.enabled = false;
+    Evaluator eval(ctx.distances, ctx.traffic, costs, uncached);
     eval.cost(g);  // warm the workspace outside the timed region
     double last = 0.0;
     const auto t0 = std::chrono::steady_clock::now();

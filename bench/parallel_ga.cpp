@@ -8,6 +8,10 @@
 // BENCH_parallel_ga.json (first argv, default ./). COLD_BENCH_REPORT=FILE
 // additionally writes the JSON run report of the last measured run.
 //
+// The cost cache is off: every score is a routing sweep, so the timings
+// measure how the scoring fan-out scales rather than how many scores hit
+// the cache.
+//
 // Interpretation: speedup_vs_1 should approach min(threads, cores) for the
 // scoring-dominated workload; on a 1-core host all settings time alike (the
 // pool adds only negligible handoff overhead) but the identity check still
@@ -37,7 +41,10 @@ struct Sample {
 GaResult run_once(const Context& ctx, std::size_t threads, std::uint64_t seed,
                   std::size_t generations, TraceSink& trace,
                   cold::bench::BenchTelemetry* telemetry) {
-  Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, 4e-4, 10.0});
+  EvalEngineConfig uncached;  // time the scoring fan-out, not cache hits
+  uncached.cache.enabled = false;
+  Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, 4e-4, 10.0},
+                 uncached);
   GaRunOptions options;
   options.config.population = 64;
   options.config.generations = generations;

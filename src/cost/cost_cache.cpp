@@ -1,23 +1,16 @@
 #include "cost/cost_cache.h"
 
-#include <algorithm>
-#include <bit>
+#include <iterator>
+#include <utility>
 
 namespace cold {
 
 namespace {
 
-// Smallest power-of-two set count holding `capacity` entries at `ways` ways,
-// so the set index is a mask.
-std::size_t sets_for_capacity(std::size_t capacity, std::size_t ways) {
-  const std::size_t want =
-      std::max<std::size_t>(1, (capacity + ways - 1) / ways);
-  return std::bit_ceil(want);
-}
-
-// Packs `g`'s edge set as sorted-within-pair (u << 32 | v), u < v.
-void pack_edges(const Topology& g, std::vector<std::uint64_t>& out) {
-  out.clear();
+// Packs `g`'s edge set as sorted-within-pair (u << 32 | v), u < v, into a
+// vector of exactly m elements (the byte charge assumes no slack).
+std::vector<std::uint64_t> pack_edges(const Topology& g) {
+  std::vector<std::uint64_t> out;
   out.reserve(g.num_edges());
   const std::size_t n = g.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
@@ -27,13 +20,28 @@ void pack_edges(const Topology& g, std::vector<std::uint64_t>& out) {
       }
     }
   }
+  return out;
 }
 
-// True iff the stored edge list is exactly `g`'s edge set, given equal n
-// and m (equal edge counts make one-sided containment a full equality
-// check).
-bool same_edges(const std::vector<std::uint64_t>& edges, const Topology& g) {
-  for (const std::uint64_t packed : edges) {
+}  // namespace
+
+SharedCostCache::SharedCostCache(const EvalCacheConfig& config)
+    : max_bytes_(config.max_bytes) {}
+
+std::size_t SharedCostCache::entry_bytes(std::size_t m) {
+  // List node: the record plus its two links. Index node: its link, the
+  // key/iterator pair, and its share of the bucket array (the map doubles
+  // that array as it grows, so up to two bucket pointers per node).
+  constexpr std::size_t kRecord = sizeof(Entry) + 2 * sizeof(void*);
+  constexpr std::size_t kIndex =
+      3 * sizeof(void*) + sizeof(std::pair<const std::uint64_t, Lru::iterator>);
+  return kRecord + kIndex + m * sizeof(std::uint64_t);
+}
+
+bool SharedCostCache::holds(const Entry& e, const Topology& g) {
+  if (e.n != g.num_nodes() || e.m != g.num_edges()) return false;
+  // Equal edge counts make one-sided containment a full equality check.
+  for (const std::uint64_t packed : e.edges) {
     const NodeId u = static_cast<NodeId>(packed >> 32);
     const NodeId v = static_cast<NodeId>(packed & 0xffffffffULL);
     if (!g.has_edge(u, v)) return false;
@@ -41,101 +49,76 @@ bool same_edges(const std::vector<std::uint64_t>& edges, const Topology& g) {
   return true;
 }
 
-}  // namespace
-
-SharedCostCache::SharedCostCache(const EvalCacheConfig& config)
-    : sets_per_shard_(
-          sets_for_capacity((config.capacity + kShards - 1) / kShards, kWays)),
-      shards_(std::make_unique<Shard[]>(kShards)) {
-  // Total capacity rounds up to at least kShards * kWays entries so every
-  // shard keeps at least one full set.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    shards_[s].table.resize(sets_per_shard_ * kWays);
-  }
-}
-
-SharedCostCache::Entry* SharedCostCache::find_entry(Shard& shard,
-                                                    const Topology& g,
-                                                    std::uint64_t key) {
-  Entry* base = shard.table.data() + set_base(key);
-  for (std::size_t w = 0; w < kWays; ++w) {
-    Entry& e = base[w];
-    if (e.stamp != 0 && e.fingerprint == key && e.n == g.num_nodes() &&
-        e.m == g.num_edges() && same_edges(e.edges, g)) {
-      return &e;
-    }
-  }
-  return nullptr;
+void SharedCostCache::erase(Lru::iterator it) {
+  resident_bytes_ -= entry_bytes(it->m);
+  index_.erase(it->key);
+  lru_.erase(it);
 }
 
 bool SharedCostCache::find(const Topology& g, CostBreakdown& out,
                            std::uint64_t salt) {
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  Entry* e = find_entry(shard, g, key);
-  if (e == nullptr) {
-    ++shard.stats.misses;
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto found = index_.find(key);
+  if (found == index_.end() || !holds(*found->second, g)) {
+    ++stats_.misses;
     return false;
   }
-  e->stamp = ++shard.clock;
-  ++shard.stats.hits;
-  out = e->value;
+  lru_.splice(lru_.begin(), lru_, found->second);
+  ++stats_.hits;
+  out = found->second->value;
   return true;
 }
 
-bool SharedCostCache::insert(const Topology& g, const CostBreakdown& b,
-                             std::uint64_t salt) {
+CacheInsert SharedCostCache::insert(const Topology& g, const CostBreakdown& b,
+                                    std::uint64_t salt) {
+  const std::size_t bytes = entry_bytes(g.num_edges());
+  if (bytes > max_bytes_) return {};  // would evict everything; pass through
   const std::uint64_t key = g.fingerprint() ^ salt;
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  bool evicted = false;
-  Entry* victim = find_entry(shard, g, key);
-  if (victim == nullptr) {
-    // Prefer an empty way; otherwise evict the set's LRU entry.
-    Entry* base = shard.table.data() + set_base(key);
-    victim = base;
-    for (std::size_t w = 0; w < kWays; ++w) {
-      Entry& e = base[w];
-      if (e.stamp == 0) {
-        victim = &e;
-        break;
-      }
-      if (e.stamp < victim->stamp) victim = &e;
+  std::vector<std::uint64_t> edges = pack_edges(g);  // allocate off the lock
+  CacheInsert result;
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto found = index_.find(key);
+  if (found != index_.end()) {
+    const Lru::iterator it = found->second;
+    if (holds(*it, g)) {
+      it->value = b;
+      lru_.splice(lru_.begin(), lru_, it);
+      ++stats_.inserts;
+      result.stored = true;
+      return result;
     }
-    if (victim->stamp != 0) {
-      ++shard.stats.evictions;
-      evicted = true;
-    } else {
-      ++shard.live;
-    }
-    victim->fingerprint = key;
-    victim->n = static_cast<std::uint32_t>(g.num_nodes());
-    victim->m = static_cast<std::uint32_t>(g.num_edges());
-    pack_edges(g, victim->edges);
+    erase(it);  // a colliding graph under the same key: the newcomer wins
+    ++result.evicted;
   }
-  victim->value = b;
-  victim->stamp = ++shard.clock;
-  ++shard.stats.inserts;
-  return evicted;
+  while (resident_bytes_ + bytes > max_bytes_) {
+    erase(std::prev(lru_.end()));
+    ++result.evicted;
+  }
+  lru_.push_front(Entry{key, static_cast<std::uint32_t>(g.num_nodes()),
+                        static_cast<std::uint32_t>(g.num_edges()),
+                        std::move(edges), b});
+  index_.emplace(key, lru_.begin());
+  resident_bytes_ += bytes;
+  ++stats_.inserts;
+  stats_.evictions += result.evicted;
+  result.stored = true;
+  return result;
 }
 
 EvalCacheStats SharedCostCache::stats() const {
-  EvalCacheStats total;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mu);
-    total += shards_[s].stats;
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 std::size_t SharedCostCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mu);
-    total += shards_[s].live;
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
+}
+
+std::size_t SharedCostCache::resident_bytes() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return resident_bytes_;
 }
 
 }  // namespace cold

@@ -2,45 +2,54 @@
 // the engine configuration and counter types threaded down to Evaluator.
 //
 // GA populations revisit topologies constantly (elites survive unchanged,
-// crossover recreates parents, mutation round-trips), so a large fraction of
-// cost evaluations are exact repeats. SharedCostCache memoizes CostBreakdown
-// results keyed by the topology's Zobrist fingerprint (graph/topology.h)
-// plus (n, m), turning a repeat from an O(n * (n+m) log n) routing sweep
-// into an O(m) verification. One instance is shared by a root Evaluator and
-// every clone of it, so an elite scored on worker 0 hits on worker 3.
+// crossover recreates parents, mutation round-trips), and the greedy hub
+// heuristics re-score the same hub sets across strategies, so a large
+// fraction of cost evaluations are exact repeats. SharedCostCache memoizes
+// CostBreakdown results keyed by the topology's Zobrist fingerprint
+// (graph/topology.h) plus (n, m), turning a repeat from an
+// O(n * (n+m) log n) routing sweep into an O(m) verification. One instance
+// is shared by a root Evaluator and every clone of it, so an elite scored on
+// worker 0 hits on worker 3.
 //
-// Organisation: kShards independent set-associative tables, each guarded by
-// its own mutex (lock striping). A lookup or insert locks exactly one shard,
-// so workers touch disjoint shards concurrently and colliding workers
-// serialize only per-shard. The shard comes from the *high* fingerprint
-// bits, the set within the shard from the *low* bits — independent slices
-// of an already avalanched 64-bit fingerprint. Each set holds kWays entries
-// managed LRU by a per-shard access stamp; eviction replaces the
-// least-recently-used way of a full set, which bounds memory at ~capacity
-// entries with no rehashing and no tombstones.
+// Organisation: one fingerprint index over one global LRU list, guarded by
+// one mutex held for a hash probe, an O(m) verification and a relink. On a
+// 4-core host, GA runs at n = 20–40 with 1–8 workers found the lock held
+// on at most 15% of acquisitions and timed the same as the 64-shard striped
+// table this replaced (DESIGN.md §4.4 has the figures); more cores than
+// that are unmeasured.
+//
+// Memory: bounded in bytes, not entries. Each entry is charged every byte
+// it owns — the record with its LRU links, the packed edge list (8 bytes
+// per edge) and its index node — and inserts evict least-recently-used
+// entries until the new one fits. An entry larger than the whole budget is
+// never stored, so at city-scale n the cache passes every evaluation
+// through, as the delta engine's byte-bounded ring does. Nothing is
+// allocated until the first insert: constructing an Evaluator costs one
+// small allocation however large the budget.
 //
 // Collision policy: fingerprints are 64-bit XORs of per-edge keys, so
 // distinct edge sets *can* collide. A hit is therefore only reported after
 // full edge-set verification — the entry stores its packed edge list and
 // every stored edge is checked against the queried topology (equal edge
 // counts make one-sided containment sufficient). A verification failure
-// counts as a miss; correctness never rests on hash uniqueness. find()
-// copies the stored breakdown out under the shard lock — returning a
-// pointer would race with a concurrent eviction.
+// counts as a miss, and inserting the newcomer replaces the resident
+// entry; correctness never rests on hash uniqueness. find() copies the
+// stored breakdown out under the lock — returning a pointer would race with
+// a concurrent eviction.
 //
 // Determinism: the cache stores exact breakdowns, so cached and recomputed
 // results are bit-identical and enabling the cache cannot change any
 // optimization trajectory, cost or trace — only hit rates and wall-clock.
-// Per-shard counters are updated under the shard lock, which makes the
-// aggregate stats() conservation exact: hits + misses == find calls,
-// regardless of interleaving.
+// Counters are updated under the lock, which makes stats() conservation
+// exact: hits + misses == find calls, regardless of interleaving.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -52,8 +61,10 @@ namespace cold {
 
 /// Tuning for an Evaluator's memoization cache.
 struct EvalCacheConfig {
-  bool enabled = false;        ///< off by default; --eval-cache turns it on
-  std::size_t capacity = 1 << 14;  ///< max resident entries (LRU-bounded)
+  bool enabled = true;  ///< on by default; --eval-cache off disables it
+  /// Budget for everything the cache holds (SharedCostCache::entry_bytes
+  /// per entry); least-recently-used entries are evicted to stay within it.
+  std::size_t max_bytes = std::size_t{256} << 10;  ///< 256 KiB
 
   friend bool operator==(const EvalCacheConfig&,
                          const EvalCacheConfig&) = default;
@@ -218,7 +229,7 @@ struct EvalCacheStats {
   std::uint64_t hits = 0;       ///< verified fingerprint matches
   std::uint64_t misses = 0;     ///< lookups that fell through to routing
   std::uint64_t inserts = 0;    ///< entries written
-  std::uint64_t evictions = 0;  ///< LRU replacements of live entries
+  std::uint64_t evictions = 0;  ///< live entries removed to make room
 
   std::uint64_t lookups() const { return hits + misses; }
   double hit_rate() const {
@@ -239,71 +250,74 @@ struct EvalCacheStats {
                          const EvalCacheStats&) = default;
 };
 
-/// Sharded, lock-striped, fingerprint-keyed memo table for CostBreakdown
+/// What one SharedCostCache::insert did.
+struct CacheInsert {
+  bool stored = false;        ///< false: the entry exceeds the whole budget
+  std::uint64_t evicted = 0;  ///< live entries removed to make room
+};
+
+/// Byte-bounded, fingerprint-keyed LRU memo table for CostBreakdown
 /// results. Thread-safe; one instance is shared by an Evaluator and all of
 /// its clones (see the file comment).
 class SharedCostCache {
  public:
   explicit SharedCostCache(const EvalCacheConfig& config);
 
-  /// Looks up `g`; on a verified hit copies the stored breakdown into `out`
-  /// and returns true. Counts one hit or one miss on the shard (including
-  /// fingerprint collisions that fail verification). `salt` is XORed into
-  /// the lookup key so evaluators scoring the same topologies under
-  /// different objectives (plain vs resilient) index disjoint entries:
-  /// equal topologies have equal fingerprints, so their keys differ unless
-  /// the salts match too.
+  /// Looks up `g`; on a verified hit copies the stored breakdown into `out`,
+  /// marks the entry most recently used and returns true. Counts one hit or
+  /// one miss (including fingerprint collisions that fail verification).
+  /// `salt` is XORed into the lookup key so evaluators scoring the same
+  /// topologies under different objectives (plain vs resilient) index
+  /// disjoint entries: equal topologies have equal fingerprints, so their
+  /// keys differ unless the salts match too.
   bool find(const Topology& g, CostBreakdown& out, std::uint64_t salt = 0);
 
-  /// Stores `b` as the breakdown for `g` under `salt`, evicting the set's
-  /// LRU way if needed (overwriting in place if `g` is already resident
-  /// under the same salt, e.g. when two workers missed on the same topology
-  /// concurrently). Returns true iff a live entry was evicted.
-  bool insert(const Topology& g, const CostBreakdown& b,
-              std::uint64_t salt = 0);
+  /// Stores `b` as the breakdown for `g` under `salt` as the most recently
+  /// used entry, evicting LRU entries until it fits the byte budget
+  /// (overwriting in place if `g` is already resident under the same salt,
+  /// e.g. when two workers missed on the same topology concurrently). An
+  /// entry larger than the whole budget is not stored.
+  CacheInsert insert(const Topology& g, const CostBreakdown& b,
+                     std::uint64_t salt = 0);
 
-  /// Sums the per-shard counters (locks each shard once).
+  /// The counters of every operation so far.
   EvalCacheStats stats() const;
 
-  /// Live entries across all shards (locks each shard once).
+  /// Live entries.
   std::size_t size() const;
 
-  std::size_t capacity() const { return kShards * sets_per_shard_ * kWays; }
+  /// Bytes charged for the live entries; never above max_bytes().
+  std::size_t resident_bytes() const;
 
-  static constexpr std::size_t kWays = 4;    ///< associativity per set
-  static constexpr std::size_t kShards = 64;  ///< power of two (mask index)
+  std::size_t max_bytes() const { return max_bytes_; }
+
+  /// Bytes charged for the entry of an `m`-edge topology.
+  static std::size_t entry_bytes(std::size_t m);
 
  private:
   struct Entry {
-    std::uint64_t fingerprint = 0;  ///< fingerprint ^ salt
-    std::uint64_t stamp = 0;  ///< LRU access clock; 0 marks an empty way
+    std::uint64_t key = 0;  ///< fingerprint ^ salt
     std::uint32_t n = 0;
     std::uint32_t m = 0;
     std::vector<std::uint64_t> edges;  ///< packed (u << 32 | v), u < v
     CostBreakdown value;
   };
+  /// Front = most recently used. List nodes never move, so the index can
+  /// hold iterators across splices.
+  using Lru = std::list<Entry>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Entry> table;  ///< sets_per_shard_ * kWays ways, set-major
-    std::uint64_t clock = 0;   ///< per-shard LRU stamp source
-    std::size_t live = 0;
-    EvalCacheStats stats;
-  };
+  /// True iff `e` stores exactly `g` (same n, m and edge set).
+  static bool holds(const Entry& e, const Topology& g);
 
-  Shard& shard_for(std::uint64_t key) {
-    // High bits pick the shard; set_base() below uses the low bits, so the
-    // two indices never alias.
-    return shards_[(key >> 48) & (kShards - 1)];
-  }
-  std::size_t set_base(std::uint64_t key) const {
-    return (key & (sets_per_shard_ - 1)) * kWays;
-  }
-  /// Returns the way storing `g` under `key` in (locked) `shard`, or nullptr.
-  Entry* find_entry(Shard& shard, const Topology& g, std::uint64_t key);
+  /// Removes `it` and its index node (lock held).
+  void erase(Lru::iterator it);
 
-  std::size_t sets_per_shard_;
-  std::unique_ptr<Shard[]> shards_;  ///< mutexes make Shard non-movable
+  const std::size_t max_bytes_;
+  mutable std::mutex mu_;
+  Lru lru_;
+  std::unordered_map<std::uint64_t, Lru::iterator> index_;
+  std::size_t resident_bytes_ = 0;
+  EvalCacheStats stats_;
 };
 
 }  // namespace cold

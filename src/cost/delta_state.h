@@ -14,7 +14,7 @@
 // fingerprint down as a hint; hinted slot first, then most-recent-first).
 //
 // The store is deliberately *not* shared across worker clones: a state is
-// ~29 n^2 bytes, so copying trees under a shard lock (cost_cache.h
+// ~29 n^2 bytes, so copying trees under a shared lock (cost_cache.h
 // style) would serialize the workers on exactly the data the delta path
 // needs fastest. Each clone retains the parents it scored; the GA's scorer
 // hands offspring to whichever worker is free (one dynamic parallel_for

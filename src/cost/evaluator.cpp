@@ -64,7 +64,8 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
   }
   init_engine_state();
   // Only root evaluators create the cache; clones receive the same instance
-  // in clone() so every worker sees every entry.
+  // in clone() so every worker sees every entry. The cache allocates nothing
+  // until its first insert, so it costs construction one small allocation.
   if (engine_.cache.enabled) {
     cache_ = std::make_shared<SharedCostCache>(engine_.cache);
   }
@@ -344,8 +345,9 @@ CostBreakdown Evaluator::finish_breakdown(
 
 void Evaluator::insert_in_cache(const Topology& g, const CostBreakdown& b) {
   if (cache_ == nullptr) return;
-  if (cache_->insert(g, b, cache_salt_)) ++cache_stats_.evictions;
-  ++cache_stats_.inserts;
+  const CacheInsert r = cache_->insert(g, b, cache_salt_);
+  cache_stats_.evictions += r.evicted;
+  if (r.stored) ++cache_stats_.inserts;
 }
 
 }  // namespace cold

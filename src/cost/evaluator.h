@@ -9,9 +9,10 @@
 // read-only) and own private scratch.
 //
 // The evaluation engine (EvalEngineConfig) adds three orthogonal levers:
-//   * a memoization cache (cost/cost_cache.h), shared by an evaluator and
-//     all of its clones, that short-circuits repeat evaluations by Zobrist
-//     fingerprint with full-adjacency verification;
+//   * a byte-bounded memoization cache (cost/cost_cache.h), on by default
+//     and shared by an evaluator and all of its clones, that
+//     short-circuits repeat evaluations by Zobrist fingerprint with
+//     full-adjacency verification;
 //   * the shortest-path solver choice (graph/shortest_paths.h);
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips

@@ -90,7 +90,7 @@ ResilienceSummary ResilienceEngine::assess(
   for (const std::vector<Edge>& removed : scenarios) {
     for (const Edge& e : removed) damaged_.remove_edge(e.u, e.v);
     const FailureImpact impact =
-        sweep_scenario(g, damaged_, removed, *base_trees, base_loads);
+        sweep_scenario(damaged_, removed, *base_trees, base_loads);
     // add_edge XORs the same per-edge keys back in, so the fingerprint (and
     // the sorted adjacency) are restored exactly for the next scenario.
     for (const Edge& e : removed) damaged_.add_edge(e.u, e.v);
@@ -117,8 +117,7 @@ ResilienceSummary ResilienceEngine::assess(
 }
 
 FailureImpact ResilienceEngine::sweep_scenario(
-    const Topology& g, const Topology& damaged,
-    const std::vector<Edge>& removed,
+    const Topology& damaged, const std::vector<Edge>& removed,
     const std::vector<ShortestPathTree>& base_trees,
     const EdgeLoads& base_loads) {
   // Mirrors sim/failure's assess() term for term: same demand visit order

@@ -89,10 +89,10 @@ class ResilienceEngine {
   }
 
  private:
-  /// One scenario: `damaged` is `g` minus `removed`. Replicates
+  /// One scenario: `damaged` is the candidate minus `removed`. Replicates
   /// sim/failure's assess() accounting exactly (same thresholds, same
   /// accumulation order); see resilience.cpp.
-  FailureImpact sweep_scenario(const Topology& g, const Topology& damaged,
+  FailureImpact sweep_scenario(const Topology& damaged,
                                const std::vector<Edge>& removed,
                                const std::vector<ShortestPathTree>& base_trees,
                                const EdgeLoads& base_loads);

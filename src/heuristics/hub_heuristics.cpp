@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/algorithms.h"
@@ -38,8 +39,13 @@ NodeId nearest_hub(const HubState& state, NodeId v,
   return best;
 }
 
-// Best single-hub star: try every centre, keep the cheapest.
-std::pair<HubState, double> best_star(Evaluator& eval) {
+// The best single-hub star and its cost: every strategy's starting point.
+using Star = std::pair<HubState, double>;
+
+// Best single-hub star: try every centre, keep the cheapest. Deterministic
+// (no randomness, and the objective is a pure function of the topology), so
+// one scan serves every strategy and every RandomGreedy permutation.
+Star best_star(Evaluator& eval) {
   const std::size_t n = eval.num_nodes();
   HubState best_state;
   double best_cost = kInf;
@@ -145,9 +151,10 @@ HeuristicResult finish(Evaluator& eval, const HubState& state, double cost,
   return r;
 }
 
-HeuristicResult run_candidate_loop(Evaluator& eval, HubStrategy strategy) {
+HeuristicResult run_candidate_loop(Evaluator& eval, HubStrategy strategy,
+                                   const Star& star) {
   const std::size_t n = eval.num_nodes();
-  auto [state, cost] = best_star(eval);
+  auto [state, cost] = star;
   while (state.hubs.size() < n) {
     HubState best_state;
     double best_cost = cost;
@@ -173,13 +180,14 @@ HeuristicResult run_candidate_loop(Evaluator& eval, HubStrategy strategy) {
 }
 
 HeuristicResult run_random_greedy(Evaluator& eval, Rng& rng,
-                                  const HubHeuristicOptions& options) {
+                                  const HubHeuristicOptions& options,
+                                  const Star& star) {
   const std::size_t n = eval.num_nodes();
   HeuristicResult best;
   best.cost = kInf;
   const std::size_t perms = std::max<std::size_t>(1, options.num_permutations);
   for (std::size_t p = 0; p < perms; ++p) {
-    auto [state, cost] = best_star(eval);
+    auto [state, cost] = star;
     for (std::size_t idx : rng.permutation(n)) {
       const NodeId c = idx;
       if (state.is_hub(c)) continue;
@@ -196,6 +204,21 @@ HeuristicResult run_random_greedy(Evaluator& eval, Rng& rng,
     }
   }
   return best;
+}
+
+void require_two_pops(const Evaluator& eval) {
+  if (eval.num_nodes() < 2) {
+    throw std::invalid_argument("run_hub_heuristic: need at least 2 PoPs");
+  }
+}
+
+HeuristicResult run_from_star(Evaluator& eval, HubStrategy strategy, Rng& rng,
+                              const HubHeuristicOptions& options,
+                              const Star& star) {
+  if (strategy == HubStrategy::kRandomGreedy) {
+    return run_random_greedy(eval, rng, options, star);
+  }
+  return run_candidate_loop(eval, strategy, star);
 }
 
 }  // namespace
@@ -249,13 +272,8 @@ Topology build_hub_topology(std::size_t n, const std::vector<NodeId>& hubs,
 HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
                                   Rng& rng,
                                   const HubHeuristicOptions& options) {
-  if (eval.num_nodes() < 2) {
-    throw std::invalid_argument("run_hub_heuristic: need at least 2 PoPs");
-  }
-  if (strategy == HubStrategy::kRandomGreedy) {
-    return run_random_greedy(eval, rng, options);
-  }
-  return run_candidate_loop(eval, strategy);
+  require_two_pops(eval);
+  return run_from_star(eval, strategy, rng, options, best_star(eval));
 }
 
 std::vector<HeuristicResult> run_all_heuristics(
@@ -263,11 +281,18 @@ std::vector<HeuristicResult> run_all_heuristics(
     RunObserver* observer, StopCondition* stop) {
   if (stop != nullptr) stop->arm();
   std::vector<HeuristicResult> out;
+  // One star scan for every strategy, run (and timed and charged) with the
+  // first one, so a sweep stopped before it starts scores nothing.
+  std::optional<Star> star;
   for (HubStrategy s : all_hub_strategies()) {
     if (stop != nullptr && stop->should_stop()) break;
     const auto started = std::chrono::steady_clock::now();
     const std::size_t evals_before = eval.evaluations();
-    HeuristicResult r = run_hub_heuristic(eval, s, rng, options);
+    if (!star) {
+      require_two_pops(eval);
+      star = best_star(eval);
+    }
+    HeuristicResult r = run_from_star(eval, s, rng, options, *star);
     r.wall_ns = elapsed_ns(started);
     if (stop != nullptr) {
       stop->add_evaluations(eval.evaluations() - evals_before);

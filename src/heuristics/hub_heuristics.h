@@ -1,8 +1,9 @@
 // Greedy hub-growth heuristics (paper §5).
 //
 // Each heuristic starts from the best single-hub star (every other PoP a
-// leaf of the hub) and converts leaves to hubs one at a time while doing so
-// reduces network cost; remaining leaves always attach to their closest hub.
+// leaf of the hub; run_all_heuristics finds it once for all of them) and
+// converts leaves to hubs one at a time while doing so reduces network
+// cost; remaining leaves always attach to their closest hub.
 // The variants differ in how a new hub is wired to the existing hubs:
 //
 //   RandomGreedy      iterate PoPs in random permutations; greedy links
@@ -59,6 +60,11 @@ HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
 /// optional observer receives one HeuristicDone per heuristic; the optional
 /// stop condition is checked between heuristics (a stopped sweep returns
 /// the results computed so far) and charged with their evaluations.
+/// Results are bit-identical to one run_hub_heuristic call per strategy on
+/// the same `rng`. The best-star scan they all start from runs once for the
+/// whole sweep: n evaluations, where one scan per strategy and per
+/// RandomGreedy permutation would take (num_permutations + 3) * n. The
+/// first strategy's wall_ns and evaluations include that shared scan.
 std::vector<HeuristicResult> run_all_heuristics(
     Evaluator& eval, Rng& rng, const HubHeuristicOptions& options = {},
     RunObserver* observer = nullptr, StopCondition* stop = nullptr);

@@ -27,7 +27,9 @@ TEST(EvaluatorCache, CachedResultsAreBitIdentical) {
   EvalEngineConfig engine;
   engine.cache.enabled = true;
   Evaluator cached(ctx.distances, ctx.traffic, kCosts, engine);
-  Evaluator plain(ctx.distances, ctx.traffic, kCosts);
+  EvalEngineConfig off;
+  off.cache.enabled = false;
+  Evaluator plain(ctx.distances, ctx.traffic, kCosts, off);
 
   Rng rng(2);
   Topology g = Topology::complete(12);

@@ -26,8 +26,10 @@ Context small_context(std::size_t n, std::uint64_t seed) {
   return generate_context(cfg, rng);
 }
 
+/// The delta engine alone: the cache is off, so every evaluation routes.
 EvalEngineConfig delta_on() {
   EvalEngineConfig engine;
+  engine.cache.enabled = false;
   engine.delta.mode = DsspMode::kOn;
   return engine;
 }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "core/context.h"
+#include "core/synthesizer.h"
 #include "geom/distance.h"
 #include "graph/algorithms.h"
 
@@ -12,12 +14,12 @@ namespace cold {
 namespace {
 
 Evaluator make_evaluator(std::size_t n, CostParams params,
-                         std::uint64_t seed = 1) {
+                         std::uint64_t seed = 1, EvalEngineConfig engine = {}) {
   ContextConfig cfg;
   cfg.num_pops = n;
   Rng rng(seed);
   const Context ctx = generate_context(cfg, rng);
-  return Evaluator(ctx.distances, ctx.traffic, params);
+  return Evaluator(ctx.distances, ctx.traffic, params, engine);
 }
 
 TEST(HubHeuristics, AllStrategiesReturnConnectedFiniteCost) {
@@ -94,6 +96,93 @@ TEST(HubHeuristics, RandomGreedyMorePermutationsNeverWorse) {
   const auto r_many =
       run_hub_heuristic(eval2, HubStrategy::kRandomGreedy, rng2, many);
   EXPECT_LE(r_many.cost, r_few.cost + 1e-9);
+}
+
+TEST(HubHeuristics, SharedStarScanMatchesSequentialRuns) {
+  // run_all_heuristics scans for the best star once for the whole sweep.
+  // Two references on the same Rng seed: four run_hub_heuristic calls (one
+  // scan each), and a replay with one scan per strategy and per
+  // RandomGreedy permutation — p one-permutation RandomGreedy runs draw the
+  // same permutations as one p-permutation run, and the first strict
+  // minimum among them is its result. Results, cost bits and the Rng
+  // stream must agree exactly, with exactly 3 * n and (p + 2) * n fewer
+  // evaluations — with the cache on or off, since hits count as
+  // evaluations.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t n : {12u, 20u}) {
+    for (const bool cache : {false, true}) {
+      HubHeuristicOptions options;
+      options.num_permutations = 4;
+      EvalEngineConfig engine;
+      engine.cache.enabled = cache;
+      const CostParams costs{10, 1, 4e-4, 10};
+      Evaluator shared = make_evaluator(n, costs, n, engine);
+      Evaluator per_call = make_evaluator(n, costs, n, engine);
+      Evaluator per_permutation = make_evaluator(n, costs, n, engine);
+      Rng rng_shared(11), rng_per_call(11), rng_per_permutation(11);
+      const std::vector<HeuristicResult> all =
+          run_all_heuristics(shared, rng_shared, options);
+
+      std::vector<HeuristicResult> calls;
+      for (const HubStrategy s : all_hub_strategies()) {
+        calls.push_back(run_hub_heuristic(per_call, s, rng_per_call, options));
+      }
+
+      std::vector<HeuristicResult> replay;
+      HubHeuristicOptions one_permutation;
+      one_permutation.num_permutations = 1;
+      for (std::size_t p = 0; p < options.num_permutations; ++p) {
+        HeuristicResult r =
+            run_hub_heuristic(per_permutation, HubStrategy::kRandomGreedy,
+                              rng_per_permutation, one_permutation);
+        if (replay.empty() || r.cost < replay[0].cost) {
+          replay.assign(1, std::move(r));
+        }
+      }
+      for (const HubStrategy s : all_hub_strategies()) {
+        if (s == HubStrategy::kRandomGreedy) continue;
+        replay.push_back(
+            run_hub_heuristic(per_permutation, s, rng_per_permutation));
+      }
+
+      for (const std::vector<HeuristicResult>* want : {&calls, &replay}) {
+        ASSERT_EQ(all.size(), want->size());
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          const HeuristicResult& w = (*want)[i];
+          EXPECT_EQ(all[i].name, w.name);
+          EXPECT_TRUE(all[i].topology == w.topology) << w.name;
+          EXPECT_EQ(bits(all[i].cost), bits(w.cost)) << w.name;
+        }
+      }
+      const std::uint64_t next = rng_shared.next_u64();
+      EXPECT_EQ(next, rng_per_call.next_u64());
+      EXPECT_EQ(next, rng_per_permutation.next_u64());
+      EXPECT_EQ(per_call.evaluations() - shared.evaluations(), 3 * n);
+      EXPECT_EQ(per_permutation.evaluations() - shared.evaluations(),
+                (options.num_permutations + 2) * n);
+    }
+  }
+}
+
+TEST(Fig3, InitializedGaNeverWorseThanAnyHeuristicSeed) {
+  // Paper Fig. 3: the GA seeded with the heuristics' topologies keeps its
+  // best individual (elitism with exact costs), so its result is at most
+  // every heuristic's cost — exactly, with no tolerance.
+  for (const std::size_t n : {10u, 20u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SynthesisConfig cfg;
+      cfg.context.num_pops = n;
+      cfg.costs = CostParams{10, 1, 4e-4, 10};
+      cfg.ga.population = 20;
+      cfg.ga.generations = 10;
+      const SynthesisResult r = Synthesizer(cfg).synthesize(seed);
+      ASSERT_EQ(r.heuristics.size(), 4u);
+      for (const HeuristicResult& h : r.heuristics) {
+        EXPECT_LE(r.ga.best_cost, h.cost)
+            << "n=" << n << " seed=" << seed << " " << h.name;
+      }
+    }
+  }
 }
 
 TEST(HubHeuristics, TwoNodeNetwork) {

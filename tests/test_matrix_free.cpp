@@ -270,7 +270,9 @@ TEST(MatrixFree, EnsembleExemplarsDeterministicAndRoundTrip) {
     EXPECT_EQ(exemplars[k].seed, opts.base_seed + exemplars[k].index);
     EXPECT_EQ(exemplars[k].num_pops, 10u);
     EXPECT_GT(exemplars[k].num_links, 0u);
-    if (k > 0) EXPECT_LT(exemplars[k - 1].index, exemplars[k].index);
+    if (k > 0) {
+      EXPECT_LT(exemplars[k - 1].index, exemplars[k].index);
+    }
     const EnsembleExemplar& in_report =
         sink.report().ensemble_exemplars->exemplars[k];
     EXPECT_EQ(in_report.seed, exemplars[k].seed);

@@ -3,7 +3,7 @@
 //   cold synth    [--pops N] [--k0 X --k2 X --k3 X] [--seed S]
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
-//                 [--max-evals N] [--eval-cache] [--eval-cache-size N]
+//                 [--max-evals N] [--eval-cache on|off]
 //                 [--dedup] [--dijkstra auto|dense|sparse]
 //                 [--dsssp on|off|auto]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
@@ -74,9 +74,8 @@ const std::vector<OptionSpec> kGaOpts = {
 // Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
 // produces bit-identical networks; these trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
-    {"eval-cache", false, "memoize cost evaluations (one cache shared by "
-                          "every worker)"},
-    {"eval-cache-size", true, "N entries (16384)"},
+    {"eval-cache", true, "on|off (on): memoize cost evaluations in one "
+                         "256 KiB cache shared by every worker"},
     {"dedup", false, "score each distinct GA offspring once"},
     {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
@@ -222,10 +221,10 @@ void print_usage() {
       "            synth/ensemble/grow also take --progress, --max-seconds T\n"
       "            and --max-evals N (stop budgets; partial results stay\n"
       "            valid)\n"
-      "  engine    (synth/ensemble/grow): --eval-cache memoizes cost\n"
-      "            evaluations in one cache shared by every worker thread,\n"
-      "            --eval-cache-size N bounds it (16384), --dedup scores\n"
-      "            each distinct GA offspring once per generation, --dijkstra\n"
+      "  engine    (synth/ensemble/grow): --eval-cache on|off (on)\n"
+      "            memoizes cost evaluations in one 256 KiB cache shared by\n"
+      "            every worker thread, --dedup scores each distinct GA\n"
+      "            offspring once per generation, --dijkstra\n"
       "            auto|dense|sparse picks the shortest-path solver, and\n"
       "            --dsssp on|off|auto re-routes near-parent offspring\n"
       "            incrementally (auto enables it above 16 PoPs), and\n"
@@ -297,9 +296,13 @@ EvalEngineConfig engine_from(const CliOptions& args) {
     DistanceProvider::set_dense_auto_threshold(threshold);
   }
   EvalEngineConfig engine;
-  engine.cache.enabled = args.has("eval-cache");
-  engine.cache.capacity =
-      args.uint("eval-cache-size", engine.cache.capacity);
+  const std::string cache = args.get("eval-cache", "on");
+  if (cache == "on" || cache == "off") {
+    engine.cache.enabled = cache == "on";
+  } else {
+    throw std::invalid_argument("unknown --eval-cache: " + cache +
+                                " (expected on or off)");
+  }
   const std::string algo = args.get("dijkstra", "auto");
   if (algo == "auto") {
     engine.sp_algorithm = SpAlgorithm::kAuto;
