@@ -1,6 +1,7 @@
 #include "cost/evaluator.h"
 
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -58,6 +59,21 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
       params_(params),
       engine_(engine) {
   params_.validate();
+  // The objective's extra terms must be >= 0: the hub heuristics prune with
+  // a lower bound that omits them (heuristics/hub_bound.h).
+  const double res_weight = engine_.resilience.weight;
+  if (engine_.resilience.enabled &&
+      (!std::isfinite(res_weight) || res_weight < 0.0)) {
+    throw std::invalid_argument(
+        "Evaluator: resilience weight must be finite and >= 0");
+  }
+  for (const double w : {engine_.multipath.max_util_weight,
+                         engine_.multipath.oversub_weight}) {
+    if (!std::isfinite(w) || w < 0.0) {
+      throw std::invalid_argument(
+          "Evaluator: multipath objective weights must be finite and >= 0");
+    }
+  }
   const std::size_t n = lengths_.rows();
   if (traffic_.rows() != n) {
     throw std::invalid_argument("Evaluator: traffic/lengths size mismatch");

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "graph/algorithms.h"
+#include "heuristics/hub_bound.h"
 
 namespace cold {
 
@@ -42,22 +43,45 @@ NodeId nearest_hub(const HubState& state, NodeId v,
 // The best single-hub star and its cost: every strategy's starting point.
 using Star = std::pair<HubState, double>;
 
-// Best single-hub star: try every centre, keep the cheapest. Deterministic
-// (no randomness, and the objective is a pure function of the topology), so
-// one scan serves every strategy and every RandomGreedy permutation.
-Star best_star(Evaluator& eval) {
-  const std::size_t n = eval.num_nodes();
-  HubState best_state;
-  double best_cost = kInf;
-  for (NodeId centre = 0; centre < n; ++centre) {
-    HubState state{{centre}, {}};
-    const double c = eval.cost(realize(state, n, eval.lengths()));
-    if (c < best_cost) {
-      best_cost = c;
-      best_state = state;
-    }
+// Per-run scoring state: the exact evaluator, the contracted bound, and the
+// scratch every argmin round of the run reuses.
+struct Scorer {
+  Evaluator& eval;
+  HubBound bound;
+  std::vector<ScreenedCandidate> round;
+  HubState trial;
+
+  explicit Scorer(Evaluator& e) : eval(e), bound(e) {}
+
+  double lower_bound(const HubState& s) {
+    return bound.lower_bound(s.hubs, s.hub_links);
   }
-  return {best_state, best_cost};
+  double exact(const HubState& s) {
+    return eval.cost(realize(s, eval.num_nodes(), eval.lengths()));
+  }
+};
+
+// Best single-hub star: the cheapest centre, ties to the lowest id.
+// Deterministic (no randomness, and the objective is a pure function of the
+// topology), so one scan serves every strategy and every RandomGreedy
+// permutation.
+Star best_star(Scorer& sc) {
+  const std::size_t n = sc.eval.num_nodes();
+  HubState& trial = sc.trial;
+  trial.hubs.assign(1, NodeId{0});
+  trial.hub_links.clear();
+  sc.round.clear();
+  for (NodeId centre = 0; centre < n; ++centre) {
+    trial.hubs[0] = centre;
+    sc.round.push_back({sc.lower_bound(trial), centre});
+  }
+  const std::optional<ScreenedPick> pick =
+      screened_argmin(sc.round, kInf, [&](std::size_t centre) {
+        trial.hubs[0] = static_cast<NodeId>(centre);
+        return sc.exact(trial);
+      });
+  if (!pick) return {HubState{}, kInf};
+  return {HubState{{static_cast<NodeId>(pick->pos)}, {}}, pick->cost};
 }
 
 // Rewires the hub links according to the strategy's fixed policy
@@ -91,55 +115,49 @@ void rewire_fixed(HubState& state, HubStrategy strategy,
 // Greedy link expansion for a newly accepted hub `c` (paper: "picking the
 // lowest cost connecting link, etc., until there are no more cost
 // reductions"): starting from c's single nearest-hub link, keep adding the
-// (c, hub) link that lowers total cost the most.
-double greedy_expand_links(Evaluator& eval, HubState& state, NodeId c,
+// (c, hub) link that lowers total cost the most, ties to the earliest hub.
+double greedy_expand_links(Scorer& sc, HubState& state, NodeId c,
                            double current_cost) {
-  const std::size_t n = eval.num_nodes();
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    Edge best_link{};
-    double best_cost = current_cost;
-    for (NodeId h : state.hubs) {
-      if (h == c) continue;
-      const Edge cand = make_edge(c, h);
-      if (std::find(state.hub_links.begin(), state.hub_links.end(), cand) !=
-          state.hub_links.end()) {
-        continue;
-      }
-      state.hub_links.push_back(cand);
-      const double cost = eval.cost(realize(state, n, eval.lengths()));
+  const auto linked = [&](const Edge& e) {
+    return std::find(state.hub_links.begin(), state.hub_links.end(), e) !=
+           state.hub_links.end();
+  };
+  while (true) {
+    sc.round.clear();
+    for (std::size_t i = 0; i < state.hubs.size(); ++i) {
+      const NodeId h = state.hubs[i];
+      if (h == c || linked(make_edge(c, h))) continue;
+      state.hub_links.push_back(make_edge(c, h));
+      sc.round.push_back({sc.lower_bound(state), i});
       state.hub_links.pop_back();
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_link = cand;
-        improved = true;
-      }
     }
-    if (improved) {
-      state.hub_links.push_back(best_link);
-      current_cost = best_cost;
-    }
+    const std::optional<ScreenedPick> pick =
+        screened_argmin(sc.round, current_cost, [&](std::size_t i) {
+          state.hub_links.push_back(make_edge(c, state.hubs[i]));
+          const double cost = sc.exact(state);
+          state.hub_links.pop_back();
+          return cost;
+        });
+    if (!pick) return current_cost;
+    state.hub_links.push_back(make_edge(c, state.hubs[pick->pos]));
+    current_cost = pick->cost;
   }
-  return current_cost;
 }
 
-// Tentatively adds `c` as a hub under the given strategy; returns the
-// candidate cost (state is left modified; callers copy before trying).
-double add_hub(Evaluator& eval, HubState& state, NodeId c,
-               HubStrategy strategy) {
-  const std::size_t n = eval.num_nodes();
+// Adds `c` as a hub under the given strategy. Complete and Mst rewire the
+// hub links by their fixed policy; the greedy strategies wire the candidate
+// only to its nearest hub (the full greedy expansion happens once the
+// candidate is accepted).
+void add_hub(HubState& state, NodeId c, HubStrategy strategy,
+             const DistanceProvider& lengths) {
   if (strategy == HubStrategy::kComplete || strategy == HubStrategy::kMst) {
     state.hubs.push_back(c);
-    rewire_fixed(state, strategy, eval.lengths());
-    return eval.cost(realize(state, n, eval.lengths()));
+    rewire_fixed(state, strategy, lengths);
+    return;
   }
-  // Greedy strategies: candidate wired only to its nearest hub; the full
-  // greedy expansion happens once the candidate is accepted.
-  const NodeId h = nearest_hub(state, c, eval.lengths());
+  const NodeId h = nearest_hub(state, c, lengths);
   state.hubs.push_back(c);
   state.hub_links.push_back(make_edge(c, h));
-  return eval.cost(realize(state, n, eval.lengths()));
 }
 
 HeuristicResult finish(Evaluator& eval, const HubState& state, double cost,
@@ -151,38 +169,44 @@ HeuristicResult finish(Evaluator& eval, const HubState& state, double cost,
   return r;
 }
 
-HeuristicResult run_candidate_loop(Evaluator& eval, HubStrategy strategy,
-                                   const Star& star) {
-  const std::size_t n = eval.num_nodes();
-  auto [state, cost] = star;
-  while (state.hubs.size() < n) {
-    HubState best_state;
-    double best_cost = cost;
-    bool improved = false;
-    for (NodeId c = 0; c < n; ++c) {
-      if (state.is_hub(c)) continue;
-      HubState trial = state;
-      const double trial_cost = add_hub(eval, trial, c, strategy);
-      if (trial_cost < best_cost) {
-        best_cost = trial_cost;
-        best_state = std::move(trial);
-        improved = true;
-      }
-    }
-    if (!improved) break;
-    state = std::move(best_state);
-    cost = best_cost;
-    if (strategy == HubStrategy::kGreedyAttachment) {
-      cost = greedy_expand_links(eval, state, state.hubs.back(), cost);
-    }
-  }
-  return finish(eval, state, cost, strategy);
+// `state` plus hub `c`, built in the scorer's scratch.
+const HubState& trial_with(Scorer& sc, const HubState& state, NodeId c,
+                           HubStrategy strategy) {
+  sc.trial = state;
+  add_hub(sc.trial, c, strategy, sc.eval.lengths());
+  return sc.trial;
 }
 
-HeuristicResult run_random_greedy(Evaluator& eval, Rng& rng,
+HeuristicResult run_candidate_loop(Scorer& sc, HubStrategy strategy,
+                                   const Star& star) {
+  const std::size_t n = sc.eval.num_nodes();
+  auto [state, cost] = star;
+  while (state.hubs.size() < n) {
+    sc.round.clear();
+    for (NodeId c = 0; c < n; ++c) {
+      if (state.is_hub(c)) continue;
+      sc.round.push_back(
+          {sc.lower_bound(trial_with(sc, state, c, strategy)), c});
+    }
+    const std::optional<ScreenedPick> pick =
+        screened_argmin(sc.round, cost, [&](std::size_t c) {
+          return sc.exact(
+              trial_with(sc, state, static_cast<NodeId>(c), strategy));
+        });
+    if (!pick) break;
+    add_hub(state, static_cast<NodeId>(pick->pos), strategy, sc.eval.lengths());
+    cost = pick->cost;
+    if (strategy == HubStrategy::kGreedyAttachment) {
+      cost = greedy_expand_links(sc, state, state.hubs.back(), cost);
+    }
+  }
+  return finish(sc.eval, state, cost, strategy);
+}
+
+HeuristicResult run_random_greedy(Scorer& sc, Rng& rng,
                                   const HubHeuristicOptions& options,
                                   const Star& star) {
-  const std::size_t n = eval.num_nodes();
+  const std::size_t n = sc.eval.num_nodes();
   HeuristicResult best;
   best.cost = kInf;
   const std::size_t perms = std::max<std::size_t>(1, options.num_permutations);
@@ -191,16 +215,18 @@ HeuristicResult run_random_greedy(Evaluator& eval, Rng& rng,
     for (std::size_t idx : rng.permutation(n)) {
       const NodeId c = idx;
       if (state.is_hub(c)) continue;
-      HubState trial = state;
-      double trial_cost = add_hub(eval, trial, c, HubStrategy::kRandomGreedy);
+      const HubState& trial =
+          trial_with(sc, state, c, HubStrategy::kRandomGreedy);
+      // The exact cost is at least the bound: certain rejection.
+      if (sc.lower_bound(trial) >= cost) continue;
+      const double trial_cost = sc.exact(trial);
       if (trial_cost < cost) {
-        trial_cost = greedy_expand_links(eval, trial, c, trial_cost);
-        state = std::move(trial);
-        cost = trial_cost;
+        state = trial;
+        cost = greedy_expand_links(sc, state, c, trial_cost);
       }
     }
     if (cost < best.cost) {
-      best = finish(eval, state, cost, HubStrategy::kRandomGreedy);
+      best = finish(sc.eval, state, cost, HubStrategy::kRandomGreedy);
     }
   }
   return best;
@@ -212,13 +238,13 @@ void require_two_pops(const Evaluator& eval) {
   }
 }
 
-HeuristicResult run_from_star(Evaluator& eval, HubStrategy strategy, Rng& rng,
+HeuristicResult run_from_star(Scorer& sc, HubStrategy strategy, Rng& rng,
                               const HubHeuristicOptions& options,
                               const Star& star) {
   if (strategy == HubStrategy::kRandomGreedy) {
-    return run_random_greedy(eval, rng, options, star);
+    return run_random_greedy(sc, rng, options, star);
   }
-  return run_candidate_loop(eval, strategy, star);
+  return run_candidate_loop(sc, strategy, star);
 }
 
 }  // namespace
@@ -273,7 +299,8 @@ HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
                                   Rng& rng,
                                   const HubHeuristicOptions& options) {
   require_two_pops(eval);
-  return run_from_star(eval, strategy, rng, options, best_star(eval));
+  Scorer sc(eval);
+  return run_from_star(sc, strategy, rng, options, best_star(sc));
 }
 
 std::vector<HeuristicResult> run_all_heuristics(
@@ -283,6 +310,7 @@ std::vector<HeuristicResult> run_all_heuristics(
   std::vector<HeuristicResult> out;
   // One star scan for every strategy, run (and timed and charged) with the
   // first one, so a sweep stopped before it starts scores nothing.
+  Scorer sc(eval);
   std::optional<Star> star;
   for (HubStrategy s : all_hub_strategies()) {
     if (stop != nullptr && stop->should_stop()) break;
@@ -290,9 +318,9 @@ std::vector<HeuristicResult> run_all_heuristics(
     const std::size_t evals_before = eval.evaluations();
     if (!star) {
       require_two_pops(eval);
-      star = best_star(eval);
+      star = best_star(sc);
     }
-    HeuristicResult r = run_from_star(eval, s, rng, options, *star);
+    HeuristicResult r = run_from_star(sc, s, rng, options, *star);
     r.wall_ns = elapsed_ns(started);
     if (stop != nullptr) {
       stop->add_evaluations(eval.evaluations() - evals_before);

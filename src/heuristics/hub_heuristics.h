@@ -11,6 +11,10 @@
 //   Mst               try every candidate; hubs connected by an MST
 //   GreedyAttachment  try every candidate; greedy links per new hub
 //
+// Every candidate is first screened with a certified lower bound on its
+// cost (heuristics/hub_bound.h); only candidates the bound cannot rule out
+// are evaluated, so results are identical to scoring every candidate.
+//
 // These serve two roles, exactly as in the paper: (a) competitors used to
 // validate the GA (Fig 3), and (b) seed topologies for the "initialized GA",
 // which is then guaranteed to be at least as good as every heuristic.
@@ -62,8 +66,7 @@ HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
 /// the results computed so far) and charged with their evaluations.
 /// Results are bit-identical to one run_hub_heuristic call per strategy on
 /// the same `rng`. The best-star scan they all start from runs once for the
-/// whole sweep: n evaluations, where one scan per strategy and per
-/// RandomGreedy permutation would take (num_permutations + 3) * n. The
+/// whole sweep, not once per strategy and per RandomGreedy permutation. The
 /// first strategy's wall_ns and evaluations include that shared scan.
 std::vector<HeuristicResult> run_all_heuristics(
     Evaluator& eval, Rng& rng, const HubHeuristicOptions& options = {},

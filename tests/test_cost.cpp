@@ -105,6 +105,39 @@ TEST(Evaluator, ValidatesShapes) {
   EXPECT_THROW(eval.cost(Topology(3)), std::invalid_argument);
 }
 
+TEST(Evaluator, ValidatesObjectiveWeights) {
+  // The extra objective terms must be >= 0 for any caller, not only the
+  // Synthesizer: the hub heuristics' lower bound omits them.
+  const std::vector<Point> pts{{0, 0}, {1, 0}};
+  const auto make = [&](EvalEngineConfig engine) {
+    return Evaluator(distance_matrix(pts), gravity_matrix({1.0, 1.0}),
+                     CostParams{}, engine);
+  };
+  for (const double bad : {-1.0, kInf, std::nan("")}) {
+    EvalEngineConfig resilient;
+    resilient.resilience.enabled = true;
+    resilient.resilience.weight = bad;
+    EXPECT_THROW(make(resilient), std::invalid_argument) << bad;
+    EvalEngineConfig util;
+    util.multipath.mode = MultipathMode::kEcmp;
+    util.multipath.max_util_weight = bad;
+    EXPECT_THROW(make(util), std::invalid_argument) << bad;
+    EvalEngineConfig oversub;
+    oversub.multipath.mode = MultipathMode::kWcmp;
+    oversub.multipath.oversub_weight = bad;
+    EXPECT_THROW(make(oversub), std::invalid_argument) << bad;
+  }
+  EvalEngineConfig ok;
+  ok.resilience.enabled = true;
+  ok.resilience.weight = 0.0;
+  EXPECT_NO_THROW(make(ok));
+  ok.resilience.enabled = false;
+  ok.multipath.mode = MultipathMode::kEcmp;
+  ok.multipath.max_util_weight = 2.0;
+  ok.multipath.oversub_weight = 0.0;
+  EXPECT_NO_THROW(make(ok));
+}
+
 TEST(Evaluator, K3ChargesOnlyCoreNodes) {
   // Star: 1 core node. Path: 1 core node (middle). Triangle: 3.
   CostParams params{0.0, 0.0, 0.0, 7.0};
