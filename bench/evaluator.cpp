@@ -12,10 +12,10 @@
 //      Evaluator clones sharing one cache. Gate: the hit rate equals the
 //      single-evaluator cold pass at every worker count — an entry filled
 //      by any clone serves all of them, so the partition is invisible.
-//   4. Sparse vs dense shortest paths: evaluate m ~ n topologies (MST plus
-//      a few chords — the shapes synthesis actually produces) at n = 80 and
-//      n = 120 with the solver forced dense vs sparse. Gate: sparse wins at
-//      both sizes.
+//   4. Sparse vs dense shortest paths: route m ~ n topologies (MST plus a
+//      few chords — the shapes synthesis actually produces) at n = 80 and
+//      n = 120 through route_loads with the solver forced dense vs sparse.
+//      Gates: sparse wins at both sizes, with bitwise-identical loads.
 //   5. Delta evaluation (dynamic SSSP): replay the recorded trace with the
 //      GA's parent hints through a delta-enabled, cache-off Evaluator —
 //      every evaluation is a cache miss, so the speedup isolates
@@ -44,6 +44,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -176,8 +177,8 @@ ReplaySample replay_multi_worker(const Context& ctx, const CostParams& costs,
 struct SparseSample {
   std::size_t pops = 0;
   std::size_t edges = 0;
-  double dense_eps = 0.0;   // evals/sec, solver forced dense
-  double sparse_eps = 0.0;  // evals/sec, solver forced sparse
+  double dense_eps = 0.0;   // route_loads sweeps/sec, solver forced dense
+  double sparse_eps = 0.0;  // route_loads sweeps/sec, solver forced sparse
   bool auto_picks_sparse = false;
   bool identical = false;
 };
@@ -195,26 +196,26 @@ SparseSample measure_sparse_vs_dense(std::size_t n, std::size_t reps) {
   s.auto_picks_sparse =
       select_sp_algorithm(n, g.num_edges()) == SpAlgorithm::kSparse;
 
-  const CostParams costs{10.0, 1.0, 4e-4, 10.0};
-  double dense_cost = 0.0, sparse_cost = 0.0;
+  EdgeLoads dense_loads, sparse_loads;
+  bool routed = true;
   for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    EvalEngineConfig engine = uncached();
-    engine.sp_algorithm = algo;
-    Evaluator eval(ctx.distances, ctx.traffic, costs, engine);
-    eval.cost(g);  // warm the workspace outside the timed region
-    double last = 0.0;
+    const bool dense = algo == SpAlgorithm::kDense;
+    EdgeLoads& loads = dense ? dense_loads : sparse_loads;
+    RoutingWorkspace ws;
+    const RouteOptions opt{.algo = algo};
+    // The checked first sweep also warms the workspace, outside the timing.
+    routed = routed &&
+             route_loads(g, ctx.distances, ctx.traffic, loads, ws, opt);
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) last = eval.cost(g);
-    const double eps = static_cast<double>(reps) / seconds_since(t0);
-    if (algo == SpAlgorithm::kDense) {
-      s.dense_eps = eps;
-      dense_cost = last;
-    } else {
-      s.sparse_eps = eps;
-      sparse_cost = last;
+    for (std::size_t r = 0; r < reps; ++r) {
+      route_loads(g, ctx.distances, ctx.traffic, loads, ws, opt);
     }
+    const double eps = static_cast<double>(reps) / seconds_since(t0);
+    (dense ? s.dense_eps : s.sparse_eps) = eps;
   }
-  s.identical = dense_cost == sparse_cost;
+  s.identical = routed &&
+                std::memcmp(dense_loads.value.data(), sparse_loads.value.data(),
+                            dense_loads.value.size() * sizeof(double)) == 0;
   return s;
 }
 
@@ -416,7 +417,7 @@ int main(int argc, char** argv) {
     const SparseSample s = measure_sparse_vs_dense(size, reps);
     sparse_samples.push_back(s);
     std::printf(
-        "n=%3zu m=%3zu  dense %8.1f evals/s | sparse %8.1f evals/s | "
+        "n=%3zu m=%3zu  dense %8.1f sweeps/s | sparse %8.1f sweeps/s | "
         "%.2fx  auto=%s identical=%s\n",
         s.pops, s.edges, s.dense_eps, s.sparse_eps,
         s.sparse_eps / s.dense_eps, s.auto_picks_sparse ? "sparse" : "dense",
@@ -565,9 +566,9 @@ int main(int argc, char** argv) {
       const SparseSample& s = sparse_samples[i];
       std::fprintf(f,
                    "    {\"pops\": %zu, \"edges\": %zu, "
-                   "\"evals_per_sec_dense\": %.1f, "
-                   "\"evals_per_sec_sparse\": %.1f, \"speedup\": %.3f, "
-                   "\"auto_picks_sparse\": %s, \"identical_costs\": %s}%s\n",
+                   "\"sweeps_per_sec_dense\": %.1f, "
+                   "\"sweeps_per_sec_sparse\": %.1f, \"speedup\": %.3f, "
+                   "\"auto_picks_sparse\": %s, \"identical_loads\": %s}%s\n",
                    s.pops, s.edges, s.dense_eps, s.sparse_eps,
                    s.sparse_eps / s.dense_eps,
                    s.auto_picks_sparse ? "true" : "false",

@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
   EdgeLoads base_loads;
   RoutingWorkspace ws;
   std::vector<ShortestPathTree> base_trees;
-  if (!route_loads_retained(g, ctx.distances, ctx.traffic, base_loads,
-                            base_trees, ws)) {
+  if (!route_loads(g, ctx.distances, ctx.traffic, base_loads, ws,
+                   {.retain = &base_trees})) {
     std::fprintf(stderr, "candidate unroutable — bench bug\n");
     return 1;
   }

@@ -53,9 +53,8 @@
 #include <vector>
 
 #include "cost/cost_model.h"
-#include "graph/shortest_paths.h"
 #include "graph/topology.h"
-#include "net/multipath.h"
+#include "net/routing.h"
 
 namespace cold {
 
@@ -181,7 +180,7 @@ struct ResilienceStats {
 
 /// Multipath routing settings for the evaluation engine
 /// (`cold synth --multipath off|ecmp|wcmp`). The mode changes how loads are
-/// computed (net/multipath.h), and the weights add utilization terms to the
+/// computed (net/routing.h), and the weights add utilization terms to the
 /// objective — so, like ResilienceConfig, an active config salts the cache
 /// key (see Evaluator::cache_salt). On unique-shortest-path topologies ECMP
 /// loads — and therefore costs at zero weights — are bit-identical to the
@@ -207,7 +206,6 @@ struct MultipathConfig {
 /// Evaluation-engine knobs threaded from config/CLI down to the Evaluator.
 struct EvalEngineConfig {
   EvalCacheConfig cache;
-  SpAlgorithm sp_algorithm = SpAlgorithm::kAuto;
   DeltaConfig delta;
   /// Survivability term of the objective (cost/resilience.h evaluates it).
   /// Unlike the other engine knobs this one changes costs — resilient and

@@ -90,7 +90,7 @@ struct ResilienceSummary {
 };
 
 /// Utilization aggregates of one candidate's routed loads, computed by the
-/// evaluator when a multipath objective term is active (net/multipath.h).
+/// evaluator when a multipath objective term is active (net/routing.h).
 /// Pure functions of the topology for a fixed engine config, so caching and
 /// threading never change them.
 struct MultipathSummary {

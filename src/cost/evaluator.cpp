@@ -168,49 +168,18 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g,
     ++cache_stats_.misses;
   }
   if (delta_store_) return breakdown_delta(g, hint);
-  if (resilience_ != nullptr) {
-    // Keep the per-source trees: the failure sweep repairs them per
-    // scenario instead of recomputing the candidate's routing n times.
-    // Loads (and trees) are bit-identical to plain route_loads by contract.
-    // (Multipath is mutually exclusive with resilience, so this path is
-    // always single-path routing.)
-    if (!route_loads_retained(g, lengths_, traffic_, loads_,
-                              resilience_trees_, ws_, engine_.sp_algorithm)) {
-      return infeasible_breakdown(g);
-    }
-    return finish_breakdown(g, &resilience_trees_);
-  }
-  if (!route_candidate(g)) {
+  // With resilience on, keep the per-source trees: the failure sweep
+  // repairs them per scenario instead of recomputing the candidate's
+  // routing n times. Retention never changes loads.
+  std::vector<ShortestPathTree>* trees =
+      resilience_ != nullptr ? &resilience_trees_ : nullptr;
+  if (!route_loads(g, lengths_, traffic_, loads_, ws_,
+                   {.mode = engine_.multipath.mode,
+                    .retain = trees,
+                    .stats = &multipath_stats_})) {
     return infeasible_breakdown(g);  // disconnected: cannot carry traffic
   }
-  return finish_breakdown(g, nullptr);
-}
-
-bool Evaluator::route_candidate(const Topology& g) {
-  // kOff forwards to route_loads verbatim, so plain runs take the exact
-  // historical path.
-  return route_loads_multipath(g, lengths_, traffic_, engine_.multipath.mode,
-                               loads_, ws_, &multipath_stats_,
-                               engine_.sp_algorithm);
-}
-
-bool Evaluator::route_candidate_retained(const Topology& g,
-                                         std::vector<ShortestPathTree>& trees) {
-  return route_loads_multipath_retained(
-      g, lengths_, traffic_, engine_.multipath.mode, loads_, trees, ws_,
-      &multipath_stats_, engine_.sp_algorithm);
-}
-
-void Evaluator::accumulate_candidate(const Topology& g,
-                                     const ShortestPathTree& tree, NodeId s) {
-  if (!engine_.multipath.enabled()) {
-    accumulate_tree_loads(tree, traffic_, s, loads_, ws_.aggregate);
-    return;
-  }
-  extract_shortest_path_dag(g, lengths_, tree, ws_.dag);
-  multipath_stats_.dag_edges += ws_.dag.pred.size();
-  accumulate_dag_loads(g, tree, ws_.dag, traffic_, s, engine_.multipath.mode,
-                       loads_, ws_.aggregate, ws_.split, &multipath_stats_);
+  return finish_breakdown(g, trees);
 }
 
 CostBreakdown Evaluator::breakdown_delta(const Topology& g,
@@ -223,7 +192,10 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
     // this topology can serve as a parent later.
     ++delta_stats_.fallbacks;
     RoutingState& slot = delta_store_->begin_fill(nullptr);
-    if (!route_candidate_retained(g, slot.trees)) {
+    if (!route_loads(g, lengths_, traffic_, loads_, ws_,
+                     {.mode = engine_.multipath.mode,
+                      .retain = &slot.trees,
+                      .stats = &multipath_stats_})) {
       return infeasible_breakdown(g);  // slot stays free
     }
     slot.topology = g;
@@ -232,7 +204,7 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
   }
   ++delta_stats_.hits;
   const SpAlgorithm algo =
-      resolve_sp_algorithm(g, lengths_, engine_.sp_algorithm);
+      resolve_sp_algorithm(g, lengths_, SpAlgorithm::kAuto);
   const std::size_t max_resettled = static_cast<std::size_t>(
       engine_.delta.max_resettle_ratio * static_cast<double>(n));
   RoutingState& slot = delta_store_->begin_fill(parent);
@@ -278,10 +250,12 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
       if (tree.order.size() != n) {
         return infeasible_breakdown(g);  // disconnected; slot stays free
       }
-      // Aggregation is the exact route_loads[_multipath] code path in the
-      // exact source order, so the loads are bit-identical to a full
-      // sweep's (repaired trees are bit-identical to fresh ones).
-      accumulate_candidate(g, tree, s);
+      // Aggregation is route_loads' own per-source code path in the exact
+      // source order, so the loads are bit-identical to a full sweep's
+      // (repaired trees are bit-identical to fresh ones).
+      accumulate_source_loads(g, lengths_, tree, traffic_, s,
+                              engine_.multipath.mode, loads_, ws_,
+                              &multipath_stats_);
     }
   }
   if (engine_.multipath.enabled()) ++multipath_stats_.sweeps;

@@ -8,18 +8,19 @@
 // clone() per thread: clones share the immutable context matrices (cheap,
 // read-only) and own private scratch.
 //
-// The evaluation engine (EvalEngineConfig) adds three orthogonal levers:
+// The evaluation engine (EvalEngineConfig) adds two orthogonal levers:
 //   * a byte-bounded memoization cache (cost/cost_cache.h), on by default
 //     and shared by an evaluator and all of its clones, that
 //     short-circuits repeat evaluations by Zobrist fingerprint with
 //     full-adjacency verification;
-//   * the shortest-path solver choice (graph/shortest_paths.h);
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips
 //     (--dsssp), fed by parent-fingerprint hints from the GA.
-// All are exact: every configuration yields bit-identical costs, so GA
-// trajectories do not depend on engine settings. Cache hits still count as
-// evaluations() — budgets and traces agree whether or not the cache is on.
+// Both are exact, as is the density-chosen shortest-path solver
+// (graph/shortest_paths.h): every configuration yields bit-identical costs,
+// so GA trajectories do not depend on engine settings. Cache hits still
+// count as evaluations() — budgets and traces agree whether or not the
+// cache is on.
 #pragma once
 
 #include <cstddef>
@@ -201,19 +202,6 @@ class Evaluator {
   /// The infeasible-result tail shared by every routing path.
   CostBreakdown infeasible_breakdown(const Topology& g);
 
-  /// Full-sweep routing dispatch: single-path or multipath per
-  /// engine_.multipath (kOff forwards verbatim, so the dispatch is free).
-  bool route_candidate(const Topology& g);
-  bool route_candidate_retained(const Topology& g,
-                                std::vector<ShortestPathTree>& trees);
-
-  /// Per-source aggregation dispatch for the delta path: tree push when
-  /// multipath is off, DAG extraction + split scatter when on. Repaired
-  /// trees are bit-identical to fresh ones, so both modes compose with the
-  /// delta engine exactly.
-  void accumulate_candidate(const Topology& g, const ShortestPathTree& tree,
-                            NodeId s);
-
   /// Cost terms from `loads_` for a feasibly-routed `g` + cache insert.
   /// `base_trees` are the candidate's retained per-source trees when the
   /// routing path kept them (delta slots, or resilience_trees_ on the plain
@@ -254,8 +242,8 @@ class Evaluator {
   MultipathStats multipath_stats_;
   std::uint64_t cache_salt_ = 0;
   /// Plain-path (no delta store) retained trees when resilience is on:
-  /// route_loads_retained keeps the per-source trees here so the failure
-  /// sweep repairs them instead of recomputing the candidate's routing.
+  /// route_loads keeps the per-source trees here so the failure sweep
+  /// repairs them instead of recomputing the candidate's routing.
   std::vector<ShortestPathTree> resilience_trees_;
 };
 

@@ -184,7 +184,8 @@ FailureImpact ResilienceEngine::sweep_scenario(
     if (spanning) {
       // Same per-source aggregation code path as route_loads, in the same
       // increasing-source order — loads bit-identical to a fresh sweep.
-      accumulate_tree_loads(dam_tree_, traffic_, s, loads_, aggregate_);
+      accumulate_source_loads(damaged, lengths_, dam_tree_, traffic_, s,
+                              MultipathMode::kOff, loads_, route_ws_);
     }
   }
   impact.mean_stretch = stretch_weight > 0 ? stretch_sum / stretch_weight : 1.0;

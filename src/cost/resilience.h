@@ -107,7 +107,7 @@ class ResilienceEngine {
   ShortestPathTree dam_tree_;                ///< per-source damaged tree
   SpUpdateWorkspace update_ws_;
   EdgeLoads loads_;                          ///< post-failure loads
-  std::vector<double> aggregate_;
+  RoutingWorkspace route_ws_;                ///< aggregation scratch
   std::vector<Edge> edges_;                  ///< candidate edge list
   Topology damaged_;                         ///< mutated copy of the candidate
 };

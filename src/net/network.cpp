@@ -5,7 +5,6 @@
 
 #include "geom/distance.h"
 #include "graph/algorithms.h"
-#include "net/multipath.h"
 #include "net/routing.h"
 
 namespace cold {
@@ -55,8 +54,8 @@ Network build_network(const Topology& topology,
 
   EdgeLoads loads;
   RoutingWorkspace ws;
-  if (!route_loads_multipath(topology, net.lengths, net.traffic,
-                             options.multipath, loads, ws)) {
+  if (!route_loads(topology, net.lengths, net.traffic, loads, ws,
+                   {.mode = options.multipath})) {
     throw std::logic_error("build_network: routing failed on connected graph");
   }
   for (const Edge& e : topology.edges()) {

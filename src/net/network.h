@@ -15,7 +15,7 @@
 #include "geom/distance.h"
 #include "geom/point.h"
 #include "graph/topology.h"
-#include "net/multipath.h"
+#include "net/routing.h"
 #include "traffic/gravity.h"
 #include "util/matrix.h"
 
@@ -67,7 +67,7 @@ struct NetworkBuildOptions {
   Routing materialize_routing = Routing::kAuto;
 
   /// How link loads (and therefore capacities) are computed: single
-  /// shortest path, ECMP or WCMP splitting (net/multipath.h). Must match
+  /// shortest path, ECMP or WCMP splitting (net/routing.h). Must match
   /// the objective's routing mode so the built network's capacities
   /// provision exactly the loads synthesis optimized for. On
   /// unique-shortest-path topologies every mode yields bit-identical loads.

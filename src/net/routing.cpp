@@ -23,7 +23,123 @@ const SpLengthCache* maybe_length_cache(const Topology& g,
   return &ws.length_cache;
 }
 
+// The single-path per-source push (MultipathMode::kOff).
+void accumulate_tree_loads(const ShortestPathTree& tree,
+                           const CompressedTraffic& traffic, NodeId s,
+                           EdgeLoads& loads, std::vector<double>& aggregate) {
+  // Push demands down the shortest-path tree: walking nodes in
+  // decreasing-distance order, each node hands its subtree demand to its
+  // parent edge. O(n + row nnz) per source. The zero-fill + CSR row scatter
+  // seeds exactly the doubles a dense row copy would (absent pairs are
+  // exact zeros), and the dense form's two symmetric writes collapse into
+  // the edge's single accumulator, which receives the exact same ordered
+  // sequence of adds — bit-identical per canonical cell.
+  const std::size_t n = tree.dist.size();
+  aggregate.assign(n, 0.0);
+  const CompressedTraffic::RowSpan row = traffic.row_span(s);
+  for (std::size_t k = 0; k < row.len; ++k) {
+    aggregate[row.col[k]] = row.val[k];
+  }
+  for (std::size_t i = n; i-- > 1;) {  // skip the source (order[0])
+    const NodeId t = tree.order[i];
+    const NodeId p = tree.parent[t];
+    loads.value[loads.index_of(p, t)] += aggregate[t];
+    aggregate[p] += aggregate[t];
+  }
+}
+
+// The multipath per-source scatter over the shortest-path DAG `dag`
+// extracted from `tree` (see the header for the split rules).
+void accumulate_dag_loads(const Topology& g, const ShortestPathTree& tree,
+                          const SpDag& dag, const CompressedTraffic& traffic,
+                          NodeId s, MultipathMode mode, EdgeLoads& loads,
+                          std::vector<double>& aggregate,
+                          std::vector<double>& split, MultipathStats* stats) {
+  // Reverse settle-order walk, like accumulate_tree_loads: every DAG
+  // predecessor of a node has a strictly smaller composite key, hence an
+  // earlier settle slot, so its aggregate is complete by the time it is
+  // visited. Predecessors are scattered in ascending id order — one global
+  // deterministic order regardless of solver or thread count.
+  const std::size_t n = tree.dist.size();
+  aggregate.assign(n, 0.0);
+  const CompressedTraffic::RowSpan row = traffic.row_span(s);
+  for (std::size_t k = 0; k < row.len; ++k) {
+    aggregate[row.col[k]] = row.val[k];
+  }
+  for (std::size_t i = n; i-- > 1;) {  // skip the source (order[0])
+    const NodeId t = tree.order[i];
+    const std::uint32_t lo = dag.off[t];
+    const std::size_t k = dag.off[t + 1] - lo;
+    const double f = aggregate[t];
+    if (k == 1) {
+      // Sole predecessor — necessarily the tree parent. The add sequence is
+      // byte-for-byte accumulate_tree_loads', which is what makes ECMP
+      // bit-identical to the single-path engine on unique-shortest-path
+      // topologies.
+      const NodeId p = dag.pred[lo];
+      assert(p == tree.parent[t]);
+      loads.value[loads.index_of(p, t)] += f;
+      aggregate[p] += f;
+      continue;
+    }
+    assert(k >= 2);  // every reachable non-source node has >= 1 predecessor
+    if (stats != nullptr) ++stats->branch_points;
+    split.resize(k);
+    std::size_t r = 0;  // remainder slot: first minimum-weight predecessor
+    if (mode == MultipathMode::kWcmp) {
+      // Weights are predecessor degrees — small exact integers, so their
+      // sum is exact and the weight comparison below is deterministic.
+      double wsum = 0.0;
+      double wmin = std::numeric_limits<double>::infinity();
+      for (std::size_t j = 0; j < k; ++j) {
+        const double w =
+            static_cast<double>(g.neighbors(dag.pred[lo + j]).size());
+        split[j] = w;
+        wsum += w;
+        if (w < wmin) {
+          wmin = w;
+          r = j;
+        }
+      }
+      for (std::size_t j = 0; j < k; ++j) {
+        if (j != r) split[j] = (f * split[j]) / wsum;
+      }
+    } else {
+      // ECMP: all weights equal, remainder to the first predecessor.
+      const double share = f / static_cast<double>(k);
+      for (std::size_t j = 1; j < k; ++j) split[j] = share;
+    }
+    // Bitwise conservation: the remainder share is f minus the sum of the
+    // others (ascending order). The minimum weight is <= wsum/2 for k >= 2,
+    // so partial stays within a factor-4 band of f and the subtraction is
+    // exact (see the header) — partial + split[r] == f bit for bit.
+    double partial = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j != r) partial += split[j];
+    }
+    split[r] = f - partial;
+    for (std::size_t j = 0; j < k; ++j) {
+      const NodeId p = dag.pred[lo + j];
+      loads.value[loads.index_of(p, t)] += split[j];
+      aggregate[p] += split[j];
+    }
+  }
+}
+
 }  // namespace
+
+const char* multipath_mode_name(MultipathMode mode) {
+  switch (mode) {
+    case MultipathMode::kEcmp:
+      return "ecmp";
+    case MultipathMode::kWcmp:
+      return "wcmp";
+    case MultipathMode::kOff:
+      break;
+  }
+  return "off";
+}
+
 
 void EdgeLoads::build(const Topology& g) {
   n = g.num_nodes();
@@ -61,15 +177,14 @@ void EdgeLoads::build(const Topology& g) {
 
 bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
-                 RoutingWorkspace& ws, SpAlgorithm algo) {
+                 RoutingWorkspace& ws, const RouteOptions& opt) {
   const std::size_t n = g.num_nodes();
   if (traffic.rows() != n || traffic.cols() != n) {
     throw std::invalid_argument("route_loads: traffic shape mismatch");
   }
   loads.build(g);
-  ws.aggregate.assign(n, 0.0);
   // Resolve the auto-selection (and dense availability) once per sweep.
-  algo = resolve_sp_algorithm(g, lengths, algo);
+  const SpAlgorithm algo = resolve_sp_algorithm(g, lengths, opt.algo);
   const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
 
   // Batched sweep: compute a block of trees in lockstep (shared
@@ -77,85 +192,60 @@ bool route_loads(const Topology& g, const DistanceProvider& lengths,
   // source order — the accumulation order fixes the floating-point result,
   // so it must match the scalar per-source loop exactly. The block width is
   // byte-capped (block_width), which can only change the batching, never
-  // the trees.
+  // the trees. Retained trees are computed in place in their own slots.
   const std::size_t bw = ws.block_width(n);
-  ws.block.resize(bw);
+  if (opt.retain != nullptr) {
+    opt.retain->resize(n);
+  } else {
+    ws.block.resize(bw);
+  }
   NodeId sources[kSpSourceBlock];
   for (NodeId base = 0; base < n; base += bw) {
     const std::size_t width = std::min<std::size_t>(bw, n - base);
     for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, ws.block.data(),
-                             algo, cache);
+    ShortestPathTree* block = opt.retain != nullptr
+                                  ? opt.retain->data() + base
+                                  : ws.block.data();
+    shortest_path_tree_batch(g, lengths, sources, width, block, algo, cache);
     for (std::size_t b = 0; b < width; ++b) {
-      if (ws.block[b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads(ws.block[b], traffic, sources[b], loads,
-                            ws.aggregate);
+      if (block[b].order.size() != n) return false;  // disconnected
+      accumulate_source_loads(g, lengths, block[b], traffic, sources[b],
+                              opt.mode, loads, ws, opt.stats);
     }
+  }
+  if (opt.stats != nullptr && opt.mode != MultipathMode::kOff) {
+    ++opt.stats->sweeps;
   }
   return true;
 }
 
-void accumulate_tree_loads(const ShortestPathTree& tree,
-                           const CompressedTraffic& traffic, NodeId s,
-                           EdgeLoads& loads, std::vector<double>& aggregate) {
-  // Push demands down the shortest-path tree: walking nodes in
-  // decreasing-distance order, each node hands its subtree demand to its
-  // parent edge. O(n + row nnz) per source. The zero-fill + CSR row scatter
-  // seeds exactly the doubles a dense row copy would (absent pairs are
-  // exact zeros), and the dense form's two symmetric writes collapse into
-  // the edge's single accumulator, which receives the exact same ordered
-  // sequence of adds — bit-identical per canonical cell.
-  const std::size_t n = tree.dist.size();
-  aggregate.assign(n, 0.0);
-  const CompressedTraffic::RowSpan row = traffic.row_span(s);
-  for (std::size_t k = 0; k < row.len; ++k) {
-    aggregate[row.col[k]] = row.val[k];
+void accumulate_source_loads(const Topology& g, const DistanceProvider& lengths,
+                             const ShortestPathTree& tree,
+                             const CompressedTraffic& traffic, NodeId s,
+                             MultipathMode mode, EdgeLoads& loads,
+                             RoutingWorkspace& ws, MultipathStats* stats) {
+  if (mode == MultipathMode::kOff) {
+    // Single path: the tree push alone, no DAG extraction.
+    accumulate_tree_loads(tree, traffic, s, loads, ws.aggregate);
+    return;
   }
-  for (std::size_t i = n; i-- > 1;) {  // skip the source (order[0])
-    const NodeId t = tree.order[i];
-    const NodeId p = tree.parent[t];
-    loads.value[loads.index_of(p, t)] += aggregate[t];
-    aggregate[p] += aggregate[t];
-  }
-}
-
-bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
-                          const CompressedTraffic& traffic, EdgeLoads& loads,
-                          std::vector<ShortestPathTree>& trees,
-                          RoutingWorkspace& ws, SpAlgorithm algo) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument("route_loads_retained: traffic shape mismatch");
-  }
-  loads.build(g);
-  trees.resize(n);
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-  // The retained trees live in `trees` directly, so the batch kernel can
-  // run over whole blocks in place; accumulation stays in increasing
-  // source order for bit-identical loads.
-  const std::size_t bw = ws.block_width(n);
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    shortest_path_tree_batch(g, lengths, sources, width, &trees[base], algo,
-                             cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (trees[base + b].order.size() != n) return false;  // disconnected
-      accumulate_tree_loads(trees[base + b], traffic, sources[b], loads,
-                            ws.aggregate);
-    }
-  }
-  return true;
+  extract_shortest_path_dag(g, lengths, tree, ws.dag);
+  if (stats != nullptr) stats->dag_edges += ws.dag.pred.size();
+  accumulate_dag_loads(g, tree, ws.dag, traffic, s, mode, loads, ws.aggregate,
+                       ws.split, stats);
 }
 
 double total_demand_weighted_length(const Topology& g,
                                     const DistanceProvider& lengths,
                                     const CompressedTraffic& traffic,
-                                    RoutingWorkspace& ws, SpAlgorithm algo) {
+                                    RoutingWorkspace& ws) {
   const std::size_t n = g.num_nodes();
-  algo = resolve_sp_algorithm(g, lengths, algo);
+  if (traffic.rows() != n || traffic.cols() != n) {
+    throw std::invalid_argument(
+        "total_demand_weighted_length: traffic shape mismatch");
+  }
+  const SpAlgorithm algo =
+      resolve_sp_algorithm(g, lengths, SpAlgorithm::kAuto);
   const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
   double total = 0.0;
   for (NodeId s = 0; s < n; ++s) {
@@ -182,10 +272,11 @@ double total_demand_weighted_length(const Topology& g,
 
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
-                              RoutingWorkspace& ws, SpAlgorithm algo) {
+                              RoutingWorkspace& ws) {
   const std::size_t n = g.num_nodes();
   Matrix<NodeId> next_hop = Matrix<NodeId>::square(n, 0);
-  algo = resolve_sp_algorithm(g, lengths, algo);
+  const SpAlgorithm algo =
+      resolve_sp_algorithm(g, lengths, SpAlgorithm::kAuto);
   const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
   for (NodeId s = 0; s < n; ++s) {
     shortest_path_tree(g, lengths, s, ws.tree, algo, cache);

@@ -3,10 +3,10 @@
 // COLD routes every demand on its shortest physical path; the bandwidth a
 // link must carry (w_i) is the sum of all demands routed across it. This is
 // the dominant cost of evaluating a candidate topology, so the hot entry
-// points reuse caller-provided workspace (RoutingWorkspace) and do no
-// allocation in the steady state, and every n-source sweep takes an
-// SpAlgorithm: dense scan, sparse heap Dijkstra, or automatic selection by
-// density (the solvers are bit-identical — see graph/shortest_paths.h).
+// point (route_loads) reuses caller-provided workspace (RoutingWorkspace)
+// and does no allocation in the steady state. The shortest-path solver is
+// chosen by density (dense scan or sparse heap Dijkstra — bit-identical, see
+// graph/shortest_paths.h).
 //
 // Currencies: lengths arrive as a DistanceProvider (dense matrix or
 // matrix-free coordinates — bit-identical either way) and traffic as a
@@ -18,6 +18,38 @@
 // traversing it. With the (symmetric) gravity matrices used by COLD this
 // simply counts each unordered demand twice, uniformly for all topologies,
 // so relative costs are unaffected.
+//
+// Multipath (ECMP / WCMP). The single-path mode pushes every demand down
+// one shortest-path tree. The multipath modes route over the *shortest-path
+// DAG* instead: extract_shortest_path_dag (graph/shortest_paths.h) lists,
+// for every node, all equal-cost predecessors under the composite
+// (dist, hops, id) settle key — an epsilon-free, purely bitwise tie rule —
+// and the scatter splits each node's flow across them:
+//
+//   * ECMP: equally — each of k predecessors carries flow/k;
+//   * WCMP: proportional to downstream capacity, proxied by the
+//     predecessor's degree (a well-connected upstream PoP can drain more) —
+//     predecessor i carries flow * deg_i / sum(deg).
+//
+// Determinism and exactness:
+//
+//   * The scatter walks nodes in reverse settle order and predecessors in
+//     ascending id order — one global, thread-count-independent operation
+//     order, so loads are bit-identical across {1, N} threads and
+//     {dense, sparse} solvers (the trees already are).
+//   * Flow conservation is bitwise, not approximate: at each branch the
+//     share of the first minimum-weight predecessor is computed as
+//     f - partial (partial = the floating-point sum of the other shares,
+//     ascending order) rather than by its own multiply. Every other weight
+//     is >= the minimum, so partial lies in [f/2 - slack, f + slack]; both
+//     operands of the subtraction are then multiples of ulp(partial) within
+//     a factor-4 magnitude band, making f - partial exact (generalized
+//     Sterbenz), and partial + (f - partial) reconstructs f bit for bit.
+//   * A node with exactly one predecessor takes that flow undivided via
+//     the same add sequence the single-path tree push performs — so on any
+//     topology whose shortest paths are all unique, ECMP (and WCMP) loads
+//     are bit-identical to the single-path mode's. This is the equivalence
+//     anchor the tests and the CI smoke step verify.
 #pragma once
 
 #include <algorithm>
@@ -96,19 +128,19 @@ struct RoutingWorkspace {
 
   ShortestPathTree tree;
   std::vector<double> aggregate;  ///< per-node downstream demand sums
-  /// Source-block scratch for the batched sweeps (at most kSpSourceBlock
+  /// Source-block scratch for non-retaining sweeps (at most kSpSourceBlock
   /// trees, byte-capped); lets route_loads run shortest_path_tree_batch
-  /// without retaining all n trees. Loads are still accumulated in
+  /// without keeping all n trees. Loads are still accumulated in
   /// increasing-source order.
   std::vector<ShortestPathTree> block;
   std::size_t max_block_bytes = kDefaultMaxBlockBytes;
-  /// Per-sweep edge-length cache (O(n + m) doubles), built by the sweep
-  /// entry points when the provider is matrix-free and the sparse solver
-  /// runs, so relaxations read one slot instead of recomputing a hypot per
-  /// scanned edge. Same doubles — results stay bit-identical.
+  /// Per-sweep edge-length cache (O(n + m) doubles), built by each sweep
+  /// when the provider is matrix-free and the sparse solver runs, so
+  /// relaxations read one slot instead of recomputing a hypot per scanned
+  /// edge. Same doubles — results stay bit-identical.
   SpLengthCache length_cache;
-  /// Multipath scratch (net/multipath.h): the per-source shortest-path DAG
-  /// and the per-branch share buffer. Unused by the single-path sweeps.
+  /// Multipath scratch: the per-source shortest-path DAG and the per-branch
+  /// share buffer. Unused by single-path routing.
   SpDag dag;
   std::vector<double> split;
 
@@ -121,54 +153,91 @@ struct RoutingWorkspace {
   }
 };
 
+/// Which load-splitting rule route_loads applies.
+enum class MultipathMode {
+  kOff,   ///< single shortest path per demand (the classic engine)
+  kEcmp,  ///< equal split across all equal-cost predecessors
+  kWcmp,  ///< split weighted by predecessor degree (capacity proxy)
+};
+
+/// Short stable name for reports/CLI ("off", "ecmp", "wcmp").
+const char* multipath_mode_name(MultipathMode mode);
+
+/// Counters for multipath routing work, merged across Evaluator clones via
+/// merge_stats() like DeltaStats/ResilienceStats. Single-path routing
+/// leaves them untouched.
+struct MultipathStats {
+  std::uint64_t sweeps = 0;         ///< full n-source multipath sweeps
+  std::uint64_t branch_points = 0;  ///< (source, node) pairs with >= 2 preds
+  std::uint64_t dag_edges = 0;      ///< predecessor links across all DAGs
+
+  MultipathStats& operator+=(const MultipathStats& other) {
+    sweeps += other.sweeps;
+    branch_points += other.branch_points;
+    dag_edges += other.dag_edges;
+    return *this;
+  }
+};
+
+/// How route_loads routes and what it keeps. The defaults are the plain
+/// single-path sweep.
+struct RouteOptions {
+  MultipathMode mode = MultipathMode::kOff;
+  /// When non-null, each source's tree is computed into (and left in)
+  /// (*retain)[s] instead of transient workspace — the delta and
+  /// resilience engines keep them as parent state. Resized to n.
+  std::vector<ShortestPathTree>* retain = nullptr;
+  /// When non-null and mode != kOff, accrues the sweep's multipath work.
+  MultipathStats* stats = nullptr;
+  /// Solver override; kAuto (choose by density) everywhere but the tests
+  /// and benches that pin one solver as the reference for the other.
+  SpAlgorithm algo = SpAlgorithm::kAuto;
+};
+
 /// Computes per-link loads under shortest-path routing of `traffic` over
 /// the edges of `g` (weighted by `lengths`), accumulating into an EdgeLoads
 /// (rebuilt from `g` here) — O(n + m) load state. Entry {u,v} = total
-/// demand crossing the link in either direction. Returns false if `g` is
-/// disconnected (some demand is unroutable; loads are then partial and
-/// must not be used).
+/// demand crossing the link in either direction, split across equal-cost
+/// paths per `opt.mode`. Returns false if `g` is disconnected (some demand
+/// is unroutable; loads, and retained trees, are then partial and must not
+/// be used). Throws std::invalid_argument unless `traffic` is n x n.
 ///
 /// Zero demands are skipped exactly (CSR row scatter); identical ordered
 /// adds per accumulator make the result bit-identical to the historical
-/// dense-matrix form's canonical cells.
+/// dense-matrix form's canonical cells. Trees are computed in byte-capped
+/// source blocks and accumulated in increasing source order, so neither
+/// the block width nor retention changes a bit.
 ///
 /// Complexity: one shortest-path tree plus an O(n) aggregation per source —
 /// O(n^3) with the dense solver, O(n (n+m) log n) with the sparse one.
 bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
-                 RoutingWorkspace& ws, SpAlgorithm algo = SpAlgorithm::kAuto);
+                 RoutingWorkspace& ws, const RouteOptions& opt = {});
 
 /// The per-source half of route_loads: pushes row `s` of `traffic` down
-/// `tree` (the shortest-path tree rooted at s, which must span all n nodes),
-/// accumulating into `loads` (must have been built from the routed
-/// topology). Exposed so the delta evaluation engine can aggregate
-/// incrementally-updated trees through the *same* code path — identical
-/// operation order, so loads are bit-identical to a full route_loads sweep.
-/// `aggregate` is caller scratch (resized here).
-void accumulate_tree_loads(const ShortestPathTree& tree,
-                           const CompressedTraffic& traffic, NodeId s,
-                           EdgeLoads& loads, std::vector<double>& aggregate);
-
-/// route_loads, but each source's tree is computed into (and left in)
-/// `trees[s]` instead of transient workspace — the delta engine retains them
-/// as parent state for incremental re-routing. `trees` is resized to n.
-/// Same return contract as route_loads: false means disconnected, with
-/// loads and trees partial.
-bool route_loads_retained(const Topology& g, const DistanceProvider& lengths,
-                          const CompressedTraffic& traffic, EdgeLoads& loads,
-                          std::vector<ShortestPathTree>& trees,
-                          RoutingWorkspace& ws,
-                          SpAlgorithm algo = SpAlgorithm::kAuto);
+/// `tree` (the shortest-path tree of `g` rooted at s, which must span all n
+/// nodes) — along the tree for kOff, over the extracted shortest-path DAG
+/// otherwise — accumulating into `loads` (must have been built from `g`).
+/// Exposed so the delta and resilience engines aggregate repaired trees
+/// through the *same* code path: identical operation order, so loads are
+/// bit-identical to a full route_loads sweep. `stats`, when non-null,
+/// accrues this source's DAG edges and branch points (multipath modes only).
+void accumulate_source_loads(const Topology& g, const DistanceProvider& lengths,
+                             const ShortestPathTree& tree,
+                             const CompressedTraffic& traffic, NodeId s,
+                             MultipathMode mode, EdgeLoads& loads,
+                             RoutingWorkspace& ws,
+                             MultipathStats* stats = nullptr);
 
 /// Sum over routes of demand * route physical length (the paper's
-/// sum_r t_r L_r from eq. (1)). Returns infinity if disconnected.
-/// The workspace overload is allocation-free in the steady state; the
-/// 3-argument form is a thin allocating wrapper around it.
+/// sum_r t_r L_r from eq. (1)). Returns infinity if disconnected; throws
+/// std::invalid_argument unless `traffic` is n x n. The workspace overload
+/// is allocation-free in the steady state; the 3-argument form is a thin
+/// allocating wrapper around it.
 double total_demand_weighted_length(const Topology& g,
                                     const DistanceProvider& lengths,
                                     const CompressedTraffic& traffic,
-                                    RoutingWorkspace& ws,
-                                    SpAlgorithm algo = SpAlgorithm::kAuto);
+                                    RoutingWorkspace& ws);
 double total_demand_weighted_length(const Topology& g,
                                     const DistanceProvider& lengths,
                                     const CompressedTraffic& traffic);
@@ -180,8 +249,7 @@ double total_demand_weighted_length(const Topology& g,
 /// NetworkBuildOptions::materialize_routing).
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
-                              RoutingWorkspace& ws,
-                              SpAlgorithm algo = SpAlgorithm::kAuto);
+                              RoutingWorkspace& ws);
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths);
 

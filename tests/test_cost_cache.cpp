@@ -142,13 +142,14 @@ TEST(EvaluatorLoads, LastLoadsRequiresFreshFeasibleRouting) {
 }
 
 // The engine's headline guarantee: the GA trajectory is invariant under
-// every {cache, thread count, shortest-path solver} combination.
+// every {cache, thread count} combination. (Solver identity is pinned below
+// the GA: SpAlgorithm.SparseIsBitIdenticalToDense and route_loads'
+// dense-vs-sparse checks.)
 TEST(GaDeterminism, HistoryInvariantAcrossEngineSettings) {
   const Context ctx = small_context(16, 7);
-  const auto run = [&ctx](bool cache, std::size_t threads, SpAlgorithm algo) {
+  const auto run = [&ctx](bool cache, std::size_t threads) {
     EvalEngineConfig engine;
     engine.cache.enabled = cache;
-    engine.sp_algorithm = algo;
     Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
     GaRunOptions options;
     options.config.population = 16;
@@ -158,18 +159,15 @@ TEST(GaDeterminism, HistoryInvariantAcrossEngineSettings) {
     return run_ga(eval, rng, options);
   };
 
-  const GaResult reference = run(false, 1, SpAlgorithm::kDense);
+  const GaResult reference = run(false, 1);
   for (const bool cache : {false, true}) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      for (const SpAlgorithm algo :
-           {SpAlgorithm::kDense, SpAlgorithm::kSparse, SpAlgorithm::kAuto}) {
-        const GaResult r = run(cache, threads, algo);
-        ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
-        ASSERT_EQ(r.best_cost, reference.best_cost);
-        ASSERT_TRUE(r.best == reference.best);
-        ASSERT_EQ(r.final_costs, reference.final_costs);
-        ASSERT_EQ(r.evaluations, reference.evaluations);
-      }
+      const GaResult r = run(cache, threads);
+      ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
+      ASSERT_EQ(r.best_cost, reference.best_cost);
+      ASSERT_TRUE(r.best == reference.best);
+      ASSERT_EQ(r.final_costs, reference.final_costs);
+      ASSERT_EQ(r.evaluations, reference.evaluations);
     }
   }
 }

@@ -19,30 +19,13 @@
 #include "graph/algorithms.h"
 #include "net/routing.h"
 #include "reference.h"
+#include "threshold_guard.h"
 #include "telemetry/report.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
 
 namespace cold {
 namespace {
-
-/// Restores DistanceProvider's dense-view auto threshold on scope exit, so
-/// a failing test cannot leak a forced backend into the rest of the suite.
-class DistanceThresholdGuard {
- public:
-  explicit DistanceThresholdGuard(std::size_t n)
-      : saved_(DistanceProvider::dense_auto_threshold()) {
-    DistanceProvider::set_dense_auto_threshold(n);
-  }
-  ~DistanceThresholdGuard() {
-    DistanceProvider::set_dense_auto_threshold(saved_);
-  }
-  DistanceThresholdGuard(const DistanceThresholdGuard&) = delete;
-  DistanceThresholdGuard& operator=(const DistanceThresholdGuard&) = delete;
-
- private:
-  std::size_t saved_;
-};
 
 SynthesisConfig tiny_config(std::size_t n, std::size_t threads,
                             DsspMode dsssp) {
@@ -77,11 +60,11 @@ TEST(MatrixFree, OnDemandDistancesByteIdenticalReports) {
         const SynthesisConfig cfg = tiny_config(n, threads, dsssp);
         std::string dense, on_demand;
         {
-          DistanceThresholdGuard materialize(4096);
+          ThresholdGuard<DistanceProvider> materialize(4096);
           dense = timing_free_report(cfg, /*seed=*/42);
         }
         {
-          DistanceThresholdGuard matrix_free(0);
+          ThresholdGuard<DistanceProvider> matrix_free(0);
           on_demand = timing_free_report(cfg, /*seed=*/42);
         }
         EXPECT_EQ(dense, on_demand)
@@ -100,7 +83,7 @@ TEST(MatrixFree, ProviderLookupsMatchDenseMatrixBitForBit) {
   const auto pts = UniformProcess().sample(n, Rectangle(), rng);
   const Matrix<double> dense = distance_matrix(pts);
 
-  DistanceThresholdGuard matrix_free(0);
+  ThresholdGuard<DistanceProvider> matrix_free(0);
   const DistanceProvider provider = DistanceProvider::from_points(pts);
   ASSERT_FALSE(provider.has_dense());
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,6 +1,7 @@
-// Equivalence, exactness and determinism suite for the multipath traffic
-// engine (net/multipath.h): ECMP/WCMP load splitting over the shortest-path
-// DAG, the max-utilization objective terms, and the GA-level contract.
+// Equivalence, exactness and determinism suite for the multipath modes of
+// the routing engine (net/routing.h): ECMP/WCMP load splitting over the
+// shortest-path DAG, the max-utilization objective terms, and the GA-level
+// contract.
 //
 // The engine's anchors:
 //   * On unique-shortest-path topologies ECMP and WCMP are bit-identical to
@@ -8,12 +9,11 @@
 //   * Splits conserve flow bitwise under the engine's own summation order
 //     (remainder share = f - fl-sum of the others).
 //   * Loads are bit-identical across {dense, sparse} solvers, retained and
-//     transient sweeps, and repeated runs — even on tie-storm graphs
-//     (equal-cost lattices, zero-length edges from co-located PoPs).
+//     transient sweeps, dense and matrix-free backends, and repeated runs —
+//     even on tie-storm graphs (equal-cost lattices, zero-length edges from
+//     co-located PoPs).
 //   * The multipath GA follows one trajectory for every engine
 //     configuration and thread count.
-#include "net/multipath.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,6 +33,7 @@
 #include "graph/shortest_paths.h"
 #include "net/network.h"
 #include "net/routing.h"
+#include "threshold_guard.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
 
@@ -173,16 +174,21 @@ TEST(SpDag, LatticeInteriorNodesBranch) {
 // ---------------------------------------------------------------------------
 
 TEST(MultipathLoads, OffForwardsToSinglePathVerbatim) {
+  // kOff is the plain sweep: same loads, and no multipath work counted.
   const Context ctx = small_context(21, 14);
   Rng rng(21);
   Topology g = erdos_renyi_gnp(14, 0.3, rng);
   repair_connectivity(g, ctx.distances);
   EdgeLoads single, off;
   RoutingWorkspace ws;
+  MultipathStats stats;
   ASSERT_TRUE(route_loads(g, ctx.distances, ctx.traffic, single, ws));
-  ASSERT_TRUE(route_loads_multipath(g, ctx.distances, ctx.traffic,
-                                    MultipathMode::kOff, off, ws));
+  ASSERT_TRUE(route_loads(g, ctx.distances, ctx.traffic, off, ws,
+                          {.mode = MultipathMode::kOff, .stats = &stats}));
   EXPECT_EQ(single.value, off.value);
+  EXPECT_EQ(stats.sweeps, 0u);
+  EXPECT_EQ(stats.dag_edges, 0u);
+  EXPECT_EQ(stats.branch_points, 0u);
 }
 
 TEST(MultipathLoads, UniqueShortestPathsMatchSinglePathBitwise) {
@@ -201,8 +207,8 @@ TEST(MultipathLoads, UniqueShortestPathsMatchSinglePathBitwise) {
          {MultipathMode::kEcmp, MultipathMode::kWcmp}) {
       EdgeLoads multi;
       MultipathStats stats;
-      ASSERT_TRUE(route_loads_multipath(g, ctx.distances, ctx.traffic, mode,
-                                        multi, ws, &stats));
+      ASSERT_TRUE(route_loads(g, ctx.distances, ctx.traffic, multi, ws,
+                              {.mode = mode, .stats = &stats}));
       EXPECT_EQ(single.value, multi.value) << "seed " << seed;
       EXPECT_EQ(stats.branch_points, 0u) << "seed " << seed;
       EXPECT_EQ(stats.sweeps, 1u);
@@ -231,8 +237,8 @@ TEST(MultipathLoads, EcmpDiamondSplitsExactlyInHalf) {
   EdgeLoads loads;
   RoutingWorkspace ws;
   MultipathStats stats;
-  ASSERT_TRUE(route_loads_multipath(g, lengths, traffic, MultipathMode::kEcmp,
-                                    loads, ws, &stats));
+  ASSERT_TRUE(route_loads(g, lengths, traffic, loads, ws,
+                          {.mode = MultipathMode::kEcmp, .stats = &stats}));
   // 4.0 toward each middle node per direction; both directions sum to 8.
   EXPECT_EQ(loads.at(0, 1), 8.0);
   EXPECT_EQ(loads.at(0, 2), 8.0);
@@ -245,8 +251,8 @@ TEST(MultipathLoads, EcmpDiamondSplitsExactlyInHalf) {
 
   // All degrees are equal, so WCMP must agree with ECMP here.
   EdgeLoads wcmp;
-  ASSERT_TRUE(route_loads_multipath(g, lengths, traffic, MultipathMode::kWcmp,
-                                    wcmp, ws));
+  ASSERT_TRUE(route_loads(g, lengths, traffic, wcmp, ws,
+                          {.mode = MultipathMode::kWcmp}));
   EXPECT_EQ(loads.value, wcmp.value);
 }
 
@@ -269,8 +275,8 @@ TEST(MultipathLoads, WcmpWeightsBranchesByPredecessorDegree) {
 
   EdgeLoads loads;
   RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_multipath(g, lengths, traffic, MultipathMode::kWcmp,
-                                    loads, ws));
+  ASSERT_TRUE(route_loads(g, lengths, traffic, loads, ws,
+                          {.mode = MultipathMode::kWcmp}));
   EXPECT_EQ(loads.at(0, 1), 12.0);  // 6 per direction
   EXPECT_EQ(loads.at(1, 3), 12.0);
   EXPECT_EQ(loads.at(0, 2), 8.0);   // 4 per direction
@@ -279,8 +285,8 @@ TEST(MultipathLoads, WcmpWeightsBranchesByPredecessorDegree) {
 
   // ECMP ignores the degrees and still halves the flow.
   EdgeLoads ecmp;
-  ASSERT_TRUE(route_loads_multipath(g, lengths, traffic, MultipathMode::kEcmp,
-                                    ecmp, ws));
+  ASSERT_TRUE(route_loads(g, lengths, traffic, ecmp, ws,
+                          {.mode = MultipathMode::kEcmp}));
   EXPECT_EQ(ecmp.at(0, 1), 10.0);
   EXPECT_EQ(ecmp.at(0, 2), 10.0);
 }
@@ -366,8 +372,8 @@ TEST(MultipathLoads, MatchesReferenceScatterOnTieStorms) {
         EdgeLoads loads;
         RoutingWorkspace ws;
         MultipathStats stats;
-        ASSERT_TRUE(route_loads_multipath(inst.g, lengths, traffic, mode,
-                                          loads, ws, &stats));
+        ASSERT_TRUE(route_loads(inst.g, lengths, traffic, loads, ws,
+                                {.mode = mode, .stats = &stats}));
         const Matrix<double> ref =
             reference_multipath_loads(inst.g, lengths, inst.traffic, mode);
         const auto edges = inst.g.edges();
@@ -385,31 +391,48 @@ TEST(MultipathLoads, MatchesReferenceScatterOnTieStorms) {
 }
 
 TEST(MultipathLoads, DeterministicAcrossSolversAndRetention) {
+  // Every mode, with and without retained trees and under both solvers,
+  // gives the same loads bit for bit on the dense backend and on the
+  // matrix-free one (sparse adjacency, distances recomputed per lookup).
   Rng rng(51);
   for (const bool grid : {true, false}) {
     const LatticeInstance inst = grid ? lattice(5, rng) : co_located(8, rng);
-    const DistanceProvider lengths(inst.len);
     const CompressedTraffic traffic(inst.traffic);
     for (const MultipathMode mode :
-         {MultipathMode::kEcmp, MultipathMode::kWcmp}) {
-      EdgeLoads dense_loads, sparse_loads, retained_loads;
-      RoutingWorkspace ws;
-      std::vector<ShortestPathTree> trees;
-      ASSERT_TRUE(route_loads_multipath(inst.g, lengths, traffic, mode,
-                                        dense_loads, ws, nullptr,
-                                        SpAlgorithm::kDense));
-      ASSERT_TRUE(route_loads_multipath(inst.g, lengths, traffic, mode,
-                                        sparse_loads, ws, nullptr,
-                                        SpAlgorithm::kSparse));
-      ASSERT_TRUE(route_loads_multipath_retained(inst.g, lengths, traffic,
-                                                 mode, retained_loads, trees,
-                                                 ws));
-      EXPECT_EQ(dense_loads.value, sparse_loads.value);
-      EXPECT_EQ(dense_loads.value, retained_loads.value);
-      ASSERT_EQ(trees.size(), inst.g.num_nodes());
-      for (const double v : dense_loads.value) {
-        EXPECT_TRUE(std::isfinite(v));
-        EXPECT_GE(v, 0.0);
+         {MultipathMode::kOff, MultipathMode::kEcmp, MultipathMode::kWcmp}) {
+      std::vector<double> backend_reference;
+      for (const bool matrix_free : {false, true}) {
+        const std::size_t threshold = matrix_free ? 0 : 4096;
+        ThresholdGuard<Topology> adjacency(threshold);
+        ThresholdGuard<DistanceProvider> distances(threshold);
+        Topology g(inst.g.num_nodes());
+        for (const Edge& e : inst.g.edges()) g.add_edge(e.u, e.v);
+        const DistanceProvider lengths =
+            DistanceProvider::from_points(inst.pts);
+        ASSERT_EQ(g.has_dense_view(), !matrix_free);
+        ASSERT_EQ(lengths.has_dense(), !matrix_free);
+
+        EdgeLoads dense_loads, sparse_loads, retained_loads;
+        RoutingWorkspace ws;
+        std::vector<ShortestPathTree> trees;
+        ASSERT_TRUE(route_loads(g, lengths, traffic, dense_loads, ws,
+                                {.mode = mode, .algo = SpAlgorithm::kDense}));
+        ASSERT_TRUE(route_loads(g, lengths, traffic, sparse_loads, ws,
+                                {.mode = mode, .algo = SpAlgorithm::kSparse}));
+        ASSERT_TRUE(route_loads(g, lengths, traffic, retained_loads, ws,
+                                {.mode = mode, .retain = &trees}));
+        EXPECT_EQ(dense_loads.value, sparse_loads.value);
+        EXPECT_EQ(dense_loads.value, retained_loads.value);
+        ASSERT_EQ(trees.size(), inst.g.num_nodes());
+        for (const double v : dense_loads.value) {
+          EXPECT_TRUE(std::isfinite(v));
+          EXPECT_GE(v, 0.0);
+        }
+        if (matrix_free) {
+          EXPECT_EQ(dense_loads.value, backend_reference);
+        } else {
+          backend_reference = dense_loads.value;
+        }
       }
     }
   }
@@ -426,8 +449,8 @@ TEST(MultipathLoads, DisconnectedReturnsFalse) {
   const CompressedTraffic traffic(tm);
   EdgeLoads loads;
   RoutingWorkspace ws;
-  EXPECT_FALSE(route_loads_multipath(g, lengths, traffic,
-                                     MultipathMode::kEcmp, loads, ws));
+  EXPECT_FALSE(route_loads(g, lengths, traffic, loads, ws,
+                           {.mode = MultipathMode::kEcmp}));
 }
 
 // ---------------------------------------------------------------------------
@@ -565,17 +588,14 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
     }
   }
 
-  // Solver choice and a higher thread count must not move it either.
-  for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
-    cfg.ga.parallel.num_threads = 8;
-    cfg.engine.cache.enabled = true;
-    cfg.engine.delta.mode = DsspMode::kOn;
-    cfg.engine.sp_algorithm = algo;
-    const SynthesisResult r = Synthesizer(cfg).synthesize(7);
-    EXPECT_EQ(r.ga.best_cost_history, reference);
-    EXPECT_EQ(r.ga.best_cost, reference_cost);
-  }
+  // A higher thread count must not move it either.
+  SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
+  cfg.ga.parallel.num_threads = 8;
+  cfg.engine.cache.enabled = true;
+  cfg.engine.delta.mode = DsspMode::kOn;
+  const SynthesisResult r = Synthesizer(cfg).synthesize(7);
+  EXPECT_EQ(r.ga.best_cost_history, reference);
+  EXPECT_EQ(r.ga.best_cost, reference_cost);
 }
 
 TEST(MultipathGa, WcmpSynthesizesAValidProvisionedNetwork) {
@@ -588,9 +608,9 @@ TEST(MultipathGa, WcmpSynthesizesAValidProvisionedNetwork) {
   // The network's loads are the winner's evaluation loads bit for bit.
   EdgeLoads loads;
   RoutingWorkspace ws;
-  ASSERT_TRUE(route_loads_multipath(r.network.topology, r.network.lengths,
-                                    r.network.traffic, MultipathMode::kWcmp,
-                                    loads, ws));
+  ASSERT_TRUE(route_loads(r.network.topology, r.network.lengths,
+                          r.network.traffic, loads, ws,
+                          {.mode = MultipathMode::kWcmp}));
   ASSERT_EQ(loads.num_edges(), r.network.links.size());
   for (std::size_t e = 0; e < r.network.links.size(); ++e) {
     EXPECT_EQ(r.network.links[e].load, loads.value[e]);

@@ -142,8 +142,8 @@ void check_sweep_matches_reference(const Topology& g, const Context& ctx,
   EdgeLoads base_loads;
   RoutingWorkspace ws;
   std::vector<ShortestPathTree> base_trees;
-  ASSERT_TRUE(route_loads_retained(g, ctx.distances, ctx.traffic, base_loads,
-                                   base_trees, ws));
+  ASSERT_TRUE(route_loads(g, ctx.distances, ctx.traffic, base_loads, ws,
+                          {.retain = &base_trees}));
 
   // Reference: assemble the Network sim/failure scores and recompute every
   // scenario from scratch.

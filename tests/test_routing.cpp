@@ -110,6 +110,31 @@ TEST(TotalDemandWeightedLength, InfiniteWhenDisconnected) {
             std::numeric_limits<double>::infinity());
 }
 
+TEST(TotalDemandWeightedLength, RejectsTrafficOfTheWrongShape) {
+  // A smaller matrix would read past the CSR row offsets, a larger one past
+  // the tree's labels, and an empty one would silently score 0.
+  Topology g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  const Matrix<double> len = Matrix<double>::square(3, 1.0);
+  RoutingWorkspace ws;
+  EdgeLoads loads;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
+    Matrix<double> tm = Matrix<double>::square(n, 1.0);
+    for (std::size_t i = 0; i < n; ++i) tm(i, i) = 0.0;
+    const CompressedTraffic traffic(tm);
+    EXPECT_THROW(total_demand_weighted_length(g, len, traffic),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(total_demand_weighted_length(g, len, traffic, ws),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(route_loads(g, len, traffic, loads, ws),
+                 std::invalid_argument)
+        << n;
+  }
+}
+
 TEST(RoutingMatrix, NextHopsFollowShortestPaths) {
   Topology g(4);  // square with one diagonal: 0-1, 1-2, 2-3, 3-0, 0-2
   g.add_edge(0, 1);
@@ -146,10 +171,10 @@ TEST(RouteLoads, MatchesRoutePathWalksOnRandomGraphs) {
     const auto traffic = gravity_matrix(pops);
 
     EdgeLoads loads_dense, loads_sparse;
-    ASSERT_TRUE(
-        route_loads(g, len, traffic, loads_dense, ws, SpAlgorithm::kDense));
-    ASSERT_TRUE(
-        route_loads(g, len, traffic, loads_sparse, ws, SpAlgorithm::kSparse));
+    ASSERT_TRUE(route_loads(g, len, traffic, loads_dense, ws,
+                            {.algo = SpAlgorithm::kDense}));
+    ASSERT_TRUE(route_loads(g, len, traffic, loads_sparse, ws,
+                            {.algo = SpAlgorithm::kSparse}));
     const auto next = routing_matrix(g, len, ws);
 
     Matrix<double> walked = Matrix<double>::square(n, 0.0);
@@ -193,9 +218,6 @@ TEST(RoutingWorkspaceOverloads, MatchAllocatingWrappers) {
   const auto with_ws = routing_matrix(g, len, ws);
   const auto wrapper = routing_matrix(g, len);
   EXPECT_TRUE(with_ws == wrapper);
-  EXPECT_EQ(total_demand_weighted_length(g, len, traffic, ws),
-            total_demand_weighted_length(g, len, traffic, ws,
-                                         SpAlgorithm::kSparse));
 }
 
 TEST(RoutingMatrix, ThrowsOnDisconnected) {

@@ -18,6 +18,7 @@
 #include "graph/algorithms.h"
 #include "net/routing.h"
 #include "reference.h"
+#include "threshold_guard.h"
 #include "telemetry/report.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
@@ -25,22 +26,6 @@
 
 namespace cold {
 namespace {
-
-/// Restores the dense-view auto threshold on scope exit, so a failing test
-/// cannot leak a forced backend into the rest of the suite.
-class ThresholdGuard {
- public:
-  explicit ThresholdGuard(std::size_t n)
-      : saved_(Topology::dense_auto_threshold()) {
-    Topology::set_dense_auto_threshold(n);
-  }
-  ~ThresholdGuard() { Topology::set_dense_auto_threshold(saved_); }
-  ThresholdGuard(const ThresholdGuard&) = delete;
-  ThresholdGuard& operator=(const ThresholdGuard&) = delete;
-
- private:
-  std::size_t saved_;
-};
 
 SynthesisConfig tiny_config(std::size_t n, std::size_t threads,
                             DsspMode dsssp) {
@@ -74,11 +59,11 @@ TEST(SparseVsDense, ByteIdenticalTimingFreeReports) {
         const SynthesisConfig cfg = tiny_config(n, threads, dsssp);
         std::string dense, sparse;
         {
-          ThresholdGuard force_dense(4096);
+          ThresholdGuard<Topology> force_dense(4096);
           dense = timing_free_report(cfg, /*seed=*/42);
         }
         {
-          ThresholdGuard force_sparse(0);
+          ThresholdGuard<Topology> force_sparse(0);
           sparse = timing_free_report(cfg, /*seed=*/42);
         }
         EXPECT_EQ(dense, sparse)

@@ -10,7 +10,7 @@ leaf across them:
         run2/BENCH_evaluator.json --out trends.json
 
 Each file is flattened to dotted metric paths ("cache.speedup",
-"sparse_vs_dense[0].evals_per_sec_sparse", ...), prefixed with a label
+"sparse_vs_dense[0].sweeps_per_sec_sparse", ...), prefixed with a label
 derived from the report itself ("bench" field, then "schema", then the
 filename stem) so different report kinds never collide. Booleans count
 as 1/0 — gate outcomes become trend lines too. Inputs are processed in

@@ -4,8 +4,7 @@
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--eval-cache on|off]
-//                 [--dedup] [--dijkstra auto|dense|sparse]
-//                 [--dsssp on|off|auto]
+//                 [--dedup] [--dsssp on|off|auto]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
@@ -77,7 +76,6 @@ const std::vector<OptionSpec> kEngineOpts = {
     {"eval-cache", true, "on|off (on): memoize cost evaluations in one "
                          "256 KiB cache shared by every worker"},
     {"dedup", false, "score each distinct GA offspring once"},
-    {"dijkstra", true, "auto|dense|sparse (auto)"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
                     "offspring"},
     {"dense-threshold", true,
@@ -224,14 +222,12 @@ void print_usage() {
       "  engine    (synth/ensemble/grow): --eval-cache on|off (on)\n"
       "            memoizes cost evaluations in one 256 KiB cache shared by\n"
       "            every worker thread, --dedup scores each distinct GA\n"
-      "            offspring once per generation, --dijkstra\n"
-      "            auto|dense|sparse picks the shortest-path solver, and\n"
-      "            --dsssp on|off|auto re-routes near-parent offspring\n"
-      "            incrementally (auto enables it above 16 PoPs), and\n"
-      "            --dense-threshold N (512) caps the n below which dense\n"
-      "            adjacency/distance backends materialize (0 forces the\n"
-      "            matrix-free path); all are exact and change performance\n"
-      "            only\n";
+      "            offspring once per generation, --dsssp on|off|auto\n"
+      "            re-routes near-parent offspring incrementally (auto\n"
+      "            enables it above 16 PoPs), and --dense-threshold N (512)\n"
+      "            caps the n below which dense adjacency/distance backends\n"
+      "            materialize (0 forces the matrix-free path); all are\n"
+      "            exact and change performance only\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -302,17 +298,6 @@ EvalEngineConfig engine_from(const CliOptions& args) {
   } else {
     throw std::invalid_argument("unknown --eval-cache: " + cache +
                                 " (expected on or off)");
-  }
-  const std::string algo = args.get("dijkstra", "auto");
-  if (algo == "auto") {
-    engine.sp_algorithm = SpAlgorithm::kAuto;
-  } else if (algo == "dense") {
-    engine.sp_algorithm = SpAlgorithm::kDense;
-  } else if (algo == "sparse") {
-    engine.sp_algorithm = SpAlgorithm::kSparse;
-  } else {
-    throw std::invalid_argument("unknown --dijkstra: " + algo +
-                                " (expected auto, dense or sparse)");
   }
   const std::string dsssp = args.get("dsssp", "off");
   if (dsssp == "on") {
