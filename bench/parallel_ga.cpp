@@ -12,6 +12,10 @@
 // measure how the scoring fan-out scales rather than how many scores hit
 // the cache.
 //
+// `effective_cores` is the affinity mask's size (what --threads 0 uses),
+// recorded beside `hardware_concurrency`, which ignores tasksets and
+// container cpusets.
+//
 // Interpretation: speedup_vs_1 should approach min(threads, cores) for the
 // scoring-dominated workload; on a 1-core host all settings time alike (the
 // pool adds only negligible handoff overhead) but the identity check still
@@ -26,6 +30,7 @@
 #include "core/context.h"
 #include "ga/genetic.h"
 #include "telemetry/sinks.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -113,8 +118,10 @@ int main(int argc, char** argv) {
                  "  \"population\": 64,\n"
                  "  \"generations\": %zu,\n"
                  "  \"hardware_concurrency\": %u,\n"
+                 "  \"effective_cores\": %zu,\n"
                  "  \"runs\": [\n",
-                 n, generations, std::thread::hardware_concurrency());
+                 n, generations, std::thread::hardware_concurrency(),
+                 available_cores());
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const Sample& s = samples[i];
       std::fprintf(f,

@@ -12,7 +12,6 @@ EngineCounters engine_counters(const Evaluator& eval) {
   c[Counter::kCacheMisses] = cache.misses;
   c[Counter::kCacheInserts] = cache.inserts;
   c[Counter::kCacheEvictions] = cache.evictions;
-  c[Counter::kDedupSkipped] = eval.dedup_skipped();
   const DeltaStats& delta = eval.delta_stats();
   c[Counter::kDssspHits] = delta.hits;
   c[Counter::kDssspFallbacks] = delta.fallbacks;
@@ -33,8 +32,9 @@ EngineCounters engine_counters(const Evaluator& eval) {
 Synthesizer::Synthesizer(SynthesisConfig config) : config_(std::move(config)) {
   config_.costs.validate();
   config_.ga = config_.ga.resolved();  // fail fast on bad GA settings
-  if (config_.overprovision < 1.0) {
-    throw std::invalid_argument("Synthesizer: overprovision must be >= 1");
+  if (!std::isfinite(config_.overprovision) || config_.overprovision < 1.0) {
+    throw std::invalid_argument(
+        "Synthesizer: overprovision must be finite and >= 1");
   }
   ResilienceConfig& res = config_.engine.resilience;
   if (res.enabled) {

@@ -50,7 +50,7 @@ struct SynthesisConfig {
 
   /// Run-level parallelism for ensemble generation (generate_ensemble /
   /// sweep_metrics): independent seeds are distributed across this many
-  /// threads. 0 = all hardware threads, 1 = sequential. Within a single
+  /// threads. 0 = all available cores, 1 = sequential. Within a single
   /// synthesize() call the GA's own knob (`ga.parallel`) applies; when the
   /// ensemble layer fans out runs it forces the inner GA sequential to
   /// avoid oversubscription. Results are bit-identical either way.
@@ -86,7 +86,7 @@ struct SynthesisResult {
 };
 
 /// Reads an evaluator's engine counters (its own plus everything merged in
-/// from worker clones) into the telemetry record: cache, dedup, delta,
+/// from worker clones) into the telemetry record: cache, delta,
 /// resilience-sweep and multipath-sweep counters.
 EngineCounters engine_counters(const Evaluator& eval);
 

@@ -60,7 +60,7 @@ namespace cold {
 
 /// Tuning for an Evaluator's memoization cache.
 struct EvalCacheConfig {
-  bool enabled = true;  ///< on by default; --eval-cache off disables it
+  bool enabled = true;  ///< on by default; --engine reference disables it
   /// Budget for everything the cache holds (SharedCostCache::entry_bytes
   /// per entry); least-recently-used entries are evicted to stay within it.
   std::size_t max_bytes = std::size_t{256} << 10;  ///< 256 KiB

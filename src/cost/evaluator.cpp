@@ -125,8 +125,6 @@ Evaluator Evaluator::clone() const { return Evaluator(CloneTag{}, *this); }
 void Evaluator::merge_stats(Evaluator& worker) {
   evaluations_ += worker.evaluations_;
   worker.evaluations_ = 0;
-  dedup_skipped_ += worker.dedup_skipped_;
-  worker.dedup_skipped_ = 0;
   delta_stats_ += worker.delta_stats_;
   worker.delta_stats_ = DeltaStats{};
   cache_stats_ += std::exchange(worker.cache_stats_, {});

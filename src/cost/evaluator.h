@@ -123,18 +123,6 @@ class Evaluator {
   /// inserts <= misses) holds per instance and after every merge.
   const EvalCacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Charges `n` evaluations that the GA's generation-level dedup served by
-  /// fanning out an already-computed result (no routing, no cache lookup).
-  /// Keeps evaluations() — and therefore budgets and traces — identical
-  /// whether dedup is on or off.
-  void charge_duplicates(std::size_t n) {
-    evaluations_ += n;
-    dedup_skipped_ += n;
-  }
-
-  /// Evaluations served by dedup fan-out (merged like evaluations()).
-  std::size_t dedup_skipped() const { return dedup_skipped_; }
-
   /// Delta-engine counters (merged across clones like evaluations()):
   /// hits = evaluations served by incremental tree repair, fallbacks =
   /// delta-enabled evaluations that ran full sweeps (no retained parent
@@ -224,7 +212,6 @@ class Evaluator {
   bool loads_valid_ = false;
   RoutingWorkspace ws_;
   std::size_t evaluations_ = 0;
-  std::size_t dedup_skipped_ = 0;
 
   // Delta engine: per-instance like the routing workspace (see
   // delta_state.h for why states are not shared across clones).

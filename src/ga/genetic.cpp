@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "ga/operators.h"
 #include "ga/repair.h"
@@ -94,8 +93,8 @@ std::vector<Topology> initial_population(Objective& eval, const GaConfig& cfg,
 /// sequential engine exactly (same objects, same call order).
 class ParallelScorer {
  public:
-  ParallelScorer(Objective& primary, std::size_t num_threads, bool dedup)
-      : primary_(primary), dedup_(dedup) {
+  ParallelScorer(Objective& primary, std::size_t num_threads)
+      : primary_(primary) {
     objectives_.push_back(&primary);
     for (std::size_t w = 1; w < num_threads; ++w) {
       std::unique_ptr<Objective> c = primary.clone();
@@ -127,10 +126,6 @@ class ParallelScorer {
   void score(std::vector<Topology>& gs, std::vector<double>& costs,
              std::size_t begin, GaResult& result,
              const std::vector<std::uint64_t>* hints = nullptr) {
-    if (dedup_) {
-      score_dedup(gs, costs, begin, result, hints);
-      return;
-    }
     struct Counters {
       std::size_t repairs = 0;
       std::size_t links_repaired = 0;
@@ -154,106 +149,16 @@ class ParallelScorer {
       result.links_repaired += c.links_repaired;
       result.evaluations += c.evaluations;
     }
-    clear_hints();
   }
 
  private:
-  /// End-of-pass hygiene: a hint is one-shot, but if a worker's last
-  /// set_parent_hint was never consumed (an objective threw, or a dedup
-  /// group emptied), it must not bias the first unhinted evaluation of the
-  /// next pass.
-  void clear_hints() {
-    for (Objective* o : objectives_) o->set_parent_hint(0);
-  }
-
-  /// The GaConfig::dedup variant of score(): group [begin, size) by
-  /// fingerprint (elites [0, begin) seed the groups), repair + score one
-  /// representative per group in parallel, then fan the results out
-  /// sequentially. Bit-identical to score(): identical pre-repair
-  /// topologies repair identically (repair_connectivity is deterministic
-  /// and elites are always connected, so their representatives add no
-  /// links), duplicates take the representative's exact topology and cost,
-  /// and every candidate is still charged as a repair/evaluation.
-  void score_dedup(std::vector<Topology>& gs, std::vector<double>& costs,
-                   std::size_t begin, GaResult& result,
-                   const std::vector<std::uint64_t>* hints = nullptr) {
-    std::vector<std::uint64_t> fps(gs.size());
-    for (std::size_t i = 0; i < gs.size(); ++i) fps[i] = gs[i].fingerprint();
-    const std::vector<std::size_t> rep_of =
-        dedup_representatives(gs, fps, begin);
-    std::vector<std::size_t> uniques;
-    uniques.reserve(gs.size() - begin);
-    for (std::size_t i = begin; i < gs.size(); ++i) {
-      if (rep_of[i] == i) uniques.push_back(i);
-    }
-    std::vector<std::size_t> added(gs.size(), 0);
-    const auto body = [&](std::size_t k, std::size_t w) {
-      const std::size_t i = uniques[k];
-      added[i] = repair_connectivity(gs[i], objectives_[w]->lengths());
-      if (hints != nullptr) objectives_[w]->set_parent_hint((*hints)[i]);
-      costs[i] = objectives_[w]->cost(gs[i]);
-    };
-    pool_->parallel_for(0, uniques.size(), body);
-    clear_hints();
-    // Sequential fan-out after the join. Counters are charged per candidate
-    // using its representative's repair work, exactly what scoring the
-    // duplicate itself would have recorded.
-    std::size_t duplicates = 0;
-    for (std::size_t i = begin; i < gs.size(); ++i) {
-      const std::size_t rep = rep_of[i];
-      if (rep != i) {
-        gs[i] = gs[rep];
-        costs[i] = costs[rep];
-        ++duplicates;
-      }
-      if (const std::size_t a = rep < begin ? 0 : added[rep]; a > 0) {
-        ++result.repairs;
-        result.links_repaired += a;
-      }
-      ++result.evaluations;
-    }
-    result.dedup_skipped += duplicates;
-    primary_.charge_duplicates(duplicates);
-  }
-
   Objective& primary_;
-  bool dedup_;
   std::vector<std::unique_ptr<Objective>> clones_;
   std::vector<Objective*> objectives_;  ///< [0] = primary, then clones
   std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
-
-std::vector<std::size_t> dedup_representatives(
-    const std::vector<Topology>& gs,
-    const std::vector<std::uint64_t>& fingerprints, std::size_t begin) {
-  // Buckets map fingerprint -> indices of group representatives seen so
-  // far. Candidates are processed in index order and only ever compare
-  // against earlier representatives, so the result is deterministic no
-  // matter how the hash table iterates internally.
-  std::vector<std::size_t> rep_of(gs.size());
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(gs.size());
-  for (std::size_t i = 0; i < begin; ++i) {
-    rep_of[i] = i;
-    buckets[fingerprints[i]].push_back(i);
-  }
-  for (std::size_t i = begin; i < gs.size(); ++i) {
-    std::vector<std::size_t>& bucket = buckets[fingerprints[i]];
-    rep_of[i] = i;
-    for (const std::size_t j : bucket) {
-      // Colliding fingerprints are only merged when the topologies really
-      // are equal — the same defense the cost caches apply on lookup.
-      if (gs[j] == gs[i]) {
-        rep_of[i] = j;
-        break;
-      }
-    }
-    if (rep_of[i] == i) bucket.push_back(i);
-  }
-  return rep_of;
-}
 
 GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
   const GaConfig cfg = options.config.resolved();
@@ -266,8 +171,7 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
   GaResult result;
   const DistanceProvider& lengths = eval.lengths();
   ParallelScorer scorer(
-      eval, std::min(cfg.parallel.resolved_threads(), cfg.population),
-      cfg.dedup);
+      eval, std::min(cfg.parallel.resolved_threads(), cfg.population));
 
   std::vector<Topology> pop = initial_population(eval, cfg, rng, options.seeds);
   std::vector<double> costs(pop.size(), 0.0);
@@ -288,7 +192,6 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
   std::size_t prev_repairs = result.repairs;
   std::size_t prev_links_repaired = result.links_repaired;
   std::size_t prev_evaluations = result.evaluations;
-  std::size_t prev_dedup_skipped = result.dedup_skipped;
 
   for (std::size_t gen = 0; gen < cfg.generations; ++gen) {
     // Cooperative cancellation: checked at the generation boundary, so a
@@ -369,14 +272,12 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
       event.repairs = result.repairs - prev_repairs;
       event.links_repaired = result.links_repaired - prev_links_repaired;
       event.evaluations = gen_evaluations;
-      event.dedup_skipped = result.dedup_skipped - prev_dedup_skipped;
       event.wall_ns = elapsed_ns(gen_started);
       observer->on_generation_end(event);
     }
     prev_repairs = result.repairs;
     prev_links_repaired = result.links_repaired;
     prev_evaluations = result.evaluations;
-    prev_dedup_skipped = result.dedup_skipped;
   }
 
   // Final ranking; report best and the whole final generation.

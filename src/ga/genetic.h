@@ -46,22 +46,11 @@ struct GaConfig {
   bool include_clique_seed = true;
 
   /// Worker threads for offspring repair + scoring (the hot path: one
-  /// Dijkstra sweep per candidate). 0 = all hardware threads, 1 = fully
+  /// Dijkstra sweep per candidate). 0 = all available cores, 1 = fully
   /// sequential. Every setting yields bit-identical results: variation
   /// decisions are drawn sequentially from the single Rng, and scoring is
   /// RNG-free with results written to per-offspring slots.
   ParallelConfig parallel;
-
-  /// Score each distinct topology once per scoring pass: candidates are
-  /// grouped by Zobrist fingerprint — merged only after full adjacency
-  /// equality confirms the edge sets match, so colliding fingerprints never
-  /// conflate two topologies — with the already-scored elites seeding the
-  /// groups; one representative per group is repaired and scored and its
-  /// result fanned out to the duplicates. Exact: identical pre-repair
-  /// topologies repair and score identically, and duplicates are still
-  /// charged as evaluations, so trajectories, budgets and logical traces
-  /// are bit-identical with dedup on or off (--dedup on the CLI).
-  bool dedup = false;
 
   /// Returns a copy with derived fields resolved and validated; throws
   /// std::invalid_argument on inconsistent settings.
@@ -77,7 +66,8 @@ struct GaResult {
   std::size_t repairs = 0;               ///< offspring needing connectivity repair
   std::size_t links_repaired = 0;        ///< links added by repairs
   std::size_t evaluations = 0;           ///< objective evaluations consumed
-  std::size_t dedup_skipped = 0;         ///< of those, served by dedup fan-out
+  /// Always 0; perfbench/probes.cpp:384 reads it until ROADMAP item 3 lands.
+  std::size_t dedup_skipped = 0;
   std::size_t generations_run = 0;       ///< completed generations
   bool stopped_early = false;            ///< a StopCondition fired
   StopReason stop_reason = StopReason::kNone;
@@ -113,17 +103,5 @@ GaResult run_ga(Objective& objective, Rng& rng, const GaRunOptions& options);
 
 /// Convenience overload for the standard cost model (paper eq. (2)).
 GaResult run_ga(Evaluator& eval, Rng& rng, const GaRunOptions& options);
-
-/// The grouping pass behind GaConfig::dedup, exposed for testing. Returns
-/// `rep_of` where rep_of[i] == i for group representatives (and for every
-/// i < begin — the already-scored elites that seed the groups) and
-/// rep_of[i] == j < i when gs[i] has the same edge set as gs[j].
-/// `fingerprints[i]` must describe gs[i] (taking them as a parameter lets
-/// tests forge colliding fingerprints); candidates whose fingerprints match
-/// are merged only after gs[i] == gs[j] confirms the topologies are equal.
-/// Deterministic: groups form in index order, independent of threads.
-std::vector<std::size_t> dedup_representatives(
-    const std::vector<Topology>& gs,
-    const std::vector<std::uint64_t>& fingerprints, std::size_t begin);
 
 }  // namespace cold

@@ -41,11 +41,7 @@ class Objective {
   /// objective after a parallel phase. No-op by default.
   virtual void merge_from(Objective& /*worker*/) {}
 
-  /// Charges `n` evaluations that the GA's generation-level dedup served by
-  /// fanning out an already-computed cost instead of calling cost(). Keeps
-  /// evaluation counters — and therefore budgets and traces — identical
-  /// whether dedup is on or off. No-op by default (objectives that don't
-  /// count evaluations have nothing to charge).
+  /// No-op; perfbench/probes.cpp:82 overrides it until ROADMAP item 3 lands.
   virtual void charge_duplicates(std::size_t /*n*/) {}
 
   /// Fingerprint of the topology the next cost() argument was derived from
@@ -92,10 +88,6 @@ class EvaluatorObjective final : public Objective {
     if (auto* w = dynamic_cast<EvaluatorObjective*>(&worker)) {
       eval_->merge_stats(*w->eval_);
     }
-  }
-
-  void charge_duplicates(std::size_t n) override {
-    eval_->charge_duplicates(n);
   }
 
   void set_parent_hint(std::uint64_t fingerprint) override {

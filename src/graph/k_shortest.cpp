@@ -64,7 +64,7 @@ std::vector<WeightedPath> k_shortest_paths(const Topology& g,
   if (first.empty()) return found;
   found.push_back(WeightedPath{first, path_length(first, lengths)});
 
-  // Candidate pool ordered deterministically; set-based for dedup.
+  // Candidate pool ordered deterministically; a set drops duplicates.
   auto cmp = [](const WeightedPath& a, const WeightedPath& b) {
     return path_less(a, b);
   };

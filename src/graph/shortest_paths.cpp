@@ -294,7 +294,7 @@ SpUpdateResult update_shortest_path_tree(const Topology& g,
   if (any_tree_edge) {
     // Children lists (CSR) from the current parent pointers, then mark each
     // orphaned subtree and reset it to the unreachable state a fresh sweep
-    // starts from. Nested orphan subtrees dedup via the dirty flags.
+    // starts from. The dirty flags reset a nested orphan subtree once.
     ws.child_off.assign(n + 1, 0);
     for (NodeId v = 0; v < n; ++v) {
       if (v != source && tree.dist[v] != kInf) {

@@ -12,7 +12,7 @@
 //     neighbors(v) exposes a list as a std::span.
 //   * a 64-bit Zobrist fingerprint — the XOR of a fixed per-edge key over
 //     the present edges — updated in O(1) per flip. Equal graphs always have
-//     equal fingerprints, so the fingerprint is a cheap cache/dedup key
+//     equal fingerprints, so the fingerprint is a cheap cache key
 //     (collisions are possible and must be verified against the adjacency).
 //   * optionally, a dense n² byte matrix (the *dense view*): a derived
 //     backend for the blocked dense Dijkstra kernel and O(1) edge tests,

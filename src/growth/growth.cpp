@@ -90,10 +90,6 @@ class GrowthObjective final : public Objective {
     }
   }
 
-  void charge_duplicates(std::size_t n) override {
-    eval_->inner().charge_duplicates(n);
-  }
-
   void set_parent_hint(std::uint64_t fingerprint) override {
     hint_ = fingerprint;
   }

@@ -28,9 +28,6 @@ std::uint64_t get_wall(const JsonValue& obj) {
   return obj.has("wall_ns") ? obj.field("wall_ns").uint() : 0;
 }
 
-/// GenerationEnd's per-generation share of the dedup counter, keyed like it.
-const std::string kDedupKey(counter_name(Counter::kDedupSkipped));
-
 JsonValue counters_to_json(const EngineCounters& counters) {
   JsonObject obj;
   for (std::size_t i = 0; i < kNumCounters; ++i) {
@@ -154,7 +151,6 @@ JsonValue run_report_json(const RunReport& report, bool include_timing) {
     obj["repairs"] = g.repairs;
     obj["links_repaired"] = g.links_repaired;
     obj["evaluations"] = g.evaluations;
-    if (include_timing) obj[kDedupKey] = g.dedup_skipped;
     put_wall(obj, g.wall_ns, include_timing);
     generations.push_back(std::move(obj));
   }
@@ -310,7 +306,6 @@ RunReport run_report_from_json(const std::string& json) {
     gen.repairs = g.field("repairs").uint();
     gen.links_repaired = g.field("links_repaired").uint();
     gen.evaluations = g.field("evaluations").uint();
-    if (g.has(kDedupKey)) gen.dedup_skipped = g.field(kDedupKey).uint();
     gen.wall_ns = get_wall(g);
     report.generations.push_back(gen);
   }

@@ -10,7 +10,7 @@
 //
 //   {
 //     "schema": "cold-run-report",
-//     "version": 11,
+//     "version": 12,
 //     "run": {"seed": u64, "num_pops": n, "traffic_topk": n,
 //             "traffic_kept_mass": x},
 //     "result": {"best_cost": x, "evaluations": n,
@@ -33,8 +33,7 @@
 //     "heuristics": [{"name": str, "cost": x, ["wall_ns": n]}, ...],
 //     "generations": [{"gen": n, "best_cost": x, "mean_cost": x,
 //                      "repairs": n, "links_repaired": n,
-//                      "evaluations": n, ["dedup_skipped": n],
-//                      ["wall_ns": n]}, ...],
+//                      "evaluations": n, ["wall_ns": n]}, ...],
 //     "ensemble_runs": [{"index": n, "seed": u64, "best_cost": x,
 //                        ["wall_ns": n]}, ...],
 //     "ensemble_aggregates": {"runs": n, "streamed": bool,
@@ -65,10 +64,11 @@
 // on the folded runs — so they are emitted even timing-free, as are
 // "run.traffic_topk" (the gravity top-K truncation, 0 = exact) and
 // "run.traffic_kept_mass" (the demand-mass fraction it kept, 1.0 = exact).
-// Version 11 replaced the "result.cache" / "result.dsssp" /
-// "result.dedup_skipped" blocks, the sweep counters of the resilience and
+// Version 11 replaced the "result.cache" / "result.dsssp" blocks, the
+// skipped-duplicate count, the sweep counters of the resilience and
 // multipath blocks and the flat per-phase counter keys with the
-// "counters" objects.
+// "counters" objects. Version 12 dropped that skipped-duplicate counter
+// and its per-generation key with the GA feature that filled them.
 //
 // Round-trips through io/json: run_report_from_json(run_report_to_json(r))
 // reproduces every field (wall times and counters included when serialized
@@ -87,7 +87,7 @@
 namespace cold {
 
 /// The schema version the writer emits and the only one the parser reads.
-inline constexpr int kRunReportVersion = 11;
+inline constexpr int kRunReportVersion = 12;
 
 struct RunReport {
   RunStart run;        ///< the "run" block (traffic_kept_mass is in summary)

@@ -36,12 +36,12 @@ std::string render(const JsonValue& v) {
 }
 
 /// Whether the subtree at `path` (field `key`) is performance data: wall
-/// clocks and every engine counter, plus the resilience and multipath
+/// clocks and the engine counters, plus the resilience and multipath
 /// winner summaries — a resilient-vs-plain pair at weight 0, or an
 /// ECMP-vs-single-path pair on a unique-shortest-path topology, must stay
 /// logically equal, so even those blocks' presence is perf drift.
 bool is_perf(const std::string& path, const std::string& key) {
-  return key == "wall_ns" || key == "counters" || counter_from_name(key) ||
+  return key == "wall_ns" || key == "counters" ||
          path == "result.resilience" || path == "result.multipath";
 }
 

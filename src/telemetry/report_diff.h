@@ -11,11 +11,10 @@
 //
 // The comparison walks the two reports' timed JSON documents
 // (run_report_json) in step, so every field the schema carries is compared
-// with no per-field code. Everything is logical except `wall_ns`, every
-// engine counter (the `counters` objects and the per-generation
-// `dedup_skipped`), and the `result.resilience` / `result.multipath`
-// winner summaries. A block present on one side only yields one
-// "<path>.present" entry in its bucket.
+// with no per-field code. Everything is logical except `wall_ns`, the
+// engine counters (the `counters` objects), and the `result.resilience` /
+// `result.multipath` winner summaries. A block present on one side only
+// yields one "<path>.present" entry in its bucket.
 //
 // Field paths use a compact dotted notation, e.g. "result.best_cost",
 // "phases[2].evaluations", "result.counters.cache_hits". Doubles are

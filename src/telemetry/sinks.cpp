@@ -70,10 +70,7 @@ struct CanonicalPrinter {
        << " mean=" << num(e.mean_cost) << " repairs=" << e.repairs
        << " links_repaired=" << e.links_repaired
        << " evals=" << e.evaluations;
-    if (timing) {
-      os << " " << counter_name(Counter::kDedupSkipped) << "="
-         << e.dedup_skipped << " wall_ns=" << e.wall_ns;
-    }
+    if (timing) os << " wall_ns=" << e.wall_ns;
     os << "\n";
   }
   void operator()(const EnsembleRunDone& e) const {
@@ -98,16 +95,13 @@ double ms(std::uint64_t wall_ns) {
   return static_cast<double>(wall_ns) / 1e6;
 }
 
-/// The progress line's engine summary: cache hit share, dedup savings and
-/// delta-engine share, each only when that lever fired.
+/// The progress line's engine summary: cache hit share and delta-engine
+/// share, each only when that lever fired.
 void print_engine(std::ostream& os, const EngineCounters& c) {
   const std::uint64_t lookups =
       c[Counter::kCacheHits] + c[Counter::kCacheMisses];
   if (lookups > 0) {
     os << ", cache " << c[Counter::kCacheHits] << "/" << lookups << " hits";
-  }
-  if (c[Counter::kDedupSkipped] > 0) {
-    os << ", dedup skipped " << c[Counter::kDedupSkipped];
   }
   const std::uint64_t delta_evals =
       c[Counter::kDssspHits] + c[Counter::kDssspFallbacks];

@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace cold {
@@ -57,10 +58,16 @@ std::int64_t now_ns() {
 }  // namespace
 
 void StopCondition::arm() {
-  if (max_seconds <= 0.0) return;
+  // 0 = unlimited. A NaN budget, or a deadline past the int64 nanosecond
+  // clock (about 292 years, or infinite), can never fire: no deadline,
+  // rather than an undefined cast or an overflow.
+  const double budget_ns = max_seconds * 1e9;
+  if (!(budget_ns > 0.0 && budget_ns < 0x1p63)) return;
+  const auto budget = static_cast<std::int64_t>(budget_ns);
+  const std::int64_t now = now_ns();
+  if (budget > std::numeric_limits<std::int64_t>::max() - now) return;
   std::int64_t expected = 0;
-  const auto deadline =
-      now_ns() + static_cast<std::int64_t>(max_seconds * 1e9);
+  const std::int64_t deadline = now + budget;
   // First caller wins; one condition can span several entry points.
   deadline_ns_.compare_exchange_strong(expected, deadline,
                                        std::memory_order_relaxed);

@@ -92,7 +92,6 @@ enum class Counter : std::size_t {
   kCacheMisses,       ///< cache lookups that recomputed
   kCacheInserts,      ///< cache entries written
   kCacheEvictions,    ///< LRU replacements
-  kDedupSkipped,      ///< evaluations served by GA dedup fan-out
   kDssspHits,         ///< delta-engine incremental evaluations
   kDssspFallbacks,    ///< delta-enabled evaluations swept fully
   kVerticesResettled, ///< labels the delta engine repaired incrementally
@@ -117,7 +116,6 @@ inline constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
     "cache_misses",
     "cache_inserts",
     "cache_evictions",
-    "dedup_skipped",
     "dsssp_hits",
     "dsssp_fallbacks",
     "vertices_resettled",
@@ -197,7 +195,6 @@ struct GenerationEnd {
   std::size_t repairs = 0;          ///< offspring needing connectivity repair
   std::size_t links_repaired = 0;   ///< links added by those repairs
   std::size_t evaluations = 0;      ///< objective evaluations this generation
-  std::size_t dedup_skipped = 0;    ///< of those, served by dedup fan-out
   std::uint64_t wall_ns = 0;
 };
 
@@ -401,7 +398,8 @@ class StopCondition {
   static StopCondition wall_clock(double seconds);
   static StopCondition eval_budget(std::size_t evaluations);
 
-  /// 0 = unlimited. Set before the run starts.
+  /// 0 = unlimited, as is a deadline past the int64 nanosecond clock. Set
+  /// before the run starts.
   double max_seconds = 0.0;
   std::size_t max_evaluations = 0;
 

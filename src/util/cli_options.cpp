@@ -1,6 +1,7 @@
 #include "util/cli_options.h"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace cold {
@@ -72,15 +73,19 @@ std::string CliOptions::get(const std::string& key,
 double CliOptions::num(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(it->second, &consumed);
-    if (consumed != it->second.size()) throw std::invalid_argument("trailing");
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + key + " expects a number, got '" +
-                                it->second + "'");
+  const std::string& text = it->second;
+  const char* const last = text.data() + text.size();
+  double value = 0.0;
+  // Unlike stod, from_chars takes no leading space, '+' or hex; NaN and
+  // infinities parse but are rejected below.
+  const auto [end, ec] = std::from_chars(text.data(), last, value,
+                                         std::chars_format::general);
+  if (ec != std::errc() || end != last || !std::isfinite(value)) {
+    throw std::invalid_argument("option --" + key +
+                                " expects a finite number, got '" + text +
+                                "'");
   }
+  return value;
 }
 
 std::uint64_t CliOptions::uint(const std::string& key,

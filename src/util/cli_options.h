@@ -39,7 +39,9 @@ class CliOptions {
 
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Numeric option; throws std::invalid_argument on a malformed number.
+  /// Finite decimal number option, the whole value parsed exactly. Throws
+  /// std::invalid_argument on anything else — padding, hex, NaN,
+  /// infinities, overflow or trailing text.
   double num(const std::string& key, double fallback) const;
 
   /// Non-negative integer option (counts, sizes, seeds): plain decimal

@@ -2,17 +2,29 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace cold {
 
+std::size_t available_cores() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::size_t ParallelConfig::resolved_threads() const {
-  if (num_threads > 0) return num_threads;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return num_threads > 0 ? num_threads : available_cores();
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = available_cores();
   workers_.reserve(num_threads - 1);
   for (std::size_t w = 1; w < num_threads; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });

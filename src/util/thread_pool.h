@@ -24,15 +24,21 @@
 
 namespace cold {
 
+/// The cores the calling thread may run on: the size of its
+/// sched_getaffinity mask (a taskset or container cpuset), falling back to
+/// hardware_concurrency() where no mask is available; at least 1. What
+/// "all cores" (`num_threads == 0`) resolves to.
+std::size_t available_cores();
+
 /// User-facing parallelism knob, threaded through GaConfig, SynthesisConfig
-/// and the bench harness. `num_threads == 0` means "all hardware threads";
+/// and the bench harness. `num_threads == 0` means "all available cores";
 /// `1` means fully sequential. Any value yields bit-identical results — the
 /// knob trades wall-clock only.
 struct ParallelConfig {
   std::size_t num_threads = 0;
 
-  /// The actual worker count: num_threads, or hardware_concurrency() (at
-  /// least 1) when num_threads is 0.
+  /// The actual worker count: num_threads, or available_cores() when
+  /// num_threads is 0.
   std::size_t resolved_threads() const;
 };
 
@@ -41,7 +47,7 @@ struct ParallelConfig {
 /// call parallel_for from inside a body running on the same pool.
 class ThreadPool {
  public:
-  /// `num_threads == 0` resolves to hardware_concurrency().
+  /// `num_threads == 0` resolves to available_cores().
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

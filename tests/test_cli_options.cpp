@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cli_options.h"
@@ -74,6 +75,23 @@ TEST(CliOptions, RejectsMalformedNumbers) {
   CliOptions options = demo_options();
   parse(options, {"--pops", "12abc"});
   EXPECT_THROW(options.num("pops", 0), std::invalid_argument);
+  // num takes one finite decimal number and nothing else: no padding, sign
+  // prefix, hex float, NaN, infinity or overflow.
+  for (const char* bad :
+       {" 10", "10 ", "+3", "0x1p3", "0x10", "nan", "NaN", "-nan", "inf",
+        "-inf", "infinity", "1e400", "", "1e", "--2"}) {
+    CliOptions options = demo_options();
+    parse(options, {"--pops", bad});
+    EXPECT_THROW(options.num("pops", 0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  for (const auto& [text, value] :
+       std::vector<std::pair<const char*, double>>{
+           {"4e-4", 4e-4}, {"1E3", 1000.0}, {".5", 0.5}, {"-2.25", -2.25}}) {
+    CliOptions options = demo_options();
+    parse(options, {"--pops", text});
+    EXPECT_EQ(options.num("pops", 0), value) << text;
+  }
   CliOptions negative = demo_options();
   parse(negative, {"--pops", "-3"});
   EXPECT_THROW(negative.uint("pops", 0), std::invalid_argument);

@@ -142,9 +142,12 @@ TEST(Synthesizer, OverprovisionPropagates) {
 }
 
 TEST(Synthesizer, ValidatesConfig) {
-  SynthesisConfig bad = small_config(8, CostParams{});
-  bad.overprovision = 0.5;
-  EXPECT_THROW(Synthesizer{bad}, std::invalid_argument);
+  // NaN slips past a plain `< 1` check and infinity passes it.
+  for (const double overprovision : {0.5, std::nan(""), HUGE_VAL}) {
+    SynthesisConfig bad = small_config(8, CostParams{});
+    bad.overprovision = overprovision;
+    EXPECT_THROW(Synthesizer{bad}, std::invalid_argument) << overprovision;
+  }
   SynthesisConfig bad_cost = small_config(8, CostParams{});
   bad_cost.costs.k0 = -1.0;
   EXPECT_THROW(Synthesizer{bad_cost}, std::invalid_argument);

@@ -205,157 +205,6 @@ TEST(RunGa, HighBandwidthCostProducesMeshyNetworks) {
   EXPECT_GT(average_degree(r.best), 8.0);
 }
 
-// ---------------------------------------------------------------------------
-// Generation-level dedup (GaConfig::dedup).
-// ---------------------------------------------------------------------------
-
-TEST(DedupRepresentatives, GroupsIdenticalTopologiesInIndexOrder) {
-  const Topology a = Topology::from_edges(6, {{0, 1}, {1, 2}});
-  const Topology b = Topology::from_edges(6, {{0, 1}, {2, 3}});
-  const Topology c = Topology::from_edges(6, {{4, 5}});
-  const std::vector<Topology> gs = {a, b, a, c, b, a};
-  std::vector<std::uint64_t> fps;
-  for (const Topology& g : gs) fps.push_back(g.fingerprint());
-  const std::vector<std::size_t> rep =
-      dedup_representatives(gs, fps, /*begin=*/0);
-  EXPECT_EQ(rep, (std::vector<std::size_t>{0, 1, 0, 3, 1, 0}));
-}
-
-TEST(DedupRepresentatives, ElitesSeedGroups) {
-  // A candidate equal to an already-scored elite points at the elite, so
-  // its stored cost fans out without any new evaluation.
-  const Topology a = Topology::from_edges(6, {{0, 1}, {1, 2}});
-  const Topology b = Topology::from_edges(6, {{0, 1}, {2, 3}});
-  const Topology c = Topology::from_edges(6, {{4, 5}});
-  const std::vector<Topology> gs = {a, b, a, c, b};
-  std::vector<std::uint64_t> fps;
-  for (const Topology& g : gs) fps.push_back(g.fingerprint());
-  const std::vector<std::size_t> rep =
-      dedup_representatives(gs, fps, /*begin=*/2);
-  EXPECT_EQ(rep, (std::vector<std::size_t>{0, 1, 0, 3, 1}));
-}
-
-TEST(DedupRepresentatives, EqualFingerprintsDifferentGraphsNotMerged) {
-  // Forged fingerprints: two plainly different graphs handed the same hash
-  // must stay separate — merging is gated on full topology equality.
-  const Topology ring = Topology::from_edges(
-      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
-  const Topology path =
-      Topology::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  const std::vector<Topology> forged = {ring, path};
-  EXPECT_EQ(dedup_representatives(forged, {42u, 42u}, 0),
-            (std::vector<std::size_t>{0, 1}));
-
-  // And a *real* Zobrist collision: the same edge set on different node
-  // counts XORs to the same fingerprint, yet the topologies differ.
-  const Topology small = Topology::from_edges(4, {{0, 1}});
-  const Topology large = Topology::from_edges(5, {{0, 1}});
-  ASSERT_EQ(small.fingerprint(), large.fingerprint());
-  const std::vector<Topology> colliding = {small, large};
-  EXPECT_EQ(dedup_representatives(
-                colliding, {small.fingerprint(), large.fingerprint()}, 0),
-            (std::vector<std::size_t>{0, 1}));
-}
-
-/// Counts actual cost() calls. Not cloneable, so run_ga scores sequentially
-/// — which makes the call count exact and deterministic.
-class CountingObjective final : public Objective {
- public:
-  explicit CountingObjective(Evaluator eval) : eval_(std::move(eval)) {}
-  double cost(const Topology& g) override {
-    ++calls_;
-    return eval_.cost(g);
-  }
-  const DistanceProvider& lengths() const override { return eval_.lengths(); }
-  void charge_duplicates(std::size_t n) override { charged_ += n; }
-  std::size_t calls() const { return calls_; }
-  std::size_t charged() const { return charged_; }
-
- private:
-  Evaluator eval_;
-  std::size_t calls_ = 0;
-  std::size_t charged_ = 0;
-};
-
-TEST(RunGaDedup, EachDistinctTopologyScoredOnce) {
-  // Seed the initial population with three copies of the MST (plus the
-  // built-in MST seed: four identical individuals) so the very first
-  // scoring pass contains guaranteed duplicates.
-  const CostParams params{10, 1, 4e-4, 10};
-  const auto run = [&](bool dedup, CountingObjective& obj) {
-    GaRunOptions options;
-    options.config.population = 16;
-    options.config.generations = 6;
-    options.config.dedup = dedup;
-    const Topology mst = minimum_spanning_tree(obj.lengths());
-    options.seeds = {mst, mst, mst};
-    Rng rng(11);
-    return run_ga(obj, rng, options);
-  };
-
-  CountingObjective with(make_evaluator(12, params));
-  const GaResult r = run(true, with);
-  EXPECT_GE(r.dedup_skipped, 3u);  // at least the seeded MST copies
-  EXPECT_EQ(with.charged(), r.dedup_skipped);
-  // Duplicates are charged, not scored: the objective saw one call per
-  // distinct topology, while the budget-visible count is unchanged.
-  EXPECT_EQ(with.calls(), r.evaluations - r.dedup_skipped);
-
-  CountingObjective without(make_evaluator(12, params));
-  const GaResult ref = run(false, without);
-  EXPECT_EQ(ref.dedup_skipped, 0u);
-  EXPECT_EQ(without.calls(), ref.evaluations);
-  // The trajectory is bit-identical with dedup on or off.
-  EXPECT_EQ(r.best_cost_history, ref.best_cost_history);
-  EXPECT_EQ(r.final_costs, ref.final_costs);
-  EXPECT_EQ(r.evaluations, ref.evaluations);
-  EXPECT_EQ(r.repairs, ref.repairs);
-  EXPECT_EQ(r.links_repaired, ref.links_repaired);
-  EXPECT_TRUE(r.best == ref.best);
-}
-
-TEST(RunGaDedup, DuplicatesReceiveIdenticalCosts) {
-  // Every pair of equal topologies in the final population must carry
-  // exactly equal costs — the fan-out copies breakdowns, never recomputes.
-  Evaluator eval = make_evaluator(10, CostParams{10, 1, 1e-4, 0});
-  GaRunOptions options;
-  options.config.population = 16;
-  options.config.generations = 8;
-  options.config.dedup = true;
-  Rng rng(12);
-  const GaResult r = run_ga(eval, rng, options);
-  for (std::size_t i = 0; i < r.final_population.size(); ++i) {
-    for (std::size_t j = i + 1; j < r.final_population.size(); ++j) {
-      if (r.final_population[i] == r.final_population[j]) {
-        EXPECT_EQ(r.final_costs[i], r.final_costs[j]) << i << " vs " << j;
-      }
-    }
-  }
-}
-
-TEST(RunGaDedup, InvariantAcrossThreadCounts) {
-  const auto run = [](bool dedup, std::size_t threads) {
-    Evaluator eval = make_evaluator(12, CostParams{10, 1, 4e-4, 10}, 2);
-    GaRunOptions options;
-    options.config.population = 16;
-    options.config.generations = 6;
-    options.config.dedup = dedup;
-    options.config.parallel.num_threads = threads;
-    Rng rng(13);
-    return run_ga(eval, rng, options);
-  };
-  const GaResult reference = run(false, 1);
-  for (const bool dedup : {false, true}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      const GaResult r = run(dedup, threads);
-      ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
-      ASSERT_EQ(r.final_costs, reference.final_costs);
-      ASSERT_EQ(r.evaluations, reference.evaluations);
-      ASSERT_TRUE(r.best == reference.best);
-    }
-  }
-}
-
 // The evaluation engine's headline guarantee extended to the delta engine:
 // the GA trajectory is invariant across every {dsssp, thread count, cache}
 // combination — enabling --dsssp can never change results. With several

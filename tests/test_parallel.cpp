@@ -3,6 +3,10 @@
 // count never changes results — only wall-clock.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -20,12 +24,38 @@ namespace {
 
 TEST(ParallelConfig, ResolvesThreads) {
   ParallelConfig p;
-  EXPECT_GE(p.resolved_threads(), 1u);  // 0 = hardware, at least 1
+  EXPECT_EQ(p.resolved_threads(), available_cores());  // 0 = all cores
+  EXPECT_GE(p.resolved_threads(), 1u);
   p.num_threads = 1;
   EXPECT_EQ(p.resolved_threads(), 1u);
   p.num_threads = 7;
   EXPECT_EQ(p.resolved_threads(), 7u);
 }
+
+#if defined(__linux__)
+TEST(ParallelConfig, AllCoresFollowsTheAffinityMask) {
+  // Pin this thread to one CPU of its current mask, as taskset or a
+  // container cpuset would: "all cores" must then mean one core.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t cores = available_cores();
+  const std::size_t resolved = ParallelConfig{}.resolved_threads();
+  const std::size_t pool_size = ThreadPool(0).size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(cores, 1u);
+  EXPECT_EQ(resolved, 1u);
+  EXPECT_EQ(pool_size, 1u);
+  EXPECT_EQ(available_cores(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPool, ExecutesEveryIndexExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {

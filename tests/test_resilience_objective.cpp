@@ -8,8 +8,8 @@
 // graphs where single failures disconnect, and near-clique graphs where
 // equal-length alternatives storm the tie-breaking. On top of that the
 // resilient objective must keep the GA's trajectory bit-identical across
-// thread counts, cache modes, the delta engine and dedup, and a weight of
-// zero must reproduce the plain objective's costs exactly.
+// thread counts, cache modes and the delta engine, and a weight of zero
+// must reproduce the plain objective's costs exactly.
 #include "cost/resilience.h"
 
 #include <gtest/gtest.h>
@@ -311,28 +311,23 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const bool cache : {false, true}) {
       for (const bool dsssp : {false, true}) {
-        for (const bool dedup : {false, true}) {
-          SynthesisConfig cfg = resilient_config();
-          cfg.ga.parallel.num_threads = threads;
-          cfg.engine.cache.enabled = cache;
-          cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
-          cfg.ga.dedup = dedup;
-          const SynthesisResult r = Synthesizer(cfg).synthesize(7);
-          const std::string what =
-              "threads=" + std::to_string(threads) +
-              " cache=" + std::to_string(cache) +
-              " dsssp=" + std::to_string(dsssp) +
-              " dedup=" + std::to_string(dedup);
-          if (reference.empty()) {
-            reference = r.ga.best_cost_history;
-            reference_cost = r.ga.best_cost;
-            ASSERT_FALSE(reference.empty());
-          } else {
-            EXPECT_EQ(r.ga.best_cost_history, reference) << what;
-            EXPECT_EQ(r.ga.best_cost, reference_cost) << what;
-          }
-          EXPECT_GT(r.counters[Counter::kResilienceSweeps], 0u) << what;
+        SynthesisConfig cfg = resilient_config();
+        cfg.ga.parallel.num_threads = threads;
+        cfg.engine.cache.enabled = cache;
+        cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
+        const SynthesisResult r = Synthesizer(cfg).synthesize(7);
+        const std::string what = "threads=" + std::to_string(threads) +
+                                 " cache=" + std::to_string(cache) +
+                                 " dsssp=" + std::to_string(dsssp);
+        if (reference.empty()) {
+          reference = r.ga.best_cost_history;
+          reference_cost = r.ga.best_cost;
+          ASSERT_FALSE(reference.empty());
+        } else {
+          EXPECT_EQ(r.ga.best_cost_history, reference) << what;
+          EXPECT_EQ(r.ga.best_cost, reference_cost) << what;
         }
+        EXPECT_GT(r.counters[Counter::kResilienceSweeps], 0u) << what;
       }
     }
   }
@@ -342,7 +337,6 @@ TEST(ResilientObjective, TrajectoryInvariantAcrossEngineConfigs) {
   cfg.ga.parallel.num_threads = 8;
   cfg.engine.cache.enabled = true;
   cfg.engine.delta.mode = DsspMode::kOn;
-  cfg.ga.dedup = true;
   const SynthesisResult r = Synthesizer(cfg).synthesize(7);
   EXPECT_EQ(r.ga.best_cost_history, reference);
   EXPECT_EQ(r.ga.best_cost, reference_cost);

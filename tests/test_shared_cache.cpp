@@ -9,8 +9,8 @@
 //      eviction — meant to run under TSan as well as the regular suites.
 //   3. The engine's headline property: GA trajectories, best-cost
 //      histories, and timing-free telemetry (canonical traces + JSON
-//      reports) are byte-identical across {cache off, on} x {dedup on/off}
-//      x {1, 2, 4, 8 threads}.
+//      reports) are byte-identical across {cache off, on} x {1, 2, 4, 8
+//      threads}.
 #include "cost/cost_cache.h"
 
 #include <gtest/gtest.h>
@@ -428,13 +428,12 @@ struct ComboOutput {
 };
 
 ComboOutput run_combo(std::size_t pops, std::uint64_t seed, bool cache,
-                      bool dedup, std::size_t threads, bool heuristics) {
+                      std::size_t threads, bool heuristics) {
   SynthesisConfig cfg;
   cfg.context.num_pops = pops;
   cfg.seed_with_heuristics = heuristics;
   cfg.ga.population = 10;
   cfg.ga.generations = 3;
-  cfg.ga.dedup = dedup;
   cfg.ga.parallel.num_threads = threads;
   cfg.engine.cache.enabled = cache;
 
@@ -455,8 +454,8 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, bool cache,
   return out;
 }
 
-TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
-  // >= 50 random trials; each runs all 16 engine combinations and demands
+TEST(EngineDeterminism, TracesInvariantAcrossCacheAndThreads) {
+  // >= 50 random trials; each runs all 8 engine combinations and demands
   // byte-identical timing-free telemetry. Most trials skip heuristic
   // seeding to keep the suite fast; a handful keep it on so the heuristics
   // phase is covered too.
@@ -467,26 +466,21 @@ TEST(EngineDeterminism, TracesInvariantAcrossCacheDedupAndThreads) {
     const bool heuristics = trial >= kTrials - 5;
 
     const ComboOutput reference =
-        run_combo(pops, seed, /*cache=*/false, /*dedup=*/false,
-                  /*threads=*/1, heuristics);
+        run_combo(pops, seed, /*cache=*/false, /*threads=*/1, heuristics);
     ASSERT_FALSE(reference.trace.empty());
     for (const bool cache : {false, true}) {
-      for (const bool dedup : {false, true}) {
-        for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-          if (!cache && !dedup && threads == 1) continue;
-          const ComboOutput got =
-              run_combo(pops, seed, cache, dedup, threads, heuristics);
-          const std::string label =
-              "trial=" + std::to_string(trial) +
-              " cache=" + std::to_string(cache) +
-              " dedup=" + std::to_string(dedup) +
-              " threads=" + std::to_string(threads);
-          ASSERT_EQ(got.trace, reference.trace) << label;
-          ASSERT_EQ(got.report, reference.report) << label;
-          ASSERT_EQ(got.history, reference.history) << label;
-          ASSERT_EQ(got.best_cost, reference.best_cost) << label;
-          ASSERT_EQ(got.evaluations, reference.evaluations) << label;
-        }
+      for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+        if (!cache && threads == 1) continue;
+        const ComboOutput got =
+            run_combo(pops, seed, cache, threads, heuristics);
+        const std::string label = "trial=" + std::to_string(trial) +
+                                  " cache=" + std::to_string(cache) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(got.trace, reference.trace) << label;
+        ASSERT_EQ(got.report, reference.report) << label;
+        ASSERT_EQ(got.history, reference.history) << label;
+        ASSERT_EQ(got.best_cost, reference.best_cost) << label;
+        ASSERT_EQ(got.evaluations, reference.evaluations) << label;
       }
     }
   }

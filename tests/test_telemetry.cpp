@@ -73,6 +73,23 @@ TEST(StopCondition, DeadlineFiresOnceArmed) {
   EXPECT_EQ(stop.reason(), StopReason::kDeadline);
 }
 
+TEST(StopCondition, DeadlineBeyondTheClockIsNoDeadline) {
+  // max_seconds * 1e9 past the int64 nanosecond range (about 292 years)
+  // must not reach the integer cast, nor must NaN.
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    StopCondition stop = StopCondition::wall_clock(seconds);
+    stop.arm();
+    EXPECT_FALSE(stop.should_stop()) << seconds;
+    EXPECT_EQ(stop.reason(), StopReason::kNone) << seconds;
+  }
+  // A long but representable deadline is armed and simply not yet due.
+  StopCondition year = StopCondition::wall_clock(3.15e7);
+  year.arm();
+  EXPECT_FALSE(year.should_stop());
+}
+
 TEST(StopCondition, RequestWinsPrecedence) {
   StopCondition stop = StopCondition::eval_budget(1);
   stop.arm();
@@ -98,7 +115,7 @@ TEST(MultiObserver, FansOutAndIgnoresNull) {
   multi.add(&a);
   multi.add(nullptr);
   multi.add(&b);
-  multi.on_generation_end({0, 1.0, 2.0, 0, 0, 16, 0, 10});
+  multi.on_generation_end({0, 1.0, 2.0, 0, 0, 16, 10});
   RunSummary summary;
   summary.best_cost = 1.0;
   summary.evaluations = 16;
@@ -131,7 +148,7 @@ TEST(PhaseTimer, EmitsEngineCounterDeltas) {
   counters[Counter::kCacheMisses] = 7;
   counters[Counter::kCacheInserts] = 7;
   counters[Counter::kCacheEvictions] = 1;
-  counters[Counter::kDedupSkipped] = 2;
+  counters[Counter::kDssspHits] = 2;
   counters[Counter::kMultipathDagEdges] = 40;
   {
     PhaseTimer timer(&sink, Phase::kGa, {}, [&] { return counters; });
@@ -139,7 +156,7 @@ TEST(PhaseTimer, EmitsEngineCounterDeltas) {
     counters[Counter::kCacheMisses] = 10;
     counters[Counter::kCacheInserts] = 9;
     counters[Counter::kCacheEvictions] = 1;
-    counters[Counter::kDedupSkipped] = 8;
+    counters[Counter::kDssspHits] = 8;
     counters[Counter::kMultipathDagEdges] = 100;
   }
   ASSERT_EQ(sink.events().size(), 2u);
@@ -148,7 +165,7 @@ TEST(PhaseTimer, EmitsEngineCounterDeltas) {
   EXPECT_EQ(delta[Counter::kCacheMisses], 3u);
   EXPECT_EQ(delta[Counter::kCacheInserts], 2u);
   EXPECT_EQ(delta[Counter::kCacheEvictions], 0u);
-  EXPECT_EQ(delta[Counter::kDedupSkipped], 6u);
+  EXPECT_EQ(delta[Counter::kDssspHits], 6u);
   EXPECT_EQ(delta[Counter::kMultipathDagEdges], 60u);
   EngineCounters start = counters - delta;  // the record's arithmetic
   start += delta;
@@ -168,12 +185,10 @@ TEST(TraceSink, EngineCountersArePerformanceData) {
   phase.phase = Phase::kGa;
   phase.counters[Counter::kCacheHits] = 3;
   sink.on_phase_end(phase);
-  GenerationEnd gen;
-  gen.dedup_skipped = 4;
-  sink.on_generation_end(gen);
+  sink.on_generation_end(GenerationEnd{});
   RunSummary summary;
   summary.counters[Counter::kCacheHits] = 9;
-  summary.counters[Counter::kDedupSkipped] = 4;
+  summary.counters[Counter::kDssspHits] = 4;
   summary.counters[Counter::kResilienceSweeps] = 6;
   sink.on_run_end(summary);
 
@@ -185,7 +200,7 @@ TEST(TraceSink, EngineCountersArePerformanceData) {
   EXPECT_NE(timed.find("phase_end ga evals=0 cache_hits=3"),
             std::string::npos);
   EXPECT_NE(timed.find("cache_hits=9"), std::string::npos);
-  EXPECT_NE(timed.find("dedup_skipped=4"), std::string::npos);
+  EXPECT_NE(timed.find("dsssp_hits=4"), std::string::npos);
   EXPECT_NE(timed.find("resilience_sweeps=6"), std::string::npos);
 }
 
@@ -579,65 +594,61 @@ TEST(RunReport, SharedCachePhaseCountersShowCrossWorkerHits) {
   EXPECT_EQ(c[Counter::kCacheMisses], c[Counter::kCacheInserts]);
 }
 
-TEST(RunReport, DedupCountersRoundTripWhenTimed) {
+TEST(RunReport, CountersRoundTripWhenTimed) {
   RunReport report;
   report.run.seed = 11;
   report.run.num_pops = 4;
   report.summary.best_cost = 1.5;
   report.summary.evaluations = 40;
-  report.summary.counters[Counter::kDedupSkipped] = 7;
+  report.summary.counters[Counter::kDssspHits] = 7;
   report.summary.counters[Counter::kCacheHits] = 3;
   PhaseStats ga;
   ga.phase = Phase::kGa;
   ga.evaluations = 40;
   ga.counters[Counter::kCacheHits] = 3;
-  ga.counters[Counter::kDedupSkipped] = 7;
+  ga.counters[Counter::kDssspHits] = 7;
   report.phases.push_back(ga);
   GenerationEnd gen;
   gen.gen = 0;
   gen.evaluations = 20;
-  gen.dedup_skipped = 4;
   report.generations.push_back(gen);
 
-  const RunReport timed = run_report_from_json(
-      run_report_to_json(report, /*include_timing=*/true));
+  const std::string timed_json =
+      run_report_to_json(report, /*include_timing=*/true);
+  const RunReport timed = run_report_from_json(timed_json);
   EXPECT_EQ(timed.summary.counters, report.summary.counters);
   EXPECT_EQ(timed.phases[0].counters, ga.counters);
-  EXPECT_EQ(timed.generations[0].dedup_skipped, 4u);
+  // v12 deleted GA dedup: no counter and no per-generation key remain.
+  EXPECT_EQ(timed_json.find("dedup"), std::string::npos);
+  EXPECT_FALSE(counter_from_name("dedup_skipped").has_value());
 
   // Timing-free reports treat the counters as performance data and drop
   // them — they parse back as zeros.
   const std::string bare = run_report_to_json(report, /*include_timing=*/false);
-  EXPECT_EQ(bare.find("dedup_skipped"), std::string::npos);
+  EXPECT_EQ(bare.find("dsssp"), std::string::npos);
   EXPECT_EQ(bare.find("cache"), std::string::npos);
   EXPECT_EQ(bare.find("counters"), std::string::npos);
   const RunReport parsed = run_report_from_json(bare);
   EXPECT_EQ(parsed.summary.counters, EngineCounters{});
   EXPECT_EQ(parsed.phases[0].counters, EngineCounters{});
-  EXPECT_EQ(parsed.generations[0].dedup_skipped, 0u);
 
-  // A timed grow_network report with dedup on: the run total is the sum of
-  // the generations' dedup savings. The GA's own MST seed is off because it
-  // would duplicate grow_network's MST seed in the initial population, whose
-  // savings count in the run total but in no generation.
+  // A timed grow_network report carries the grow evaluator's counters in
+  // its run total, and they survive the round trip.
   SynthesisConfig base_cfg = small_config();
   const Network base = Synthesizer(base_cfg).synthesize(1).network;
   GrowthConfig grow;
   grow.new_pops = 3;
   grow.ga.population = 16;
   grow.ga.generations = 8;
-  grow.ga.dedup = true;
-  grow.ga.include_mst_seed = false;
   JsonReportSink sink;
   grow.observer = &sink;
   grow_network(base, grow, 2);
-  const RunReport grown = run_report_from_json(run_report_to_json(sink.report()));
-  std::uint64_t per_generation = 0;
-  for (const GenerationEnd& g : grown.generations) {
-    per_generation += g.dedup_skipped;
-  }
-  EXPECT_GT(per_generation, 0u);
-  EXPECT_EQ(grown.summary.counters[Counter::kDedupSkipped], per_generation);
+  const EngineCounters& c = sink.report().summary.counters;
+  EXPECT_GT(c[Counter::kCacheHits], 0u);  // elites re-score as hits
+  EXPECT_EQ(c[Counter::kCacheMisses], c[Counter::kCacheInserts]);
+  const RunReport grown =
+      run_report_from_json(run_report_to_json(sink.report()));
+  EXPECT_EQ(grown.summary.counters, c);
 }
 
 // The parser reads the current schema version only: a report in any older
@@ -733,6 +744,27 @@ TEST(RunReport, RejectsV7Reports) {
     "ensemble_runs": []})");
 }
 
+TEST(RunReport, RejectsV11Reports) {
+  // v11: "counters" objects that still carry GA dedup's "dedup_skipped",
+  // plus its per-generation key.
+  expect_version_rejected(R"({"schema": "cold-run-report", "version": 11,
+    "run": {"seed": 9, "num_pops": 6, "traffic_topk": 0,
+            "traffic_kept_mass": 1},
+    "result": {"best_cost": 2.25, "evaluations": 50, "stopped_early": false,
+               "stop_reason": "none",
+               "counters": {"cache_hits": 12, "cache_misses": 38,
+                            "dedup_skipped": 5},
+               "wall_ns": 1000},
+    "phases": [{"name": "ga", "evaluations": 50,
+                "counters": {"cache_hits": 12, "dedup_skipped": 5},
+                "wall_ns": 900}],
+    "heuristics": [],
+    "generations": [{"gen": 0, "best_cost": 2.25, "mean_cost": 3.0,
+                     "repairs": 1, "links_repaired": 2, "evaluations": 25,
+                     "dedup_skipped": 5, "wall_ns": 450}],
+    "ensemble_runs": []})");
+}
+
 TEST(RunReport, RejectsNonCurrentVersions) {
   // v10: cache/dsssp blocks, dedup_skipped and flat per-phase counter
   // keys instead of the "counters" objects.
@@ -772,14 +804,14 @@ TEST(RunReport, RejectsNonCurrentVersions) {
   // The current document restamped with the previous, a newer, a
   // fractional or no version throws as well.
   for (const std::string replacement :
-       {"\"version\": 10", "\"version\": 12", "\"version\": 11.5",
-        "\"revision\": 11"}) {
+       {"\"version\": 11", "\"version\": 13", "\"version\": 12.5",
+        "\"revision\": 12"}) {
     std::string changed = json;
     changed.replace(ver, current.size(), replacement);
     expect_version_rejected(changed);
   }
   std::string quoted = json;
-  quoted.replace(ver, current.size(), "\"version\": \"11\"");
+  quoted.replace(ver, current.size(), "\"version\": \"12\"");
   EXPECT_THROW(run_report_from_json(quoted), std::runtime_error);
 }
 

@@ -3,8 +3,8 @@
 //   cold synth    [--pops N] [--k0 X --k2 X --k3 X] [--seed S]
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
-//                 [--max-evals N] [--eval-cache on|off]
-//                 [--dedup] [--dsssp on|off|auto]
+//                 [--max-evals N] [--engine default|reference]
+//                 [--dsssp on|off|auto]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
@@ -70,17 +70,13 @@ const std::vector<OptionSpec> kGaOpts = {
     {"threads", true, "K (0 = all cores)"},
 };
 
-// Evaluation-engine knobs (cost/cost_cache.h). Exact: any combination
-// produces bit-identical networks; these trade memory for speed.
+// Evaluation-engine switches. Exact: every setting produces bit-identical
+// networks; they trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
-    {"eval-cache", true, "on|off (on): memoize cost evaluations in one "
-                         "256 KiB cache shared by every worker"},
-    {"dedup", false, "score each distinct GA offspring once"},
+    {"engine", true, "default|reference (default): reference is the plain "
+                     "uncached, matrix-free path equivalence checks use"},
     {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
                     "offspring"},
-    {"dense-threshold", true,
-     "N (512): largest n with dense adjacency/distance backends; 0 forces "
-     "the matrix-free path (exact: results are bit-identical either way)"},
 };
 
 const std::vector<OptionSpec> kOutputOpts = {
@@ -219,15 +215,14 @@ void print_usage() {
       "            synth/ensemble/grow also take --progress, --max-seconds T\n"
       "            and --max-evals N (stop budgets; partial results stay\n"
       "            valid)\n"
-      "  engine    (synth/ensemble/grow): --eval-cache on|off (on)\n"
-      "            memoizes cost evaluations in one 256 KiB cache shared by\n"
-      "            every worker thread, --dedup scores each distinct GA\n"
-      "            offspring once per generation, --dsssp on|off|auto\n"
-      "            re-routes near-parent offspring incrementally (auto\n"
-      "            enables it above 16 PoPs), and --dense-threshold N (512)\n"
-      "            caps the n below which dense adjacency/distance backends\n"
-      "            materialize (0 forces the matrix-free path); all are\n"
-      "            exact and change performance only\n";
+      "  engine    (synth/ensemble/grow): --engine default|reference\n"
+      "            (default): default memoizes cost evaluations in one\n"
+      "            256 KiB cache shared by every worker thread and uses dense\n"
+      "            adjacency/distance backends up to 512 PoPs; reference\n"
+      "            turns the cache off and runs matrix-free at every size.\n"
+      "            --dsssp on|off|auto (off) re-routes near-parent offspring\n"
+      "            incrementally (auto enables it above 16 PoPs; default\n"
+      "            engine only). All are exact and change performance only\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +243,9 @@ class CliTelemetry {
       any_sink_ = true;
     }
     stop_.max_seconds = args.num("max-seconds", 0.0);
+    if (stop_.max_seconds < 0) {
+      throw std::invalid_argument("--max-seconds must be >= 0 (0 = unlimited)");
+    }
     stop_.max_evaluations = args.uint("max-evals", 0);
     want_stop_ = stop_.max_seconds > 0 || stop_.max_evaluations > 0;
   }
@@ -282,23 +280,10 @@ class CliTelemetry {
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
+/// Resolves --engine and --dsssp. Call before any context or topology is
+/// built: the reference engine moves process-wide backend thresholds.
 EvalEngineConfig engine_from(const CliOptions& args) {
-  // Process-wide backend switch, applied before any context or topology is
-  // built. Both thresholds move together so "matrix-free" means the whole
-  // engine: sparse adjacency AND on-demand distances.
-  if (args.has("dense-threshold")) {
-    const std::size_t threshold = args.uint("dense-threshold", 512);
-    Topology::set_dense_auto_threshold(threshold);
-    DistanceProvider::set_dense_auto_threshold(threshold);
-  }
   EvalEngineConfig engine;
-  const std::string cache = args.get("eval-cache", "on");
-  if (cache == "on" || cache == "off") {
-    engine.cache.enabled = cache == "on";
-  } else {
-    throw std::invalid_argument("unknown --eval-cache: " + cache +
-                                " (expected on or off)");
-  }
   const std::string dsssp = args.get("dsssp", "off");
   if (dsssp == "on") {
     engine.delta.mode = DsspMode::kOn;
@@ -309,6 +294,21 @@ EvalEngineConfig engine_from(const CliOptions& args) {
   } else {
     throw std::invalid_argument("unknown --dsssp: " + dsssp +
                                 " (expected on, off or auto)");
+  }
+  const std::string name = args.get("engine", "default");
+  if (name == "reference") {
+    if (engine.delta.mode != DsspMode::kOff) {
+      throw std::invalid_argument("--engine reference runs without the "
+                                  "delta engine; drop --dsssp " + dsssp);
+    }
+    engine.cache.enabled = false;
+    // Both thresholds move together so "matrix-free" means the whole
+    // engine: sparse adjacency AND on-demand distances.
+    Topology::set_dense_auto_threshold(0);
+    DistanceProvider::set_dense_auto_threshold(0);
+  } else if (name != "default") {
+    throw std::invalid_argument("unknown --engine: " + name +
+                                " (expected default or reference)");
   }
   return engine;
 }
@@ -322,7 +322,6 @@ SynthesisConfig config_from(const CliOptions& args) {
   cfg.costs.k3 = args.num("k3", 10.0);
   cfg.ga.population = args.uint("population", 48);
   cfg.ga.generations = args.uint("generations", 40);
-  cfg.ga.dedup = args.has("dedup");
   cfg.overprovision = args.num("overprovision", 1.0);
   cfg.context.gravity.topk = args.uint("traffic-topk", 0);
   cfg.engine = engine_from(args);
@@ -368,7 +367,7 @@ SynthesisConfig config_from(const CliOptions& args) {
     cfg.engine.multipath.max_util_weight = args.num("max-util-weight", 0.0);
     cfg.engine.multipath.oversub_weight = args.num("oversub-weight", 0.0);
   }
-  // 0 = all hardware threads; any value yields bit-identical output.
+  // 0 = all available cores; any value yields bit-identical output.
   const std::size_t threads = args.uint("threads", 0);
   cfg.ga.parallel.num_threads = threads;
   cfg.parallel.num_threads = threads;
@@ -662,10 +661,11 @@ int cmd_grow(const CliOptions& args) {
   if (!args.has("in")) throw std::invalid_argument("grow needs --in FILE.json");
   std::ifstream file(args.get("in", ""));
   if (!file) throw std::runtime_error("cannot open input file");
+  GrowthConfig cfg;
+  cfg.engine = engine_from(args);
   const Network base = read_network_json(file);
 
   CliTelemetry telemetry(args);
-  GrowthConfig cfg;
   cfg.new_pops = args.uint("new-pops", 5);
   cfg.population_growth = args.num("growth", 1.2);
   cfg.decommission_factor = args.num("decommission", 1.0);
@@ -675,9 +675,7 @@ int cmd_grow(const CliOptions& args) {
   cfg.costs.k3 = args.num("k3", 10.0);
   cfg.ga.population = args.uint("population", 48);
   cfg.ga.generations = args.uint("generations", 40);
-  cfg.ga.dedup = args.has("dedup");
   cfg.ga.parallel.num_threads = args.uint("threads", 0);
-  cfg.engine = engine_from(args);
   cfg.observer = telemetry.observer();
   cfg.stop = telemetry.stop();
   const std::uint64_t seed = args.uint("seed", 1);
