@@ -12,23 +12,19 @@
 //      Evaluator clones sharing one cache. Gate: the hit rate equals the
 //      single-evaluator cold pass at every worker count — an entry filled
 //      by any clone serves all of them, so the partition is invisible.
-//   4. Sparse vs dense shortest paths: route m ~ n topologies (MST plus a
-//      few chords — the shapes synthesis actually produces) at n = 80 and
-//      n = 120 through route_loads with the solver forced dense vs sparse.
-//      Gates: sparse wins at both sizes, with bitwise-identical loads.
+//   4. Shortest paths on m ~ n topologies (MST plus a few chords — the
+//      shapes synthesis actually produces) at n = 80 and n = 120: route_loads
+//      sweeps/sec, with every source's heap-solver tree checked against the
+//      scalar reference scan (tests/reference.h). Gate: bit-identical trees.
 //   5. Delta evaluation (dynamic SSSP): replay the recorded trace with the
 //      GA's parent hints through a delta-enabled, cache-off Evaluator —
 //      every evaluation is a cache miss, so the speedup isolates
 //      incremental re-routing against full sweeps. Gate: >= 1.25x evals/sec
-//      and per-evaluation bit-identity with the uncached reference. (The
-//      floor was 2x against the scalar dense scan; the blocked/batched
-//      kernel roughly doubled full-sweep throughput — the denominator of
-//      this ratio — while delta throughput held, so the floor was
-//      re-baselined. See DESIGN.md §4.6.)
-//   6. Blocked dense kernel: full Dijkstra sweeps over every source of an
-//      n = 96 near-clique, the blocked/batched dense solver vs the original
-//      scalar scan (tests/reference.h). Gate: >= 2x trees/sec
-//      with bit-identical trees (dist, hops, parent, settle order).
+//      and per-evaluation bit-identity with the uncached reference.
+//   6. Near-clique trees: full sweeps over every source of an n = 96
+//      near-clique, the heap solver vs the original scalar scan
+//      (tests/reference.h), both timed. Gate: bit-identical trees (dist,
+//      hops, parent, settle order) in the regime with the most ties.
 //   7. Multipath (ECMP) throughput: evaluate the n = 80 m ~ n instance with
 //      the traffic engine forced single-path vs ECMP DAG splitting, both
 //      with zero objective weights. Euclidean instances have unique
@@ -44,7 +40,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -174,16 +169,28 @@ ReplaySample replay_multi_worker(const Context& ctx, const CostParams& costs,
   return s;
 }
 
+/// True iff the heap solver's tree from every source of (g, lengths) equals
+/// the scalar reference scan's — dist, hops, parent and settle order.
+bool trees_match_reference(const Topology& g, const DistanceProvider& lengths) {
+  ShortestPathTree heap, scan;
+  bool identical = true;
+  for (NodeId src = 0; src < g.num_nodes(); ++src) {
+    shortest_path_tree(g, lengths, src, heap);
+    reference::shortest_path_tree(g, lengths, src, scan);
+    identical &= heap.dist == scan.dist && heap.hops == scan.hops &&
+                 heap.parent == scan.parent && heap.order == scan.order;
+  }
+  return identical;
+}
+
 struct SparseSample {
   std::size_t pops = 0;
   std::size_t edges = 0;
-  double dense_eps = 0.0;   // route_loads sweeps/sec, solver forced dense
-  double sparse_eps = 0.0;  // route_loads sweeps/sec, solver forced sparse
-  bool auto_picks_sparse = false;
-  bool identical = false;
+  double eps = 0.0;        // route_loads sweeps/sec
+  bool identical = false;  // every tree equals the reference scan's
 };
 
-SparseSample measure_sparse_vs_dense(std::size_t n, std::size_t reps) {
+SparseSample measure_sparse(std::size_t n, std::size_t reps) {
   ContextConfig ctx_cfg;
   ctx_cfg.num_pops = n;
   Rng ctx_rng(2 + n);
@@ -193,29 +200,17 @@ SparseSample measure_sparse_vs_dense(std::size_t n, std::size_t reps) {
   SparseSample s;
   s.pops = n;
   s.edges = g.num_edges();
-  s.auto_picks_sparse =
-      select_sp_algorithm(n, g.num_edges()) == SpAlgorithm::kSparse;
+  s.identical = trees_match_reference(g, ctx.distances);
 
-  EdgeLoads dense_loads, sparse_loads;
-  bool routed = true;
-  for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    const bool dense = algo == SpAlgorithm::kDense;
-    EdgeLoads& loads = dense ? dense_loads : sparse_loads;
-    RoutingWorkspace ws;
-    const RouteOptions opt{.algo = algo};
-    // The checked first sweep also warms the workspace, outside the timing.
-    routed = routed &&
-             route_loads(g, ctx.distances, ctx.traffic, loads, ws, opt);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      route_loads(g, ctx.distances, ctx.traffic, loads, ws, opt);
-    }
-    const double eps = static_cast<double>(reps) / seconds_since(t0);
-    (dense ? s.dense_eps : s.sparse_eps) = eps;
+  EdgeLoads loads;
+  RoutingWorkspace ws;
+  // The checked first sweep also warms the workspace, outside the timing.
+  s.identical &= route_loads(g, ctx.distances, ctx.traffic, loads, ws);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < reps; ++r) {
+    route_loads(g, ctx.distances, ctx.traffic, loads, ws);
   }
-  s.identical = routed &&
-                std::memcmp(dense_loads.value.data(), sparse_loads.value.data(),
-                            dense_loads.value.size() * sizeof(double)) == 0;
+  s.eps = static_cast<double>(reps) / seconds_since(t0);
   return s;
 }
 
@@ -235,7 +230,7 @@ struct MultipathSample {
 MultipathSample measure_multipath(std::size_t n, std::size_t reps) {
   ContextConfig ctx_cfg;
   ctx_cfg.num_pops = n;
-  Rng ctx_rng(2 + n);  // same instance the sparse-vs-dense section times
+  Rng ctx_rng(2 + n);  // same instance the m ~ n section times
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
   const Topology g = sparse_instance(ctx, 2 + n);
 
@@ -270,15 +265,14 @@ struct KernelSample {
   std::size_t pops = 0;
   std::size_t edges = 0;
   double reference_tps = 0.0;  // trees/sec, scalar reference scan
-  double blocked_tps = 0.0;    // trees/sec, blocked dense kernel
+  double heap_tps = 0.0;       // trees/sec, heap solver
   bool identical = false;      // dist/hops/parent/order all bit-equal
 };
 
-/// Times full all-source sweeps of the blocked dense kernel against the
-/// scalar reference scan on an n-PoP near-clique (the dense solver's home
-/// regime: the per-round min reduction dominates). Trees are cross-checked
-/// for bit-identity on an untimed pass first.
-KernelSample measure_blocked_kernel(std::size_t n, std::size_t reps) {
+/// Times full all-source sweeps of the heap solver against the scalar
+/// reference scan on an n-PoP near-clique, after an untimed bit-identity
+/// check of every tree.
+KernelSample measure_near_clique(std::size_t n, std::size_t reps) {
   ContextConfig ctx_cfg;
   ctx_cfg.num_pops = n;
   Rng ctx_rng(5 + n);
@@ -294,31 +288,21 @@ KernelSample measure_blocked_kernel(std::size_t n, std::size_t reps) {
   KernelSample s;
   s.pops = n;
   s.edges = g.num_edges();
+  s.identical = trees_match_reference(g, ctx.distances);
 
-  ShortestPathTree blocked, reference;
-  s.identical = true;
-  for (NodeId src = 0; src < n; ++src) {
-    shortest_path_tree(g, ctx.distances, src, blocked, SpAlgorithm::kDense);
-    reference::shortest_path_tree(g, ctx.distances, src, reference);
-    s.identical &= blocked.dist == reference.dist &&
-                   blocked.hops == reference.hops &&
-                   blocked.parent == reference.parent &&
-                   blocked.order == reference.order;
-  }
-
-  const auto t_blocked = std::chrono::steady_clock::now();
+  ShortestPathTree tree;
+  const auto t_heap = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
     for (NodeId src = 0; src < n; ++src) {
-      shortest_path_tree(g, ctx.distances, src, blocked, SpAlgorithm::kDense);
+      shortest_path_tree(g, ctx.distances, src, tree);
     }
   }
-  s.blocked_tps =
-      static_cast<double>(reps * n) / seconds_since(t_blocked);
+  s.heap_tps = static_cast<double>(reps * n) / seconds_since(t_heap);
 
   const auto t_reference = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < reps; ++r) {
     for (NodeId src = 0; src < n; ++src) {
-      reference::shortest_path_tree(g, ctx.distances, src, reference);
+      reference::shortest_path_tree(g, ctx.distances, src, tree);
     }
   }
   s.reference_tps =
@@ -332,7 +316,7 @@ int main(int argc, char** argv) {
   cold::bench::banner(
       "Memoized + sparse evaluation engine",
       ">= 3x evals/sec on a duplicate-heavy GA workload with the cache on; "
-      "heap Dijkstra beats the dense scan on m ~ n graphs from n = 80");
+      "heap Dijkstra trees bit-identical to the reference scan");
 
   // --- Record a GA-shaped evaluation workload. -----------------------------
   const std::size_t n = 40;
@@ -410,18 +394,14 @@ int main(int argc, char** argv) {
         s.identical ? "yes" : "NO");
   }
 
-  // --- Sparse vs dense on m ~ n instances. ---------------------------------
+  // --- Heap solver on m ~ n instances. -------------------------------------
   std::vector<SparseSample> sparse_samples;
   for (const std::size_t size : {80u, 120u}) {
     const std::size_t reps = cold::bench::trials(60, 300);
-    const SparseSample s = measure_sparse_vs_dense(size, reps);
+    const SparseSample s = measure_sparse(size, reps);
     sparse_samples.push_back(s);
-    std::printf(
-        "n=%3zu m=%3zu  dense %8.1f sweeps/s | sparse %8.1f sweeps/s | "
-        "%.2fx  auto=%s identical=%s\n",
-        s.pops, s.edges, s.dense_eps, s.sparse_eps,
-        s.sparse_eps / s.dense_eps, s.auto_picks_sparse ? "sparse" : "dense",
-        s.identical ? "yes" : "NO");
+    std::printf("n=%3zu m=%3zu  %8.1f sweeps/s | identical=%s\n", s.pops,
+                s.edges, s.eps, s.identical ? "yes" : "NO");
   }
 
   // --- Delta evaluation: hinted replay vs full sweeps, both uncached. ------
@@ -487,15 +467,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(dstats.vertices_resettled),
       delta_identical ? "yes" : "NO");
 
-  // --- Blocked dense kernel vs the scalar reference scan. ------------------
+  // --- Near-clique: heap solver vs the scalar reference scan. --------------
   const KernelSample kernel =
-      measure_blocked_kernel(96, cold::bench::trials(20, 100));
-  const double kernel_speedup = kernel.blocked_tps / kernel.reference_tps;
+      measure_near_clique(96, cold::bench::trials(20, 100));
   std::printf(
-      "dense kernel n=%zu m=%zu  reference %8.0f trees/s | blocked %8.0f "
-      "trees/s | %.2fx  identical=%s\n",
-      kernel.pops, kernel.edges, kernel.reference_tps, kernel.blocked_tps,
-      kernel_speedup, kernel.identical ? "yes" : "NO");
+      "near-clique n=%zu m=%zu  reference %8.0f trees/s | heap %8.0f "
+      "trees/s | identical=%s\n",
+      kernel.pops, kernel.edges, kernel.reference_tps, kernel.heap_tps,
+      kernel.identical ? "yes" : "NO");
 
   // --- Multipath (ECMP) vs single-path throughput. -------------------------
   const MultipathSample mp =
@@ -518,15 +497,11 @@ int main(int argc, char** argv) {
                   s.hit_rate == cold_hit_rate);
   }
   for (const SparseSample& s : sparse_samples) {
-    const std::string p = std::to_string(s.pops);
-    gates.require_at_least("sparse_n" + p + "_speedup",
-                           s.sparse_eps / s.dense_eps, 1.0);
-    gates.require("sparse_n" + p + "_auto_picks_sparse", s.auto_picks_sparse);
-    gates.require("sparse_n" + p + "_identical", s.identical);
+    gates.require("sparse_n" + std::to_string(s.pops) + "_identical",
+                  s.identical);
   }
   gates.require_at_least("dsssp_speedup", delta_speedup, 1.25);
   gates.require("dsssp_identical_costs", delta_identical);
-  gates.require_at_least("dense_blocked_speedup", kernel_speedup, 2.0);
   gates.require("dense_blocked_identical", kernel.identical);
   gates.require_at_least("multipath_n80_ratio", mp_ratio, 0.35);
   gates.require("multipath_n80_identical", mp.identical);
@@ -561,18 +536,13 @@ int main(int argc, char** argv) {
                    s.identical ? "true" : "false",
                    i + 1 < replay_samples.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"sparse_vs_dense\": [\n");
+    std::fprintf(f, "  ],\n  \"sparse\": [\n");
     for (std::size_t i = 0; i < sparse_samples.size(); ++i) {
       const SparseSample& s = sparse_samples[i];
       std::fprintf(f,
                    "    {\"pops\": %zu, \"edges\": %zu, "
-                   "\"sweeps_per_sec_dense\": %.1f, "
-                   "\"sweeps_per_sec_sparse\": %.1f, \"speedup\": %.3f, "
-                   "\"auto_picks_sparse\": %s, \"identical_loads\": %s}%s\n",
-                   s.pops, s.edges, s.dense_eps, s.sparse_eps,
-                   s.sparse_eps / s.dense_eps,
-                   s.auto_picks_sparse ? "true" : "false",
-                   s.identical ? "true" : "false",
+                   "\"sweeps_per_sec\": %.1f, \"identical_trees\": %s}%s\n",
+                   s.pops, s.edges, s.eps, s.identical ? "true" : "false",
                    i + 1 < sparse_samples.size() ? "," : "");
     }
     std::fprintf(f,
@@ -585,13 +555,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(dstats.vertices_resettled),
                  delta_identical ? "true" : "false");
     std::fprintf(f,
-                 "  \"dense_kernel\": {\"pops\": %zu, \"edges\": %zu, "
+                 "  \"near_clique\": {\"pops\": %zu, \"edges\": %zu, "
                  "\"trees_per_sec_reference\": %.1f, "
-                 "\"trees_per_sec_blocked\": %.1f, \"speedup\": %.3f, "
-                 "\"identical_trees\": %s},\n",
+                 "\"trees_per_sec_heap\": %.1f, \"identical_trees\": %s},\n",
                  kernel.pops, kernel.edges, kernel.reference_tps,
-                 kernel.blocked_tps, kernel_speedup,
-                 kernel.identical ? "true" : "false");
+                 kernel.heap_tps, kernel.identical ? "true" : "false");
     std::fprintf(f,
                  "  \"multipath\": {\"pops\": %zu, \"edges\": %zu, "
                  "\"evals_per_sec_single\": %.1f, "

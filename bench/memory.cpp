@@ -10,9 +10,9 @@
 //      footprint linearly (~10x the per-run state), so this gate fails
 //      loudly if streaming ever silently re-retains.
 //   2. City-scale synthesis fits in a bounded footprint: one n = 2000
-//      synthesis (far above the dense-view auto threshold, so no n^2 byte
-//      matrix ever exists) must complete connected inside an absolute RSS
-//      ceiling.
+//      synthesis (far above the dense-distance auto threshold, so no n^2
+//      distance matrix ever exists) must complete connected inside an
+//      absolute RSS ceiling.
 //   3. Matrix-free distances are not a throughput cliff: evaluating the
 //      same m ~ n topology at n = 200 with the distance matrix forced
 //      dense vs forced on-demand (recompute + LRU row tiles) must keep
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
               rss_city, rss_before_city);
 
   gates.require("city_synthesis_sparse_backend",
-                !r.network.topology.has_dense_view());
+                !r.network.lengths.has_dense());
   gates.require("city_synthesis_connected",
                 is_connected(r.network.topology));
   // The context's n^2 double matrices (distances, traffic ~ 32 MiB each)
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
       rss_metro, rss_before_metro, metro_secs);
 
   gates.require("metro_synthesis_sparse_backend",
-                !m.network.topology.has_dense_view());
+                !m.network.lengths.has_dense());
   gates.require("metro_synthesis_connected",
                 is_connected(m.network.topology));
   gates.require_at_least("metro_synthesis_rss_headroom", 2048.0 / rss_metro,

@@ -59,7 +59,7 @@ int main() {
   std::cout << "Generating an ensemble of " << ensemble_size
             << " networks (20 PoPs each)...\n";
   const cold::EnsembleResult ensemble =
-      cold::generate_ensemble(synth, ensemble_size, /*base_seed=*/1);
+      cold::generate_ensemble(synth, {.count = ensemble_size, .base_seed = 1});
 
   std::cout << "\nEnsemble statistics (mean [95% bootstrap CI]):\n";
   auto show = [](const char* name, const cold::ConfidenceInterval& ci) {

@@ -339,15 +339,6 @@ EnsembleResult generate_ensemble(const Synthesizer& synth,
   return result;
 }
 
-EnsembleResult generate_ensemble(const Synthesizer& synth, std::size_t count,
-                                 std::uint64_t base_seed, double ci_level) {
-  EnsembleOptions options;
-  options.count = count;
-  options.base_seed = base_seed;
-  options.ci_level = ci_level;
-  return generate_ensemble(synth, options);
-}
-
 std::vector<TopologyMetrics> sweep_metrics(const Synthesizer& synth,
                                            std::size_t count,
                                            std::uint64_t base_seed) {

@@ -187,11 +187,6 @@ struct EnsembleResult {
 EnsembleResult generate_ensemble(const Synthesizer& synth,
                                  const EnsembleOptions& options);
 
-/// Legacy signature: count/seed/level with RetainMode::kAuto.
-EnsembleResult generate_ensemble(const Synthesizer& synth, std::size_t count,
-                                 std::uint64_t base_seed = 1,
-                                 double ci_level = 0.95);
-
 /// Lightweight sweep record used by the figure benches: synthesizes `count`
 /// networks and returns just their TopologyMetrics (no Network retained —
 /// sweeping hundreds of runs would otherwise hold a lot of memory).

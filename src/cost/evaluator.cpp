@@ -201,60 +201,32 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
     return finish_breakdown(g, &slot.trees);
   }
   ++delta_stats_.hits;
-  const SpAlgorithm algo =
-      resolve_sp_algorithm(g, lengths_, SpAlgorithm::kAuto);
   const std::size_t max_resettled = static_cast<std::size_t>(
       engine_.delta.max_resettle_ratio * static_cast<double>(n));
   RoutingState& slot = delta_store_->begin_fill(parent);
   slot.trees.resize(n);
   loads_.build(g);
-  // Block-batched resettle: per source block (byte-capped like
-  // route_loads'), (1) copy the parent trees and run the incremental
-  // updates, collecting the sources whose affected region blew the cutoff,
-  // (2) recompute those in one batched sweep (identical result by the
-  // solvers' exactness contract), (3) accumulate the block in increasing
-  // source order — the same accumulation order as the scalar loop, so
-  // loads stay bit-identical.
-  const std::size_t bw = ws_.block_width(n);
-  NodeId fallback_sources[kSpSourceBlock];
-  ShortestPathTree* fallback_trees[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    std::size_t num_fallback = 0;
-    for (std::size_t b = 0; b < width; ++b) {
-      const NodeId s = base + b;
-      ShortestPathTree& tree = slot.trees[s];
-      tree = parent->trees[s];
-      const SpUpdateResult r = update_shortest_path_tree(
-          g, lengths_, diff_added_, diff_removed_, tree, sp_ws_,
-          max_resettled);
-      if (r.applied) {
-        delta_stats_.vertices_resettled += r.resettled;
-      } else {
-        fallback_sources[num_fallback] = s;
-        fallback_trees[num_fallback] = &tree;
-        ++num_fallback;
-      }
+  // Per source, in increasing order: copy the parent tree and repair it
+  // incrementally, or recompute it when the affected region blows the
+  // cutoff (identical result by the update's exactness contract). Then
+  // aggregate through route_loads' own per-source code path in the same
+  // source order, so the loads are bit-identical to a full sweep's.
+  for (NodeId s = 0; s < n; ++s) {
+    ShortestPathTree& tree = slot.trees[s];
+    tree = parent->trees[s];
+    const SpUpdateResult r = update_shortest_path_tree(
+        g, lengths_, diff_added_, diff_removed_, tree, sp_ws_, max_resettled);
+    if (r.applied) {
+      delta_stats_.vertices_resettled += r.resettled;
+    } else {
+      shortest_path_tree(g, lengths_, s, tree);
     }
-    for (std::size_t f = 0; f < num_fallback; ++f) {
-      // Dense fallbacks within one block could share a lockstep pass, but
-      // they rarely co-occur; per-source keeps the pointer plumbing simple.
-      shortest_path_tree_batch(g, lengths_, &fallback_sources[f], 1,
-                               fallback_trees[f], algo);
+    if (tree.order.size() != n) {
+      return infeasible_breakdown(g);  // disconnected; slot stays free
     }
-    for (std::size_t b = 0; b < width; ++b) {
-      const NodeId s = base + b;
-      ShortestPathTree& tree = slot.trees[s];
-      if (tree.order.size() != n) {
-        return infeasible_breakdown(g);  // disconnected; slot stays free
-      }
-      // Aggregation is route_loads' own per-source code path in the exact
-      // source order, so the loads are bit-identical to a full sweep's
-      // (repaired trees are bit-identical to fresh ones).
-      accumulate_source_loads(g, lengths_, tree, traffic_, s,
-                              engine_.multipath.mode, loads_, ws_,
-                              &multipath_stats_);
-    }
+    accumulate_source_loads(g, lengths_, tree, traffic_, s,
+                            engine_.multipath.mode, loads_, ws_,
+                            &multipath_stats_);
   }
   if (engine_.multipath.enabled()) ++multipath_stats_.sweeps;
   slot.topology = g;

@@ -16,8 +16,7 @@
 //   * the delta engine (cost/delta_state.h): retained parent routing states
 //     repaired incrementally for children within a few edge flips
 //     (--dsssp), fed by parent-fingerprint hints from the GA.
-// Both are exact, as is the density-chosen shortest-path solver
-// (graph/shortest_paths.h): every configuration yields bit-identical costs,
+// Both are exact: every configuration yields bit-identical costs,
 // so GA trajectories do not depend on engine settings. Cache hits still
 // count as evaluations() — budgets and traces agree whether or not the
 // cache is on.

@@ -1,5 +1,6 @@
 #include "geom/distance.h"
 
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -37,20 +38,17 @@ std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
 }
 
 namespace {
-
-std::size_t& provider_dense_threshold() {
-  static std::size_t threshold = 512;
-  return threshold;
-}
-
+// Consulted only at construction; a plain atomic keeps concurrent test
+// fixtures and the CLI safe without ordering requirements.
+std::atomic<std::size_t> g_dense_auto_threshold{512};
 }  // namespace
 
 std::size_t DistanceProvider::dense_auto_threshold() {
-  return provider_dense_threshold();
+  return g_dense_auto_threshold.load(std::memory_order_relaxed);
 }
 
 void DistanceProvider::set_dense_auto_threshold(std::size_t n) {
-  provider_dense_threshold() = n;
+  g_dense_auto_threshold.store(n, std::memory_order_relaxed);
 }
 
 DistanceProvider::DistanceProvider(const Matrix<double>& dense)

@@ -32,10 +32,8 @@ std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
 ///
 /// Construction modes:
 ///   - from_points(pts): coordinate-backed. Auto-materializes the dense
-///     matrix only when n <= dense_auto_threshold() (mirroring
-///     Topology::dense_auto_threshold), so small instances keep the dense
-///     fast path and every existing bit-identity gate, while large n stays
-///     O(n) resident.
+///     matrix only when n <= dense_auto_threshold(), so small instances
+///     keep the one-load lookup while large n stays O(n) resident.
 ///   - from a Matrix<double>: dense, always. The implicit lvalue-reference
 ///     form is a non-owning view (the caller's matrix must outlive the
 ///     provider) so legacy call sites passing a bare matrix keep working;
@@ -89,11 +87,6 @@ class DistanceProvider {
   /// The materialized matrix; requires has_dense().
   const Matrix<double>& dense() const { return *dense_; }
 
-  /// Contiguous row for the dense blocked kernel; requires has_dense().
-  const double* dense_row(std::size_t u) const {
-    return dense_->data().data() + u * n_;
-  }
-
   /// Contiguous row u, always available: the dense row when materialized,
   /// otherwise a recomputed row served from a small LRU tile cache (for
   /// whole-row consumers: MST seeding, component stitching, hub
@@ -111,9 +104,9 @@ class DistanceProvider {
   }
 
   /// Largest n for which from_points materializes the dense matrix
-  /// (default 512, mirroring Topology::dense_auto_threshold; 0 keeps every
-  /// coordinate-backed provider matrix-free, which tests use to exercise
-  /// the on-demand path at small n).
+  /// (default 512; 0 keeps every coordinate-backed provider matrix-free,
+  /// which `--engine reference` and the tests use to exercise the on-demand
+  /// path at small n). Applies to providers built after the call.
   static std::size_t dense_auto_threshold();
   static void set_dense_auto_threshold(std::size_t n);
 

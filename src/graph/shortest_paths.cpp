@@ -1,7 +1,6 @@
 #include "graph/shortest_paths.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -13,7 +12,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Strict-weak order on the composite settle key. The heap pops the
-/// smallest (dist, hops, id) — exactly the node the dense scan selects.
+/// smallest (dist, hops, id) — exactly the node the scalar scan of
+/// tests/reference.h selects.
 struct HeapGreater {
   bool operator()(const ShortestPathTree::HeapItem& a,
                   const ShortestPathTree::HeapItem& b) const {
@@ -23,230 +23,7 @@ struct HeapGreater {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Blocked dense kernel.
-//
-// The production dense solver. Instead of the scalar scan's branchy 3-way
-// compare per node per round (kept verbatim in tests/reference.h),
-// the frontier lives in a contiguous SoA key array: frontier_key[v] is
-// dist[v] while v is unsettled and reachable, +inf otherwise. Each round is
-//
-//   1. a blocked min reduction over the keys — four independent
-//      accumulators per 64-entry block, a shape compilers vectorize —
-//      recording each block's min so that
-//   2. the composite tie-break pass (smallest hops, then id, among nodes at
-//      the min dist) touches only the blocks that attain the minimum, and
-//   3. a relax pass over the settled node's contiguous adjacency/length
-//      rows with a single fast-reject compare (cand > dist[u]) in front of
-//      the full composite rule.
-//
-// Exactness: the key array equals dist on exactly the nodes the scalar
-// scan's selection considers, and the relax rule is the same composite
-// (dist, hops, parent-id) tie-break. The scalar scan's settled-skip in the
-// relax loop is provably redundant — a settled label is final under the
-// composite key (every candidate through a later-settled node has a
-// strictly larger key; zero-length edges still add a hop) — so dropping it
-// changes no label, no parent and no settle order: the two kernels are
-// bit-identical on every input.
-// ---------------------------------------------------------------------------
-
-constexpr std::size_t kMinBlock = 64;  ///< keys per min-reduction block
-
-void dense_blocked_init(ShortestPathTree& out, std::size_t n, NodeId source) {
-  out.frontier_key.assign(n, kInf);
-  out.frontier_key[source] = 0.0;
-  out.block_min.assign((n + kMinBlock - 1) / kMinBlock, kInf);
-}
-
-/// One settle + relax round. Returns false when no reachable unsettled node
-/// remains (the tree is complete for its component).
-bool dense_blocked_step(const Topology& g, const DistanceProvider& lengths,
-                        ShortestPathTree& out) {
-  const std::size_t n = out.dist.size();
-  const double* key = out.frontier_key.data();
-
-  // 1. Blocked min reduction over the frontier keys.
-  double m = kInf;
-  const std::size_t num_blocks = out.block_min.size();
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, n - base);
-    double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
-    std::size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-      m0 = std::min(m0, key[base + i]);
-      m1 = std::min(m1, key[base + i + 1]);
-      m2 = std::min(m2, key[base + i + 2]);
-      m3 = std::min(m3, key[base + i + 3]);
-    }
-    double bm = std::min(std::min(m0, m1), std::min(m2, m3));
-    for (; i < len; ++i) bm = std::min(bm, key[base + i]);
-    out.block_min[b] = bm;
-    m = std::min(m, bm);
-  }
-  if (m == kInf) return false;  // remaining nodes unreachable
-
-  // 2. Composite tie-break among the nodes at the min, only in blocks that
-  // attain it. Ascending scan with a strict < on hops picks the smallest id
-  // among the minimal hop count — the scalar scan's exact selection.
-  NodeId best = 0;
-  int best_hops = std::numeric_limits<int>::max();
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    if (out.block_min[b] != m) continue;
-    const std::size_t base = b * kMinBlock;
-    const std::size_t end = std::min(base + kMinBlock, n);
-    for (std::size_t v = base; v < end; ++v) {
-      if (key[v] == m && out.hops[v] < best_hops) {
-        best = static_cast<NodeId>(v);
-        best_hops = out.hops[v];
-      }
-    }
-  }
-  out.settled[best] = 1;
-  out.frontier_key[best] = kInf;
-  out.order.push_back(best);
-
-  // 3. Relax over contiguous rows. cand is always finite (dist[best] and
-  // every length are), so cand == dist[u] implies dist[u] is finite and the
-  // scalar rule's explicit infinity guard is subsumed by the fast reject.
-  const std::uint8_t* r = g.dense_row(best);
-  const double* len_row = lengths.dense_row(best);
-  const double dist_best = out.dist[best];
-  const int cand_hops = out.hops[best] + 1;
-  for (NodeId u = 0; u < n; ++u) {
-    if (!r[u]) continue;
-    const double cand = dist_best + len_row[u];
-    if (cand > out.dist[u]) continue;  // the overwhelmingly common reject
-    if (cand < out.dist[u]) {
-      out.dist[u] = cand;
-      out.hops[u] = cand_hops;
-      out.parent[u] = best;
-      out.frontier_key[u] = cand;  // u cannot be settled: settled is final
-    } else if (cand_hops < out.hops[u] ||
-               (cand_hops == out.hops[u] && best < out.parent[u])) {
-      out.hops[u] = cand_hops;  // equal dist: (hops, parent-id) tie-break
-      out.parent[u] = best;
-    }
-  }
-  return true;
-}
-
-void shortest_path_tree_dense(const Topology& g, const DistanceProvider& lengths,
-                              ShortestPathTree& out) {
-  dense_blocked_init(out, g.num_nodes(), out.source);
-  while (dense_blocked_step(g, lengths, out)) {
-  }
-}
-
-void shortest_path_tree_sparse(const Topology& g, const DistanceProvider& lengths,
-                               NodeId source, ShortestPathTree& out,
-                               const SpLengthCache* cache) {
-  // Heap Dijkstra with lazy deletion. Entries carry the full composite
-  // (dist, hops, id) key, so the valid heap minimum coincides with the
-  // dense scan's selection at every step; stale entries (superseded by a
-  // strictly better label) are recognised by key mismatch and skipped.
-  // The relaxation rule — including the equal-(dist, hops) smallest-parent
-  // tie-break — is byte-for-byte the dense one, so the two solvers return
-  // identical trees.
-  auto& heap = out.heap;
-  heap.clear();
-  heap.push_back({0.0, 0, source});
-  const HeapGreater greater;
-  while (!heap.empty()) {
-    const ShortestPathTree::HeapItem top = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    heap.pop_back();
-    const NodeId v = top.id;
-    if (out.settled[v] || top.dist != out.dist[v] || top.hops != out.hops[v]) {
-      continue;  // settled or stale
-    }
-    out.settled[v] = 1;
-    out.order.push_back(v);
-    const std::span<const NodeId> nbrs = g.neighbors(v);
-    // Cached row: the identical doubles lengths(v, u) would return, read
-    // from one contiguous array instead of a recompute per scanned edge.
-    const double* row = cache != nullptr ? cache->row(v) : nullptr;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId u = nbrs[i];
-      if (out.settled[u]) continue;
-      const double cand =
-          out.dist[v] + (row != nullptr ? row[i] : lengths(v, u));
-      const int cand_hops = out.hops[v] + 1;
-      const bool better =
-          cand < out.dist[u] ||
-          (cand == out.dist[u] &&
-           (cand_hops < out.hops[u] ||
-            (cand_hops == out.hops[u] && out.dist[u] != kInf &&
-             v < out.parent[u])));
-      if (better) {
-        // A parent-only improvement keeps (dist, hops): the entry already
-        // in the heap stays valid, so only key changes need a push.
-        const bool key_changed =
-            cand != out.dist[u] || cand_hops != out.hops[u];
-        out.dist[u] = cand;
-        out.hops[u] = cand_hops;
-        out.parent[u] = v;
-        if (key_changed) {
-          heap.push_back({cand, cand_hops, u});
-          std::push_heap(heap.begin(), heap.end(), greater);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
-
-void shortest_path_tree_batch(const Topology& g, const DistanceProvider& lengths,
-                              const NodeId* sources, std::size_t count,
-                              ShortestPathTree* trees, SpAlgorithm algo,
-                              const SpLengthCache* cache) {
-  const std::size_t n = g.num_nodes();
-  if (lengths.rows() != n || lengths.cols() != n) {
-    throw std::invalid_argument(
-        "shortest_path_tree_batch: length shape mismatch");
-  }
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  if (algo == SpAlgorithm::kSparse) {
-    // The heap solver's working set is already tiny; per-source is optimal.
-    for (std::size_t i = 0; i < count; ++i) {
-      shortest_path_tree(g, lengths, sources[i], trees[i], SpAlgorithm::kSparse,
-                         cache);
-    }
-    return;
-  }
-  for (std::size_t base = 0; base < count; base += kSpSourceBlock) {
-    const std::size_t width = std::min(kSpSourceBlock, count - base);
-    bool done[kSpSourceBlock] = {};
-    std::size_t live = width;
-    for (std::size_t b = 0; b < width; ++b) {
-      ShortestPathTree& t = trees[base + b];
-      const NodeId source = sources[base + b];
-      if (source >= n) {
-        throw std::out_of_range("shortest_path_tree_batch: source range");
-      }
-      t.source = source;
-      t.resize(n);
-      t.dist[source] = 0.0;
-      t.hops[source] = 0;
-      t.parent[source] = source;
-      dense_blocked_init(t, n, source);
-    }
-    // Lockstep: one settle + relax round per live source per cycle. Each
-    // tree's rounds are exactly the single-source kernel's, so the result
-    // is bit-identical; interleaving only keeps the block's frontier state
-    // resident while the lengths rows stream through once per round-set.
-    while (live > 0) {
-      for (std::size_t b = 0; b < width; ++b) {
-        if (done[b]) continue;
-        if (!dense_blocked_step(g, lengths, trees[base + b])) {
-          done[b] = true;
-          --live;
-        }
-      }
-    }
-  }
-}
 
 SpUpdateResult update_shortest_path_tree(const Topology& g,
                                          const DistanceProvider& lengths,
@@ -345,7 +122,7 @@ SpUpdateResult update_shortest_path_tree(const Topology& g,
   auto& heap = ws.heap;
   heap.clear();
   const HeapGreater greater;
-  // The relaxation rule is byte-for-byte the solvers' — including the
+  // The relaxation rule is byte-for-byte the solver's — including the
   // equal-(dist, hops) smallest-parent tie-break — so the fixpoint it
   // reaches is exactly the fresh-sweep labels. Parent-only improvements
   // never propagate (children depend only on the parent's key), so they
@@ -460,43 +237,6 @@ void extract_shortest_path_dag(const Topology& g,
   out.off[n] = static_cast<std::uint32_t>(out.pred.size());
 }
 
-SpAlgorithm resolve_sp_algorithm(const Topology& g, SpAlgorithm algo) {
-  if (algo == SpAlgorithm::kAuto) {
-    algo = select_sp_algorithm(g.num_nodes(), g.num_edges());
-  }
-  // The dense kernels read dense_row(); without the view the heap solver is
-  // the only backend — and it returns bit-identical trees, so the fallback
-  // is invisible to every consumer.
-  if (algo == SpAlgorithm::kDense && !g.has_dense_view()) {
-    algo = SpAlgorithm::kSparse;
-  }
-  return algo;
-}
-
-SpAlgorithm resolve_sp_algorithm(const Topology& g,
-                                 const DistanceProvider& lengths,
-                                 SpAlgorithm algo) {
-  algo = resolve_sp_algorithm(g, algo);
-  // The dense kernel also streams contiguous length rows; a matrix-free
-  // provider has none, so only the heap solver (one on-demand lookup per
-  // relaxation) can run. Bit-identical trees either way.
-  if (algo == SpAlgorithm::kDense && !lengths.has_dense()) {
-    algo = SpAlgorithm::kSparse;
-  }
-  return algo;
-}
-
-SpAlgorithm select_sp_algorithm(std::size_t n, std::size_t m) {
-  // Dense does ~n^2 cheap scan steps per source; the heap does ~(n + m)
-  // pushes/pops, each costing a log n sift of a 16-byte entry (~4x a scan
-  // step). Cross-over: sparse once 4 (n + m) log2 n < n^2 — i.e. on the
-  // m ≈ n graphs synthesis produces from n ≈ 70 up, never on near-cliques.
-  if (n < 2) return SpAlgorithm::kDense;
-  const std::size_t log2n = std::bit_width(n);
-  return 4 * (n + m) * log2n < n * n ? SpAlgorithm::kSparse
-                                     : SpAlgorithm::kDense;
-}
-
 void ShortestPathTree::resize(std::size_t n) {
   dist.assign(n, kInf);
   hops.assign(n, -1);
@@ -539,7 +279,7 @@ void SpLengthCache::build(const Topology& g, const DistanceProvider& lengths) {
 
 void shortest_path_tree(const Topology& g, const DistanceProvider& lengths,
                         NodeId source, ShortestPathTree& out,
-                        SpAlgorithm algo, const SpLengthCache* cache) {
+                        const SpLengthCache* cache) {
   const std::size_t n = g.num_nodes();
   if (lengths.rows() != n || lengths.cols() != n) {
     throw std::invalid_argument("shortest_path_tree: length shape mismatch");
@@ -552,20 +292,65 @@ void shortest_path_tree(const Topology& g, const DistanceProvider& lengths,
   out.dist[source] = 0.0;
   out.hops[source] = 0;
   out.parent[source] = source;
-
-  algo = resolve_sp_algorithm(g, lengths, algo);
-  if (algo == SpAlgorithm::kSparse) {
-    shortest_path_tree_sparse(g, lengths, source, out, cache);
-  } else {
-    shortest_path_tree_dense(g, lengths, out);
+  // Heap Dijkstra with lazy deletion. Entries carry the full composite
+  // (dist, hops, id) key, so the valid heap minimum is the node the scalar
+  // scan of tests/reference.h selects at every step; stale entries
+  // (superseded by a strictly better label) are recognised by key mismatch
+  // and skipped. The relaxation rule — including the equal-(dist, hops)
+  // smallest-parent tie-break — is byte-for-byte the scan's, so the trees
+  // are identical.
+  auto& heap = out.heap;
+  heap.clear();
+  heap.push_back({0.0, 0, source});
+  const HeapGreater greater;
+  while (!heap.empty()) {
+    const ShortestPathTree::HeapItem top = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    heap.pop_back();
+    const NodeId v = top.id;
+    if (out.settled[v] || top.dist != out.dist[v] || top.hops != out.hops[v]) {
+      continue;  // settled or stale
+    }
+    out.settled[v] = 1;
+    out.order.push_back(v);
+    const std::span<const NodeId> nbrs = g.neighbors(v);
+    // Cached row: the identical doubles lengths(v, u) would return, read
+    // from one contiguous array instead of a recompute per scanned edge.
+    const double* row = cache != nullptr ? cache->row(v) : nullptr;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const NodeId u = nbrs[i];
+      if (out.settled[u]) continue;
+      const double cand =
+          out.dist[v] + (row != nullptr ? row[i] : lengths(v, u));
+      const int cand_hops = out.hops[v] + 1;
+      const bool better =
+          cand < out.dist[u] ||
+          (cand == out.dist[u] &&
+           (cand_hops < out.hops[u] ||
+            (cand_hops == out.hops[u] && out.dist[u] != kInf &&
+             v < out.parent[u])));
+      if (better) {
+        // A parent-only improvement keeps (dist, hops): the entry already
+        // in the heap stays valid, so only key changes need a push.
+        const bool key_changed =
+            cand != out.dist[u] || cand_hops != out.hops[u];
+        out.dist[u] = cand;
+        out.hops[u] = cand_hops;
+        out.parent[u] = v;
+        if (key_changed) {
+          heap.push_back({cand, cand_hops, u});
+          std::push_heap(heap.begin(), heap.end(), greater);
+        }
+      }
+    }
   }
 }
 
 ShortestPathTree shortest_path_tree(const Topology& g,
                                     const DistanceProvider& lengths,
-                                    NodeId source, SpAlgorithm algo) {
+                                    NodeId source) {
   ShortestPathTree tree;
-  shortest_path_tree(g, lengths, source, tree, algo);
+  shortest_path_tree(g, lengths, source, tree);
   return tree;
 }
 

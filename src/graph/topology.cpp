@@ -1,24 +1,9 @@
 #include "graph/topology.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 namespace cold {
-
-namespace {
-// Consulted only at construction; a plain atomic keeps concurrent test
-// fixtures and the CLI safe without ordering requirements.
-std::atomic<std::size_t> g_dense_auto_threshold{512};
-}  // namespace
-
-std::size_t Topology::dense_auto_threshold() {
-  return g_dense_auto_threshold.load(std::memory_order_relaxed);
-}
-
-void Topology::set_dense_auto_threshold(std::size_t n) {
-  g_dense_auto_threshold.store(n, std::memory_order_relaxed);
-}
 
 Edge make_edge(NodeId a, NodeId b) {
   if (a == b) throw std::invalid_argument("make_edge: self-loop");
@@ -38,9 +23,7 @@ std::uint64_t Topology::edge_key(NodeId a, NodeId b) {
   return z ^ (z >> 31);
 }
 
-Topology::Topology(std::size_t n) : n_(n), degree_(n, 0), nbrs_(n) {
-  if (n <= dense_auto_threshold()) materialize_dense_view();
-}
+Topology::Topology(std::size_t n) : n_(n), degree_(n, 0), nbrs_(n) {}
 
 Topology Topology::complete(std::size_t n) {
   Topology t(n);
@@ -70,7 +53,8 @@ Topology Topology::star(std::size_t n, NodeId centre) {
   return t;
 }
 
-bool Topology::has_edge_sparse(NodeId a, NodeId b) const {
+bool Topology::has_edge(NodeId a, NodeId b) const {
+  if (a >= n_ || b >= n_) throw std::out_of_range("has_edge: node out of range");
   const std::vector<NodeId>& na = nbrs_[a];
   const std::vector<NodeId>& nb = nbrs_[b];
   // Search the shorter list; both are sorted.
@@ -78,31 +62,6 @@ bool Topology::has_edge_sparse(NodeId a, NodeId b) const {
     return std::binary_search(na.begin(), na.end(), b);
   }
   return std::binary_search(nb.begin(), nb.end(), a);
-}
-
-const std::uint8_t* Topology::dense_row(NodeId v) const {
-  if (!dense_view_) {
-    throw std::logic_error(
-        "Topology::dense_row: no dense view (n exceeds the auto threshold "
-        "and materialize_dense_view() was not called); iterate neighbors() "
-        "instead");
-  }
-  return dense_.data() + v * n_;
-}
-
-void Topology::materialize_dense_view() {
-  if (dense_view_) return;
-  dense_.assign(n_ * n_, 0);
-  for (NodeId v = 0; v < n_; ++v) {
-    for (const NodeId u : nbrs_[v]) dense_[v * n_ + u] = 1;
-  }
-  dense_view_ = true;
-}
-
-void Topology::drop_dense_view() {
-  dense_view_ = false;
-  dense_.clear();
-  dense_.shrink_to_fit();
 }
 
 bool Topology::add_edge(NodeId a, NodeId b) {
@@ -114,10 +73,6 @@ bool Topology::add_edge(NodeId a, NodeId b) {
   na.insert(pos, b);
   auto& nb = nbrs_[b];
   nb.insert(std::lower_bound(nb.begin(), nb.end(), a), a);
-  if (dense_view_) {
-    dense_[a * n_ + b] = 1;
-    dense_[b * n_ + a] = 1;
-  }
   ++degree_[a];
   ++degree_[b];
   ++num_edges_;
@@ -136,10 +91,6 @@ bool Topology::remove_edge(NodeId a, NodeId b) {
   na.erase(pos);
   auto& nb = nbrs_[b];
   nb.erase(std::lower_bound(nb.begin(), nb.end(), a));
-  if (dense_view_) {
-    dense_[a * n_ + b] = 0;
-    dense_[b * n_ + a] = 0;
-  }
   --degree_[a];
   --degree_[b];
   --num_edges_;
@@ -183,7 +134,6 @@ std::size_t Topology::num_leaf_nodes() const {
 }
 
 void Topology::clear_edges() {
-  std::fill(dense_.begin(), dense_.end(), 0);
   std::fill(degree_.begin(), degree_.end(), 0);
   for (auto& list : nbrs_) list.clear();
   num_edges_ = 0;
@@ -195,7 +145,7 @@ std::size_t Topology::edge_difference(const Topology& a, const Topology& b) {
     throw std::invalid_argument("edge_difference: size mismatch");
   }
   // Sorted-list symmetric difference per node; each unordered pair is seen
-  // from both endpoints, so halve. O(n + m_a + m_b), backend-independent.
+  // from both endpoints, so halve. O(n + m_a + m_b).
   std::size_t directed_diff = 0;
   for (NodeId u = 0; u < a.n_; ++u) {
     const std::vector<NodeId>& la = a.nbrs_[u];

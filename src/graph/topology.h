@@ -5,7 +5,7 @@
 // sparse — per-node sorted adjacency lists plus degrees and an incremental
 // fingerprint — so a topology costs O(n + m) bytes and synthesis scales to
 // city-size node counts (n ≈ 2000+, where an n² byte matrix per candidate
-// would dominate memory). Three structures stay in sync on every edge flip:
+// would dominate memory). Two structures stay in sync on every edge flip:
 //
 //   * sorted per-node adjacency lists — the canonical edge set. Sparse
 //     algorithms (heap Dijkstra, BFS, Tarjan) iterate neighbours in O(deg);
@@ -14,20 +14,11 @@
 //     the present edges — updated in O(1) per flip. Equal graphs always have
 //     equal fingerprints, so the fingerprint is a cheap cache key
 //     (collisions are possible and must be verified against the adjacency).
-//   * optionally, a dense n² byte matrix (the *dense view*): a derived
-//     backend for the blocked dense Dijkstra kernel and O(1) edge tests,
-//     auto-materialized at construction while n <= dense_auto_threshold()
-//     (PoP-scale graphs, where n² is trivia and the dense kernel wins on
-//     near-cliques). Above the threshold no quadratic object ever exists
-//     and dense-only consumers fall back to their sparse twins — which are
-//     bit-identical by the solvers' exactness contract, so the backend
-//     choice can never change a cost, a trajectory, or a report.
 //
-// Lifetime rules: neighbors(v) and dense_row(v) return views into the
-// topology's internal storage. They are valid until the next mutating call
-// (add_edge / remove_edge / set_edge / clear_edges / materialize or drop of
-// the dense view / assignment / destruction). Do not hold a view across a
-// mutation — copy first (e.g. when removing a node's edges, pop
+// Lifetime rules: neighbors(v) returns a view into the topology's internal
+// storage. It is valid until the next mutating call (add_edge / remove_edge
+// / set_edge / clear_edges / assignment / destruction). Do not hold a view
+// across a mutation — copy first (e.g. when removing a node's edges, pop
 // neighbors(v).front() until the degree is 0).
 #pragma once
 
@@ -56,8 +47,7 @@ class Topology {
  public:
   Topology() = default;
 
-  /// Graph with n nodes and no edges. The dense view is materialized here
-  /// iff n <= dense_auto_threshold().
+  /// Graph with n nodes and no edges.
   explicit Topology(std::size_t n);
 
   /// Complete graph on n nodes.
@@ -72,12 +62,9 @@ class Topology {
   std::size_t num_nodes() const { return n_; }
   std::size_t num_edges() const { return num_edges_; }
 
-  /// O(1) against the dense view when present, O(log min(deg)) by binary
-  /// search in the sorted adjacency lists otherwise.
-  bool has_edge(NodeId a, NodeId b) const {
-    if (dense_view_) return dense_[a * n_ + b] != 0;
-    return has_edge_sparse(a, b);
-  }
+  /// O(log min(deg)) by binary search in the sorted adjacency lists.
+  /// Throws std::out_of_range when either node is >= num_nodes().
+  bool has_edge(NodeId a, NodeId b) const;
 
   /// Adds the edge if absent; returns true if the graph changed.
   bool add_edge(NodeId a, NodeId b);
@@ -112,35 +99,6 @@ class Topology {
   /// Removes all edges.
   void clear_edges();
 
-  // -------------------------------------------------------------------------
-  // Dense view (optional small-n backend).
-  // -------------------------------------------------------------------------
-
-  /// Whether the n² byte matrix backend exists for this instance. Copies
-  /// inherit the source's backend state; the auto threshold is consulted
-  /// only at construction.
-  bool has_dense_view() const { return dense_view_; }
-
-  /// Raw dense row: dense_row(v)[u] != 0 iff edge (v, u) exists. Requires
-  /// has_dense_view() — throws std::logic_error otherwise. This is the
-  /// blocked dense kernel's backend accessor; general consumers should
-  /// iterate neighbors(v) instead. Valid until the next mutation.
-  const std::uint8_t* dense_row(NodeId v) const;
-
-  /// Builds the dense view from the adjacency lists (no-op when present).
-  void materialize_dense_view();
-
-  /// Releases the dense view (no-op when absent). Edge data is unaffected.
-  void drop_dense_view();
-
-  /// Node-count ceiling for auto-materializing the dense view at
-  /// construction (default 512 — covers every PoP-scale workload while
-  /// keeping city-scale topologies allocation-linear). Settable by tests
-  /// and benchmarks to force either backend; applies to topologies
-  /// constructed after the call. 0 disables auto-materialization entirely.
-  static std::size_t dense_auto_threshold();
-  static void set_dense_auto_threshold(std::size_t n);
-
   /// Zobrist hash of the edge set: XOR of edge_key(u, v) over all present
   /// edges, maintained incrementally (O(1) per edge flip). Two graphs with
   /// the same node count and the same edge set always have the same
@@ -155,7 +113,7 @@ class Topology {
 
   /// Number of edges differing between two same-size graphs (graph edit
   /// distance restricted to edge flips). Walks the sorted adjacency lists,
-  /// O(n + m_a + m_b) — independent of the backend.
+  /// O(n + m_a + m_b).
   static std::size_t edge_difference(const Topology& a, const Topology& b);
 
   /// Edge-set diff `from` -> `to` as explicit lists: `added` holds the edges
@@ -169,24 +127,17 @@ class Topology {
                          std::vector<Edge>& added, std::vector<Edge>& removed,
                          std::size_t max_edges);
 
-  /// Structural equality: same node count and edge set. The dense view is a
-  /// derived cache, not identity — a sparse-primary and a dense-backed copy
-  /// of the same graph compare equal.
+  /// Structural equality: same node count and edge set.
   friend bool operator==(const Topology& a, const Topology& b) {
     return a.n_ == b.n_ && a.nbrs_ == b.nbrs_;
   }
 
  private:
-  bool has_edge_sparse(NodeId a, NodeId b) const;
-
   std::size_t n_ = 0;
   std::size_t num_edges_ = 0;
   std::uint64_t fingerprint_ = 0;
   std::vector<int> degree_;
-  std::vector<std::vector<NodeId>> nbrs_;  ///< sorted; the primary edge set
-  bool dense_view_ = false;
-  std::vector<std::uint8_t> dense_;  ///< n*n symmetric, zero diagonal;
-                                     ///< empty unless dense_view_
+  std::vector<std::vector<NodeId>> nbrs_;  ///< sorted; the edge set
 };
 
 }  // namespace cold

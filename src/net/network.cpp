@@ -69,7 +69,7 @@ Network build_network(const Topology& topology,
   const bool want_routing =
       options.materialize_routing == NetworkBuildOptions::Routing::kAlways ||
       (options.materialize_routing == NetworkBuildOptions::Routing::kAuto &&
-       n <= Topology::dense_auto_threshold());
+       n <= NetworkBuildOptions::kAutoRoutingMaxNodes);
   if (want_routing) {
     net.routing = routing_matrix(topology, net.lengths, ws);
   }

@@ -60,11 +60,12 @@ struct NetworkBuildOptions {
   double overprovision = 1.0;  ///< the paper's capacity factor O (>= 1)
 
   /// Whether to materialize the n^2 next-hop matrix (8 n^2 bytes — 800 MB
-  /// at n = 10000). kAuto mirrors the solver policy: materialize only up to
-  /// Topology::dense_auto_threshold() nodes; beyond it `routing` stays
-  /// empty and path queries should recompute trees on demand.
+  /// at n = 10000). kAuto materializes it only up to kAutoRoutingMaxNodes
+  /// nodes; beyond that `routing` stays empty and path queries should
+  /// recompute trees on demand.
   enum class Routing { kAuto, kAlways, kNever };
   Routing materialize_routing = Routing::kAuto;
+  static constexpr std::size_t kAutoRoutingMaxNodes = 512;
 
   /// How link loads (and therefore capacities) are computed: single
   /// shortest path, ECMP or WCMP splitting (net/routing.h). Must match

@@ -8,17 +8,16 @@ namespace cold {
 
 namespace {
 
-// Builds ws.length_cache when the sweep will run the heap solver against a
-// matrix-free provider (the only case where relaxations would otherwise
-// recompute a hypot per scanned edge); returns the cache to pass to the
-// solvers, or nullptr when it isn't worth building (dense providers serve
-// one load already). Cached entries are the exact doubles lengths()
-// returns, so results are bit-identical with or without it.
+// Builds ws.length_cache when the provider is matrix-free (the only case
+// where relaxations would otherwise recompute a hypot per scanned edge);
+// returns the cache to pass to the solver, or nullptr when it isn't worth
+// building (a dense provider serves one load already). Cached entries are
+// the exact doubles lengths() returns, so results are bit-identical with or
+// without it.
 const SpLengthCache* maybe_length_cache(const Topology& g,
                                         const DistanceProvider& lengths,
-                                        SpAlgorithm algo,
                                         RoutingWorkspace& ws) {
-  if (algo != SpAlgorithm::kSparse || lengths.has_dense()) return nullptr;
+  if (lengths.has_dense()) return nullptr;
   ws.length_cache.build(g, lengths);
   return &ws.length_cache;
 }
@@ -59,7 +58,7 @@ void accumulate_dag_loads(const Topology& g, const ShortestPathTree& tree,
   // predecessor of a node has a strictly smaller composite key, hence an
   // earlier settle slot, so its aggregate is complete by the time it is
   // visited. Predecessors are scattered in ascending id order — one global
-  // deterministic order regardless of solver or thread count.
+  // deterministic order regardless of thread count.
   const std::size_t n = tree.dist.size();
   aggregate.assign(n, 0.0);
   const CompressedTraffic::RowSpan row = traffic.row_span(s);
@@ -183,35 +182,16 @@ bool route_loads(const Topology& g, const DistanceProvider& lengths,
     throw std::invalid_argument("route_loads: traffic shape mismatch");
   }
   loads.build(g);
-  // Resolve the auto-selection (and dense availability) once per sweep.
-  const SpAlgorithm algo = resolve_sp_algorithm(g, lengths, opt.algo);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
-
-  // Batched sweep: compute a block of trees in lockstep (shared
-  // cache-resident frontier state), then accumulate them in increasing
-  // source order — the accumulation order fixes the floating-point result,
-  // so it must match the scalar per-source loop exactly. The block width is
-  // byte-capped (block_width), which can only change the batching, never
-  // the trees. Retained trees are computed in place in their own slots.
-  const std::size_t bw = ws.block_width(n);
-  if (opt.retain != nullptr) {
-    opt.retain->resize(n);
-  } else {
-    ws.block.resize(bw);
-  }
-  NodeId sources[kSpSourceBlock];
-  for (NodeId base = 0; base < n; base += bw) {
-    const std::size_t width = std::min<std::size_t>(bw, n - base);
-    for (std::size_t b = 0; b < width; ++b) sources[b] = base + b;
-    ShortestPathTree* block = opt.retain != nullptr
-                                  ? opt.retain->data() + base
-                                  : ws.block.data();
-    shortest_path_tree_batch(g, lengths, sources, width, block, algo, cache);
-    for (std::size_t b = 0; b < width; ++b) {
-      if (block[b].order.size() != n) return false;  // disconnected
-      accumulate_source_loads(g, lengths, block[b], traffic, sources[b],
-                              opt.mode, loads, ws, opt.stats);
-    }
+  const SpLengthCache* cache = maybe_length_cache(g, lengths, ws);
+  if (opt.retain != nullptr) opt.retain->resize(n);
+  // Accumulating in increasing source order fixes the floating-point
+  // result. Retained trees are computed in place in their own slots.
+  for (NodeId s = 0; s < n; ++s) {
+    ShortestPathTree& tree = opt.retain != nullptr ? (*opt.retain)[s] : ws.tree;
+    shortest_path_tree(g, lengths, s, tree, cache);
+    if (tree.order.size() != n) return false;  // disconnected
+    accumulate_source_loads(g, lengths, tree, traffic, s, opt.mode, loads, ws,
+                            opt.stats);
   }
   if (opt.stats != nullptr && opt.mode != MultipathMode::kOff) {
     ++opt.stats->sweeps;
@@ -244,12 +224,10 @@ double total_demand_weighted_length(const Topology& g,
     throw std::invalid_argument(
         "total_demand_weighted_length: traffic shape mismatch");
   }
-  const SpAlgorithm algo =
-      resolve_sp_algorithm(g, lengths, SpAlgorithm::kAuto);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
+  const SpLengthCache* cache = maybe_length_cache(g, lengths, ws);
   double total = 0.0;
   for (NodeId s = 0; s < n; ++s) {
-    shortest_path_tree(g, lengths, s, ws.tree, algo, cache);
+    shortest_path_tree(g, lengths, s, ws.tree, cache);
     if (ws.tree.order.size() != n) {
       return std::numeric_limits<double>::infinity();
     }
@@ -275,11 +253,9 @@ Matrix<NodeId> routing_matrix(const Topology& g,
                               RoutingWorkspace& ws) {
   const std::size_t n = g.num_nodes();
   Matrix<NodeId> next_hop = Matrix<NodeId>::square(n, 0);
-  const SpAlgorithm algo =
-      resolve_sp_algorithm(g, lengths, SpAlgorithm::kAuto);
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, algo, ws);
+  const SpLengthCache* cache = maybe_length_cache(g, lengths, ws);
   for (NodeId s = 0; s < n; ++s) {
-    shortest_path_tree(g, lengths, s, ws.tree, algo, cache);
+    shortest_path_tree(g, lengths, s, ws.tree, cache);
     if (ws.tree.order.size() != n) {
       throw std::invalid_argument("routing_matrix: graph is disconnected");
     }

@@ -4,9 +4,8 @@
 // link must carry (w_i) is the sum of all demands routed across it. This is
 // the dominant cost of evaluating a candidate topology, so the hot entry
 // point (route_loads) reuses caller-provided workspace (RoutingWorkspace)
-// and does no allocation in the steady state. The shortest-path solver is
-// chosen by density (dense scan or sparse heap Dijkstra — bit-identical, see
-// graph/shortest_paths.h).
+// and does no allocation in the steady state. Each source's tree comes from
+// the heap Dijkstra of graph/shortest_paths.h.
 //
 // Currencies: lengths arrive as a DistanceProvider (dense matrix or
 // matrix-free coordinates — bit-identical either way) and traffic as a
@@ -36,7 +35,7 @@
 //   * The scatter walks nodes in reverse settle order and predecessors in
 //     ascending id order — one global, thread-count-independent operation
 //     order, so loads are bit-identical across {1, N} threads and
-//     {dense, sparse} solvers (the trees already are).
+//     {dense, matrix-free} distance providers (the trees already are).
 //   * Flow conservation is bitwise, not approximate: at each branch the
 //     share of the first minimum-weight predecessor is computed as
 //     f - partial (partial = the floating-point sum of the other shares,
@@ -107,50 +106,19 @@ struct EdgeLoads {
   std::size_t num_edges() const { return value.size(); }
 };
 
-/// Rough resident size of one ShortestPathTree at n nodes (labels, order,
-/// solver scratch). Used to size block scratch and the delta engine's
-/// retained-state budget by bytes.
-inline constexpr std::size_t sp_tree_bytes(std::size_t n) {
-  // dist 8 + parent 8 + order 8 + frontier_key 8 + hops 4 + settled 1,
-  // per node, plus heap/block_min slack.
-  return n * 40;
-}
-
-/// Reusable scratch space for routing computations. Byte-bounded: the
-/// source-block scratch holds at most max_block_bytes of trees (never
-/// fewer than one), so per-worker routing memory stays bounded as n grows
-/// instead of scaling with a fixed tree count.
+/// Reusable scratch space for routing computations.
 struct RoutingWorkspace {
-  /// Default block budget: holds the full kSpSourceBlock at n up to ~26k,
-  /// degrading the batch width (never the results — the batch contract is
-  /// bit-identity at any width) beyond that.
-  static constexpr std::size_t kDefaultMaxBlockBytes = std::size_t{4} << 20;
-
   ShortestPathTree tree;
   std::vector<double> aggregate;  ///< per-node downstream demand sums
-  /// Source-block scratch for non-retaining sweeps (at most kSpSourceBlock
-  /// trees, byte-capped); lets route_loads run shortest_path_tree_batch
-  /// without keeping all n trees. Loads are still accumulated in
-  /// increasing-source order.
-  std::vector<ShortestPathTree> block;
-  std::size_t max_block_bytes = kDefaultMaxBlockBytes;
   /// Per-sweep edge-length cache (O(n + m) doubles), built by each sweep
-  /// when the provider is matrix-free and the sparse solver runs, so
-  /// relaxations read one slot instead of recomputing a hypot per scanned
-  /// edge. Same doubles — results stay bit-identical.
+  /// when the provider is matrix-free, so relaxations read one slot instead
+  /// of recomputing a hypot per scanned edge. Same doubles — results stay
+  /// bit-identical.
   SpLengthCache length_cache;
   /// Multipath scratch: the per-source shortest-path DAG and the per-branch
   /// share buffer. Unused by single-path routing.
   SpDag dag;
   std::vector<double> split;
-
-  /// Effective batch width at n nodes: kSpSourceBlock trees if they fit the
-  /// byte budget, else as many as fit (at least 1).
-  std::size_t block_width(std::size_t n) const {
-    const std::size_t per_tree = sp_tree_bytes(n) > 0 ? sp_tree_bytes(n) : 1;
-    const std::size_t fit = max_block_bytes / per_tree;
-    return std::max<std::size_t>(1, std::min(kSpSourceBlock, fit));
-  }
 };
 
 /// Which load-splitting rule route_loads applies.
@@ -189,9 +157,6 @@ struct RouteOptions {
   std::vector<ShortestPathTree>* retain = nullptr;
   /// When non-null and mode != kOff, accrues the sweep's multipath work.
   MultipathStats* stats = nullptr;
-  /// Solver override; kAuto (choose by density) everywhere but the tests
-  /// and benches that pin one solver as the reference for the other.
-  SpAlgorithm algo = SpAlgorithm::kAuto;
 };
 
 /// Computes per-link loads under shortest-path routing of `traffic` over
@@ -204,12 +169,11 @@ struct RouteOptions {
 ///
 /// Zero demands are skipped exactly (CSR row scatter); identical ordered
 /// adds per accumulator make the result bit-identical to the historical
-/// dense-matrix form's canonical cells. Trees are computed in byte-capped
-/// source blocks and accumulated in increasing source order, so neither
-/// the block width nor retention changes a bit.
+/// dense-matrix form's canonical cells. Sources are routed one at a time in
+/// increasing order, so retention changes no bit.
 ///
-/// Complexity: one shortest-path tree plus an O(n) aggregation per source —
-/// O(n^3) with the dense solver, O(n (n+m) log n) with the sparse one.
+/// Complexity: one shortest-path tree plus an O(n) aggregation per source,
+/// O(n (n+m) log n) in all.
 bool route_loads(const Topology& g, const DistanceProvider& lengths,
                  const CompressedTraffic& traffic, EdgeLoads& loads,
                  RoutingWorkspace& ws, const RouteOptions& opt = {});

@@ -1,7 +1,7 @@
 // Exactness yardsticks: the straightforward scalar forms of the production
 // shortest-path and load-accounting kernels. Tests (and bench/evaluator's
-// kernel-speedup gate) compare the optimized engines against these bit for
-// bit; nothing in the library calls them.
+// identity gates) compare the engine against these bit for bit; nothing in
+// the library calls them.
 #pragma once
 
 #include <limits>
@@ -15,11 +15,10 @@
 
 namespace cold::reference {
 
-/// The pre-blocked O(n^2) dense scan, byte-for-byte: repeatedly settle the
+/// The original O(n^2) dense scan, byte-for-byte: repeatedly settle the
 /// unsettled node with the smallest (dist, hops, id) key, relaxing with the
-/// composite (dist, hops, parent-id) tie-break. Reads dense rows, so `g`
-/// must carry its dense view. The blocked dense kernel, the heap solver and
-/// the batched sweeps must all return identical trees.
+/// composite (dist, hops, parent-id) tie-break over every node pair. The
+/// heap solver and the delta engine's repaired trees must be identical.
 inline void shortest_path_tree(const Topology& g,
                                const DistanceProvider& lengths, NodeId source,
                                ShortestPathTree& out) {
@@ -51,9 +50,8 @@ inline void shortest_path_tree(const Topology& g,
     if (best == n) break;  // remaining nodes unreachable
     out.settled[best] = 1;
     out.order.push_back(best);
-    const std::uint8_t* r = g.dense_row(best);
     for (NodeId u = 0; u < n; ++u) {
-      if (!r[u] || out.settled[u]) continue;
+      if (out.settled[u] || !g.has_edge(best, u)) continue;
       const double cand = out.dist[best] + lengths(best, u);
       const int cand_hops = out.hops[best] + 1;
       const bool better =

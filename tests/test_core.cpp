@@ -155,7 +155,8 @@ TEST(Synthesizer, ValidatesConfig) {
 
 TEST(Ensemble, StatsAndDistinctness) {
   const Synthesizer synth(small_config(10, CostParams{10, 1, 4e-4, 10}));
-  const EnsembleResult e = generate_ensemble(synth, 6, /*base_seed=*/100);
+  const EnsembleResult e =
+      generate_ensemble(synth, {.count = 6, .base_seed = 100});
   EXPECT_EQ(e.num_runs(), 6u);
   // Paper criterion 1: networks are distinct by construction (contexts
   // differ even when two hubby topologies repeat a labeled star shape).

@@ -142,9 +142,10 @@ TEST(EvaluatorLoads, LastLoadsRequiresFreshFeasibleRouting) {
 }
 
 // The engine's headline guarantee: the GA trajectory is invariant under
-// every {cache, thread count} combination. (Solver identity is pinned below
-// the GA: SpAlgorithm.SparseIsBitIdenticalToDense and route_loads'
-// dense-vs-sparse checks.)
+// every {cache, thread count} combination. (Solver exactness is pinned below
+// the GA: SpAlgorithm.SparseIsBitIdenticalToDense and
+// SpAlgorithm.BlockedDenseIsBitIdenticalToReference check the heap solver
+// against the reference scan.)
 TEST(GaDeterminism, HistoryInvariantAcrossEngineSettings) {
   const Context ctx = small_context(16, 7);
   const auto run = [&ctx](bool cache, std::size_t threads) {

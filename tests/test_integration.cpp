@@ -2,6 +2,7 @@
 // router expansion, checking cross-module invariants the unit tests cannot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -91,6 +92,36 @@ TEST(Integration, TunabilityDirectionK3) {
   EXPECT_LT(hi_hubs, lo_hubs);
 }
 
+// The exact ends of the cost plane (paper §3.2): with bandwidth nearly free
+// (k2 = 2.5e-5) the optimum is a tree, and with core PoPs very expensive
+// (k3 = 1000) it is a star — one hub of degree n - 1. Pinned at n = 20 for
+// seeds 1-8 with the CLI's default GA and other costs, so a change to how
+// candidates are scored cannot silently move the regimes.
+TEST(Integration, CostRegimeLimitsAtN20) {
+  const auto cli_config = [](CostParams costs) {
+    SynthesisConfig cfg;
+    cfg.context.num_pops = 20;
+    cfg.costs = costs;
+    cfg.ga.population = 48;
+    cfg.ga.generations = 40;
+    cfg.ga.parallel.num_threads = 2;
+    return cfg;
+  };
+  const Synthesizer tree(cli_config(CostParams{10, 1, 2.5e-5, 10}));
+  const Synthesizer star(cli_config(CostParams{10, 1, 4e-4, 1000}));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Topology t = tree.synthesize(seed).network.topology;
+    EXPECT_EQ(t.num_edges(), 19u) << "k2 regime, seed " << seed;
+
+    const Topology s = star.synthesize(seed).network.topology;
+    EXPECT_EQ(s.num_edges(), 19u) << "k3 regime, seed " << seed;
+    EXPECT_EQ(s.num_core_nodes(), 1u) << "k3 regime, seed " << seed;
+    const std::vector<int>& deg = s.degrees();
+    EXPECT_EQ(*std::max_element(deg.begin(), deg.end()), 19)
+        << "k3 regime, seed " << seed;
+  }
+}
+
 TEST(Integration, EnsembleVariationIsUsableForStatistics) {
   // Paper challenge 1: ensembles must be varied but controlled — CI widths
   // over an ensemble should be modest relative to the mean.
@@ -98,7 +129,8 @@ TEST(Integration, EnsembleVariationIsUsableForStatistics) {
   // (a large k3 collapses everything onto stars, whose average degree is a
   // constant of n).
   const Synthesizer synth(config_for(12, CostParams{10, 1, 4e-4, 0}));
-  const EnsembleResult e = generate_ensemble(synth, 8, 50);
+  const EnsembleResult e =
+      generate_ensemble(synth, {.count = 8, .base_seed = 50});
   EXPECT_TRUE(e.all_distinct);
   // At this size/cost point the optimizer returns trees, whose average
   // degree is a constant of n — so measure variability on the diameter,

@@ -60,11 +60,11 @@ TEST(MatrixFree, OnDemandDistancesByteIdenticalReports) {
         const SynthesisConfig cfg = tiny_config(n, threads, dsssp);
         std::string dense, on_demand;
         {
-          ThresholdGuard<DistanceProvider> materialize(4096);
+          ThresholdGuard materialize(4096);
           dense = timing_free_report(cfg, /*seed=*/42);
         }
         {
-          ThresholdGuard<DistanceProvider> matrix_free(0);
+          ThresholdGuard matrix_free(0);
           on_demand = timing_free_report(cfg, /*seed=*/42);
         }
         EXPECT_EQ(dense, on_demand)
@@ -83,7 +83,7 @@ TEST(MatrixFree, ProviderLookupsMatchDenseMatrixBitForBit) {
   const auto pts = UniformProcess().sample(n, Rectangle(), rng);
   const Matrix<double> dense = distance_matrix(pts);
 
-  ThresholdGuard<DistanceProvider> matrix_free(0);
+  ThresholdGuard matrix_free(0);
   const DistanceProvider provider = DistanceProvider::from_points(pts);
   ASSERT_FALSE(provider.has_dense());
   for (std::size_t i = 0; i < n; ++i) {

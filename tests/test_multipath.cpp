@@ -391,9 +391,9 @@ TEST(MultipathLoads, MatchesReferenceScatterOnTieStorms) {
 }
 
 TEST(MultipathLoads, DeterministicAcrossSolversAndRetention) {
-  // Every mode, with and without retained trees and under both solvers,
-  // gives the same loads bit for bit on the dense backend and on the
-  // matrix-free one (sparse adjacency, distances recomputed per lookup).
+  // Every mode, with and without retained trees, gives the same loads bit
+  // for bit on the dense distance backend and on the matrix-free one
+  // (distances recomputed per lookup, served from the sweep's length cache).
   Rng rng(51);
   for (const bool grid : {true, false}) {
     const LatticeInstance inst = grid ? lattice(5, rng) : co_located(8, rng);
@@ -402,36 +402,28 @@ TEST(MultipathLoads, DeterministicAcrossSolversAndRetention) {
          {MultipathMode::kOff, MultipathMode::kEcmp, MultipathMode::kWcmp}) {
       std::vector<double> backend_reference;
       for (const bool matrix_free : {false, true}) {
-        const std::size_t threshold = matrix_free ? 0 : 4096;
-        ThresholdGuard<Topology> adjacency(threshold);
-        ThresholdGuard<DistanceProvider> distances(threshold);
-        Topology g(inst.g.num_nodes());
-        for (const Edge& e : inst.g.edges()) g.add_edge(e.u, e.v);
+        ThresholdGuard distances(matrix_free ? 0 : 4096);
         const DistanceProvider lengths =
             DistanceProvider::from_points(inst.pts);
-        ASSERT_EQ(g.has_dense_view(), !matrix_free);
         ASSERT_EQ(lengths.has_dense(), !matrix_free);
 
-        EdgeLoads dense_loads, sparse_loads, retained_loads;
+        EdgeLoads loads, retained_loads;
         RoutingWorkspace ws;
         std::vector<ShortestPathTree> trees;
-        ASSERT_TRUE(route_loads(g, lengths, traffic, dense_loads, ws,
-                                {.mode = mode, .algo = SpAlgorithm::kDense}));
-        ASSERT_TRUE(route_loads(g, lengths, traffic, sparse_loads, ws,
-                                {.mode = mode, .algo = SpAlgorithm::kSparse}));
-        ASSERT_TRUE(route_loads(g, lengths, traffic, retained_loads, ws,
+        ASSERT_TRUE(route_loads(inst.g, lengths, traffic, loads, ws,
+                                {.mode = mode}));
+        ASSERT_TRUE(route_loads(inst.g, lengths, traffic, retained_loads, ws,
                                 {.mode = mode, .retain = &trees}));
-        EXPECT_EQ(dense_loads.value, sparse_loads.value);
-        EXPECT_EQ(dense_loads.value, retained_loads.value);
+        EXPECT_EQ(loads.value, retained_loads.value);
         ASSERT_EQ(trees.size(), inst.g.num_nodes());
-        for (const double v : dense_loads.value) {
+        for (const double v : loads.value) {
           EXPECT_TRUE(std::isfinite(v));
           EXPECT_GE(v, 0.0);
         }
         if (matrix_free) {
-          EXPECT_EQ(dense_loads.value, backend_reference);
+          EXPECT_EQ(loads.value, backend_reference);
         } else {
-          backend_reference = dense_loads.value;
+          backend_reference = loads.value;
         }
       }
     }

@@ -218,10 +218,12 @@ SynthesisConfig small_synthesis(std::size_t ensemble_threads) {
 
 TEST(Ensemble, ThreadCountDoesNotChangeResults) {
   const Synthesizer seq(small_synthesis(1));
-  const EnsembleResult ref = generate_ensemble(seq, 6, /*base_seed=*/5);
+  const EnsembleResult ref =
+      generate_ensemble(seq, {.count = 6, .base_seed = 5});
   for (const std::size_t threads : {3u, 8u}) {
     const Synthesizer par(small_synthesis(threads));
-    const EnsembleResult r = generate_ensemble(par, 6, /*base_seed=*/5);
+    const EnsembleResult r =
+        generate_ensemble(par, {.count = 6, .base_seed = 5});
     ASSERT_EQ(r.num_runs(), ref.num_runs());
     for (std::size_t i = 0; i < r.num_runs(); ++i) {
       EXPECT_TRUE(r.runs()[i].network.topology == ref.runs()[i].network.topology)

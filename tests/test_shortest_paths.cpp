@@ -116,19 +116,32 @@ TEST(ShortestPathTree, ValidatesInput) {
   EXPECT_THROW(shortest_path_tree(g, len, 5, tree), std::out_of_range);
 }
 
-TEST(SpAlgorithm, SelectionFollowsDensity) {
-  // Trees and m ~ n graphs at realistic synthesis sizes go sparse...
-  EXPECT_EQ(select_sp_algorithm(100, 110), SpAlgorithm::kSparse);
-  EXPECT_EQ(select_sp_algorithm(200, 260), SpAlgorithm::kSparse);
-  // ...near-cliques and tiny instances stay on the dense scan.
-  EXPECT_EQ(select_sp_algorithm(100, 100 * 99 / 2), SpAlgorithm::kDense);
-  EXPECT_EQ(select_sp_algorithm(1, 0), SpAlgorithm::kDense);
-  EXPECT_EQ(select_sp_algorithm(8, 10), SpAlgorithm::kDense);
+void expect_tree_identical(const ShortestPathTree& got,
+                           const ShortestPathTree& want) {
+  ASSERT_EQ(got.order, want.order);
+  ASSERT_EQ(got.parent, want.parent);
+  ASSERT_EQ(got.hops, want.hops);
+  ASSERT_EQ(got.dist.size(), want.dist.size());
+  for (std::size_t t = 0; t < want.dist.size(); ++t) {
+    // Exact equality, not near: both sides add the same doubles in the same
+    // order along every chosen path.
+    ASSERT_EQ(got.dist[t], want.dist[t]) << "node " << t;
+  }
 }
 
-// The engine's core determinism claim: the heap solver reproduces the dense
-// scan bit for bit — dist, hops, parent AND settle order — on arbitrary
-// connected and disconnected graphs, dense and sparse alike.
+void expect_matches_reference(const Topology& g, const Matrix<double>& len) {
+  ShortestPathTree heap, scan;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    shortest_path_tree(g, len, s, heap);
+    reference::shortest_path_tree(g, len, s, scan);
+    expect_tree_identical(heap, scan);
+  }
+}
+
+// The engine's core determinism claim: the heap solver reproduces the
+// scalar dense scan of tests/reference.h bit for bit — dist, hops, parent
+// AND settle order — on arbitrary connected and disconnected graphs, sparse
+// and dense alike.
 TEST(SpAlgorithm, SparseIsBitIdenticalToDense) {
   Rng rng(7);
   for (int trial = 0; trial < 60; ++trial) {
@@ -138,45 +151,14 @@ TEST(SpAlgorithm, SparseIsBitIdenticalToDense) {
     const double p = 0.05 + 0.5 * rng.uniform();
     Topology g = erdos_renyi_gnp(n, p, rng);
     if (trial % 3 != 0) connect_components(g, len);  // keep some disconnected
-    ShortestPathTree dense, sparse;
-    for (NodeId s = 0; s < n; ++s) {
-      shortest_path_tree(g, len, s, dense, SpAlgorithm::kDense);
-      shortest_path_tree(g, len, s, sparse, SpAlgorithm::kSparse);
-      ASSERT_EQ(dense.order, sparse.order);
-      ASSERT_EQ(dense.parent, sparse.parent);
-      ASSERT_EQ(dense.hops, sparse.hops);
-      for (NodeId t = 0; t < n; ++t) {
-        // Exact equality, not near: both solvers add the same doubles in
-        // the same order along every chosen path.
-        ASSERT_EQ(dense.dist[t], sparse.dist[t]);
-      }
-    }
+    expect_matches_reference(g, len);
   }
 }
 
-TEST(SpAlgorithm, SparseHandlesEqualLengthTies) {
-  // Unit lengths maximize (dist, hops) collisions; the composite key and
-  // smallest-parent rule must still agree with the dense scan.
-  Rng rng(11);
-  const std::size_t n = 24;
-  Matrix<double> len = Matrix<double>::square(n, 1.0);
-  for (int trial = 0; trial < 20; ++trial) {
-    Topology g = erdos_renyi_gnp(n, 0.2, rng);
-    connect_components(g, len);
-    for (NodeId s = 0; s < n; ++s) {
-      const auto dense = shortest_path_tree(g, len, s, SpAlgorithm::kDense);
-      const auto sparse = shortest_path_tree(g, len, s, SpAlgorithm::kSparse);
-      ASSERT_EQ(dense.order, sparse.order);
-      ASSERT_EQ(dense.parent, sparse.parent);
-    }
-  }
-}
-
-// The blocked dense kernel must reproduce the original scalar scan bit for
-// bit — dist, hops, parent AND settle order — including around zero-length
-// edges, where the settled-skip-is-redundant argument does its work (a
-// zero-length relaxation of a settled node ties on dist and must lose on
-// hops, never updating).
+// Zero-length edges force (dist, hops, id) tie-breaks: a zero-length
+// relaxation of a settled node ties on dist and must lose on hops, never
+// updating. The name dates from the blocked dense kernel; the heap solver now
+// carries the same bit-identity claim against the reference scan.
 TEST(SpAlgorithm, BlockedDenseIsBitIdenticalToReference) {
   Rng rng(13);
   for (int trial = 0; trial < 40; ++trial) {
@@ -184,7 +166,6 @@ TEST(SpAlgorithm, BlockedDenseIsBitIdenticalToReference) {
     const auto pts = UniformProcess().sample(n, Rectangle(), rng);
     auto len = distance_matrix(pts);
     if (trial % 2 == 0) {
-      // Sprinkle zero-length edges to force (dist, hops, id) tie-breaks.
       for (std::size_t z = 0; z < n / 2; ++z) {
         const NodeId u = rng.uniform_index(n);
         const NodeId v = rng.uniform_index(n);
@@ -194,74 +175,25 @@ TEST(SpAlgorithm, BlockedDenseIsBitIdenticalToReference) {
     const double p = 0.05 + 0.5 * rng.uniform();
     Topology g = erdos_renyi_gnp(n, p, rng);
     if (trial % 3 != 0) connect_components(g, len);
-    ShortestPathTree blocked, reference;
+    expect_matches_reference(g, len);
+  }
+}
+
+TEST(SpAlgorithm, SparseHandlesEqualLengthTies) {
+  // Unit lengths maximize (dist, hops) collisions; the composite key and
+  // smallest-parent rule must still agree with the dense scan.
+  Rng rng(11);
+  const std::size_t n = 24;
+  Matrix<double> len = Matrix<double>::square(n, 1.0);
+  ShortestPathTree scan;
+  for (int trial = 0; trial < 20; ++trial) {
+    Topology g = erdos_renyi_gnp(n, 0.2, rng);
+    connect_components(g, len);
     for (NodeId s = 0; s < n; ++s) {
-      shortest_path_tree(g, len, s, blocked, SpAlgorithm::kDense);
-      reference::shortest_path_tree(g, len, s, reference);
-      ASSERT_EQ(blocked.order, reference.order) << "n=" << n << " s=" << s;
-      ASSERT_EQ(blocked.parent, reference.parent);
-      ASSERT_EQ(blocked.hops, reference.hops);
-      for (NodeId t = 0; t < n; ++t) {
-        ASSERT_EQ(blocked.dist[t], reference.dist[t]);
-      }
+      reference::shortest_path_tree(g, len, s, scan);
+      expect_tree_identical(shortest_path_tree(g, len, s), scan);
     }
   }
-}
-
-// Batched sweeps are a pure scheduling change: trees[i] must equal the
-// per-source call bit for bit, for both solvers, at every block width —
-// including partial final blocks and single-source batches.
-TEST(SpAlgorithm, BatchMatchesPerSourceCalls) {
-  Rng rng(17);
-  for (const SpAlgorithm algo : {SpAlgorithm::kDense, SpAlgorithm::kSparse}) {
-    for (int trial = 0; trial < 12; ++trial) {
-      const std::size_t n = 3 + rng.uniform_index(40);
-      const auto pts = UniformProcess().sample(n, Rectangle(), rng);
-      const auto len = distance_matrix(pts);
-      Topology g = erdos_renyi_gnp(n, 0.05 + 0.4 * rng.uniform(), rng);
-      if (trial % 4 != 0) connect_components(g, len);
-
-      std::vector<NodeId> sources(n);
-      for (NodeId s = 0; s < n; ++s) sources[s] = s;
-      std::vector<ShortestPathTree> batch(n);
-      shortest_path_tree_batch(g, len, sources.data(), n, batch.data(), algo);
-
-      ShortestPathTree single;
-      for (NodeId s = 0; s < n; ++s) {
-        shortest_path_tree(g, len, s, single, algo);
-        ASSERT_EQ(batch[s].source, single.source);
-        ASSERT_EQ(batch[s].order, single.order) << "n=" << n << " s=" << s;
-        ASSERT_EQ(batch[s].parent, single.parent);
-        ASSERT_EQ(batch[s].hops, single.hops);
-        for (NodeId t = 0; t < n; ++t) {
-          ASSERT_EQ(batch[s].dist[t], single.dist[t]);
-        }
-      }
-
-      // A partial block (width < kSpSourceBlock) and repeated sources.
-      const NodeId dup[3] = {0, n - 1, 0};
-      ShortestPathTree trees[3];
-      shortest_path_tree_batch(g, len, dup, 3, trees, algo);
-      for (int i = 0; i < 3; ++i) {
-        shortest_path_tree(g, len, dup[i], single, algo);
-        ASSERT_EQ(trees[i].order, single.order);
-        ASSERT_EQ(trees[i].dist, single.dist);
-      }
-    }
-  }
-}
-
-TEST(SpAlgorithm, BatchValidatesInput) {
-  Topology g(3);
-  Matrix<double> len = Matrix<double>::square(3, 1.0);
-  const NodeId bad[1] = {7};
-  ShortestPathTree tree;
-  EXPECT_THROW(shortest_path_tree_batch(g, len, bad, 1, &tree),
-               std::out_of_range);
-  Matrix<double> wrong(2, 3, 1.0);
-  const NodeId ok[1] = {0};
-  EXPECT_THROW(shortest_path_tree_batch(g, wrong, ok, 1, &tree),
-               std::invalid_argument);
 }
 
 TEST(FloydWarshall, DisconnectedIsInfinite) {
@@ -290,29 +222,16 @@ TEST(AllPairsHops, MatchesBfs) {
   }
 }
 
-void expect_tree_identical(const ShortestPathTree& got,
-                           const ShortestPathTree& want) {
-  ASSERT_EQ(got.order, want.order);
-  ASSERT_EQ(got.parent, want.parent);
-  ASSERT_EQ(got.hops, want.hops);
-  ASSERT_EQ(got.dist.size(), want.dist.size());
-  for (std::size_t t = 0; t < want.dist.size(); ++t) {
-    // Exact equality: the incremental update must add the same doubles in
-    // the same order as the fresh sweeps along every chosen path.
-    ASSERT_EQ(got.dist[t], want.dist[t]) << "node " << t;
-  }
-}
-
 // The tentpole property: across random graphs and random single/multi-edge
 // flip sequences, incremental repair is bit-identical — dist, hops, parent,
-// settle order — to fresh dense AND sparse sweeps. Trees are chained (each
-// update starts from the previous incremental result), so any drift
-// compounds and gets caught. Every third trial uses unit lengths to force
+// settle order — to a fresh heap sweep AND the reference dense scan. Trees
+// are chained (each update starts from the previous incremental result), so
+// any drift compounds and gets caught. Every third trial uses unit lengths to force
 // (dist, hops) tie storms through the composite-key logic.
 TEST(UpdateShortestPathTree, BitIdenticalToFreshSweepsUnderRandomFlips) {
   Rng rng(2024);
   SpUpdateWorkspace ws;
-  ShortestPathTree dense, sparse;
+  ShortestPathTree fresh, scan;
   std::size_t zero_resettle_updates = 0;
   for (int trial = 0; trial < 110; ++trial) {
     const std::size_t n = 6 + rng.uniform_index(30);
@@ -354,10 +273,10 @@ TEST(UpdateShortestPathTree, BitIdenticalToFreshSweepsUnderRandomFlips) {
             g, len, inserted, removed, trees[s], ws, 2 * n + 1);
         ASSERT_TRUE(r.applied);
         if (r.resettled == 0) ++zero_resettle_updates;
-        shortest_path_tree(g, len, s, dense, SpAlgorithm::kDense);
-        shortest_path_tree(g, len, s, sparse, SpAlgorithm::kSparse);
-        expect_tree_identical(trees[s], dense);
-        expect_tree_identical(trees[s], sparse);
+        shortest_path_tree(g, len, s, fresh);
+        reference::shortest_path_tree(g, len, s, scan);
+        expect_tree_identical(trees[s], fresh);
+        expect_tree_identical(trees[s], scan);
       }
     }
   }

@@ -64,6 +64,9 @@ TEST(LinkFailure, RerouteOverloadsSurvivors) {
 TEST(LinkFailure, ValidatesLink) {
   const Network net = ring_network();
   EXPECT_THROW(simulate_link_failure(net, Edge{0, 2}), std::invalid_argument);
+  const NodeId n = net.num_pops();
+  EXPECT_THROW(simulate_link_failure(net, Edge{0, n}), std::out_of_range);
+  EXPECT_THROW(simulate_link_failure(net, Edge{n, 0}), std::out_of_range);
 }
 
 TEST(PopFailure, TransitReroutesEndpointWrittenOff) {

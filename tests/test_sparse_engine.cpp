@@ -1,6 +1,7 @@
-// Sparse-primary engine guarantees: the dense view is a backend choice, not
-// an identity — forcing either backend yields byte-identical timing-free run
-// reports; EdgeLoads matches the dense loads matrix bit-for-bit; streamed
+// Sparse-primary engine guarantees: the dense distance matrix is a backend
+// choice, not an identity — forcing either distance backend yields
+// byte-identical timing-free run reports under multipath routing too;
+// EdgeLoads matches the dense loads matrix bit-for-bit; streamed
 // ensemble aggregation folds to the same bits as a post-hoc pass over
 // retained runs; and city-scale synthesis (n = 2000) completes without any
 // quadratic adjacency object.
@@ -49,21 +50,24 @@ std::string timing_free_report(const SynthesisConfig& cfg,
   return run_report_to_json(sink.report(), /*include_timing=*/false);
 }
 
-// The tentpole acceptance gate: for every (n, threads, dsssp) cell, a run
-// forced onto the sparse backend produces a byte-identical timing-free
-// report to the same run forced onto the dense backend.
+// For every (n, threads, dsssp) cell under ECMP routing, a run with
+// matrix-free distances produces a byte-identical timing-free report to the
+// same run with the dense distance matrix (MatrixFree's gate covers the
+// single-path engine): the shortest-path DAG's bitwise tie rule sees the
+// same doubles either way.
 TEST(SparseVsDense, ByteIdenticalTimingFreeReports) {
   for (const std::size_t n : {24u, 80u, 200u}) {
     for (const std::size_t threads : {1u, 4u}) {
       for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
-        const SynthesisConfig cfg = tiny_config(n, threads, dsssp);
+        SynthesisConfig cfg = tiny_config(n, threads, dsssp);
+        cfg.engine.multipath.mode = MultipathMode::kEcmp;
         std::string dense, sparse;
         {
-          ThresholdGuard<Topology> force_dense(4096);
+          ThresholdGuard force_dense(4096);
           dense = timing_free_report(cfg, /*seed=*/42);
         }
         {
-          ThresholdGuard<Topology> force_sparse(0);
+          ThresholdGuard force_sparse(0);
           sparse = timing_free_report(cfg, /*seed=*/42);
         }
         EXPECT_EQ(dense, sparse)
@@ -75,7 +79,7 @@ TEST(SparseVsDense, ByteIdenticalTimingFreeReports) {
 }
 
 // City-scale smoke synthesis: n = 2000 is far above the dense auto
-// threshold, so no n^2 adjacency object ever exists; the whole pipeline
+// threshold, so no n^2 distance matrix ever exists; the whole pipeline
 // (context, GA with repair, routing, assembly) must run sparse end-to-end.
 TEST(SparseVsDense, SmokeSynthesisAtN2000) {
   SynthesisConfig cfg;
@@ -88,7 +92,7 @@ TEST(SparseVsDense, SmokeSynthesisAtN2000) {
   cfg.ga.include_clique_seed = false;
   cfg.seed_with_heuristics = false;
   const SynthesisResult r = Synthesizer(cfg).synthesize(1);
-  EXPECT_FALSE(r.network.topology.has_dense_view());
+  EXPECT_FALSE(r.network.lengths.has_dense());
   EXPECT_EQ(r.network.topology.num_nodes(), 2000u);
   EXPECT_TRUE(is_connected(r.network.topology));
   EXPECT_GT(r.cost.total(), 0.0);
@@ -149,7 +153,8 @@ TEST(EnsembleAccumulator, FoldMatchesPostHocAggregation) {
   cfg.ga.population = 16;
   cfg.ga.generations = 10;
   const Synthesizer synth(cfg);
-  const EnsembleResult e = generate_ensemble(synth, 6, /*base_seed=*/50);
+  const EnsembleResult e =
+      generate_ensemble(synth, {.count = 6, .base_seed = 50});
   ASSERT_TRUE(e.acc.retains_runs());
   ASSERT_EQ(e.num_runs(), 6u);
 
@@ -255,7 +260,8 @@ TEST(EnsembleAccumulator, AutoModeSwitchesAtThreshold) {
   cfg.costs = CostParams{10, 1, 4e-4, 10};
   cfg.ga.population = 12;
   cfg.ga.generations = 6;
-  const EnsembleResult e = generate_ensemble(Synthesizer(cfg), 3, 9);
+  const EnsembleResult e =
+      generate_ensemble(Synthesizer(cfg), {.count = 3, .base_seed = 9});
   EXPECT_TRUE(e.acc.retains_runs());
   EXPECT_TRUE(e.pairwise_checked);
 }
@@ -271,7 +277,7 @@ TEST(EnsembleAggregatesReport, RoundTripsThroughJson) {
   JsonReportSink sink;
   cfg.observer = &sink;
   const Synthesizer synth(cfg);
-  generate_ensemble(synth, 4, /*base_seed=*/77);
+  generate_ensemble(synth, {.count = 4, .base_seed = 77});
 
   ASSERT_TRUE(sink.report().ensemble_aggregates);
   const EnsembleAggregates& a = *sink.report().ensemble_aggregates;

@@ -376,7 +376,8 @@ TEST(EnsembleTelemetry, TraceIsIdenticalAcrossThreadCounts) {
     TraceSink sink;
     cfg.observer = &sink;
     const Synthesizer synth(cfg);
-    const EnsembleResult e = generate_ensemble(synth, 5, 11);
+    const EnsembleResult e =
+        generate_ensemble(synth, {.count = 5, .base_seed = 11});
     EXPECT_EQ(e.num_runs(), 5u);
     EXPECT_EQ(sink.count<EnsembleRunDone>(), 5u);
     // Inner runs never reach the ensemble observer: one kEnsemble phase,
@@ -393,7 +394,7 @@ TEST(EnsembleTelemetry, RunsArriveInSeedOrder) {
   cfg.parallel.num_threads = 4;
   TraceSink sink;
   cfg.observer = &sink;
-  generate_ensemble(Synthesizer(cfg), 6, 100);
+  generate_ensemble(Synthesizer(cfg), {.count = 6, .base_seed = 100});
   std::size_t expected = 0;
   for (const TraceEvent& e : sink.events()) {
     if (const auto* run = std::get_if<EnsembleRunDone>(&e.v)) {
@@ -410,7 +411,8 @@ TEST(EnsembleTelemetry, EvalBudgetTruncatesRunsButKeepsThemValid) {
   cfg.parallel.num_threads = 1;
   StopCondition stop = StopCondition::eval_budget(300);
   cfg.stop = &stop;
-  const EnsembleResult e = generate_ensemble(Synthesizer(cfg), 50, 1);
+  const EnsembleResult e =
+      generate_ensemble(Synthesizer(cfg), {.count = 50, .base_seed = 1});
   EXPECT_TRUE(e.stopped_early);
   EXPECT_EQ(e.stop_reason, StopReason::kEvalBudget);
   EXPECT_LT(e.num_runs(), 50u);
@@ -1099,7 +1101,8 @@ TEST(RunReport, ResilienceBlockRoundTripsWhenTimed) {
   cfg.parallel.num_threads = 2;
   JsonReportSink ensemble_sink;
   cfg.observer = &ensemble_sink;
-  const EnsembleResult e = generate_ensemble(Synthesizer(cfg), 3, 21);
+  const EnsembleResult e =
+      generate_ensemble(Synthesizer(cfg), {.count = 3, .base_seed = 21});
   std::uint64_t sweeps = 0;
   for (const SynthesisResult& run : e.runs()) {
     sweeps += run.counters[Counter::kResilienceSweeps];

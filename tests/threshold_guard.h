@@ -1,21 +1,21 @@
-// Scoped override of a backend's dense-view auto threshold
-// (Topology::dense_auto_threshold or DistanceProvider::dense_auto_threshold),
-// so a test can force the dense or the matrix-free path and a failing test
+// Scoped override of DistanceProvider::dense_auto_threshold, so a test can
+// force the dense or the matrix-free distance backend and a failing test
 // cannot leak the forced backend into the rest of the suite.
 #pragma once
 
 #include <cstddef>
 
+#include "geom/distance.h"
+
 namespace cold {
 
-template <class Backend>
 class ThresholdGuard {
  public:
   explicit ThresholdGuard(std::size_t n)
-      : saved_(Backend::dense_auto_threshold()) {
-    Backend::set_dense_auto_threshold(n);
+      : saved_(DistanceProvider::dense_auto_threshold()) {
+    DistanceProvider::set_dense_auto_threshold(n);
   }
-  ~ThresholdGuard() { Backend::set_dense_auto_threshold(saved_); }
+  ~ThresholdGuard() { DistanceProvider::set_dense_auto_threshold(saved_); }
   ThresholdGuard(const ThresholdGuard&) = delete;
   ThresholdGuard& operator=(const ThresholdGuard&) = delete;
 

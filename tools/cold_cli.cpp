@@ -217,9 +217,10 @@ void print_usage() {
       "            valid)\n"
       "  engine    (synth/ensemble/grow): --engine default|reference\n"
       "            (default): default memoizes cost evaluations in one\n"
-      "            256 KiB cache shared by every worker thread and uses dense\n"
-      "            adjacency/distance backends up to 512 PoPs; reference\n"
-      "            turns the cache off and runs matrix-free at every size.\n"
+      "            256 KiB cache shared by every worker thread and keeps a\n"
+      "            dense distance matrix up to 512 PoPs; reference turns\n"
+      "            the cache off and computes distances on demand at every\n"
+      "            size.\n"
       "            --dsssp on|off|auto (off) re-routes near-parent offspring\n"
       "            incrementally (auto enables it above 16 PoPs; default\n"
       "            engine only). All are exact and change performance only\n";
@@ -281,7 +282,7 @@ class CliTelemetry {
 // ---------------------------------------------------------------------------
 
 /// Resolves --engine and --dsssp. Call before any context or topology is
-/// built: the reference engine moves process-wide backend thresholds.
+/// built: the reference engine moves the process-wide distance threshold.
 EvalEngineConfig engine_from(const CliOptions& args) {
   EvalEngineConfig engine;
   const std::string dsssp = args.get("dsssp", "off");
@@ -302,10 +303,7 @@ EvalEngineConfig engine_from(const CliOptions& args) {
                                   "delta engine; drop --dsssp " + dsssp);
     }
     engine.cache.enabled = false;
-    // Both thresholds move together so "matrix-free" means the whole
-    // engine: sparse adjacency AND on-demand distances.
-    Topology::set_dense_auto_threshold(0);
-    DistanceProvider::set_dense_auto_threshold(0);
+    DistanceProvider::set_dense_auto_threshold(0);  // on-demand distances
   } else if (name != "default") {
     throw std::invalid_argument("unknown --engine: " + name +
                                 " (expected default or reference)");
