@@ -113,7 +113,7 @@ BenchTelemetry::~BenchTelemetry() {
     std::cerr << "could not write report " << path << "\n";
     return;
   }
-  sink_.write(file);
+  file << run_report_to_json(sink_.report());
   std::cout << "wrote report " << path << "\n";
 }
 

@@ -4,9 +4,10 @@
 // Measures run_ga at population 64, n = 40 PoPs (the acceptance scenario of
 // the parallel engine) for num_threads in {1, 2, 4, 8}, verifies that every
 // thread count reproduces the 1-thread best_cost_history AND the 1-thread
-// telemetry trace exactly, and writes the results to
-// BENCH_parallel_ga.json (first argv, default ./). COLD_BENCH_REPORT=FILE
-// additionally writes the JSON run report of the last measured run.
+// timing-free run report exactly (`identical_trace`), and writes the
+// results to BENCH_parallel_ga.json (first argv, default ./).
+// COLD_BENCH_REPORT=FILE additionally writes the JSON run report of the
+// last measured run.
 //
 // The cost cache is off: every score is a routing sweep, so the timings
 // measure how the scoring fan-out scales rather than how many scores hit
@@ -29,7 +30,7 @@
 #include "bench_common.h"
 #include "core/context.h"
 #include "ga/genetic.h"
-#include "telemetry/sinks.h"
+#include "telemetry/report.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -44,7 +45,7 @@ struct Sample {
 };
 
 GaResult run_once(const Context& ctx, std::size_t threads, std::uint64_t seed,
-                  std::size_t generations, TraceSink& trace,
+                  std::size_t generations, JsonReportSink& report,
                   cold::bench::BenchTelemetry* telemetry) {
   EvalEngineConfig uncached;  // time the scoring fan-out, not cache hits
   uncached.cache.enabled = false;
@@ -57,7 +58,7 @@ GaResult run_once(const Context& ctx, std::size_t threads, std::uint64_t seed,
   MultiObserver observer;
   if (telemetry != nullptr) telemetry->attach(options);
   observer.add(options.observer);  // env-driven report sink, if any
-  observer.add(&trace);
+  observer.add(&report);
   options.observer = &observer;
   Rng rng(seed);
   return run_ga(eval, rng, options);
@@ -79,17 +80,17 @@ int main(int argc, char** argv) {
   Rng ctx_rng(seed);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
 
-  TraceSink reference_trace;
+  JsonReportSink reference_report;
   const GaResult reference =
-      run_once(ctx, 1, seed, generations, reference_trace, nullptr);
+      run_once(ctx, 1, seed, generations, reference_report, nullptr);
 
   cold::bench::BenchTelemetry telemetry;
   std::vector<Sample> samples;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    TraceSink trace;
+    JsonReportSink report;
     const auto t0 = std::chrono::steady_clock::now();
     const GaResult r =
-        run_once(ctx, threads, seed, generations, trace, &telemetry);
+        run_once(ctx, threads, seed, generations, report, &telemetry);
     const auto t1 = std::chrono::steady_clock::now();
     Sample s;
     s.threads = threads;
@@ -99,7 +100,9 @@ int main(int argc, char** argv) {
         r.best_cost == reference.best_cost &&
         r.final_costs == reference.final_costs &&
         r.evaluations == reference.evaluations;
-    s.identical_trace = trace.canonical() == reference_trace.canonical();
+    s.identical_trace =
+        run_report_to_json(report.report(), /*include_timing=*/false) ==
+        run_report_to_json(reference_report.report(), /*include_timing=*/false);
     samples.push_back(s);
     std::printf(
         "threads=%zu  %8.3f s  speedup %5.2fx  identical=%s  trace=%s\n",

@@ -14,9 +14,8 @@ namespace cold {
 
 namespace {
 
-ConfidenceInterval ci_of(const std::vector<double>& xs, double level) {
-  return bootstrap_mean_ci(xs, level);
-}
+/// Confidence level of every interval in EnsembleStats.
+constexpr double kCiLevel = 0.95;
 
 // SplitMix64 finalizer for combining hash words.
 std::uint64_t mix64(std::uint64_t x) {
@@ -280,21 +279,20 @@ EnsembleResult generate_ensemble(const Synthesizer& synth,
       hubs.push_back(static_cast<double>(m.hubs));
       assort.push_back(m.assortativity);
     }
-    result.stats.avg_degree = ci_of(deg, options.ci_level);
-    result.stats.diameter = ci_of(diam, options.ci_level);
-    result.stats.clustering = ci_of(clus, options.ci_level);
-    result.stats.degree_cv = ci_of(cv, options.ci_level);
-    result.stats.hubs = ci_of(hubs, options.ci_level);
-    result.stats.assortativity = ci_of(assort, options.ci_level);
+    result.stats.avg_degree = bootstrap_mean_ci(deg, kCiLevel);
+    result.stats.diameter = bootstrap_mean_ci(diam, kCiLevel);
+    result.stats.clustering = bootstrap_mean_ci(clus, kCiLevel);
+    result.stats.degree_cv = bootstrap_mean_ci(cv, kCiLevel);
+    result.stats.hubs = bootstrap_mean_ci(hubs, kCiLevel);
+    result.stats.assortativity = bootstrap_mean_ci(assort, kCiLevel);
   } else {
     const EnsembleAggregates& a = result.acc.aggregates();
-    result.stats.avg_degree = normal_mean_ci(a.avg_degree, options.ci_level);
-    result.stats.diameter = normal_mean_ci(a.diameter, options.ci_level);
-    result.stats.clustering = normal_mean_ci(a.clustering, options.ci_level);
-    result.stats.degree_cv = normal_mean_ci(a.degree_cv, options.ci_level);
-    result.stats.hubs = normal_mean_ci(a.hubs, options.ci_level);
-    result.stats.assortativity =
-        normal_mean_ci(a.assortativity, options.ci_level);
+    result.stats.avg_degree = normal_mean_ci(a.avg_degree, kCiLevel);
+    result.stats.diameter = normal_mean_ci(a.diameter, kCiLevel);
+    result.stats.clustering = normal_mean_ci(a.clustering, kCiLevel);
+    result.stats.degree_cv = normal_mean_ci(a.degree_cv, kCiLevel);
+    result.stats.hubs = normal_mean_ci(a.hubs, kCiLevel);
+    result.stats.assortativity = normal_mean_ci(a.assortativity, kCiLevel);
   }
 
   // Distinctness (paper criterion 1). Retained: exact O(count^2) pairwise

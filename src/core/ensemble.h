@@ -38,7 +38,6 @@ inline constexpr std::size_t kRetainAutoThreshold = 1024;
 struct EnsembleOptions {
   std::size_t count = 1;
   std::uint64_t base_seed = 1;
-  double ci_level = 0.95;
   RetainMode retain = RetainMode::kAuto;
   /// Streamed mode only: keep a uniform reservoir sample of this many full
   /// SynthesisResults (0 = none). Deterministic in (base_seed, fold order).
@@ -140,7 +139,7 @@ struct EnsembleResult {
   /// All per-run state: retained results (retain mode), streamed
   /// aggregates, engine totals, optional reservoir.
   EnsembleAccumulator acc;
-  /// CIs per metric: percentile bootstrap when runs are retained (legacy
+  /// 95% CIs per metric: percentile bootstrap when runs are retained (legacy
   /// behavior, bit-identical), normal approximation from the streamed
   /// moments otherwise.
   MetricStats stats;

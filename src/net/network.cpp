@@ -66,11 +66,7 @@ Network build_network(const Topology& topology,
     link.capacity = options.overprovision * link.load;
     net.links.push_back(link);
   }
-  const bool want_routing =
-      options.materialize_routing == NetworkBuildOptions::Routing::kAlways ||
-      (options.materialize_routing == NetworkBuildOptions::Routing::kAuto &&
-       n <= NetworkBuildOptions::kAutoRoutingMaxNodes);
-  if (want_routing) {
+  if (n <= NetworkBuildOptions::kAutoRoutingMaxNodes) {
     net.routing = routing_matrix(topology, net.lengths, ws);
   }
   return net;

@@ -6,8 +6,8 @@
 // Matrix-free currencies: `traffic` is a CompressedTraffic (CSR) and
 // `lengths` a DistanceProvider, both value types over shared immutable
 // cores, so a Network is O(n + m + nnz) resident — the only remaining n^2
-// object is the next-hop matrix, which NetworkBuildOptions gates off above
-// the dense threshold (kAuto) or on demand (kNever).
+// object is the next-hop matrix, which build_network materializes only up
+// to NetworkBuildOptions::kAutoRoutingMaxNodes nodes.
 #pragma once
 
 #include <vector>
@@ -44,7 +44,7 @@ struct Network {
   std::size_t num_links() const { return links.size(); }
 
   /// Whether the n^2 next-hop matrix was materialized (see
-  /// NetworkBuildOptions::materialize_routing).
+  /// NetworkBuildOptions::kAutoRoutingMaxNodes).
   bool has_routing() const { return !routing.empty(); }
 
   /// Capacity of link {a, b}; throws if the link does not exist.
@@ -59,12 +59,9 @@ struct Network {
 struct NetworkBuildOptions {
   double overprovision = 1.0;  ///< the paper's capacity factor O (>= 1)
 
-  /// Whether to materialize the n^2 next-hop matrix (8 n^2 bytes — 800 MB
-  /// at n = 10000). kAuto materializes it only up to kAutoRoutingMaxNodes
-  /// nodes; beyond that `routing` stays empty and path queries should
-  /// recompute trees on demand.
-  enum class Routing { kAuto, kAlways, kNever };
-  Routing materialize_routing = Routing::kAuto;
+  /// The n^2 next-hop matrix (8 n^2 bytes — 800 MB at n = 10000) is
+  /// materialized only up to this many nodes; beyond that `routing` stays
+  /// empty and path queries should recompute trees on demand.
   static constexpr std::size_t kAutoRoutingMaxNodes = 512;
 
   /// How link loads (and therefore capacities) are computed: single
@@ -77,16 +74,16 @@ struct NetworkBuildOptions {
 
 /// Assembles a Network from a connected topology, locations and traffic:
 /// computes lengths, routes all demands, sizes capacities with the given
-/// overprovisioning factor, and (subject to options) fills the routing
-/// matrix. Throws std::invalid_argument if the topology is disconnected or
-/// shapes mismatch.
+/// overprovisioning factor, and fills the routing matrix when n <=
+/// NetworkBuildOptions::kAutoRoutingMaxNodes. Throws std::invalid_argument
+/// if the topology is disconnected or shapes mismatch.
 Network build_network(const Topology& topology,
                       const std::vector<Point>& locations,
                       const std::vector<double>& populations,
                       const CompressedTraffic& traffic,
                       const NetworkBuildOptions& options);
 
-/// Convenience overload with default routing policy (kAuto).
+/// Convenience overload with single-path routing.
 Network build_network(const Topology& topology,
                       const std::vector<Point>& locations,
                       const std::vector<double>& populations,

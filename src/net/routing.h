@@ -210,7 +210,7 @@ double total_demand_weighted_length(const Topology& g,
 /// chosen shortest path toward t; next_hop(s, s) == s. Throws if `g` is
 /// disconnected. Same wrapper arrangement as total_demand_weighted_length.
 /// O(n^2) output — callers synthesizing at scale should skip it (see
-/// NetworkBuildOptions::materialize_routing).
+/// NetworkBuildOptions::kAutoRoutingMaxNodes).
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
                               RoutingWorkspace& ws);

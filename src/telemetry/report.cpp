@@ -1,7 +1,6 @@
 #include "telemetry/report.h"
 
 #include <initializer_list>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -207,15 +206,10 @@ JsonValue run_report_json(const RunReport& report, bool include_timing) {
   return JsonValue{std::move(root)};
 }
 
-void write_run_report_json(std::ostream& os, const RunReport& report,
-                           bool include_timing) {
-  write_json(os, run_report_json(report, include_timing));
-  os << "\n";
-}
-
 std::string run_report_to_json(const RunReport& report, bool include_timing) {
   std::ostringstream os;
-  write_run_report_json(os, report, include_timing);
+  write_json(os, run_report_json(report, include_timing));
+  os << "\n";
   return os.str();
 }
 

@@ -76,7 +76,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,20 +105,19 @@ struct RunReport {
 /// document depends only on the logical run content.
 JsonValue run_report_json(const RunReport& report, bool include_timing = true);
 
-/// Serializes run_report_json(report, include_timing).
-void write_run_report_json(std::ostream& os, const RunReport& report,
-                           bool include_timing = true);
+/// Serializes run_report_json(report, include_timing), newline-terminated:
+/// the bytes of a report file.
 std::string run_report_to_json(const RunReport& report,
                                bool include_timing = true);
 
-/// Parses a report written by write_run_report_json. Throws
+/// Parses a report written by run_report_to_json. Throws
 /// std::runtime_error on malformed input, a foreign schema, or a version
 /// other than kRunReportVersion.
 RunReport run_report_from_json(const std::string& json);
 
 /// Observer that accumulates the full event stream into a RunReport.
-/// Attach to any entry point, then write() or read report() when the run
-/// returns. A second run on the same sink resets the report first.
+/// Attach to any entry point, then read report() when the run returns. A
+/// second run on the same sink resets the report first.
 class JsonReportSink final : public RunObserver {
  public:
   void on_run_start(const RunStart& e) override;
@@ -133,10 +131,6 @@ class JsonReportSink final : public RunObserver {
 
   const RunReport& report() const { return report_; }
   RunReport& report() { return report_; }
-
-  void write(std::ostream& os, bool include_timing = true) const {
-    write_run_report_json(os, report_, include_timing);
-  }
 
  private:
   RunReport report_;

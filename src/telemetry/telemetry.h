@@ -7,8 +7,8 @@
 //   * The observer receives typed events — phase boundaries with wall-clock
 //     and evaluator counters, one GenerationEnd per GA generation, one
 //     HeuristicDone per greedy heuristic, per-run ensemble progress — from
-//     which sinks build progress output (ProgressSink), canonical traces
-//     (TraceSink) or machine-readable run reports (JsonReportSink).
+//     which sinks build progress output (ProgressSink) or the run's one
+//     machine-readable record, the JSON run report (JsonReportSink).
 //   * The stop condition is a cooperative cancellation token: a wall-clock
 //     deadline, an evaluation budget, or an explicit request_stop() (e.g.
 //     from an observer or a signal handler). It is checked at generation
@@ -19,9 +19,10 @@
 // (everything except performance data: wall-clock durations and the
 // EngineCounters record, whose splits depend on work partitioning and
 // engine configuration) is bit-identical for any ParallelConfig and any
-// EvalEngineConfig. Serializers therefore take an `include_timing` switch
-// covering all performance data; with it off, traces and reports are
-// byte-identical across thread counts and engine configurations.
+// EvalEngineConfig. The report serializer therefore takes an
+// `include_timing` switch covering all performance data; with it off,
+// reports are byte-identical across thread counts and engine
+// configurations.
 //
 // Observers must not throw: events are delivered from destructors and from
 // hot loops. All pointers handed to configs are borrowed, never owned; the

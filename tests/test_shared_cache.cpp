@@ -8,9 +8,8 @@
 //   2. A multi-threaded stress test hammering the one table under constant
 //      eviction — meant to run under TSan as well as the regular suites.
 //   3. The engine's headline property: GA trajectories, best-cost
-//      histories, and timing-free telemetry (canonical traces + JSON
-//      reports) are byte-identical across {cache off, on} x {1, 2, 4, 8
-//      threads}.
+//      histories, and timing-free JSON run reports are byte-identical
+//      across {cache off, on} x {1, 2, 4, 8 threads}.
 #include "cost/cost_cache.h"
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include "core/synthesizer.h"
 #include "cost/evaluator.h"
 #include "telemetry/report.h"
-#include "telemetry/sinks.h"
 #include "telemetry/telemetry.h"
 #include "util/rng.h"
 
@@ -420,7 +418,6 @@ TEST(SharedEvaluatorCache, SharedResultsAreBitIdentical) {
 // ---------------------------------------------------------------------------
 
 struct ComboOutput {
-  std::string trace;
   std::string report;
   std::vector<double> history;
   double best_cost = 0.0;
@@ -437,16 +434,11 @@ ComboOutput run_combo(std::size_t pops, std::uint64_t seed, bool cache,
   cfg.ga.parallel.num_threads = threads;
   cfg.engine.cache.enabled = cache;
 
-  TraceSink trace;
   JsonReportSink report;
-  MultiObserver multi;
-  multi.add(&trace);
-  multi.add(&report);
-  cfg.observer = &multi;
+  cfg.observer = &report;
 
   const SynthesisResult r = Synthesizer(cfg).synthesize(seed);
   ComboOutput out;
-  out.trace = trace.canonical(/*include_timing=*/false);
   out.report = run_report_to_json(report.report(), /*include_timing=*/false);
   out.history = r.ga.best_cost_history;
   out.best_cost = r.ga.best_cost;
@@ -467,7 +459,7 @@ TEST(EngineDeterminism, TracesInvariantAcrossCacheAndThreads) {
 
     const ComboOutput reference =
         run_combo(pops, seed, /*cache=*/false, /*threads=*/1, heuristics);
-    ASSERT_FALSE(reference.trace.empty());
+    ASSERT_FALSE(reference.history.empty());
     for (const bool cache : {false, true}) {
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         if (!cache && threads == 1) continue;
@@ -476,7 +468,6 @@ TEST(EngineDeterminism, TracesInvariantAcrossCacheAndThreads) {
         const std::string label = "trial=" + std::to_string(trial) +
                                   " cache=" + std::to_string(cache) +
                                   " threads=" + std::to_string(threads);
-        ASSERT_EQ(got.trace, reference.trace) << label;
         ASSERT_EQ(got.report, reference.report) << label;
         ASSERT_EQ(got.history, reference.history) << label;
         ASSERT_EQ(got.best_cost, reference.best_cost) << label;

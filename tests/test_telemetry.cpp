@@ -1,12 +1,13 @@
 // Tests for the run telemetry subsystem: the observer event stream and its
-// determinism contract (logical traces are byte-identical for any thread
-// count), cooperative stop conditions, phase timers, and the JSON run
-// report round-trip.
+// determinism contract (timing-free run reports are byte-identical for any
+// thread count), cooperative stop conditions, phase timers, the progress
+// printer, and the JSON run report round-trip.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/context.h"
@@ -41,6 +42,20 @@ Evaluator small_evaluator(std::uint64_t seed, std::size_t pops = 8) {
   const Context ctx = generate_context(cfg, rng);
   return Evaluator(ctx.distances, ctx.traffic, CostParams{});
 }
+
+/// The run's logical record: its report with every performance field off.
+std::string timing_free(const JsonReportSink& sink) {
+  return run_report_to_json(sink.report(), /*include_timing=*/false);
+}
+
+/// Test fake: records phase boundaries in arrival order. The run report
+/// keeps only phase ends, so the PhaseTimer tests that pin the start event
+/// use this.
+struct PhaseRecorder final : RunObserver {
+  std::vector<std::variant<Phase /*start*/, PhaseStats /*end*/>> events;
+  void on_phase_start(Phase phase) override { events.emplace_back(phase); }
+  void on_phase_end(const PhaseStats& e) override { events.emplace_back(e); }
+};
 
 // ---------------------------------------------------------------------------
 // StopCondition unit behavior.
@@ -110,7 +125,7 @@ TEST(StopCondition, ToStringCoversReasons) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiObserver, FansOutAndIgnoresNull) {
-  TraceSink a, b;
+  JsonReportSink a, b;
   MultiObserver multi;
   multi.add(&a);
   multi.add(nullptr);
@@ -121,28 +136,30 @@ TEST(MultiObserver, FansOutAndIgnoresNull) {
   summary.evaluations = 16;
   summary.wall_ns = 10;
   multi.on_run_end(summary);
-  EXPECT_EQ(a.count<GenerationEnd>(), 1u);
-  EXPECT_EQ(b.count<GenerationEnd>(), 1u);
-  EXPECT_EQ(a.canonical(), b.canonical());
+  EXPECT_EQ(a.report().generations.size(), 1u);
+  EXPECT_EQ(b.report().generations.size(), 1u);
+  EXPECT_EQ(a.report().summary.evaluations, 16u);
+  EXPECT_EQ(run_report_to_json(a.report()), run_report_to_json(b.report()));
 }
 
 TEST(PhaseTimer, EmitsPairedEventsWithEvalDelta) {
-  TraceSink sink;
+  PhaseRecorder sink;
   std::size_t evals = 10;
   {
     PhaseTimer timer(&sink, Phase::kGa, [&] { return evals; });
     evals = 42;
   }
-  ASSERT_EQ(sink.events().size(), 2u);
-  ASSERT_TRUE(std::holds_alternative<Phase>(sink.events()[0].v));
-  ASSERT_TRUE(std::holds_alternative<PhaseStats>(sink.events()[1].v));
-  const auto& stats = std::get<PhaseStats>(sink.events()[1].v);
+  ASSERT_EQ(sink.events.size(), 2u);
+  ASSERT_TRUE(std::holds_alternative<Phase>(sink.events[0]));
+  EXPECT_EQ(std::get<Phase>(sink.events[0]), Phase::kGa);
+  ASSERT_TRUE(std::holds_alternative<PhaseStats>(sink.events[1]));
+  const auto& stats = std::get<PhaseStats>(sink.events[1]);
   EXPECT_EQ(stats.phase, Phase::kGa);
   EXPECT_EQ(stats.evaluations, 32u);  // delta, not absolute
 }
 
 TEST(PhaseTimer, EmitsEngineCounterDeltas) {
-  TraceSink sink;
+  PhaseRecorder sink;
   EngineCounters counters;
   counters[Counter::kCacheHits] = 5;
   counters[Counter::kCacheMisses] = 7;
@@ -159,8 +176,9 @@ TEST(PhaseTimer, EmitsEngineCounterDeltas) {
     counters[Counter::kDssspHits] = 8;
     counters[Counter::kMultipathDagEdges] = 100;
   }
-  ASSERT_EQ(sink.events().size(), 2u);
-  const EngineCounters& delta = std::get<PhaseStats>(sink.events()[1].v).counters;
+  ASSERT_EQ(sink.events.size(), 2u);
+  ASSERT_TRUE(std::holds_alternative<Phase>(sink.events[0]));
+  const EngineCounters& delta = std::get<PhaseStats>(sink.events[1]).counters;
   EXPECT_EQ(delta[Counter::kCacheHits], 20u);  // deltas, not absolutes
   EXPECT_EQ(delta[Counter::kCacheMisses], 3u);
   EXPECT_EQ(delta[Counter::kCacheInserts], 2u);
@@ -177,10 +195,10 @@ TEST(PhaseTimer, NullObserverIsNoop) {
 }
 
 TEST(TraceSink, EngineCountersArePerformanceData) {
-  // Engine counters vary across engine configurations, so canonical()
+  // Engine counters vary across engine configurations, so the run report
   // treats them exactly like wall_ns: present with timing, absent without —
-  // that is what keeps timing-free traces comparable across configs.
-  TraceSink sink;
+  // that is what keeps timing-free reports comparable across configs.
+  JsonReportSink sink;
   PhaseStats phase;
   phase.phase = Phase::kGa;
   phase.counters[Counter::kCacheHits] = 3;
@@ -192,16 +210,45 @@ TEST(TraceSink, EngineCountersArePerformanceData) {
   summary.counters[Counter::kResilienceSweeps] = 6;
   sink.on_run_end(summary);
 
-  const std::string bare = sink.canonical(/*include_timing=*/false);
+  const std::string bare = timing_free(sink);
   for (const std::string_view name : kCounterNames) {
     EXPECT_EQ(bare.find(name), std::string::npos) << name;
   }
-  const std::string timed = sink.canonical(/*include_timing=*/true);
-  EXPECT_NE(timed.find("phase_end ga evals=0 cache_hits=3"),
-            std::string::npos);
-  EXPECT_NE(timed.find("cache_hits=9"), std::string::npos);
-  EXPECT_NE(timed.find("dsssp_hits=4"), std::string::npos);
-  EXPECT_NE(timed.find("resilience_sweeps=6"), std::string::npos);
+  const JsonValue timed =
+      run_report_json(sink.report(), /*include_timing=*/true);
+  const JsonValue& phase_counters =
+      timed.field("phases").array().at(0).field("counters");
+  const JsonValue& run_counters = timed.field("result").field("counters");
+  for (const std::string_view name : kCounterNames) {
+    EXPECT_TRUE(phase_counters.has(std::string(name))) << name;
+    EXPECT_TRUE(run_counters.has(std::string(name))) << name;
+  }
+  EXPECT_EQ(timed.field("phases").array().at(0).field("name").str(), "ga");
+  EXPECT_EQ(phase_counters.field("cache_hits").uint(), 3u);
+  EXPECT_EQ(run_counters.field("cache_hits").uint(), 9u);
+  EXPECT_EQ(run_counters.field("dsssp_hits").uint(), 4u);
+  EXPECT_EQ(run_counters.field("resilience_sweeps").uint(), 6u);
+}
+
+TEST(ProgressSink, PrintsCostsInFullAndLeavesStreamFormatAlone) {
+  // Wall times print with one fixed decimal; that formatting must neither
+  // truncate the costs printed after it nor leak into the caller's stream.
+  std::ostringstream os;
+  const std::streamsize precision = os.precision();
+  const std::ios::fmtflags flags = os.flags();
+  ProgressSink sink(os);
+  PhaseStats phase;
+  phase.phase = Phase::kContext;
+  phase.wall_ns = 1'234'567;
+  sink.on_phase_end(phase);
+  sink.on_heuristic_done({"mst", 2360.35, 2'500'000});
+  const std::string out = os.str();
+  EXPECT_NE(out.find("context done in 1.2 ms"), std::string::npos) << out;
+  EXPECT_NE(out.find("heuristic mst: cost 2360.35 (2.5 ms)"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(os.precision(), precision);
+  EXPECT_EQ(os.flags(), flags);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,14 +257,14 @@ TEST(TraceSink, EngineCountersArePerformanceData) {
 
 TEST(GaTelemetry, ObserverSeesExactlyOneEventPerGeneration) {
   Evaluator eval = small_evaluator(7);
-  TraceSink sink;
+  JsonReportSink sink;
   GaRunOptions options;
   options.config.population = 16;
   options.config.generations = 11;
   options.observer = &sink;
   Rng rng(3);
   const GaResult r = run_ga(eval, rng, options);
-  EXPECT_EQ(sink.count<GenerationEnd>(), 11u);
+  EXPECT_EQ(sink.report().generations.size(), 11u);
   EXPECT_EQ(r.generations_run, 11u);
   EXPECT_FALSE(r.stopped_early);
 
@@ -225,16 +272,14 @@ TEST(GaTelemetry, ObserverSeesExactlyOneEventPerGeneration) {
   // post-initialization total.
   std::size_t expected_gen = 0, evals = 0;
   double last_best = -1.0;
-  for (const TraceEvent& e : sink.events()) {
-    if (const auto* gen = std::get_if<GenerationEnd>(&e.v)) {
-      EXPECT_EQ(gen->gen, expected_gen++);
-      EXPECT_GE(gen->mean_cost, gen->best_cost);
-      evals += gen->evaluations;
-      if (last_best >= 0) {
-        EXPECT_LE(gen->best_cost, last_best);
-      }
-      last_best = gen->best_cost;
+  for (const GenerationEnd& gen : sink.report().generations) {
+    EXPECT_EQ(gen.gen, expected_gen++);
+    EXPECT_GE(gen.mean_cost, gen.best_cost);
+    evals += gen.evaluations;
+    if (last_best >= 0) {
+      EXPECT_LE(gen.best_cost, last_best);
     }
+    last_best = gen.best_cost;
   }
   EXPECT_GT(evals, 0u);
   EXPECT_LE(evals, r.evaluations);
@@ -244,7 +289,7 @@ TEST(GaTelemetry, TraceIsIdenticalAcrossThreadCounts) {
   std::vector<std::string> traces;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     Evaluator eval = small_evaluator(7);
-    TraceSink sink;
+    JsonReportSink sink;
     GaRunOptions options;
     options.config.population = 16;
     options.config.generations = 10;
@@ -252,7 +297,8 @@ TEST(GaTelemetry, TraceIsIdenticalAcrossThreadCounts) {
     options.observer = &sink;
     Rng rng(5);
     run_ga(eval, rng, options);
-    traces.push_back(sink.canonical());
+    EXPECT_EQ(sink.report().generations.size(), 10u);
+    traces.push_back(timing_free(sink));
   }
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_EQ(traces[0], traces[2]);
@@ -311,32 +357,30 @@ TEST(GaTelemetry, ObserverCanRequestStop) {
 
 TEST(SynthesizerTelemetry, EmitsFullPhaseTimeline) {
   SynthesisConfig cfg = small_config();
-  TraceSink sink;
+  JsonReportSink sink;
   cfg.observer = &sink;
   const Synthesizer synth(cfg);
   const SynthesisResult r = synth.synthesize(1);
 
-  EXPECT_EQ(sink.count<RunStart>(), 1u);
-  EXPECT_EQ(sink.count<RunSummary>(), 1u);
-  EXPECT_EQ(sink.count<GenerationEnd>(), cfg.ga.generations);
-  EXPECT_GT(sink.count<HeuristicDone>(), 0u);
-  EXPECT_EQ(sink.count<HeuristicDone>(), r.heuristics.size());
+  // RunStart resets the report, so everything below arrived after the one
+  // run start.
+  const RunReport& report = sink.report();
+  EXPECT_EQ(report.run.seed, 1u);
+  EXPECT_EQ(report.run.num_pops, cfg.context.num_pops);
+  EXPECT_EQ(report.generations.size(), cfg.ga.generations);
+  EXPECT_GT(report.heuristics.size(), 0u);
+  EXPECT_EQ(report.heuristics.size(), r.heuristics.size());
 
   // Phase end events arrive in pipeline order.
   std::vector<Phase> ended;
-  for (const TraceEvent& e : sink.events()) {
-    if (const auto* stats = std::get_if<PhaseStats>(&e.v)) {
-      ended.push_back(stats->phase);
-    }
-  }
+  for (const PhaseStats& stats : report.phases) ended.push_back(stats.phase);
   const std::vector<Phase> expected{Phase::kContext, Phase::kHeuristics,
                                     Phase::kGa, Phase::kAssembly};
   EXPECT_EQ(ended, expected);
 
   // The summary matches the result.
-  const auto& summary = std::get<RunSummary>(sink.events().back().v);
-  EXPECT_EQ(summary.best_cost, r.ga.best_cost);
-  EXPECT_FALSE(summary.stopped_early);
+  EXPECT_EQ(report.summary.best_cost, r.ga.best_cost);
+  EXPECT_FALSE(report.summary.stopped_early);
 }
 
 TEST(SynthesizerTelemetry, TraceIsIdenticalAcrossThreadCounts) {
@@ -344,10 +388,10 @@ TEST(SynthesizerTelemetry, TraceIsIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SynthesisConfig cfg = small_config();
     cfg.ga.parallel.num_threads = threads;
-    TraceSink sink;
+    JsonReportSink sink;
     cfg.observer = &sink;
     Synthesizer(cfg).synthesize(4);
-    traces.push_back(sink.canonical());
+    traces.push_back(timing_free(sink));
   }
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_EQ(traces[0], traces[2]);
@@ -369,22 +413,33 @@ TEST(SynthesizerTelemetry, StopBudgetYieldsValidPartialNetwork) {
 // ---------------------------------------------------------------------------
 
 TEST(EnsembleTelemetry, TraceIsIdenticalAcrossThreadCounts) {
+  // Streamed with a reservoir, so the logical aggregates and exemplars are
+  // part of the compared report too.
   std::vector<std::string> traces;
   for (const std::size_t threads : {1u, 4u}) {
     SynthesisConfig cfg = small_config(8);
     cfg.parallel.num_threads = threads;
-    TraceSink sink;
+    JsonReportSink sink;
     cfg.observer = &sink;
     const Synthesizer synth(cfg);
-    const EnsembleResult e =
-        generate_ensemble(synth, {.count = 5, .base_seed = 11});
+    const EnsembleResult e = generate_ensemble(
+        synth, {.count = 5,
+                .base_seed = 11,
+                .retain = RetainMode::kStreamed,
+                .reservoir = 2});
     EXPECT_EQ(e.num_runs(), 5u);
-    EXPECT_EQ(sink.count<EnsembleRunDone>(), 5u);
+    const RunReport& report = sink.report();
+    EXPECT_EQ(report.ensemble_runs.size(), 5u);
     // Inner runs never reach the ensemble observer: one kEnsemble phase,
     // no per-run phases or generations.
-    EXPECT_EQ(sink.count<GenerationEnd>(), 0u);
-    EXPECT_EQ(sink.count<PhaseStats>(), 1u);
-    traces.push_back(sink.canonical());
+    EXPECT_TRUE(report.generations.empty());
+    ASSERT_EQ(report.phases.size(), 1u);
+    EXPECT_EQ(report.phases[0].phase, Phase::kEnsemble);
+    ASSERT_TRUE(report.ensemble_aggregates.has_value());
+    EXPECT_EQ(report.ensemble_aggregates->runs, 5u);
+    ASSERT_TRUE(report.ensemble_exemplars.has_value());
+    EXPECT_EQ(report.ensemble_exemplars->exemplars.size(), 2u);
+    traces.push_back(timing_free(sink));
   }
   EXPECT_EQ(traces[0], traces[1]);
 }
@@ -392,16 +447,14 @@ TEST(EnsembleTelemetry, TraceIsIdenticalAcrossThreadCounts) {
 TEST(EnsembleTelemetry, RunsArriveInSeedOrder) {
   SynthesisConfig cfg = small_config(8);
   cfg.parallel.num_threads = 4;
-  TraceSink sink;
+  JsonReportSink sink;
   cfg.observer = &sink;
   generate_ensemble(Synthesizer(cfg), {.count = 6, .base_seed = 100});
   std::size_t expected = 0;
-  for (const TraceEvent& e : sink.events()) {
-    if (const auto* run = std::get_if<EnsembleRunDone>(&e.v)) {
-      EXPECT_EQ(run->index, expected);
-      EXPECT_EQ(run->seed, 100 + expected);
-      ++expected;
-    }
+  for (const EnsembleRunDone& run : sink.report().ensemble_runs) {
+    EXPECT_EQ(run.index, expected);
+    EXPECT_EQ(run.seed, 100 + expected);
+    ++expected;
   }
   EXPECT_EQ(expected, 6u);
 }

@@ -263,7 +263,7 @@ class CliTelemetry {
     if (!file) {
       throw std::runtime_error("cannot open report file: " + report_path_);
     }
-    report_.write(file, /*include_timing=*/true);
+    file << run_report_to_json(report_.report(), /*include_timing=*/true);
     std::cerr << "wrote report " << report_path_ << "\n";
   }
 
@@ -543,7 +543,7 @@ void write_analysis_report(const CliOptions& args, std::uint64_t seed,
   const std::string path = args.get("report", "");
   std::ofstream file(path);
   if (!file) throw std::runtime_error("cannot open report file: " + path);
-  write_run_report_json(file, report, /*include_timing=*/false);
+  file << run_report_to_json(report, /*include_timing=*/false);
   std::cerr << "wrote report " << path << "\n";
 }
 
