@@ -10,7 +10,7 @@
 //      footprint linearly (~10x the per-run state), so this gate fails
 //      loudly if streaming ever silently re-retains.
 //   2. City-scale synthesis fits in a bounded footprint: one n = 2000
-//      synthesis (far above the dense-distance auto threshold, so no n^2
+//      synthesis (far above DistanceProvider::kDenseMaxNodes, so no n^2
 //      distance matrix ever exists) must complete connected inside an
 //      absolute RSS ceiling.
 //   3. Matrix-free distances are not a throughput cliff: evaluating the
@@ -97,27 +97,28 @@ struct ThroughputSample {
 };
 
 /// Evaluates the same topology `reps` times with the distance provider
-/// forced dense vs forced matrix-free. Both contexts are drawn from the
-/// same seed, so coordinates, populations, and traffic are identical; only
-/// the distance representation differs — and the engine's contract is that
-/// the costs are bit-identical either way.
+/// forced dense vs forced matrix-free. Both providers serve one context's
+/// coordinates, so populations and traffic are identical; only the distance
+/// representation differs — and the engine's contract is that the costs are
+/// bit-identical either way.
 ThroughputSample measure_matrix_free_throughput(std::size_t n,
                                                 std::size_t reps) {
   ThroughputSample s;
   s.pops = n;
   const CostParams costs{10.0, 1.0, 4e-4, 10.0};
-  const std::size_t saved = DistanceProvider::dense_auto_threshold();
+  ContextConfig ctx_cfg;
+  ctx_cfg.num_pops = n;
+  Rng ctx_rng(11 + n);
+  const Context ctx = generate_context(ctx_cfg, ctx_rng);
+  const Topology g = sparse_instance(ctx, 11 + n);
   double dense_cost = 0.0, free_cost = 0.0;
   for (const bool dense : {true, false}) {
-    DistanceProvider::set_dense_auto_threshold(dense ? 4096 : 0);
-    ContextConfig ctx_cfg;
-    ctx_cfg.num_pops = n;
-    Rng ctx_rng(11 + n);
-    const Context ctx = generate_context(ctx_cfg, ctx_rng);
-    const Topology g = sparse_instance(ctx, 11 + n);
+    const DistanceProvider lengths =
+        dense ? DistanceProvider::from_matrix(distance_matrix(ctx.locations))
+              : DistanceProvider::on_demand(ctx.locations);
     EvalEngineConfig uncached;  // time routings, not cache hits
     uncached.cache.enabled = false;
-    Evaluator eval(ctx.distances, ctx.traffic, costs, uncached);
+    Evaluator eval(lengths, ctx.traffic, costs, uncached);
     eval.cost(g);  // warm the workspace outside the timed region
     double last = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
@@ -126,7 +127,6 @@ ThroughputSample measure_matrix_free_throughput(std::size_t n,
     (dense ? s.dense_eps : s.matrix_free_eps) = eps;
     (dense ? dense_cost : free_cost) = last;
   }
-  DistanceProvider::set_dense_auto_threshold(saved);
   s.identical = dense_cost == free_cost;
   return s;
 }

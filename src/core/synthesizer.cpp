@@ -36,33 +36,11 @@ Synthesizer::Synthesizer(SynthesisConfig config) : config_(std::move(config)) {
     throw std::invalid_argument(
         "Synthesizer: overprovision must be finite and >= 1");
   }
+  // The failure sweep compares post-failure loads against the capacities
+  // the final Network would be provisioned with.
   ResilienceConfig& res = config_.engine.resilience;
-  if (res.enabled) {
-    if (!std::isfinite(res.weight) || res.weight < 0.0) {
-      throw std::invalid_argument(
-          "Synthesizer: resilience weight must be finite and >= 0");
-    }
-    if (res.scenarios == FailureScenarioSet::kDoubleSampled &&
-        res.double_samples == 0) {
-      throw std::invalid_argument(
-          "Synthesizer: double-sampled scenarios need double_samples >= 1");
-    }
-    // The failure sweep compares post-failure loads against the capacities
-    // the final Network would be provisioned with.
-    res.overprovision = config_.overprovision;
-  }
-  const MultipathConfig& mp = config_.engine.multipath;
-  if (res.enabled && mp.enabled()) {
-    throw std::invalid_argument(
-        "Synthesizer: the resilient objective and multipath routing are "
-        "mutually exclusive (the failure sweeps assess single-path routing)");
-  }
-  for (const double w : {mp.max_util_weight, mp.oversub_weight}) {
-    if (!std::isfinite(w) || w < 0.0) {
-      throw std::invalid_argument(
-          "Synthesizer: multipath objective weights must be finite and >= 0");
-    }
-  }
+  if (res.enabled) res.overprovision = config_.overprovision;
+  config_.engine.validate();
 }
 
 SynthesisResult Synthesizer::synthesize(std::uint64_t seed) const {

@@ -1,6 +1,9 @@
 #include "cost/cost_cache.h"
 
+#include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace cold {
@@ -23,7 +26,39 @@ std::vector<std::uint64_t> pack_edges(const Topology& g) {
   return out;
 }
 
+bool finite_at_least(double x, double lo) {
+  return std::isfinite(x) && x >= lo;
+}
+
+void require(bool ok, const char* what) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("EvalEngineConfig: ") + what);
+  }
+}
+
 }  // namespace
+
+void EvalEngineConfig::validate() const {
+  const ResilienceConfig& res = resilience;
+  if (res.enabled) {
+    require(finite_at_least(res.weight, 0.0),
+            "resilience weight must be finite and >= 0");
+    require(res.scenarios != FailureScenarioSet::kDoubleSampled ||
+                res.double_samples >= 1,
+            "double-sampled scenarios need double_samples >= 1");
+    require(finite_at_least(res.overprovision, 1.0),
+            "resilience overprovision must be finite and >= 1");
+  }
+  require(finite_at_least(multipath.max_util_weight, 0.0) &&
+              finite_at_least(multipath.oversub_weight, 0.0),
+          "multipath objective weights must be finite and >= 0");
+  // The failure sweeps assess single-path routing; charging a multipath
+  // objective on top would mix models. Lift when the resilience engine
+  // learns to repair DAG loads (see ROADMAP follow-ons).
+  require(!(res.enabled && multipath.enabled()),
+          "the resilient objective and multipath routing are mutually "
+          "exclusive");
+}
 
 SharedCostCache::SharedCostCache(const EvalCacheConfig& config)
     : max_bytes_(config.max_bytes) {}

@@ -72,10 +72,8 @@ struct EvalCacheConfig {
 /// When the delta evaluation engine (incremental re-routing against a
 /// retained parent's shortest-path trees) is active. --dsssp on the CLI.
 enum class DsspMode {
-  kOff,   ///< always run full sweeps
-  kOn,    ///< always attempt parent-delta evaluation
-  kAuto,  ///< on from delta_auto_threshold nodes up (below it, state copies
-          ///< cost more than the sweeps they save)
+  kOff,  ///< always run full sweeps
+  kOn,   ///< always attempt parent-delta evaluation
 };
 
 /// Tuning for the delta evaluation engine. Every setting is exact: the
@@ -106,11 +104,11 @@ struct DeltaConfig {
   /// Byte budget for the whole retained-state ring. The effective capacity
   /// is resolved_states(n) — retained_states shrunk until the ring fits —
   /// so the delta engine's memory is bounded in bytes, not state count: at
-  /// n <= ~600 the default budget holds all 24 states (existing behaviour),
-  /// while at city scale the quadratic states stop fitting and the engine
-  /// degrades to fewer states and finally (capacity 0) switches itself off.
-  /// Like every delta knob this moves time and memory, never results.
-  std::size_t max_state_bytes = std::size_t{256} << 20;  ///< 256 MiB
+  /// n <= ~600 the budget holds all 24 states, while at city scale the
+  /// quadratic states stop fitting and the engine degrades to fewer states
+  /// and finally switches itself off once RoutingStateStore's floor of two
+  /// states no longer fits (n > 2151).
+  static constexpr std::size_t kMaxStateBytes = std::size_t{256} << 20;
 
   /// Estimated resident bytes of one retained state at n nodes (n trees at
   /// ~29 bytes per node: dist 8 + parent 8 + order 8 + hops 4 + settled 1).
@@ -120,19 +118,15 @@ struct DeltaConfig {
   std::size_t resolved_states(std::size_t n) const {
     const std::size_t per = state_bytes(n);
     if (per == 0) return retained_states;
-    return std::min(retained_states, max_state_bytes / per);
+    return std::min(retained_states, kMaxStateBytes / per);
   }
 
-  /// kAuto switches the engine on at this node count.
-  std::size_t auto_threshold = 16;
-
-  /// True iff the engine runs for n-node topologies (the mode says on AND
-  /// at least one retained state fits the byte budget).
+  /// True iff the engine runs for n-node topologies: the mode says on and
+  /// the ring fits the byte budget at RoutingStateStore's floor of two
+  /// states (the store never holds fewer).
   bool enabled(std::size_t n) const {
-    if (resolved_states(n) == 0) return false;
-    if (mode == DsspMode::kOn) return true;
-    if (mode == DsspMode::kAuto) return n >= auto_threshold;
-    return false;
+    return mode == DsspMode::kOn && resolved_states(n) != 0 &&
+           2 * state_bytes(n) <= kMaxStateBytes;
   }
 
   friend bool operator==(const DeltaConfig&, const DeltaConfig&) = default;
@@ -214,8 +208,17 @@ struct EvalEngineConfig {
   ResilienceConfig resilience;
   /// Multipath routing mode + utilization objective terms. Mutually
   /// exclusive with the resilient objective for now (the failure sweeps
-  /// assess single-path routing; the Evaluator rejects the combination).
+  /// assess single-path routing; validate() rejects the combination).
   MultipathConfig multipath;
+
+  /// Throws std::invalid_argument unless the objective terms are usable:
+  /// an enabled resilience config needs a finite weight >= 0, a finite
+  /// overprovision >= 1 and, for kDoubleSampled, double_samples >= 1; the
+  /// multipath weights must be finite and >= 0 (the hub heuristics prune
+  /// with a lower bound that omits both terms, heuristics/hub_bound.h); and
+  /// resilience and multipath are mutually exclusive. Every root Evaluator
+  /// calls it, so no entry point can skip it.
+  void validate() const;
 
   friend bool operator==(const EvalEngineConfig&,
                          const EvalEngineConfig&) = default;

@@ -1,7 +1,6 @@
 #include "cost/evaluator.h"
 
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -59,21 +58,7 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
       params_(params),
       engine_(engine) {
   params_.validate();
-  // The objective's extra terms must be >= 0: the hub heuristics prune with
-  // a lower bound that omits them (heuristics/hub_bound.h).
-  const double res_weight = engine_.resilience.weight;
-  if (engine_.resilience.enabled &&
-      (!std::isfinite(res_weight) || res_weight < 0.0)) {
-    throw std::invalid_argument(
-        "Evaluator: resilience weight must be finite and >= 0");
-  }
-  for (const double w : {engine_.multipath.max_util_weight,
-                         engine_.multipath.oversub_weight}) {
-    if (!std::isfinite(w) || w < 0.0) {
-      throw std::invalid_argument(
-          "Evaluator: multipath objective weights must be finite and >= 0");
-    }
-  }
+  engine_.validate();
   const std::size_t n = lengths_.rows();
   if (traffic_.rows() != n) {
     throw std::invalid_argument("Evaluator: traffic/lengths size mismatch");
@@ -102,20 +87,13 @@ void Evaluator::init_engine_state() {
     delta_store_ = std::make_unique<RoutingStateStore>(
         engine_.delta.resolved_states(n));
   }
-  if (engine_.resilience.enabled && engine_.multipath.enabled()) {
-    // The failure sweeps assess single-path routing; charging a multipath
-    // objective on top would mix models. Lift when the resilience engine
-    // learns to repair DAG loads (see ROADMAP follow-ons).
-    throw std::invalid_argument(
-        "Evaluator: the resilient objective and multipath routing are "
-        "mutually exclusive");
-  }
   if (engine_.resilience.enabled) {
     resilience_ = std::make_unique<ResilienceEngine>(lengths_, traffic_,
                                                      engine_.resilience);
   }
-  // At most one of the two salts is nonzero (mutual exclusion above), so
-  // the XOR is a plain selection, never a mix of both.
+  // At most one of the two salts is nonzero (validate() makes the two
+  // objectives mutually exclusive), so the XOR is a plain selection, never
+  // a mix of both.
   cache_salt_ =
       resilience_salt(engine_.resilience) ^ multipath_salt(engine_.multipath);
 }

@@ -74,7 +74,9 @@ class Evaluator {
 
   /// Matrix-free form: the provider may be coordinate-backed (no n^2
   /// matrix) and the traffic is CSR. Both share their immutable cores
-  /// across clones. Costs are bit-identical to the dense form.
+  /// across clones. Costs are bit-identical to the dense form. Both forms
+  /// throw std::invalid_argument when params.validate() or
+  /// engine.validate() does.
   Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
             CostParams params, EvalEngineConfig engine = {});
 

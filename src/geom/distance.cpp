@@ -1,6 +1,5 @@
 #include "geom/distance.h"
 
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -37,20 +36,6 @@ std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
   return best;
 }
 
-namespace {
-// Consulted only at construction; a plain atomic keeps concurrent test
-// fixtures and the CLI safe without ordering requirements.
-std::atomic<std::size_t> g_dense_auto_threshold{512};
-}  // namespace
-
-std::size_t DistanceProvider::dense_auto_threshold() {
-  return g_dense_auto_threshold.load(std::memory_order_relaxed);
-}
-
-void DistanceProvider::set_dense_auto_threshold(std::size_t n) {
-  g_dense_auto_threshold.store(n, std::memory_order_relaxed);
-}
-
 DistanceProvider::DistanceProvider(const Matrix<double>& dense)
     // Aliasing shared_ptr with an empty control block: a view, no ownership.
     : dense_(std::shared_ptr<const Matrix<double>>(
@@ -74,11 +59,17 @@ DistanceProvider DistanceProvider::from_matrix(Matrix<double> dense) {
 }
 
 DistanceProvider DistanceProvider::from_points(std::vector<Point> points) {
+  DistanceProvider p = on_demand(std::move(points));
+  if (p.n_ <= kDenseMaxNodes) {
+    p.dense_ =
+        std::make_shared<const Matrix<double>>(distance_matrix(*p.points_));
+  }
+  return p;
+}
+
+DistanceProvider DistanceProvider::on_demand(std::vector<Point> points) {
   DistanceProvider p;
   p.n_ = points.size();
-  if (p.n_ <= dense_auto_threshold()) {
-    p.dense_ = std::make_shared<const Matrix<double>>(distance_matrix(points));
-  }
   p.points_ =
       std::make_shared<const std::vector<Point>>(std::move(points));
   return p;

@@ -31,9 +31,11 @@ std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
 /// a routing tie-break or a cost.
 ///
 /// Construction modes:
-///   - from_points(pts): coordinate-backed. Auto-materializes the dense
-///     matrix only when n <= dense_auto_threshold(), so small instances
-///     keep the one-load lookup while large n stays O(n) resident.
+///   - from_points(pts): coordinate-backed. Materializes the dense matrix
+///     iff n <= kDenseMaxNodes, so small instances keep the one-load lookup
+///     while large n stays O(n) resident.
+///   - on_demand(pts): coordinate-backed and never materialized, at any n
+///     (from_points above kDenseMaxNodes; tests and benches force it).
 ///   - from a Matrix<double>: dense, always. The implicit lvalue-reference
 ///     form is a non-owning view (the caller's matrix must outlive the
 ///     provider) so legacy call sites passing a bare matrix keep working;
@@ -55,9 +57,15 @@ class DistanceProvider {
   /// Owning dense provider (shared across copies).
   explicit DistanceProvider(std::shared_ptr<const Matrix<double>> dense);
 
-  /// Coordinate-backed provider; materializes the dense matrix only when
-  /// points.size() <= dense_auto_threshold().
+  /// Largest n for which from_points materializes the dense matrix.
+  static constexpr std::size_t kDenseMaxNodes = 512;
+
+  /// Coordinate-backed provider; materializes the dense matrix iff
+  /// points.size() <= kDenseMaxNodes.
   static DistanceProvider from_points(std::vector<Point> points);
+
+  /// Coordinate-backed provider that never materializes the dense matrix.
+  static DistanceProvider on_demand(std::vector<Point> points);
 
   /// Owning dense provider from a matrix rvalue/copy.
   static DistanceProvider from_matrix(Matrix<double> dense);
@@ -102,13 +110,6 @@ class DistanceProvider {
     return (dense_ != nullptr && dense_ == other.dense_) ||
            (points_ != nullptr && points_ == other.points_);
   }
-
-  /// Largest n for which from_points materializes the dense matrix
-  /// (default 512; 0 keeps every coordinate-backed provider matrix-free,
-  /// which `--engine reference` and the tests use to exercise the on-demand
-  /// path at small n). Applies to providers built after the call.
-  static std::size_t dense_auto_threshold();
-  static void set_dense_auto_threshold(std::size_t n);
 
  private:
   struct Tile {

@@ -47,8 +47,8 @@ Network build_network(const Topology& topology,
   net.locations = locations;
   net.populations = populations;
   net.traffic = traffic;
-  // Dense only at small n (DistanceProvider::from_points mirrors the solver
-  // threshold); at scale the provider recomputes lengths from coordinates.
+  // Dense only up to DistanceProvider::kDenseMaxNodes; at scale the provider
+  // recomputes lengths from coordinates.
   net.lengths = DistanceProvider::from_points(locations);
   net.overprovision = options.overprovision;
 
@@ -66,7 +66,7 @@ Network build_network(const Topology& topology,
     link.capacity = options.overprovision * link.load;
     net.links.push_back(link);
   }
-  if (n <= NetworkBuildOptions::kAutoRoutingMaxNodes) {
+  if (net.lengths.has_dense()) {
     net.routing = routing_matrix(topology, net.lengths, ws);
   }
   return net;

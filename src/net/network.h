@@ -5,9 +5,10 @@
 //
 // Matrix-free currencies: `traffic` is a CompressedTraffic (CSR) and
 // `lengths` a DistanceProvider, both value types over shared immutable
-// cores, so a Network is O(n + m + nnz) resident — the only remaining n^2
-// object is the next-hop matrix, which build_network materializes only up
-// to NetworkBuildOptions::kAutoRoutingMaxNodes nodes.
+// cores, so a Network is O(n + m + nnz) resident. The n^2 objects — the
+// dense distance matrix and the next-hop matrix — exist together or not at
+// all: build_network materializes the next-hop matrix iff `lengths` is dense,
+// that is up to DistanceProvider::kDenseMaxNodes nodes.
 #pragma once
 
 #include <vector>
@@ -43,8 +44,8 @@ struct Network {
   std::size_t num_pops() const { return topology.num_nodes(); }
   std::size_t num_links() const { return links.size(); }
 
-  /// Whether the n^2 next-hop matrix was materialized (see
-  /// NetworkBuildOptions::kAutoRoutingMaxNodes).
+  /// Whether the n^2 next-hop matrix was materialized (iff
+  /// lengths.has_dense()).
   bool has_routing() const { return !routing.empty(); }
 
   /// Capacity of link {a, b}; throws if the link does not exist.
@@ -59,11 +60,6 @@ struct Network {
 struct NetworkBuildOptions {
   double overprovision = 1.0;  ///< the paper's capacity factor O (>= 1)
 
-  /// The n^2 next-hop matrix (8 n^2 bytes — 800 MB at n = 10000) is
-  /// materialized only up to this many nodes; beyond that `routing` stays
-  /// empty and path queries should recompute trees on demand.
-  static constexpr std::size_t kAutoRoutingMaxNodes = 512;
-
   /// How link loads (and therefore capacities) are computed: single
   /// shortest path, ECMP or WCMP splitting (net/routing.h). Must match
   /// the objective's routing mode so the built network's capacities
@@ -74,9 +70,11 @@ struct NetworkBuildOptions {
 
 /// Assembles a Network from a connected topology, locations and traffic:
 /// computes lengths, routes all demands, sizes capacities with the given
-/// overprovisioning factor, and fills the routing matrix when n <=
-/// NetworkBuildOptions::kAutoRoutingMaxNodes. Throws std::invalid_argument
-/// if the topology is disconnected or shapes mismatch.
+/// overprovisioning factor, and fills the routing matrix iff the lengths are
+/// dense (n <= DistanceProvider::kDenseMaxNodes; the matrix takes 8 n^2
+/// bytes, and beyond that path queries should recompute trees on demand).
+/// Throws std::invalid_argument if the topology is disconnected or shapes
+/// mismatch.
 Network build_network(const Topology& topology,
                       const std::vector<Point>& locations,
                       const std::vector<double>& populations,

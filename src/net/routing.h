@@ -209,8 +209,8 @@ double total_demand_weighted_length(const Topology& g,
 /// Full next-hop routing matrix: next_hop(s, t) is the neighbour of s on the
 /// chosen shortest path toward t; next_hop(s, s) == s. Throws if `g` is
 /// disconnected. Same wrapper arrangement as total_demand_weighted_length.
-/// O(n^2) output — callers synthesizing at scale should skip it (see
-/// NetworkBuildOptions::kAutoRoutingMaxNodes).
+/// O(n^2) output — callers synthesizing at scale should skip it, as
+/// build_network does above DistanceProvider::kDenseMaxNodes.
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
                               RoutingWorkspace& ws);

@@ -127,6 +127,18 @@ TEST(Evaluator, ValidatesObjectiveWeights) {
     oversub.multipath.oversub_weight = bad;
     EXPECT_THROW(make(oversub), std::invalid_argument) << bad;
   }
+  // The sweep's own settings: a double-sampled sweep with no samples would
+  // quietly assess single links only, and capacities below the loads
+  // (overprovision < 1) or NaN would make every scenario overloaded.
+  EvalEngineConfig sweep;
+  sweep.resilience = {.enabled = true,
+                      .scenarios = FailureScenarioSet::kDoubleSampled,
+                      .double_samples = 0};
+  EXPECT_THROW(make(sweep), std::invalid_argument);
+  for (const double bad : {0.5, std::nan(""), kInf}) {
+    sweep.resilience = {.enabled = true, .overprovision = bad};
+    EXPECT_THROW(make(sweep), std::invalid_argument) << bad;
+  }
   EvalEngineConfig ok;
   ok.resilience.enabled = true;
   ok.resilience.weight = 0.0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/context.h"
@@ -196,20 +197,20 @@ TEST(DeltaEngine, CacheHitKeepsRetainedStateWarm) {
   EXPECT_EQ(eval.delta_stats().hits, hits_before + 1);
 }
 
-TEST(DeltaEngine, AutoModeFollowsNodeThreshold) {
+// RoutingStateStore never holds fewer than two states, so the engine may
+// run only where two fit the byte budget. At n = 2500 one state (29 n^2,
+// about 181 MB) fits 256 MiB, but the store's two would not.
+TEST(DeltaEngine, EnabledOnlyWhereTheStoreFloorFitsTheBudget) {
   DeltaConfig cfg;
-  cfg.mode = DsspMode::kAuto;
-  EXPECT_FALSE(cfg.enabled(cfg.auto_threshold - 1));
-  EXPECT_TRUE(cfg.enabled(cfg.auto_threshold));
-
-  EvalEngineConfig engine;
-  engine.delta.mode = DsspMode::kAuto;
-  const Context below = small_context(engine.delta.auto_threshold - 1, 8);
-  const Context above = small_context(engine.delta.auto_threshold, 8);
-  Evaluator small(below.distances, below.traffic, kCosts, engine);
-  Evaluator large(above.distances, above.traffic, kCosts, engine);
-  EXPECT_EQ(small.delta_store(), nullptr);
-  EXPECT_NE(large.delta_store(), nullptr);
+  cfg.mode = DsspMode::kOn;
+  EXPECT_FALSE(cfg.enabled(2500));
+  for (std::size_t n = 1; n <= 4000; ++n) {
+    EXPECT_TRUE(!cfg.enabled(n) ||
+                std::max<std::size_t>(cfg.resolved_states(n), 2) *
+                        DeltaConfig::state_bytes(n) <=
+                    DeltaConfig::kMaxStateBytes)
+        << "n=" << n;
+  }
 }
 
 TEST(RoutingStateStore, HintedSlotIsProbedFirst) {

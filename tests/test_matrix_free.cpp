@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_gate.h"
 #include "baselines/erdos_renyi.h"
 #include "core/ensemble.h"
 #include "core/synthesizer.h"
@@ -19,7 +20,6 @@
 #include "graph/algorithms.h"
 #include "net/routing.h"
 #include "reference.h"
-#include "threshold_guard.h"
 #include "telemetry/report.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
@@ -27,52 +27,12 @@
 namespace cold {
 namespace {
 
-SynthesisConfig tiny_config(std::size_t n, std::size_t threads,
-                            DsspMode dsssp) {
-  SynthesisConfig cfg;
-  cfg.context.num_pops = n;
-  cfg.costs = CostParams{10, 1, 4e-4, 10};
-  cfg.ga.population = 8;
-  cfg.ga.generations = 4;
-  cfg.ga.parallel.num_threads = threads;
-  cfg.engine.delta.mode = dsssp;
-  cfg.seed_with_heuristics = false;  // keep n = 200 fast
-  return cfg;
-}
-
-std::string timing_free_report(const SynthesisConfig& cfg,
-                               std::uint64_t seed) {
-  JsonReportSink sink;
-  SynthesisConfig with_observer = cfg;
-  with_observer.observer = &sink;
-  Synthesizer(with_observer).synthesize(seed);
-  return run_report_to_json(sink.report(), /*include_timing=*/false);
-}
-
 // The tentpole acceptance gate: for every (n, threads, dsssp) cell, a run
-// whose distances are recomputed per lookup (no dense matrix anywhere)
-// produces a byte-identical timing-free report to the same run with the
-// n^2 matrix materialized.
+// whose distances are recomputed per lookup (no dense matrix in the
+// evaluator) produces a byte-identical timing-free report to the same run
+// on the same context with the n^2 matrix materialized.
 TEST(MatrixFree, OnDemandDistancesByteIdenticalReports) {
-  for (const std::size_t n : {24u, 80u, 200u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
-        const SynthesisConfig cfg = tiny_config(n, threads, dsssp);
-        std::string dense, on_demand;
-        {
-          ThresholdGuard materialize(4096);
-          dense = timing_free_report(cfg, /*seed=*/42);
-        }
-        {
-          ThresholdGuard matrix_free(0);
-          on_demand = timing_free_report(cfg, /*seed=*/42);
-        }
-        EXPECT_EQ(dense, on_demand)
-            << "distance backend divergence at n=" << n
-            << " threads=" << threads << " dsssp=" << static_cast<int>(dsssp);
-      }
-    }
-  }
+  expect_backend_identical_reports(MultipathMode::kOff);
 }
 
 // A matrix-free provider answers every pairwise lookup and every whole-row
@@ -83,8 +43,7 @@ TEST(MatrixFree, ProviderLookupsMatchDenseMatrixBitForBit) {
   const auto pts = UniformProcess().sample(n, Rectangle(), rng);
   const Matrix<double> dense = distance_matrix(pts);
 
-  ThresholdGuard matrix_free(0);
-  const DistanceProvider provider = DistanceProvider::from_points(pts);
+  const DistanceProvider provider = DistanceProvider::on_demand(pts);
   ASSERT_FALSE(provider.has_dense());
   for (std::size_t i = 0; i < n; ++i) {
     const double* row = provider.row_view(i);  // LRU tile path

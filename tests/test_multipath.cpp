@@ -33,7 +33,6 @@
 #include "graph/shortest_paths.h"
 #include "net/network.h"
 #include "net/routing.h"
-#include "threshold_guard.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
 
@@ -402,9 +401,9 @@ TEST(MultipathLoads, DeterministicAcrossSolversAndRetention) {
          {MultipathMode::kOff, MultipathMode::kEcmp, MultipathMode::kWcmp}) {
       std::vector<double> backend_reference;
       for (const bool matrix_free : {false, true}) {
-        ThresholdGuard distances(matrix_free ? 0 : 4096);
         const DistanceProvider lengths =
-            DistanceProvider::from_points(inst.pts);
+            matrix_free ? DistanceProvider::on_demand(inst.pts)
+                        : DistanceProvider::from_points(inst.pts);
         ASSERT_EQ(lengths.has_dense(), !matrix_free);
 
         EdgeLoads loads, retained_loads;

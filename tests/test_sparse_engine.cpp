@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "backend_gate.h"
 #include "baselines/erdos_renyi.h"
 #include "core/ensemble.h"
 #include "core/synthesizer.h"
@@ -19,7 +20,6 @@
 #include "graph/algorithms.h"
 #include "net/routing.h"
 #include "reference.h"
-#include "threshold_guard.h"
 #include "telemetry/report.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
@@ -28,59 +28,19 @@
 namespace cold {
 namespace {
 
-SynthesisConfig tiny_config(std::size_t n, std::size_t threads,
-                            DsspMode dsssp) {
-  SynthesisConfig cfg;
-  cfg.context.num_pops = n;
-  cfg.costs = CostParams{10, 1, 4e-4, 10};
-  cfg.ga.population = 8;
-  cfg.ga.generations = 4;
-  cfg.ga.parallel.num_threads = threads;
-  cfg.engine.delta.mode = dsssp;
-  cfg.seed_with_heuristics = false;  // keep n = 200 fast
-  return cfg;
-}
-
-std::string timing_free_report(const SynthesisConfig& cfg,
-                               std::uint64_t seed) {
-  JsonReportSink sink;
-  SynthesisConfig with_observer = cfg;
-  with_observer.observer = &sink;
-  Synthesizer(with_observer).synthesize(seed);
-  return run_report_to_json(sink.report(), /*include_timing=*/false);
-}
-
 // For every (n, threads, dsssp) cell under ECMP routing, a run with
 // matrix-free distances produces a byte-identical timing-free report to the
 // same run with the dense distance matrix (MatrixFree's gate covers the
 // single-path engine): the shortest-path DAG's bitwise tie rule sees the
 // same doubles either way.
 TEST(SparseVsDense, ByteIdenticalTimingFreeReports) {
-  for (const std::size_t n : {24u, 80u, 200u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
-        SynthesisConfig cfg = tiny_config(n, threads, dsssp);
-        cfg.engine.multipath.mode = MultipathMode::kEcmp;
-        std::string dense, sparse;
-        {
-          ThresholdGuard force_dense(4096);
-          dense = timing_free_report(cfg, /*seed=*/42);
-        }
-        {
-          ThresholdGuard force_sparse(0);
-          sparse = timing_free_report(cfg, /*seed=*/42);
-        }
-        EXPECT_EQ(dense, sparse)
-            << "backend divergence at n=" << n << " threads=" << threads
-            << " dsssp=" << static_cast<int>(dsssp);
-      }
-    }
-  }
+  expect_backend_identical_reports(MultipathMode::kEcmp);
 }
 
-// City-scale smoke synthesis: n = 2000 is far above the dense auto
-// threshold, so no n^2 distance matrix ever exists; the whole pipeline
-// (context, GA with repair, routing, assembly) must run sparse end-to-end.
+// City-scale smoke synthesis: n = 2000 is far above
+// DistanceProvider::kDenseMaxNodes, so no n^2 distance matrix ever exists;
+// the whole pipeline (context, GA with repair, routing, assembly) must run
+// sparse end-to-end.
 TEST(SparseVsDense, SmokeSynthesisAtN2000) {
   SynthesisConfig cfg;
   cfg.context.num_pops = 2000;

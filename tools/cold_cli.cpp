@@ -4,7 +4,7 @@
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--engine default|reference]
-//                 [--dsssp on|off|auto]
+//                 [--dsssp on|off]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
@@ -35,7 +35,6 @@
 #include "abc/abc.h"
 #include "core/ensemble.h"
 #include "core/synthesizer.h"
-#include "geom/distance.h"
 #include "graph/connectivity.h"
 #include "graph/metrics.h"
 #include "growth/growth.h"
@@ -74,9 +73,8 @@ const std::vector<OptionSpec> kGaOpts = {
 // networks; they trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
     {"engine", true, "default|reference (default): reference is the plain "
-                     "uncached, matrix-free path equivalence checks use"},
-    {"dsssp", true, "on|off|auto (off): delta-evaluate near-parent "
-                    "offspring"},
+                     "uncached path equivalence checks use"},
+    {"dsssp", true, "on|off (off): delta-evaluate near-parent offspring"},
 };
 
 const std::vector<OptionSpec> kOutputOpts = {
@@ -217,13 +215,12 @@ void print_usage() {
       "            valid)\n"
       "  engine    (synth/ensemble/grow): --engine default|reference\n"
       "            (default): default memoizes cost evaluations in one\n"
-      "            256 KiB cache shared by every worker thread and keeps a\n"
-      "            dense distance matrix up to 512 PoPs; reference turns\n"
-      "            the cache off and computes distances on demand at every\n"
-      "            size.\n"
-      "            --dsssp on|off|auto (off) re-routes near-parent offspring\n"
-      "            incrementally (auto enables it above 16 PoPs; default\n"
-      "            engine only). All are exact and change performance only\n";
+      "            256 KiB cache shared by every worker thread; reference\n"
+      "            turns the cache and the delta engine off. Both keep a\n"
+      "            dense distance matrix up to 512 PoPs.\n"
+      "            --dsssp on|off (off) re-routes near-parent offspring\n"
+      "            incrementally (default engine only). All are exact and\n"
+      "            change performance only\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -281,33 +278,25 @@ class CliTelemetry {
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
-/// Resolves --engine and --dsssp. Call before any context or topology is
-/// built: the reference engine moves the process-wide distance threshold.
+/// Resolves --engine and --dsssp into one engine value.
 EvalEngineConfig engine_from(const CliOptions& args) {
-  EvalEngineConfig engine;
   const std::string dsssp = args.get("dsssp", "off");
-  if (dsssp == "on") {
-    engine.delta.mode = DsspMode::kOn;
-  } else if (dsssp == "off") {
-    engine.delta.mode = DsspMode::kOff;
-  } else if (dsssp == "auto") {
-    engine.delta.mode = DsspMode::kAuto;
-  } else {
+  if (dsssp != "on" && dsssp != "off") {
     throw std::invalid_argument("unknown --dsssp: " + dsssp +
-                                " (expected on, off or auto)");
+                                " (expected on or off)");
   }
   const std::string name = args.get("engine", "default");
-  if (name == "reference") {
-    if (engine.delta.mode != DsspMode::kOff) {
-      throw std::invalid_argument("--engine reference runs without the "
-                                  "delta engine; drop --dsssp " + dsssp);
-    }
-    engine.cache.enabled = false;
-    DistanceProvider::set_dense_auto_threshold(0);  // on-demand distances
-  } else if (name != "default") {
+  if (name != "default" && name != "reference") {
     throw std::invalid_argument("unknown --engine: " + name +
                                 " (expected default or reference)");
   }
+  if (name == "reference" && dsssp == "on") {
+    throw std::invalid_argument("--engine reference runs without the delta "
+                                "engine; drop --dsssp on");
+  }
+  EvalEngineConfig engine;
+  engine.cache.enabled = name == "default";
+  engine.delta.mode = dsssp == "on" ? DsspMode::kOn : DsspMode::kOff;
   return engine;
 }
 
