@@ -103,18 +103,21 @@ double replay(const std::vector<Topology>& trace, std::size_t passes,
 }
 
 /// The engine configuration every reference and timing loop uses: the
-/// library default with the cache off, so repeats are routed, not served
-/// from memory.
+/// reference engine (cache and delta engine off), so repeats are routed
+/// by full sweeps, not served from memory or retained trees.
 EvalEngineConfig uncached() {
   EvalEngineConfig engine;
   engine.cache.enabled = false;
+  engine.delta.on = false;
   return engine;
 }
 
 /// A cache budget that holds every topology of `trace` even if all of them
 /// are distinct, so a replay measures the cache, not its eviction policy.
+/// The delta engine stays off: misses route exactly as uncached() does.
 EvalEngineConfig cached_holding(const std::vector<Topology>& trace) {
   EvalEngineConfig engine;
+  engine.delta.on = false;
   engine.cache.max_bytes = 0;
   for (const Topology& g : trace) {
     engine.cache.max_bytes += SharedCostCache::entry_bytes(g.num_edges());
@@ -439,7 +442,7 @@ int main(int argc, char** argv) {
       static_cast<double>(delta_trace.size()) / seconds_since(t_full);
 
   EvalEngineConfig delta_engine = uncached();
-  delta_engine.delta.mode = DsspMode::kOn;
+  delta_engine.delta.on = true;
   delta_engine.delta.max_diff_edges = delta_n * delta_n;  // accept any parent
   delta_engine.delta.max_resettle_ratio = 1.0;            // never abandon
   delta_engine.delta.retained_states = 256;

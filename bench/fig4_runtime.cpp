@@ -26,8 +26,9 @@ void run_one_ga(std::size_t n, std::uint64_t seed) {
   ctx_cfg.num_pops = n;
   Rng ctx_rng(seed);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
-  EvalEngineConfig uncached;  // the paper's runtime: every score routes
-  uncached.cache.enabled = false;
+  EvalEngineConfig uncached;  // the paper's runtime: every score is a full
+  uncached.cache.enabled = false;  // sweep, no cache hit or delta repair
+  uncached.delta.on = false;
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{10.0, 1.0, 4e-4, 10.0},
                  uncached);
   GaConfig cfg = cold::bench::default_ga();

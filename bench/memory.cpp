@@ -116,8 +116,9 @@ ThroughputSample measure_matrix_free_throughput(std::size_t n,
     const DistanceProvider lengths =
         dense ? DistanceProvider::from_matrix(distance_matrix(ctx.locations))
               : DistanceProvider::on_demand(ctx.locations);
-    EvalEngineConfig uncached;  // time routings, not cache hits
-    uncached.cache.enabled = false;
+    EvalEngineConfig uncached;  // time full sweeps, not cache hits or
+    uncached.cache.enabled = false;  // delta repairs of the same topology
+    uncached.delta.on = false;
     Evaluator eval(lengths, ctx.traffic, costs, uncached);
     eval.cost(g);  // warm the workspace outside the timed region
     double last = 0.0;

@@ -69,18 +69,13 @@ struct EvalCacheConfig {
                          const EvalCacheConfig&) = default;
 };
 
-/// When the delta evaluation engine (incremental re-routing against a
-/// retained parent's shortest-path trees) is active. --dsssp on the CLI.
-enum class DsspMode {
-  kOff,  ///< always run full sweeps
-  kOn,   ///< always attempt parent-delta evaluation
-};
-
-/// Tuning for the delta evaluation engine. Every setting is exact: the
-/// incremental update is bit-identical to the full sweep, so these knobs
-/// move time and memory, never results.
+/// Tuning for the delta evaluation engine: incremental re-routing against
+/// a retained parent's shortest-path trees (cost/delta_state.h). On in
+/// `--engine default`, off in `--engine reference`. Every setting is exact:
+/// the incremental update is bit-identical to the full sweep, so these
+/// knobs move time and memory, never results.
 struct DeltaConfig {
-  DsspMode mode = DsspMode::kOff;
+  bool on = true;
 
   /// Max edge-set diff against a retained parent to delta from (K). Beyond
   /// it the affected regions approach the whole graph and full sweeps win.
@@ -96,37 +91,45 @@ struct DeltaConfig {
   /// whole graph.
   double max_resettle_ratio = 0.75;
 
-  /// Parent routing states retained (LRU ring). Each state holds n trees +
-  /// a topology copy, ~29 n^2 bytes; sized so the previous GA generation's
-  /// offspring are still resident when their mutants are scored.
-  std::size_t retained_states = 24;
+  /// Parent routing states retained per Evaluator (LRU ring; the store
+  /// never holds fewer than two). Two keep the parent an offspring was
+  /// derived from resident in the common case and hold most of the
+  /// engine's gain; more states buy little (DESIGN.md §4.5).
+  std::size_t retained_states = 2;
 
-  /// Byte budget for the whole retained-state ring. The effective capacity
-  /// is resolved_states(n) — retained_states shrunk until the ring fits —
-  /// so the delta engine's memory is bounded in bytes, not state count: at
-  /// n <= ~600 the budget holds all 24 states, while at city scale the
-  /// quadratic states stop fitting and the engine degrades to fewer states
-  /// and finally switches itself off once RoutingStateStore's floor of two
-  /// states no longer fits (n > 2151).
+  /// Byte budget for every ring of one evaluator family — a root Evaluator
+  /// and all of its clones, which share one RingBudget (delta_state.h).
+  /// Each Evaluator reserves ring_bytes(n) at construction, the root
+  /// first; one whose ring does not fit runs plain full sweeps, so the
+  /// engine's memory per family is bounded in bytes whatever the thread
+  /// count. At city scale not even one ring of two states fits and the
+  /// engine switches itself off (enabled(n) is false above n = 1926).
   static constexpr std::size_t kMaxStateBytes = std::size_t{256} << 20;
 
-  /// Estimated resident bytes of one retained state at n nodes (n trees at
-  /// ~29 bytes per node: dist 8 + parent 8 + order 8 + hops 4 + settled 1).
-  static std::size_t state_bytes(std::size_t n) { return 29 * n * n; }
+  /// Upper bound on the bytes one retained state holds at n nodes: the
+  /// RoutingState record, n trees (dist 8 + hops 4 + parent 8 + order 8
+  /// bytes per node each, no solver scratch) and a topology copy of at
+  /// most n (n - 1) adjacency entries, plus an allocator allowance per
+  /// heap block. About 36 n^2.
+  static std::size_t state_bytes(std::size_t n);
 
-  /// Ring capacity at n nodes under the byte budget (possibly 0).
+  /// Ring capacity at n nodes: retained_states shrunk until the ring fits
+  /// the budget, but never below the store's floor of two.
   std::size_t resolved_states(std::size_t n) const {
     const std::size_t per = state_bytes(n);
-    if (per == 0) return retained_states;
-    return std::min(retained_states, kMaxStateBytes / per);
+    return std::max<std::size_t>(2,
+                                 std::min(retained_states, kMaxStateBytes / per));
   }
 
-  /// True iff the engine runs for n-node topologies: the mode says on and
-  /// the ring fits the byte budget at RoutingStateStore's floor of two
-  /// states (the store never holds fewer).
+  /// Bytes one Evaluator's ring reserves from its family's budget.
+  std::size_t ring_bytes(std::size_t n) const {
+    return resolved_states(n) * state_bytes(n);
+  }
+
+  /// True iff the engine runs for n-node topologies: it is on and a ring
+  /// of the store's floor of two states fits the byte budget.
   bool enabled(std::size_t n) const {
-    return mode == DsspMode::kOn && resolved_states(n) != 0 &&
-           2 * state_bytes(n) <= kMaxStateBytes;
+    return on && 2 * state_bytes(n) <= kMaxStateBytes;
   }
 
   friend bool operator==(const DeltaConfig&, const DeltaConfig&) = default;
@@ -136,7 +139,7 @@ struct DeltaConfig {
 /// like EvalCacheStats (merge_stats transfers and resets).
 struct DeltaStats {
   std::uint64_t hits = 0;       ///< evaluations served by incremental updates
-  std::uint64_t fallbacks = 0;  ///< dsssp-enabled evaluations that needed a
+  std::uint64_t fallbacks = 0;  ///< delta-enabled evaluations that needed a
                                 ///< full sweep (no parent within K edges)
   std::uint64_t vertices_resettled = 0;  ///< labels recomputed incrementally
 

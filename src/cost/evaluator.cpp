@@ -63,10 +63,15 @@ Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
   if (traffic_.rows() != n) {
     throw std::invalid_argument("Evaluator: traffic/lengths size mismatch");
   }
+  // Only root evaluators create the ring budget and the cache; clones
+  // receive the same instances in clone(), so the family's rings share one
+  // byte budget and every worker sees every cache entry. The cache
+  // allocates nothing until its first insert, so it costs construction one
+  // small allocation.
+  if (engine_.delta.enabled(n)) {
+    ring_budget_ = std::make_shared<RingBudget>(DeltaConfig::kMaxStateBytes);
+  }
   init_engine_state();
-  // Only root evaluators create the cache; clones receive the same instance
-  // in clone() so every worker sees every entry. The cache allocates nothing
-  // until its first insert, so it costs construction one small allocation.
   if (engine_.cache.enabled) {
     cache_ = std::make_shared<SharedCostCache>(engine_.cache);
   }
@@ -76,16 +81,20 @@ Evaluator::Evaluator(CloneTag, const Evaluator& parent)
     : lengths_(parent.lengths_),  // shares the core; fresh row-tile cache
       traffic_(parent.traffic_),
       params_(parent.params_),
-      engine_(parent.engine_) {
+      engine_(parent.engine_),
+      ring_budget_(parent.ring_budget_) {
   init_engine_state();
   cache_ = parent.cache_;
 }
 
 void Evaluator::init_engine_state() {
   const std::size_t n = lengths_.rows();
-  if (engine_.delta.enabled(n)) {
-    delta_store_ = std::make_unique<RoutingStateStore>(
-        engine_.delta.resolved_states(n));
+  // The ring is reserved whole from the family's budget; without room this
+  // instance runs plain full sweeps (exact, only slower).
+  if (ring_budget_ != nullptr) {
+    delta_store_ = RoutingStateStore::reserve(ring_budget_,
+                                              engine_.delta.resolved_states(n),
+                                              engine_.delta.ring_bytes(n));
   }
   if (engine_.resilience.enabled) {
     resilience_ = std::make_unique<ResilienceEngine>(lengths_, traffic_,

@@ -13,9 +13,10 @@
 //     and shared by an evaluator and all of its clones, that
 //     short-circuits repeat evaluations by Zobrist fingerprint with
 //     full-adjacency verification;
-//   * the delta engine (cost/delta_state.h): retained parent routing states
-//     repaired incrementally for children within a few edge flips
-//     (--dsssp), fed by parent-fingerprint hints from the GA.
+//   * the delta engine (cost/delta_state.h), also on by default: retained
+//     parent routing states repaired incrementally for children within a
+//     few edge flips, fed by parent-fingerprint hints from the GA, under
+//     one ring byte budget per evaluator family.
 // Both are exact: every configuration yields bit-identical costs,
 // so GA trajectories do not depend on engine settings. Cache hits still
 // count as evaluations() — budgets and traces agree whether or not the
@@ -84,8 +85,9 @@ class Evaluator {
   /// (immutable, so concurrent reads are safe) but owns fresh `loads`/
   /// routing scratch and zeroed statistics. It shares this evaluator's
   /// cache (when enabled), so an entry filled on any worker hits on every
-  /// other. The clone and the original may then be used concurrently from
-  /// different threads.
+  /// other, and its ring budget: the clone gets its own empty delta ring
+  /// only if one fits what the family has left. The clone and the original
+  /// may then be used concurrently from different threads.
   Evaluator clone() const;
 
   /// Folds a clone's statistics (evaluation count and cache counters) into
@@ -132,7 +134,8 @@ class Evaluator {
   const DeltaStats& delta_stats() const { return delta_stats_; }
 
   /// The retained-state ring, or nullptr when the delta engine is off for
-  /// this instance's node count. Exposed for tests.
+  /// this instance's node count or its ring did not fit what the family's
+  /// budget had left. Exposed for tests.
   const RoutingStateStore* delta_store() const { return delta_store_.get(); }
 
   /// Resilience-engine counters (merged across clones like delta_stats()):
@@ -215,7 +218,9 @@ class Evaluator {
   std::size_t evaluations_ = 0;
 
   // Delta engine: per-instance like the routing workspace (see
-  // delta_state.h for why states are not shared across clones).
+  // delta_state.h for why states are not shared across clones); the byte
+  // budget the rings are reserved from is shared like the cache.
+  std::shared_ptr<RingBudget> ring_budget_;  ///< null when the engine is off
   std::unique_ptr<RoutingStateStore> delta_store_;  ///< null when off
   DeltaStats delta_stats_;
   SpUpdateWorkspace sp_ws_;

@@ -60,11 +60,36 @@ Topology crossover(const std::vector<const Topology*>& parents,
     }
   }
   const std::vector<double> weights = inverse_cost_weights(parent_costs);
+  // Each pair draws its donor exactly as Rng::weighted_index(weights) would
+  // (one uniform() scaled by the same left-to-right total, then the same
+  // subtract-and-compare walk), so children and RNG streams are unchanged;
+  // only the total is summed once. The weights are non-negative with a
+  // positive sum by construction, so weighted_index's checks cannot fire.
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  const std::size_t last = weights.size() - 1;
+  // Per-parent cursors into row i's sorted adjacency: j only grows along a
+  // row, so each donor test is a forward merge step, not a search.
+  std::vector<const NodeId*> cursor(parents.size());
+  std::vector<const NodeId*> row_end(parents.size());
   Topology child(n);
   for (NodeId i = 0; i < n; ++i) {
+    for (std::size_t p = 0; p < parents.size(); ++p) {
+      const std::span<const NodeId> row = parents[p]->neighbors(i);
+      cursor[p] = std::upper_bound(row.data(), row.data() + row.size(), i);
+      row_end[p] = row.data() + row.size();
+    }
     for (NodeId j = i + 1; j < n; ++j) {
-      const Topology& donor = *parents[rng.weighted_index(weights)];
-      if (donor.has_edge(i, j)) child.add_edge(i, j);
+      double target = rng.uniform() * total;
+      std::size_t d = 0;
+      while (d < last) {
+        target -= weights[d];
+        if (target < 0) break;
+        ++d;
+      }
+      const NodeId*& c = cursor[d];
+      while (c != row_end[d] && *c < j) ++c;
+      if (c != row_end[d] && *c == j) child.add_edge(i, j);
     }
   }
   return child;

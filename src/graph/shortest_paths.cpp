@@ -23,6 +23,19 @@ struct HeapGreater {
   }
 };
 
+/// The heap solver's scratch: settled flags and the lazy-deletion heap.
+/// One per thread, so the steady state allocates nothing and no tree
+/// carries solver state.
+struct SolverScratch {
+  std::vector<std::uint8_t> settled;
+  std::vector<ShortestPathTree::HeapItem> heap;
+};
+
+SolverScratch& solver_scratch() {
+  thread_local SolverScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 SpUpdateResult update_shortest_path_tree(const Topology& g,
@@ -187,7 +200,6 @@ SpUpdateResult update_shortest_path_tree(const Topology& g,
   ws.changed.clear();
   for (const NodeId x : ws.dirty_list) {
     if (tree.dist[x] != kInf) ws.changed.push_back(x);
-    tree.settled[x] = tree.dist[x] != kInf ? 1 : 0;
   }
   std::sort(ws.changed.begin(), ws.changed.end(), key_less);
   ws.merged.clear();
@@ -243,7 +255,6 @@ void ShortestPathTree::resize(std::size_t n) {
   parent.assign(n, 0);
   order.clear();
   order.reserve(n);
-  settled.assign(n, 0);
 }
 
 std::vector<NodeId> ShortestPathTree::path_to(NodeId target) const {
@@ -299,7 +310,10 @@ void shortest_path_tree(const Topology& g, const DistanceProvider& lengths,
   // and skipped. The relaxation rule — including the equal-(dist, hops)
   // smallest-parent tie-break — is byte-for-byte the scan's, so the trees
   // are identical.
-  auto& heap = out.heap;
+  SolverScratch& scratch = solver_scratch();
+  std::vector<std::uint8_t>& settled = scratch.settled;
+  settled.assign(n, 0);
+  auto& heap = scratch.heap;
   heap.clear();
   heap.push_back({0.0, 0, source});
   const HeapGreater greater;
@@ -308,10 +322,10 @@ void shortest_path_tree(const Topology& g, const DistanceProvider& lengths,
     std::pop_heap(heap.begin(), heap.end(), greater);
     heap.pop_back();
     const NodeId v = top.id;
-    if (out.settled[v] || top.dist != out.dist[v] || top.hops != out.hops[v]) {
+    if (settled[v] || top.dist != out.dist[v] || top.hops != out.hops[v]) {
       continue;  // settled or stale
     }
-    out.settled[v] = 1;
+    settled[v] = 1;
     out.order.push_back(v);
     const std::span<const NodeId> nbrs = g.neighbors(v);
     // Cached row: the identical doubles lengths(v, u) would return, read
@@ -319,7 +333,7 @@ void shortest_path_tree(const Topology& g, const DistanceProvider& lengths,
     const double* row = cache != nullptr ? cache->row(v) : nullptr;
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const NodeId u = nbrs[i];
-      if (out.settled[u]) continue;
+      if (settled[u]) continue;
       const double cand =
           out.dist[v] + (row != nullptr ? row[i] : lengths(v, u));
       const int cand_hops = out.hops[v] + 1;

@@ -31,15 +31,14 @@ struct ShortestPathTree {
   /// Reconstructs the path source -> target (inclusive). Empty if unreachable.
   std::vector<NodeId> path_to(NodeId target) const;
 
-  /// Solver scratch, reused across calls so the steady state allocates
-  /// nothing. Not part of the tree's logical state.
+  /// A solver heap entry: the composite settle key. The solver's settled
+  /// flags and heap live in per-thread scratch, not in the tree, so a
+  /// retained tree (cost/delta_state.h) holds its four label arrays only.
   struct HeapItem {
     double dist;
     int hops;
     NodeId id;
   };
-  std::vector<std::uint8_t> settled;
-  std::vector<HeapItem> heap;
 };
 
 /// Per-topology cache of edge lengths, CSR-parallel to the topology's

@@ -125,6 +125,15 @@ std::size_t Topology::num_core_nodes() const {
   return count;
 }
 
+std::size_t Topology::capacity_bytes() const {
+  std::size_t bytes = degree_.capacity() * sizeof(int) +
+                      nbrs_.capacity() * sizeof(std::vector<NodeId>);
+  for (const std::vector<NodeId>& list : nbrs_) {
+    bytes += list.capacity() * sizeof(NodeId);
+  }
+  return bytes;
+}
+
 std::size_t Topology::num_leaf_nodes() const {
   std::size_t count = 0;
   for (int d : degree_) {

@@ -99,6 +99,10 @@ class Topology {
   /// Removes all edges.
   void clear_edges();
 
+  /// Heap bytes the topology owns (vector capacities, not allocator
+  /// headers): the degree array, the list headers and every list.
+  std::size_t capacity_bytes() const;
+
   /// Zobrist hash of the edge set: XOR of edge_key(u, v) over all present
   /// edges, maintained incrementally (O(1) per edge flip). Two graphs with
   /// the same node count and the same edge set always have the same

@@ -1,7 +1,7 @@
 // Structural comparison of two run reports (telemetry/report.h) for CI.
 //
 // The nightly workflow runs the same synthesis under different engine
-// configurations ({--dsssp on,off}, thread counts, cache modes) and diffs
+// configurations (--engine default vs reference, thread counts) and diffs
 // the reports: the *logical* content — costs, trajectories, evaluation
 // counts, stop reasons — must be bit-identical (the engine's exactness
 // contract), while *performance* data (wall-clock, every engine counter)

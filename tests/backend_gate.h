@@ -18,19 +18,19 @@
 namespace cold {
 
 inline SynthesisConfig tiny_config(std::size_t n, std::size_t threads,
-                                   DsspMode dsssp) {
+                                   bool delta) {
   SynthesisConfig cfg;
   cfg.context.num_pops = n;
   cfg.costs = CostParams{10, 1, 4e-4, 10};
   cfg.ga.population = 8;
   cfg.ga.generations = 4;
   cfg.ga.parallel.num_threads = threads;
-  cfg.engine.delta.mode = dsssp;
+  cfg.engine.delta.on = delta;
   cfg.seed_with_heuristics = false;  // keep n = 200 fast
   return cfg;
 }
 
-/// For every (n, threads, dsssp) cell under `multipath`: generates the
+/// For every (n, threads, delta engine) cell under `multipath`: generates the
 /// seed-42 context once (dense, since n <= kDenseMaxNodes), runs
 /// synthesize_for_context on it and on a copy whose distances come from
 /// DistanceProvider::on_demand, and expects byte-identical timing-free
@@ -46,17 +46,17 @@ inline void expect_backend_identical_reports(MultipathMode multipath) {
   for (const std::size_t n : {24u, 80u, 200u}) {
     Rng ctx_rng(42);
     const Context dense =
-        generate_context(tiny_config(n, 1, DsspMode::kOff).context, ctx_rng);
+        generate_context(tiny_config(n, 1, false).context, ctx_rng);
     ASSERT_TRUE(dense.distances.has_dense());
     Context on_demand = dense;
     on_demand.distances = DistanceProvider::on_demand(dense.locations);
     for (const std::size_t threads : {1u, 4u}) {
-      for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
-        SynthesisConfig cfg = tiny_config(n, threads, dsssp);
+      for (const bool delta : {false, true}) {
+        SynthesisConfig cfg = tiny_config(n, threads, delta);
         cfg.engine.multipath.mode = multipath;
         EXPECT_EQ(report(cfg, dense), report(cfg, on_demand))
             << "distance backend divergence at n=" << n
-            << " threads=" << threads << " dsssp=" << static_cast<int>(dsssp);
+            << " threads=" << threads << " delta=" << delta;
       }
     }
   }

@@ -1,9 +1,10 @@
 // Exactness yardsticks: the straightforward scalar forms of the production
-// shortest-path and load-accounting kernels. Tests (and bench/evaluator's
+// shortest-path, load-accounting and crossover kernels. Tests (and bench/evaluator's
 // identity gates) compare the engine against these bit for bit; nothing in
 // the library calls them.
 #pragma once
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "graph/topology.h"
 #include "traffic/gravity.h"
 #include "util/matrix.h"
+#include "util/rng.h"
 
 namespace cold::reference {
 
@@ -36,10 +38,11 @@ inline void shortest_path_tree(const Topology& g,
   out.dist[source] = 0.0;
   out.hops[source] = 0;
   out.parent[source] = source;
+  std::vector<std::uint8_t> settled(n, 0);
   for (std::size_t round = 0; round < n; ++round) {
     NodeId best = n;
     for (NodeId v = 0; v < n; ++v) {
-      if (out.settled[v] || out.dist[v] == kInf) continue;
+      if (settled[v] || out.dist[v] == kInf) continue;
       if (best == n || out.dist[v] < out.dist[best] ||
           (out.dist[v] == out.dist[best] &&
            (out.hops[v] < out.hops[best] ||
@@ -48,10 +51,10 @@ inline void shortest_path_tree(const Topology& g,
       }
     }
     if (best == n) break;  // remaining nodes unreachable
-    out.settled[best] = 1;
+    settled[best] = 1;
     out.order.push_back(best);
     for (NodeId u = 0; u < n; ++u) {
-      if (out.settled[u] || !g.has_edge(best, u)) continue;
+      if (settled[u] || !g.has_edge(best, u)) continue;
       const double cand = out.dist[best] + lengths(best, u);
       const int cand_hops = out.hops[best] + 1;
       const bool better =
@@ -100,6 +103,33 @@ inline bool route_loads_dense(const Topology& g,
     }
   }
   return true;
+}
+
+/// The original uniform crossover: per node pair, one
+/// Rng::weighted_index draw over the inverse-cost weights (infeasible
+/// parents weigh 0; all infeasible means uniform) and a has_edge probe of
+/// the donor. cold::crossover must give the same child and leave the RNG in
+/// the same state.
+inline Topology crossover(const std::vector<const Topology*>& parents,
+                          const std::vector<double>& parent_costs, Rng& rng) {
+  std::vector<double> weights(parent_costs.size(), 0.0);
+  bool any = false;
+  for (std::size_t i = 0; i < parent_costs.size(); ++i) {
+    if (std::isfinite(parent_costs[i]) && parent_costs[i] > 0.0) {
+      weights[i] = 1.0 / parent_costs[i];
+      any = true;
+    }
+  }
+  if (!any) weights.assign(weights.size(), 1.0);
+  const std::size_t n = parents.front()->num_nodes();
+  Topology child(n);
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) {
+      const Topology& donor = *parents[rng.weighted_index(weights)];
+      if (donor.has_edge(i, j)) child.add_edge(i, j);
+    }
+  }
+  return child;
 }
 
 }  // namespace cold::reference

@@ -1,5 +1,5 @@
 // Evaluator-level tests for the delta evaluation engine (cost/delta_state.h
-// + the --dsssp path in cost/evaluator.cpp): retained-parent matching,
+// + the delta path in cost/evaluator.cpp): retained-parent matching,
 // bit-identity with full sweeps over GA-like mutation chains, counter
 // semantics, clone/merge behaviour, and the cache interaction.
 #include "cost/delta_state.h"
@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/context.h"
 #include "cost/evaluator.h"
 #include "ga/genetic.h"
+#include "geom/distance.h"
 #include "graph/algorithms.h"
+#include "traffic/gravity.h"
 #include "util/rng.h"
 
 namespace cold {
@@ -31,7 +34,14 @@ Context small_context(std::size_t n, std::uint64_t seed) {
 EvalEngineConfig delta_on() {
   EvalEngineConfig engine;
   engine.cache.enabled = false;
-  engine.delta.mode = DsspMode::kOn;
+  engine.delta.on = true;
+  return engine;
+}
+
+/// Full sweeps only: the evaluator the delta engine must match bit for bit.
+EvalEngineConfig delta_off() {
+  EvalEngineConfig engine;
+  engine.delta.on = false;
   return engine;
 }
 
@@ -53,7 +63,7 @@ Edge flip_random_edge(Topology& g, Rng& rng) {
 TEST(DeltaEngine, BitIdenticalToFullSweepsOverMutationChain) {
   const Context ctx = small_context(14, 1);
   Evaluator delta(ctx.distances, ctx.traffic, kCosts, delta_on());
-  Evaluator plain(ctx.distances, ctx.traffic, kCosts);
+  Evaluator plain(ctx.distances, ctx.traffic, kCosts, delta_off());
 
   Rng rng(2);
   Topology g = Topology::complete(14);
@@ -99,7 +109,7 @@ TEST(DeltaEngine, FirstEvaluationFallsBackThenChildHits) {
 TEST(DeltaEngine, MissingOrWrongHintIsHarmless) {
   const Context ctx = small_context(10, 4);
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, delta_on());
-  Evaluator plain(ctx.distances, ctx.traffic, kCosts);
+  Evaluator plain(ctx.distances, ctx.traffic, kCosts, delta_off());
   Topology g = Topology::complete(10);
   eval.cost(g);
 
@@ -175,7 +185,7 @@ TEST(DeltaEngine, CacheHitKeepsRetainedStateWarm) {
   engine.cache.enabled = true;
   engine.delta.retained_states = 2;  // clamp floor: exactly two slots
   Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-  Evaluator plain(ctx.distances, ctx.traffic, kCosts);
+  Evaluator plain(ctx.distances, ctx.traffic, kCosts, delta_off());
 
   Topology parent = Topology::complete(10);
   eval.cost(parent);                 // retained in slot A
@@ -198,11 +208,11 @@ TEST(DeltaEngine, CacheHitKeepsRetainedStateWarm) {
 }
 
 // RoutingStateStore never holds fewer than two states, so the engine may
-// run only where two fit the byte budget. At n = 2500 one state (29 n^2,
-// about 181 MB) fits 256 MiB, but the store's two would not.
+// run only where two fit the byte budget. At n = 2500 one state (~36 n^2,
+// about 225 MB) fits 256 MiB, but the store's two would not.
 TEST(DeltaEngine, EnabledOnlyWhereTheStoreFloorFitsTheBudget) {
   DeltaConfig cfg;
-  cfg.mode = DsspMode::kOn;
+  cfg.on = true;
   EXPECT_FALSE(cfg.enabled(2500));
   for (std::size_t n = 1; n <= 4000; ++n) {
     EXPECT_TRUE(!cfg.enabled(n) ||
@@ -210,6 +220,104 @@ TEST(DeltaEngine, EnabledOnlyWhereTheStoreFloorFitsTheBudget) {
                         DeltaConfig::state_bytes(n) <=
                     DeltaConfig::kMaxStateBytes)
         << "n=" << n;
+  }
+}
+
+/// An n-PoP default-engine evaluator whose context costs O(n) memory:
+/// on-demand distances over a grid and top-1 gravity demands.
+std::unique_ptr<Evaluator> large_evaluator(std::size_t n) {
+  std::vector<Point> points(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    points[i] = {static_cast<double>(i % 50), static_cast<double>(i / 50)};
+  }
+  return std::make_unique<Evaluator>(
+      DistanceProvider::on_demand(std::move(points)),
+      gravity_traffic(std::vector<double>(n, 1.0), {.topk = 1}), kCosts);
+}
+
+std::size_t reserved(const Evaluator& e) {
+  return e.delta_store() != nullptr ? e.delta_store()->reserved_bytes() : 0;
+}
+
+// One budget per evaluator family: a root and its clones reserve whole
+// rings from kMaxStateBytes, root first, then clones in clone order, and a
+// destroyed ring gives its bytes back. Per-clone budgets would reserve
+// four rings here.
+TEST(DeltaEngine, EvaluatorFamilySharesOneRingBudget) {
+  const DeltaConfig cfg;
+  for (const std::size_t n : {1000u, 2000u}) {
+    std::vector<std::unique_ptr<Evaluator>> family;
+    family.push_back(large_evaluator(n));
+    for (int c = 0; c < 3; ++c) {
+      family.push_back(std::make_unique<Evaluator>(family.front()->clone()));
+    }
+    const std::size_t fit =
+        cfg.enabled(n) ? std::min<std::size_t>(
+                             4, DeltaConfig::kMaxStateBytes / cfg.ring_bytes(n))
+                       : 0;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < family.size(); ++i) {
+      total += reserved(*family[i]);
+      EXPECT_EQ(family[i]->delta_store() != nullptr, i < fit)
+          << "n=" << n << " evaluator " << i;
+      if (i < fit) {
+        EXPECT_EQ(reserved(*family[i]), cfg.ring_bytes(n));
+      }
+    }
+    EXPECT_LE(total, DeltaConfig::kMaxStateBytes) << "n=" << n;
+    EXPECT_EQ(total, fit * cfg.ring_bytes(n)) << "n=" << n;
+    if (n == 1000) {
+      ASSERT_EQ(fit, 3u);  // the fourth ring does not fit
+      family.erase(family.begin() + 1);  // releases a clone's ring
+      family.push_back(std::make_unique<Evaluator>(family.front()->clone()));
+      EXPECT_NE(family.back()->delta_store(), nullptr);
+    }
+  }
+}
+
+// state_bytes(n) bounds what a filled state really holds: no solver
+// scratch rides along in retained trees, and the topology copy is charged
+// at its densest. Checked after full-sweep fills and delta-hit fills on
+// sparse and dense graphs.
+TEST(DeltaEngine, FilledStatesStayWithinStateBytes) {
+  for (const std::size_t n : {50u, 200u}) {
+    const Context ctx = small_context(n, 8);
+    Rng rng(n);
+    std::vector<Topology> graphs;
+    std::vector<Edge> path;
+    for (NodeId v = 1; v < n; ++v) path.push_back({v - 1, v});
+    graphs.push_back(Topology::from_edges(n, path));  // tree
+    path.push_back({0, n - 1});
+    graphs.push_back(Topology::from_edges(n, path));  // ring
+    for (const double p : {0.05, 0.5}) {               // random
+      Topology g = Topology::from_edges(n, path);
+      for (NodeId i = 0; i < n; ++i) {
+        for (NodeId j = i + 1; j < n; ++j) {
+          if (rng.bernoulli(p)) g.add_edge(i, j);
+        }
+      }
+      graphs.push_back(g);
+    }
+    graphs.push_back(Topology::complete(n));
+    for (const Topology& g : graphs) {
+      Evaluator eval(ctx.distances, ctx.traffic, kCosts, delta_on());
+      Topology child = g;
+      eval.cost(child);  // full-sweep fill
+      for (int step = 0; step < 3; ++step) {
+        const std::uint64_t parent_fp = child.fingerprint();
+        flip_random_edge(child, rng);
+        eval.evaluate(child, {.parent_hint = parent_fp});  // delta fills
+      }
+      ASSERT_NE(eval.delta_store(), nullptr);
+      std::size_t live = 0;
+      for (const RoutingState& s : eval.delta_store()->slots()) {
+        if (s.stamp == 0) continue;
+        ++live;
+        EXPECT_LE(s.capacity_bytes(), DeltaConfig::state_bytes(n))
+            << "n=" << n << " m=" << s.topology.num_edges();
+      }
+      EXPECT_GT(live, 0u);
+    }
   }
 }
 

@@ -206,8 +206,8 @@ TEST(RunGa, HighBandwidthCostProducesMeshyNetworks) {
 }
 
 // The evaluation engine's headline guarantee extended to the delta engine:
-// the GA trajectory is invariant across every {dsssp, thread count, cache}
-// combination — enabling --dsssp can never change results. With several
+// the GA trajectory is invariant across every {delta, thread count, cache}
+// combination — the delta engine can never change results. With several
 // threads, which worker's delta-state store scores an offspring (and so
 // whether its parent's state is retained there) varies with scheduling;
 // only the hit rate may depend on that, never a cost.
@@ -216,9 +216,9 @@ TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
   ctx_cfg.num_pops = 18;
   Rng ctx_rng(9);
   const Context ctx = generate_context(ctx_cfg, ctx_rng);
-  const auto run = [&ctx](DsspMode dsssp, std::size_t threads, bool cache) {
+  const auto run = [&ctx](bool delta, std::size_t threads, bool cache) {
     EvalEngineConfig engine;
-    engine.delta.mode = dsssp;
+    engine.delta.on = delta;
     engine.cache.enabled = cache;
     Evaluator eval(ctx.distances, ctx.traffic, CostParams{10, 1, 4e-4, 10},
                    engine);
@@ -230,11 +230,11 @@ TEST(RunGa, HistoryInvariantAcrossDeltaEngineSettings) {
     return run_ga(eval, rng, options);
   };
 
-  const GaResult reference = run(DsspMode::kOff, 1, false);
-  for (const DsspMode dsssp : {DsspMode::kOff, DsspMode::kOn}) {
+  const GaResult reference = run(false, 1, false);
+  for (const bool delta : {false, true}) {
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       for (const bool cache : {false, true}) {
-        const GaResult r = run(dsssp, threads, cache);
+        const GaResult r = run(delta, threads, cache);
         ASSERT_EQ(r.best_cost_history, reference.best_cost_history);
         ASSERT_EQ(r.best_cost, reference.best_cost);
         ASSERT_TRUE(r.best == reference.best);

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "geom/distance.h"
+#include "reference.h"
 #include "util/stats.h"
 
 namespace cold {
@@ -90,6 +91,50 @@ TEST(Crossover, CheaperParentDonatesMore) {
   }
   const double mean_edges = total_edges / trials;
   EXPECT_NEAR(mean_edges, 0.9 * 28.0, 1.0);
+}
+
+// The merge-cursor crossover is the per-pair weighted_index/has_edge loop
+// of tests/reference.h, byte for byte: same child, same RNG stream after
+// the call, for 1-4 parents of any density and costs including +inf (one
+// infeasible parent weighs 0; all infeasible falls back to uniform).
+TEST(Crossover, MatchesReferenceChildAndRngStream) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng gen(8);
+  for (const std::size_t n : {2u, 3u, 17u, 100u}) {
+    for (std::size_t count = 1; count <= 4; ++count) {
+      std::vector<Topology> parents;
+      for (std::size_t p = 0; p < count; ++p) {
+        const double density = p == 0 ? 1.0 : 0.15 * static_cast<double>(p);
+        Topology g(n);
+        for (NodeId i = 0; i < n; ++i) {
+          for (NodeId j = i + 1; j < n; ++j) {
+            if (gen.bernoulli(density)) g.add_edge(i, j);
+          }
+        }
+        parents.push_back(g);
+      }
+      std::vector<const Topology*> ptrs;
+      for (const Topology& g : parents) ptrs.push_back(&g);
+      std::vector<std::vector<double>> cost_sets;
+      std::vector<double> costs;
+      for (std::size_t p = 0; p < count; ++p) costs.push_back(1.0 + 3.0 * p);
+      cost_sets.push_back(costs);
+      costs.back() = kInf;
+      cost_sets.push_back(costs);
+      cost_sets.push_back(std::vector<double>(count, kInf));
+      for (const std::vector<double>& c : cost_sets) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+          Rng fast(seed), slow(seed);
+          const Topology got = crossover(ptrs, c, fast);
+          const Topology want = reference::crossover(ptrs, c, slow);
+          ASSERT_TRUE(got == want) << "n=" << n << " parents=" << count;
+          ASSERT_EQ(got.fingerprint(), want.fingerprint());
+          ASSERT_EQ(fast.next_u64(), slow.next_u64())
+              << "n=" << n << " parents=" << count;
+        }
+      }
+    }
+  }
 }
 
 TEST(Crossover, Validates) {

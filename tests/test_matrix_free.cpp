@@ -1,6 +1,6 @@
 // Matrix-free evaluation context guarantees: recomputing distances on
 // demand from coordinates, and walking gravity traffic in compressed row
-// form, are backend choices, not identities — every (n, threads, dsssp)
+// form, are backend choices, not identities — every (n, threads, delta engine)
 // cell produces byte-identical timing-free run reports with the dense
 // matrices materialized or absent; compressed traffic stores the dense
 // entries bit-for-bit (zero rows included); and the opt-in --traffic-topk
@@ -27,7 +27,7 @@
 namespace cold {
 namespace {
 
-// The tentpole acceptance gate: for every (n, threads, dsssp) cell, a run
+// The tentpole acceptance gate: for every (n, threads, delta engine) cell, a run
 // whose distances are recomputed per lookup (no dense matrix in the
 // evaluator) produces a byte-identical timing-free report to the same run
 // on the same context with the n^2 matrix materialized.
@@ -174,7 +174,7 @@ TEST(MatrixFree, TopkTruncationSymmetricAndRenormalized) {
 
 // The truncation is logical content: the run block of the report records it.
 TEST(MatrixFree, ReportRecordsTrafficTopk) {
-  SynthesisConfig cfg = tiny_config(24, 1, DsspMode::kOff);
+  SynthesisConfig cfg = tiny_config(24, 1, false);
   cfg.context.gravity.topk = 6;
   JsonReportSink sink;
   cfg.observer = &sink;
@@ -189,7 +189,7 @@ TEST(MatrixFree, ReportRecordsTrafficTopk) {
 // ensemble_exemplars block — deterministic, seed-addressed, and identical
 // for any thread count.
 TEST(MatrixFree, EnsembleExemplarsDeterministicAndRoundTrip) {
-  SynthesisConfig cfg = tiny_config(10, 1, DsspMode::kOff);
+  SynthesisConfig cfg = tiny_config(10, 1, false);
   cfg.ga.population = 8;
   cfg.ga.generations = 3;
   JsonReportSink sink;

@@ -508,7 +508,7 @@ TEST(MultipathCacheSalt, SeparatesModesAndWeights) {
   EXPECT_NE(weighted.cache_salt(), ecmp.cache_salt());
 
   // Perf knobs must NOT move the salt: same objective, same key.
-  engine.delta.mode = DsspMode::kOn;
+  engine.delta.on = false;
   Evaluator delta(ctx.distances, ctx.traffic, CostParams{}, engine);
   EXPECT_EQ(delta.cache_salt(), weighted.cache_salt());
 }
@@ -557,15 +557,15 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
   double reference_cost = 0.0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const bool cache : {false, true}) {
-      for (const bool dsssp : {false, true}) {
+      for (const bool delta : {false, true}) {
         SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
         cfg.ga.parallel.num_threads = threads;
         cfg.engine.cache.enabled = cache;
-        cfg.engine.delta.mode = dsssp ? DsspMode::kOn : DsspMode::kOff;
+        cfg.engine.delta.on = delta;
         const SynthesisResult r = Synthesizer(cfg).synthesize(7);
         const std::string what = "threads=" + std::to_string(threads) +
                                  " cache=" + std::to_string(cache) +
-                                 " dsssp=" + std::to_string(dsssp);
+                                 " delta=" + std::to_string(delta);
         if (reference.empty()) {
           reference = r.ga.best_cost_history;
           reference_cost = r.ga.best_cost;
@@ -583,7 +583,7 @@ TEST(MultipathGa, TrajectoryInvariantAcrossEngineConfigs) {
   SynthesisConfig cfg = multipath_config(MultipathMode::kEcmp);
   cfg.ga.parallel.num_threads = 8;
   cfg.engine.cache.enabled = true;
-  cfg.engine.delta.mode = DsspMode::kOn;
+  cfg.engine.delta.on = true;
   const SynthesisResult r = Synthesizer(cfg).synthesize(7);
   EXPECT_EQ(r.ga.best_cost_history, reference);
   EXPECT_EQ(r.ga.best_cost, reference_cost);

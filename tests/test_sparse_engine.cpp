@@ -28,7 +28,7 @@
 namespace cold {
 namespace {
 
-// For every (n, threads, dsssp) cell under ECMP routing, a run with
+// For every (n, threads, delta engine) cell under ECMP routing, a run with
 // matrix-free distances produces a byte-identical timing-free report to the
 // same run with the dense distance matrix (MatrixFree's gate covers the
 // single-path engine): the shortest-path DAG's bitwise tie rule sees the

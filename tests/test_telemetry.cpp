@@ -872,7 +872,7 @@ TEST(RunReport, RejectsNonCurrentVersions) {
 
 TEST(RunReport, DssspCountersRoundTripWhenTimed) {
   SynthesisConfig cfg = small_config();
-  cfg.engine.delta.mode = DsspMode::kOn;
+  cfg.engine.delta.on = true;
   JsonReportSink sink;
   cfg.observer = &sink;
   Synthesizer(cfg).synthesize(5);
@@ -1070,9 +1070,9 @@ TEST(ReportDiff, SameRunDssspOnVsOffIsLogicallyEqual) {
   // The end-to-end equivalence the nightly workflow enforces: identical
   // seeds with the delta engine on and off may differ only in perf fields.
   std::vector<RunReport> reports;
-  for (const DsspMode mode : {DsspMode::kOn, DsspMode::kOff}) {
+  for (const bool delta : {true, false}) {
     SynthesisConfig cfg = small_config();
-    cfg.engine.delta.mode = mode;
+    cfg.engine.delta.on = delta;
     JsonReportSink sink;
     cfg.observer = &sink;
     Synthesizer(cfg).synthesize(4);

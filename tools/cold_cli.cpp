@@ -4,7 +4,6 @@
 //                 [--traffic-topk K] [--format dot|json|graphml] [--out FILE]
 //                 [--report FILE] [--progress] [--max-seconds T]
 //                 [--max-evals N] [--engine default|reference]
-//                 [--dsssp on|off]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
@@ -73,8 +72,8 @@ const std::vector<OptionSpec> kGaOpts = {
 // networks; they trade memory for speed.
 const std::vector<OptionSpec> kEngineOpts = {
     {"engine", true, "default|reference (default): reference is the plain "
-                     "uncached path equivalence checks use"},
-    {"dsssp", true, "on|off (off): delta-evaluate near-parent offspring"},
+                     "path (no cache, no delta engine) equivalence checks "
+                     "use"},
 };
 
 const std::vector<OptionSpec> kOutputOpts = {
@@ -215,12 +214,12 @@ void print_usage() {
       "            valid)\n"
       "  engine    (synth/ensemble/grow): --engine default|reference\n"
       "            (default): default memoizes cost evaluations in one\n"
-      "            256 KiB cache shared by every worker thread; reference\n"
-      "            turns the cache and the delta engine off. Both keep a\n"
-      "            dense distance matrix up to 512 PoPs.\n"
-      "            --dsssp on|off (off) re-routes near-parent offspring\n"
-      "            incrementally (default engine only). All are exact and\n"
-      "            change performance only\n";
+      "            256 KiB cache shared by every worker thread and\n"
+      "            re-routes near-parent offspring incrementally from\n"
+      "            retained shortest-path trees (at most 256 MiB per run);\n"
+      "            reference turns both off. Both keep a dense distance\n"
+      "            matrix up to 512 PoPs. Both are exact and change\n"
+      "            performance only\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -278,25 +277,16 @@ class CliTelemetry {
 // Shared helpers.
 // ---------------------------------------------------------------------------
 
-/// Resolves --engine and --dsssp into one engine value.
+/// Resolves --engine into one engine value.
 EvalEngineConfig engine_from(const CliOptions& args) {
-  const std::string dsssp = args.get("dsssp", "off");
-  if (dsssp != "on" && dsssp != "off") {
-    throw std::invalid_argument("unknown --dsssp: " + dsssp +
-                                " (expected on or off)");
-  }
   const std::string name = args.get("engine", "default");
   if (name != "default" && name != "reference") {
     throw std::invalid_argument("unknown --engine: " + name +
                                 " (expected default or reference)");
   }
-  if (name == "reference" && dsssp == "on") {
-    throw std::invalid_argument("--engine reference runs without the delta "
-                                "engine; drop --dsssp on");
-  }
   EvalEngineConfig engine;
   engine.cache.enabled = name == "default";
-  engine.delta.mode = dsssp == "on" ? DsspMode::kOn : DsspMode::kOff;
+  engine.delta.on = name == "default";
   return engine;
 }
 
