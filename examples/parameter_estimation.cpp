@@ -33,7 +33,7 @@ void estimate_and_report(const std::string& name, const cold::Topology& target,
   std::printf("  draws=%zu accepted=%zu (%.0f%%)\n", r.draws.size(),
               r.accepted.size(), 100.0 * r.acceptance_rate);
   if (r.accepted.empty()) {
-    std::cout << "  no draws within epsilon — widen the prior or epsilon\n\n";
+    std::cout << "  no draws within epsilon — widen epsilon or draws\n\n";
     return;
   }
   std::printf("  posterior mean: k0=%.2f k2=%.2e k3=%.2f\n",

@@ -39,21 +39,20 @@ AbcResult abc_estimate(const Topology& target, const AbcConfig& config,
   if (target.num_nodes() < 3) {
     throw std::invalid_argument("abc_estimate: target too small");
   }
-  if (config.num_draws == 0 || config.networks_per_draw == 0) {
+  if (config.num_draws == 0) {
     throw std::invalid_argument("abc_estimate: need draws >= 1");
   }
   const AbcSummary observed = AbcSummary::of(compute_metrics(target));
-  const AbcPrior& prior = config.prior;
 
   Rng rng(seed, /*stream=*/0xabc);
   AbcResult result;
   for (std::size_t draw = 0; draw < config.num_draws; ++draw) {
     AbcDraw d;
-    d.params.k0 = log_uniform(rng, prior.k0_lo, prior.k0_hi);
+    d.params.k0 = log_uniform(rng, kAbcPrior.k0_lo, kAbcPrior.k0_hi);
     d.params.k1 = 1.0;
-    d.params.k2 = log_uniform(rng, prior.k2_lo, prior.k2_hi);
-    d.params.k3 = log_uniform(rng, prior.k3_lo, prior.k3_hi);
-    if (d.params.k3 <= prior.k3_floor) d.params.k3 = 0.0;
+    d.params.k2 = log_uniform(rng, kAbcPrior.k2_lo, kAbcPrior.k2_hi);
+    d.params.k3 = log_uniform(rng, kAbcPrior.k3_lo, kAbcPrior.k3_hi);
+    if (d.params.k3 <= kAbcPrior.k3_floor) d.params.k3 = 0.0;
 
     SynthesisConfig scfg;
     scfg.context.num_pops = target.num_nodes();
@@ -61,25 +60,9 @@ AbcResult abc_estimate(const Topology& target, const AbcConfig& config,
     scfg.ga = config.ga;
     const Synthesizer synth(scfg);
 
-    // Average the summary over replicates to damp context noise.
-    AbcSummary mean;
-    for (std::size_t r = 0; r < config.networks_per_draw; ++r) {
-      const SynthesisResult run = synth.synthesize(rng.next_u64());
-      const AbcSummary s =
-          AbcSummary::of(compute_metrics(run.network.topology));
-      mean.avg_degree += s.avg_degree;
-      mean.diameter += s.diameter;
-      mean.clustering += s.clustering;
-      mean.degree_cv += s.degree_cv;
-    }
-    const auto reps = static_cast<double>(config.networks_per_draw);
-    mean.avg_degree /= reps;
-    mean.diameter /= reps;
-    mean.clustering /= reps;
-    mean.degree_cv /= reps;
-
-    d.summary = mean;
-    d.distance = abc_distance(observed, mean);
+    const SynthesisResult run = synth.synthesize(rng.next_u64());
+    d.summary = AbcSummary::of(compute_metrics(run.network.topology));
+    d.distance = abc_distance(observed, d.summary);
     d.accepted = d.distance <= config.epsilon;
     if (d.accepted) result.accepted.push_back(d);
     result.draws.push_back(std::move(d));
@@ -96,14 +79,14 @@ AbcResult abc_estimate(const Topology& target, const AbcConfig& config,
     for (const AbcDraw& d : result.accepted) {
       lk0 += std::log(d.params.k0);
       lk2 += std::log(d.params.k2);
-      lk3 += std::log(std::max(d.params.k3, prior.k3_floor));
+      lk3 += std::log(std::max(d.params.k3, kAbcPrior.k3_floor));
     }
     const auto m = static_cast<double>(result.accepted.size());
     result.posterior_mean.k0 = std::exp(lk0 / m);
     result.posterior_mean.k1 = 1.0;
     result.posterior_mean.k2 = std::exp(lk2 / m);
     const double k3 = std::exp(lk3 / m);
-    result.posterior_mean.k3 = k3 <= prior.k3_floor ? 0.0 : k3;
+    result.posterior_mean.k3 = k3 <= kAbcPrior.k3_floor ? 0.0 : k3;
   }
   return result;
 }

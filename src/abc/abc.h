@@ -1,11 +1,11 @@
 // Approximate Bayesian Computation for COLD's cost parameters (paper §8:
 // "we also plan to use ... ABC ... to map real networks to parameters ki").
 //
-// Rejection-ABC: draw (k0, k2, k3) from log-uniform priors (k1 is fixed at 1
-// — costs are relative), synthesize a network per draw, and accept the draw
-// when the synthetic network's summary statistics land within `epsilon` of
-// the target's. The accepted draws approximate the posterior over cost
-// parameters given the observed topology.
+// Rejection-ABC: draw (k0, k2, k3) from log-uniform priors (kAbcPrior; k1 is
+// fixed at 1 — costs are relative), synthesize one network per draw, and
+// accept the draw when the synthetic network's summary statistics land
+// within `epsilon` of the target's. The accepted draws approximate the
+// posterior over cost parameters given the observed topology.
 #pragma once
 
 #include <vector>
@@ -29,6 +29,7 @@ struct AbcSummary {
 /// Normalized Euclidean distance between two summaries.
 double abc_distance(const AbcSummary& a, const AbcSummary& b);
 
+/// Log-uniform prior bounds on the drawn cost parameters.
 struct AbcPrior {
   double k0_lo = 1.0, k0_hi = 100.0;
   double k2_lo = 1e-5, k2_hi = 1e-2;
@@ -36,11 +37,12 @@ struct AbcPrior {
   double k3_floor = 0.2;
 };
 
+/// The one prior abc_estimate draws from.
+inline constexpr AbcPrior kAbcPrior{};
+
 struct AbcConfig {
-  AbcPrior prior;
   std::size_t num_draws = 200;    ///< prior draws (simulations)
   double epsilon = 0.35;          ///< acceptance threshold on abc_distance
-  std::size_t networks_per_draw = 1;  ///< synthetic replicates averaged per draw
   GaConfig ga;                    ///< GA settings per simulation (keep small)
 };
 

@@ -31,7 +31,7 @@ EngineCounters engine_counters(const Evaluator& eval) {
 
 Synthesizer::Synthesizer(SynthesisConfig config) : config_(std::move(config)) {
   config_.costs.validate();
-  config_.ga = config_.ga.resolved();  // fail fast on bad GA settings
+  config_.ga.validate();  // fail fast on bad GA settings
   if (!std::isfinite(config_.overprovision) || config_.overprovision < 1.0) {
     throw std::invalid_argument(
         "Synthesizer: overprovision must be finite and >= 1");

@@ -43,9 +43,6 @@ void EvalEngineConfig::validate() const {
   if (res.enabled) {
     require(finite_at_least(res.weight, 0.0),
             "resilience weight must be finite and >= 0");
-    require(res.scenarios != FailureScenarioSet::kDoubleSampled ||
-                res.double_samples >= 1,
-            "double-sampled scenarios need double_samples >= 1");
     require(finite_at_least(res.overprovision, 1.0),
             "resilience overprovision must be finite and >= 1");
   }

@@ -215,12 +215,12 @@ struct EvalEngineConfig {
   MultipathConfig multipath;
 
   /// Throws std::invalid_argument unless the objective terms are usable:
-  /// an enabled resilience config needs a finite weight >= 0, a finite
-  /// overprovision >= 1 and, for kDoubleSampled, double_samples >= 1; the
-  /// multipath weights must be finite and >= 0 (the hub heuristics prune
-  /// with a lower bound that omits both terms, heuristics/hub_bound.h); and
-  /// resilience and multipath are mutually exclusive. Every root Evaluator
-  /// calls it, so no entry point can skip it.
+  /// an enabled resilience config needs a finite weight >= 0 and a finite
+  /// overprovision >= 1; the multipath weights must be finite and >= 0
+  /// (the hub heuristics prune with a lower bound that omits both terms,
+  /// heuristics/hub_bound.h); and resilience and multipath are mutually
+  /// exclusive. Every root Evaluator calls it, so no entry point can skip
+  /// it.
   void validate() const;
 
   friend bool operator==(const EvalEngineConfig&,

@@ -48,7 +48,7 @@ struct ResilienceConfig {
   /// Two-link scenarios drawn per candidate under kDoubleSampled (sampled
   /// with replacement from the unordered edge pairs, SplitMix64-seeded by
   /// the topology fingerprint — deterministic, evaluation-order-free).
-  std::size_t double_samples = 8;
+  static constexpr std::size_t kDoubleSamples = 8;
   /// Capacity factor used to provision the hypothetical links the sweep
   /// stresses (mirrors SynthesisConfig::overprovision; the Synthesizer
   /// keeps them in sync so post-failure utilization matches sim/failure

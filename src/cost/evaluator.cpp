@@ -27,7 +27,6 @@ std::uint64_t resilience_salt(const ResilienceConfig& c) {
   std::uint64_t s = mix64(0x52e5111e9ce0b5a7ULL);
   s = mix64(s ^ std::bit_cast<std::uint64_t>(c.weight));
   s = mix64(s ^ static_cast<std::uint64_t>(c.scenarios));
-  s = mix64(s ^ static_cast<std::uint64_t>(c.double_samples));
   s = mix64(s ^ std::bit_cast<std::uint64_t>(c.overprovision));
   return s;
 }
@@ -121,13 +120,7 @@ void Evaluator::merge_stats(Evaluator& worker) {
 }
 
 EvalResult Evaluator::evaluate(const Topology& g, const EvalRequest& req) {
-  EvalResult r;
-  r.breakdown = breakdown_impl(g, req.parent_hint);
-  if (req.want_loads && loads_valid_) {
-    r.loads = loads_;
-    r.loads_valid = true;
-  }
-  return r;
+  return {breakdown_impl(g, req.parent_hint)};
 }
 
 double Evaluator::cost(const Topology& g) { return evaluate(g).total(); }
@@ -144,7 +137,6 @@ CostBreakdown Evaluator::breakdown_impl(const Topology& g,
     CostBreakdown hit;
     if (cache_->find(g, hit, cache_salt_)) {
       ++cache_stats_.hits;
-      loads_valid_ = false;  // hit skips routing; loads_ is stale
       // The cache stores no routing state; keep any retained state for this
       // topology warm so its children can still delta from it.
       if (delta_store_) delta_store_->touch(g, g.fingerprint());
@@ -224,7 +216,6 @@ CostBreakdown Evaluator::breakdown_delta(const Topology& g,
 CostBreakdown Evaluator::infeasible_breakdown(const Topology& g) {
   CostBreakdown b;
   b.feasible = false;
-  loads_valid_ = false;
   insert_in_cache(g, b);
   return b;
 }
@@ -233,7 +224,6 @@ CostBreakdown Evaluator::finish_breakdown(
     const Topology& g, const std::vector<ShortestPathTree>* base_trees) {
   CostBreakdown b;
   b.feasible = true;
-  loads_valid_ = true;
   const DistanceProvider& lengths = lengths_;
   const std::size_t n = g.num_nodes();
   double sum_len = 0.0, sum_bw_len = 0.0;

@@ -37,8 +37,7 @@
 namespace cold {
 
 /// Inputs of one evaluation beyond the topology itself: the delta engine's
-/// parent hint plus which outputs the caller wants, so one call site reads
-/// as one evaluation.
+/// parent hint.
 struct EvalRequest {
   /// Zobrist fingerprint of the topology this candidate was derived from —
   /// the delta engine's parent probe (the GA records it during variation).
@@ -46,18 +45,12 @@ struct EvalRequest {
   /// diff, so a wrong or missing hint can only cost probe time, never
   /// exactness. 0 means "no hint"; ignored when the delta engine is off.
   std::uint64_t parent_hint = 0;
-  /// Copy the per-link loads into the result when the routing is feasible
-  /// and actually ran (cache hits skip routing and cannot produce loads).
-  bool want_loads = false;
 };
 
-/// Outcome of one evaluation. Owns its outputs: the loads cannot be
-/// invalidated by a later evaluation on the same evaluator.
+/// Outcome of one evaluation. Per-link loads are not part of it: callers
+/// that need them route the topology with route_loads (net/routing.h).
 struct EvalResult {
   CostBreakdown breakdown;
-  /// True iff `loads` is populated (requested + feasible + freshly routed).
-  bool loads_valid = false;
-  EdgeLoads loads;
 
   double total() const { return breakdown.total(); }
   bool feasible() const { return breakdown.feasible; }
@@ -98,7 +91,7 @@ class Evaluator {
 
   /// The evaluation entry point: scores `g` under the cost model, routing
   /// it if no cache entry matches. `req` carries the delta-engine parent
-  /// hint and selects outputs; the result owns everything it returns.
+  /// hint.
   /// Feasibility semantics: an unroutable (disconnected) topology yields
   /// breakdown.feasible == false and total() == +infinity.
   EvalResult evaluate(const Topology& g, const EvalRequest& req = {});
@@ -213,7 +206,6 @@ class Evaluator {
   std::shared_ptr<SharedCostCache> cache_;  ///< null when disabled
   EvalCacheStats cache_stats_;  ///< own cache ops + merged-in workers'
   EdgeLoads loads_;  ///< O(n + m) per-link loads of the last feasible routing
-  bool loads_valid_ = false;
   RoutingWorkspace ws_;
   std::size_t evaluations_ = 0;
 

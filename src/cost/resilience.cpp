@@ -32,13 +32,13 @@ std::vector<std::vector<Edge>> enumerate_failure_scenarios(
   std::vector<std::vector<Edge>> scenarios;
   const bool doubles =
       config.scenarios == FailureScenarioSet::kDoubleSampled && m >= 2;
-  scenarios.reserve(m + (doubles ? config.double_samples : 0));
+  scenarios.reserve(m + (doubles ? ResilienceConfig::kDoubleSamples : 0));
   for (const Edge& e : edges) {
     scenarios.push_back({e});
   }
   if (doubles) {
     SplitMix64 rng{g.fingerprint()};
-    for (std::size_t i = 0; i < config.double_samples; ++i) {
+    for (std::size_t i = 0; i < ResilienceConfig::kDoubleSamples; ++i) {
       // Uniform unordered pair of distinct edge indices, no rejection:
       // draw a, then b from the remaining m-1 slots and shift past a.
       std::size_t a = static_cast<std::size_t>(rng.next() % m);
@@ -66,9 +66,10 @@ ResilienceSummary ResilienceEngine::assess(
       enumerate_failure_scenarios(g, config_);
 
   if (base_trees == nullptr) {
-    // No retained trees handed in (e.g. the evaluation was a cache hit with
-    // the delta engine off): compute the candidate's own. Fresh per-source
-    // sweeps, bit-identical to whatever the caller would have retained.
+    // No retained trees handed in: the Evaluator always passes the
+    // candidate's trees (a cache hit never reaches the sweep), so only
+    // direct callers such as the fresh-sweep baselines land here. Fresh
+    // per-source sweeps, bit-identical to whatever a caller would retain.
     own_trees_.resize(n);
     for (NodeId s = 0; s < n; ++s) {
       shortest_path_tree(g, lengths_, s, own_trees_[s]);

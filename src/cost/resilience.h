@@ -38,11 +38,11 @@ namespace cold {
 
 /// The deterministic failure-scenario list for `g` under `config`: every
 /// single link as a one-edge scenario in lexicographic edge order, then
-/// (kDoubleSampled) config.double_samples two-link scenarios sampled with
-/// replacement from the unordered edge pairs by a SplitMix64 stream seeded
-/// with g.fingerprint(). A pure function of (g, config) — no evaluation
-/// order, RNG state or thread identity enters. Topologies with fewer than
-/// two edges get no double scenarios. Exposed for tests.
+/// (kDoubleSampled) ResilienceConfig::kDoubleSamples two-link scenarios
+/// sampled with replacement from the unordered edge pairs by a SplitMix64
+/// stream seeded with g.fingerprint(). A pure function of (g, config) — no
+/// evaluation order, RNG state or thread identity enters. Topologies with
+/// fewer than two edges get no double scenarios. Exposed for tests.
 std::vector<std::vector<Edge>> enumerate_failure_scenarios(
     const Topology& g, const ResilienceConfig& config);
 

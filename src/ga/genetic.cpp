@@ -12,43 +12,22 @@
 
 namespace cold {
 
-GaConfig GaConfig::resolved() const {
-  GaConfig c = *this;
-  if (c.population < 2) {
+void GaConfig::validate() const {
+  if (population < 2) {
     throw std::invalid_argument("GaConfig: population must be >= 2");
   }
-  if (c.generations == 0) {
+  if (generations == 0) {
     throw std::invalid_argument("GaConfig: generations must be >= 1");
   }
-  if (c.num_saved == 0 && c.num_crossover == 0 && c.num_mutation == 0) {
-    c.num_saved = std::max<std::size_t>(1, c.population / 10);
-    c.num_mutation = 3 * c.population / 10;
-    c.num_crossover = c.population - c.num_saved - c.num_mutation;
-  }
-  if (c.num_saved + c.num_crossover + c.num_mutation != c.population) {
-    throw std::invalid_argument(
-        "GaConfig: saved + crossover + mutation must equal population");
-  }
-  if (c.num_saved == 0) {
-    throw std::invalid_argument("GaConfig: need num_saved >= 1 (elitism)");
-  }
-  // Clamp the tournament to the population *before* validating parents_a:
-  // a tournament can never inspect more individuals than exist, but a
-  // parents_a that exceeds the clamped tournament is a configuration error,
-  // not something to silently shrink.
-  c.tournament_b = std::min(c.tournament_b, c.population);
-  if (c.parents_a < 1 || c.parents_a > c.tournament_b) {
-    throw std::invalid_argument(
-        "GaConfig: need 1 <= parents_a <= tournament_b (after clamping "
-        "tournament_b to population)");
-  }
-  if (c.node_mutation_prob < 0.0 || c.node_mutation_prob > 1.0) {
-    throw std::invalid_argument("GaConfig: node_mutation_prob outside [0,1]");
-  }
-  if (c.init_link_prob < 0.0 || c.init_link_prob > 1.0) {
-    throw std::invalid_argument("GaConfig: init_link_prob outside [0,1]");
-  }
-  return c;
+}
+
+GaRecipe GaRecipe::of(std::size_t population) {
+  GaRecipe r;
+  r.saved = std::max<std::size_t>(1, population / 10);
+  r.mutation = 3 * population / 10;
+  r.crossover = population - r.saved - r.mutation;
+  r.tournament = std::min(kGaTournament, population);
+  return r;
 }
 
 namespace {
@@ -59,10 +38,8 @@ std::vector<Topology> initial_population(Objective& eval, const GaConfig& cfg,
   const std::size_t n = eval.num_nodes();
   std::vector<Topology> pop;
   pop.reserve(cfg.population);
-  if (cfg.include_mst_seed) {
-    pop.push_back(minimum_spanning_tree(eval.lengths()));
-  }
-  if (cfg.include_clique_seed && pop.size() < cfg.population) {
+  pop.push_back(minimum_spanning_tree(eval.lengths()));
+  if (cfg.include_clique_seed) {
     pop.push_back(Topology::complete(n));
   }
   for (const Topology& s : seeds) {
@@ -72,9 +49,8 @@ std::vector<Topology> initial_population(Objective& eval, const GaConfig& cfg,
     }
     pop.push_back(s);
   }
-  const double p = cfg.init_link_prob > 0.0
-                       ? cfg.init_link_prob
-                       : std::min(1.0, 2.5 / static_cast<double>(n - 1));
+  const double p =
+      std::min(1.0, kInitMeanDegree / static_cast<double>(n - 1));
   while (pop.size() < cfg.population) {
     Topology g(n);
     for (NodeId i = 0; i < n; ++i) {
@@ -161,7 +137,9 @@ class ParallelScorer {
 }  // namespace
 
 GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
-  const GaConfig cfg = options.config.resolved();
+  const GaConfig& cfg = options.config;
+  cfg.validate();
+  const GaRecipe recipe = GaRecipe::of(cfg.population);
   const std::size_t n = eval.num_nodes();
   if (n < 2) throw std::invalid_argument("run_ga: need at least 2 PoPs");
   RunObserver* observer = options.observer;
@@ -213,7 +191,7 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
     next.clear();
     next_costs.clear();
     // 1. Elites survive unchanged.
-    for (std::size_t i = 0; i < cfg.num_saved; ++i) {
+    for (std::size_t i = 0; i < recipe.saved; ++i) {
       next.push_back(pop[rank[i]]);
       next_costs.push_back(costs[rank[i]]);
     }
@@ -222,9 +200,9 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
     // engine did (repair and scoring are RNG-free, so deferring them does
     // not perturb the stream).
     // 2a. Crossover children.
-    for (std::size_t i = 0; i < cfg.num_crossover; ++i) {
+    for (std::size_t i = 0; i < recipe.crossover; ++i) {
       const auto parent_idx =
-          select_parents(costs, cfg.parents_a, cfg.tournament_b, rng);
+          select_parents(costs, kGaParents, recipe.tournament, rng);
       std::vector<const Topology*> parents;
       std::vector<double> parent_costs;
       for (std::size_t pi : parent_idx) {
@@ -238,10 +216,10 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
       next_costs.push_back(0.0);
     }
     // 2b. Mutants.
-    for (std::size_t i = 0; i < cfg.num_mutation; ++i) {
+    for (std::size_t i = 0; i < recipe.mutation; ++i) {
       Topology mutant = pop[inverse_cost_index(costs, rng)];
       parent_hints[next.size()] = mutant.fingerprint();
-      if (rng.bernoulli(cfg.node_mutation_prob)) {
+      if (rng.bernoulli(kNodeMutationProb)) {
         if (!node_mutation(mutant, lengths, rng)) {
           link_mutation(mutant, rng);
         }
@@ -252,7 +230,7 @@ GaResult run_ga(Objective& eval, Rng& rng, const GaRunOptions& options) {
       next_costs.push_back(0.0);
     }
     // 3. Repair + score every non-elite in parallel.
-    scorer.score(next, next_costs, cfg.num_saved, result, &parent_hints);
+    scorer.score(next, next_costs, recipe.saved, result, &parent_hints);
     pop.swap(next);
     costs.swap(next_costs);
     ++result.generations_run;

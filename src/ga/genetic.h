@@ -1,13 +1,19 @@
 // The Genetic Algorithm that solves COLD's topology optimization (paper §4).
 //
-// Each candidate topology is an adjacency matrix. A generation is built from
-// (a) the best `num_saved` survivors, (b) `num_crossover` children of
-// tournament-selected parents, and (c) `num_mutation` mutants of
-// inverse-cost-selected individuals. Offspring are repaired to connectivity
-// before scoring. The initial population contains the distance-MST, the full
-// mesh, any caller-provided seed topologies (this is the "initialized GA" of
-// Fig 3 when seeded with the greedy heuristics' outputs), and Erdős–Rényi
-// fillers.
+// Each candidate topology is an adjacency matrix. The recipe is the paper's
+// and has no settings beyond the population size M (GaRecipe::of):
+//   * elitism: the best saved = max(1, M/10) survive unchanged (§4);
+//   * mutation: 3M/10 mutants of inverse-cost-selected individuals, each a
+//     node->leaf mutation with probability 0.5, else a link mutation
+//     (§4.1.2);
+//   * crossover: every remaining slot is a child of a = 2 parents kept from
+//     a tournament of b = min(10, M) (§4.1.1).
+// Offspring are repaired to connectivity (§4.1.3) before scoring. The initial
+// population contains the distance-MST, the full mesh, any caller-provided
+// seed topologies (this is the "initialized GA" of Fig 3 when seeded with the
+// greedy heuristics' outputs), and Erdős–Rényi fillers with link probability
+// min(1, 2.5/(n-1)), which aims p*C(n,2) at the typical optimal link count
+// (§4.1).
 #pragma once
 
 #include <cstdint>
@@ -22,27 +28,31 @@
 
 namespace cold {
 
+/// Parents kept per crossover, the "a" of keep-best-a-of-b (§4.1.1).
+inline constexpr std::size_t kGaParents = 2;
+/// Candidates per tournament, the "b" of keep-best-a-of-b (§4.1.1); clamped
+/// to the population.
+inline constexpr std::size_t kGaTournament = 10;
+/// Probability that a mutation is the node->leaf kind (vs link mutation).
+inline constexpr double kNodeMutationProb = 0.5;
+/// Expected degree of the random initial topologies: their link
+/// probability is min(1, kInitMeanDegree / (n - 1)).
+inline constexpr double kInitMeanDegree = 2.5;
+
+/// One generation's composition, derived from the population size alone.
+struct GaRecipe {
+  std::size_t saved = 0;       ///< elites: max(1, M/10)
+  std::size_t crossover = 0;   ///< M - saved - mutation
+  std::size_t mutation = 0;    ///< 3M/10
+  std::size_t tournament = 0;  ///< min(kGaTournament, M)
+
+  static GaRecipe of(std::size_t population);
+};
+
 struct GaConfig {
   std::size_t population = 100;   ///< M (paper default 100)
   std::size_t generations = 100;  ///< T (paper default 100)
 
-  /// Per-generation composition. If all three are zero they are derived as
-  /// saved = max(1, M/10), mutation = 3M/10, crossover = the remainder.
-  std::size_t num_saved = 0;
-  std::size_t num_crossover = 0;
-  std::size_t num_mutation = 0;
-
-  std::size_t parents_a = 2;      ///< parents kept per crossover (paper: 2)
-  std::size_t tournament_b = 10;  ///< candidates per tournament (paper: 10)
-
-  /// Probability that a mutation is the node->leaf kind (vs link mutation).
-  double node_mutation_prob = 0.5;
-
-  /// Link probability for the random initial topologies; 0 picks
-  /// ~2.5/(n-1), aiming p*C(n,2) at the typical optimal link count (§4.1).
-  double init_link_prob = 0.0;
-
-  bool include_mst_seed = true;
   bool include_clique_seed = true;
 
   /// Worker threads for offspring repair + scoring (the hot path: one
@@ -52,9 +62,9 @@ struct GaConfig {
   /// RNG-free with results written to per-offspring slots.
   ParallelConfig parallel;
 
-  /// Returns a copy with derived fields resolved and validated; throws
-  /// std::invalid_argument on inconsistent settings.
-  GaConfig resolved() const;
+  /// Throws std::invalid_argument unless population >= 2 and
+  /// generations >= 1.
+  void validate() const;
 };
 
 struct GaResult {

@@ -1,6 +1,7 @@
 #include "io/json.h"
 
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -68,13 +69,19 @@ std::string network_to_json(const Network& net) {
 
 Network network_from_json(const std::string& json) {
   const JsonValue doc = parse_json(json);
-  const auto n = static_cast<std::size_t>(doc.field("num_pops").number());
+  // Counts and ids go through uint(), which refuses negative, fractional and
+  // out-of-range numbers instead of casting them.
+  const std::uint64_t n = doc.field("num_pops").uint();
   const double overprovision = doc.field("overprovision").number();
+  const JsonArray& pops = doc.field("pops").array();
+  // Every PoP is listed once, so a count beyond the list is malformed; the
+  // check comes before n sizes any allocation.
+  if (n > pops.size()) throw std::runtime_error("JSON: num_pops exceeds pops");
 
   std::vector<Point> locations(n);
   std::vector<double> populations(n);
-  for (const JsonValue& pop : doc.field("pops").array()) {
-    const auto id = static_cast<std::size_t>(pop.field("id").number());
+  for (const JsonValue& pop : pops) {
+    const std::uint64_t id = pop.field("id").uint();
     if (id >= n) throw std::runtime_error("JSON: pop id out of range");
     locations[id] = Point{pop.field("x").number(), pop.field("y").number()};
     populations[id] = pop.field("population").number();
@@ -82,8 +89,12 @@ Network network_from_json(const std::string& json) {
 
   Topology g(n);
   for (const JsonValue& link : doc.field("links").array()) {
-    g.add_edge(static_cast<NodeId>(link.field("u").number()),
-               static_cast<NodeId>(link.field("v").number()));
+    const std::uint64_t u = link.field("u").uint();
+    const std::uint64_t v = link.field("v").uint();
+    if (u >= n || v >= n) {
+      throw std::runtime_error("JSON: link endpoint out of range");
+    }
+    g.add_edge(u, v);
   }
 
   Matrix<double> traffic = Matrix<double>::square(n, 0.0);

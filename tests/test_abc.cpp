@@ -76,10 +76,11 @@ TEST(AbcEstimate, HubbyTargetFavoursHighK3) {
   if (!r.accepted.empty()) {
     double log_k3 = 0.0;
     for (const AbcDraw& d : r.accepted) {
-      log_k3 += std::log(std::max(d.params.k3, cfg.prior.k3_floor));
+      log_k3 += std::log(std::max(d.params.k3, kAbcPrior.k3_floor));
     }
     log_k3 /= static_cast<double>(r.accepted.size());
-    const double prior_median = std::sqrt(cfg.prior.k3_lo * cfg.prior.k3_hi);
+    const double prior_median =
+        std::sqrt(kAbcPrior.k3_lo * kAbcPrior.k3_hi);
     EXPECT_GT(std::exp(log_k3), prior_median);
     EXPECT_GT(r.posterior_mean.k3, 0.0);
   } else {

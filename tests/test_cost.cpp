@@ -127,14 +127,9 @@ TEST(Evaluator, ValidatesObjectiveWeights) {
     oversub.multipath.oversub_weight = bad;
     EXPECT_THROW(make(oversub), std::invalid_argument) << bad;
   }
-  // The sweep's own settings: a double-sampled sweep with no samples would
-  // quietly assess single links only, and capacities below the loads
-  // (overprovision < 1) or NaN would make every scenario overloaded.
+  // The sweep's own settings: capacities below the loads (overprovision
+  // < 1) or NaN would make every scenario overloaded.
   EvalEngineConfig sweep;
-  sweep.resilience = {.enabled = true,
-                      .scenarios = FailureScenarioSet::kDoubleSampled,
-                      .double_samples = 0};
-  EXPECT_THROW(make(sweep), std::invalid_argument);
   for (const double bad : {0.5, std::nan(""), kInf}) {
     sweep.resilience = {.enabled = true, .overprovision = bad};
     EXPECT_THROW(make(sweep), std::invalid_argument) << bad;
@@ -167,13 +162,19 @@ TEST(Evaluator, ZeroCostsGiveZero) {
 }
 
 TEST(Evaluator, LastLoadsExposed) {
-  Evaluator eval = line_evaluator(CostParams{});
+  // The loads behind the bandwidth term: route_loads over the evaluator's
+  // own context.
+  const CostParams params;
+  Evaluator eval = line_evaluator(params);
   Topology path(3);
   path.add_edge(0, 1);
   path.add_edge(1, 2);
-  const EvalResult r = eval.evaluate(path, {.want_loads = true});
-  ASSERT_TRUE(r.loads_valid);
-  EXPECT_DOUBLE_EQ(r.loads.at(0, 1), 4.0);
+  EdgeLoads loads;
+  RoutingWorkspace ws;
+  ASSERT_TRUE(route_loads(path, eval.lengths(), eval.traffic(), loads, ws));
+  EXPECT_DOUBLE_EQ(loads.at(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(eval.evaluate(path).breakdown.bandwidth,
+                   params.k2 * (loads.at(0, 1) + loads.at(1, 2)));
 }
 
 TEST(Evaluator, MoreTrafficNeverCheaper) {

@@ -107,40 +107,6 @@ TEST(EvaluatorCache, CloneMergeFoldsCacheStats) {
   EXPECT_EQ(eval.evaluations(), 3u);
 }
 
-TEST(EvaluatorLoads, LastLoadsRequiresFreshFeasibleRouting) {
-  // Loads come back only from a requested, feasible, freshly routed
-  // evaluation: never with partial routes, never from a cache hit.
-  const Context ctx = small_context(6, 6);
-  EvalEngineConfig engine;
-  engine.cache.enabled = true;
-  Evaluator eval(ctx.distances, ctx.traffic, kCosts, engine);
-  const EvalRequest want_loads{.want_loads = true};
-
-  const Topology ring = Topology::from_edges(
-      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
-  EvalResult r = eval.evaluate(ring, want_loads);
-  ASSERT_TRUE(r.feasible());
-  EXPECT_TRUE(r.loads_valid);
-  EXPECT_EQ(r.loads.num_edges(), 6u);
-
-  // An infeasible evaluation leaves partial loads: they must not be served.
-  const Topology disconnected = Topology::from_edges(6, {{0, 1}});
-  r = eval.evaluate(disconnected, want_loads);
-  ASSERT_FALSE(r.feasible());
-  EXPECT_FALSE(r.loads_valid);
-
-  r = eval.evaluate(ring, want_loads);  // cache hit: routing skipped
-  ASSERT_TRUE(r.feasible());
-  EXPECT_FALSE(r.loads_valid);
-
-  // Unrequested loads are not copied even when routing ran.
-  const Topology path =
-      Topology::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  r = eval.evaluate(path);
-  ASSERT_TRUE(r.feasible());
-  EXPECT_FALSE(r.loads_valid);
-}
-
 // The engine's headline guarantee: the GA trajectory is invariant under
 // every {cache, thread count} combination. (Solver exactness is pinned below
 // the GA: SpAlgorithm.SparseIsBitIdenticalToDense and

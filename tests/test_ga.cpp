@@ -31,57 +31,39 @@ GaConfig small_ga() {
 }
 
 TEST(GaConfig, DerivesComposition) {
-  GaConfig cfg;
-  cfg.population = 100;
-  const GaConfig r = cfg.resolved();
-  EXPECT_EQ(r.num_saved, 10u);
-  EXPECT_EQ(r.num_mutation, 30u);
-  EXPECT_EQ(r.num_crossover, 60u);
-  EXPECT_EQ(r.num_saved + r.num_crossover + r.num_mutation, r.population);
+  const GaRecipe r = GaRecipe::of(100);
+  EXPECT_EQ(r.saved, 10u);
+  EXPECT_EQ(r.mutation, 30u);
+  EXPECT_EQ(r.crossover, 60u);
+  EXPECT_EQ(r.tournament, kGaTournament);
+  // The tournament never inspects more individuals than exist.
+  EXPECT_EQ(GaRecipe::of(8).tournament, 8u);
 }
 
 TEST(GaConfig, ValidatesComposition) {
-  GaConfig cfg;
-  cfg.population = 10;
-  cfg.num_saved = 5;
-  cfg.num_crossover = 3;
-  cfg.num_mutation = 3;  // sums to 11 != 10
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
-  cfg.num_mutation = 2;
-  EXPECT_NO_THROW(cfg.resolved());
+  // Every population size splits exactly, keeps an elite, and leaves a
+  // tournament large enough to keep kGaParents parents.
+  for (std::size_t m = 2; m <= 300; ++m) {
+    const GaRecipe r = GaRecipe::of(m);
+    EXPECT_EQ(r.saved + r.crossover + r.mutation, m) << m;
+    EXPECT_GE(r.saved, 1u) << m;
+    EXPECT_GE(r.tournament, kGaParents) << m;
+    EXPECT_LE(r.tournament, m) << m;
+  }
 }
 
 TEST(GaConfig, ValidatesRanges) {
   GaConfig cfg;
+  EXPECT_NO_THROW(cfg.validate());
   cfg.population = 1;
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = GaConfig{};
   cfg.generations = 0;
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
-  cfg = GaConfig{};
-  cfg.node_mutation_prob = 1.5;
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
-  cfg = GaConfig{};
-  cfg.parents_a = 11;
-  cfg.tournament_b = 10;
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
-}
-
-TEST(GaConfig, RejectsParentsBeyondClampedTournament) {
-  // tournament_b is clamped to the population before validation, so a
-  // parents_a that only fit the pre-clamp tournament is rejected rather
-  // than silently shrunk (the old ordering validated first, clamped after).
-  GaConfig cfg;
-  cfg.population = 8;
-  cfg.tournament_b = 20;  // > population: clamped to 8
-  cfg.parents_a = 12;     // fits 20, not the clamped 8 -> must throw
-  EXPECT_THROW(cfg.resolved(), std::invalid_argument);
-
-  cfg.parents_a = 2;  // fits the clamped tournament: fine
-  GaConfig r;
-  EXPECT_NO_THROW(r = cfg.resolved());
-  EXPECT_EQ(r.tournament_b, 8u);
-  EXPECT_EQ(r.parents_a, 2u);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // run_ga checks the config itself, without a Synthesizer in front.
+  Evaluator eval = make_evaluator(6, CostParams{});
+  Rng rng(1);
+  EXPECT_THROW(run_ga(eval, rng, {.config = cfg}), std::invalid_argument);
 }
 
 TEST(RunGa, ProducesConnectedFiniteBest) {

@@ -131,11 +131,6 @@ TEST(GrowNetwork, Validates) {
 
   // Engine checks hold without a Synthesizer in front.
   GrowthConfig engine_bad = small_growth();
-  engine_bad.engine.resilience = {
-      .enabled = true,
-      .scenarios = FailureScenarioSet::kDoubleSampled,
-      .double_samples = 0};
-  EXPECT_THROW(grow_network(base, engine_bad, 1), std::invalid_argument);
   for (const double bad : {0.5, std::nan("")}) {
     engine_bad.engine.resilience = {.enabled = true, .overprovision = bad};
     EXPECT_THROW(grow_network(base, engine_bad, 1), std::invalid_argument)

@@ -83,6 +83,29 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(network_from_json("{\"num_pops\": 2}"), std::runtime_error);
   EXPECT_THROW(network_from_json("not json"), std::runtime_error);
   EXPECT_THROW(network_from_json("{} trailing"), std::runtime_error);
+
+  // num_pops, id, u and v index arrays, so each must be an exact unsigned
+  // integer: a fractional id must not name PoP 0, and a negative or huge
+  // value must not reach a size_t conversion (undefined for such doubles).
+  const auto doc = [](const std::string& num_pops, const std::string& id,
+                      const std::string& u) {
+    return R"({"num_pops": )" + num_pops + R"(, "overprovision": 1,
+      "pops": [{"id": )" + id + R"(, "x": 0, "y": 0, "population": 1},
+               {"id": 1, "x": 1, "y": 0, "population": 1}],
+      "links": [{"u": )" + u + R"(, "v": 1}],
+      "traffic": [[0, 1], [1, 0]]})";
+  };
+  EXPECT_EQ(network_from_json(doc("2", "0", "0")).num_links(), 1u);
+  EXPECT_THROW(network_from_json(doc("2", "0.7", "0")), std::runtime_error);
+  EXPECT_THROW(network_from_json(doc("-3", "0", "0")), std::runtime_error);
+  EXPECT_THROW(network_from_json(doc("2", "0", "-1")), std::runtime_error);
+  // A count the pops list cannot back is refused before it sizes anything.
+  EXPECT_THROW(network_from_json(doc("1000000000000", "0", "0")),
+               std::runtime_error);
+  EXPECT_THROW(network_from_json(R"({"num_pops": 1e30, "overprovision": 1,
+                                     "pops": [], "links": [],
+                                     "traffic": []})"),
+               std::runtime_error);
 }
 
 TEST(Json, RejectsSemanticViolations) {

@@ -97,12 +97,11 @@ TEST(FailureScenarios, DoubleSamplingIsDeterministicAndValid) {
   ResilienceConfig cfg;
   cfg.enabled = true;
   cfg.scenarios = FailureScenarioSet::kDoubleSampled;
-  cfg.double_samples = 8;
   const auto a = enumerate_failure_scenarios(g, cfg);
   const auto b = enumerate_failure_scenarios(g, cfg);
   EXPECT_EQ(a, b);  // same (g, config) -> same list, always
   const std::size_t m = g.edges().size();
-  ASSERT_EQ(a.size(), m + 8);
+  ASSERT_EQ(a.size(), m + ResilienceConfig::kDoubleSamples);
   for (std::size_t i = m; i < a.size(); ++i) {
     ASSERT_EQ(a[i].size(), 2u);
     EXPECT_TRUE(g.has_edge(a[i][0].u, a[i][0].v));
@@ -117,7 +116,6 @@ TEST(FailureScenarios, FewerThanTwoEdgesYieldsNoDoubles) {
   ResilienceConfig cfg;
   cfg.enabled = true;
   cfg.scenarios = FailureScenarioSet::kDoubleSampled;
-  cfg.double_samples = 8;
   EXPECT_EQ(enumerate_failure_scenarios(g, cfg).size(), 1u);
 }
 
@@ -134,7 +132,6 @@ void check_sweep_matches_reference(const Topology& g, const Context& ctx,
   ResilienceConfig cfg;
   cfg.enabled = true;
   cfg.scenarios = FailureScenarioSet::kDoubleSampled;
-  cfg.double_samples = 6;
   cfg.overprovision = 1.25;
 
   // The candidate's own routing: loads size the capacities, retained trees
@@ -349,12 +346,6 @@ TEST(ResilientObjective, SynthesizerValidatesTheConfig) {
   bad.engine.resilience.weight =
       std::numeric_limits<double>::infinity();
   EXPECT_THROW(Synthesizer{bad}, std::invalid_argument);
-
-  SynthesisConfig zero_samples = resilient_config();
-  zero_samples.engine.resilience.scenarios =
-      FailureScenarioSet::kDoubleSampled;
-  zero_samples.engine.resilience.double_samples = 0;
-  EXPECT_THROW(Synthesizer{zero_samples}, std::invalid_argument);
 
   // The sweep's capacities track the Network the run would provision.
   SynthesisConfig sync = resilient_config();

@@ -7,7 +7,7 @@
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
 //   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
-//                 + synth options
+//                 + synth options except --format and --out
 //   cold metrics  --in FILE [--format text|json] [--out FILE]
 //   cold estimate --in FILE [--draws N] [--epsilon E] [--seed S]
 //                 [--format text|json] [--out FILE]
@@ -91,7 +91,9 @@ const std::vector<OptionSpec> kRunControlOpts = {
     {"max-evals", true, "N (0 = unlimited)"},
 };
 
-std::vector<OptionSpec> synth_specs() {
+/// The options of one synthesis run; synth adds kOutputOpts, ensemble (which
+/// prints a summary, not a network) does not.
+std::vector<OptionSpec> run_specs() {
   return concat_specs({{{"pops", true, "N (30)"},
                         {"seed", true, "S (1)"},
                         {"overprovision", true, "O (1)"},
@@ -122,13 +124,14 @@ std::vector<OptionSpec> synth_specs() {
                        kCostOpts,
                        kGaOpts,
                        kEngineOpts,
-                       kOutputOpts,
                        kReportOpt,
                        kRunControlOpts});
 }
 
 CliOptions spec_for(const std::string& command) {
-  if (command == "synth") return {"synth", synth_specs()};
+  if (command == "synth") {
+    return {"synth", concat_specs({run_specs(), kOutputOpts})};
+  }
   if (command == "ensemble") {
     return {"ensemble",
             concat_specs({{{"count", true, "N (20)"},
@@ -136,7 +139,7 @@ CliOptions spec_for(const std::string& command) {
                            {"exemplars", true,
                             "N (0): keep a deterministic reservoir sample of "
                             "N runs (streams the ensemble)"}},
-                          synth_specs()})};
+                          run_specs()})};
   }
   if (command == "metrics") {
     return {"metrics", concat_specs({{{"in", true, "FILE (edge list)"},
@@ -195,7 +198,8 @@ void print_usage() {
       "            flat for any count) --exemplars N (0: keep a\n"
       "            deterministic reservoir of N full runs while streaming;\n"
       "            seeds land in the report's ensemble_exemplars block)\n"
-      "            + synth options\n"
+      "            + synth options except --format and --out (the summary\n"
+      "            goes to stdout)\n"
       "  metrics   print metrics of an edge-list file\n"
       "            --in FILE --format text|json (text) --out FILE\n"
       "  estimate  ABC-estimate cost parameters from an edge-list file\n"
@@ -290,15 +294,25 @@ EvalEngineConfig engine_from(const CliOptions& args) {
   return engine;
 }
 
+/// Reads kCostOpts and kGaOpts, the options synth, ensemble and grow share.
+/// --threads sets the GA's workers (0 = all available cores; any value
+/// yields bit-identical output).
+void read_cost_and_ga(const CliOptions& args, CostParams& costs,
+                      GaConfig& ga) {
+  costs.k0 = args.num("k0", 10.0);
+  costs.k1 = args.num("k1", 1.0);
+  costs.k2 = args.num("k2", 4e-4);
+  costs.k3 = args.num("k3", 10.0);
+  ga.population = args.uint("population", 48);
+  ga.generations = args.uint("generations", 40);
+  ga.parallel.num_threads = args.uint("threads", 0);
+}
+
 SynthesisConfig config_from(const CliOptions& args) {
   SynthesisConfig cfg;
   cfg.context.num_pops = args.uint("pops", 30);
-  cfg.costs.k0 = args.num("k0", 10.0);
-  cfg.costs.k1 = args.num("k1", 1.0);
-  cfg.costs.k2 = args.num("k2", 4e-4);
-  cfg.costs.k3 = args.num("k3", 10.0);
-  cfg.ga.population = args.uint("population", 48);
-  cfg.ga.generations = args.uint("generations", 40);
+  read_cost_and_ga(args, cfg.costs, cfg.ga);
+  cfg.parallel = cfg.ga.parallel;  // --threads also sets ensemble fan-out
   cfg.overprovision = args.num("overprovision", 1.0);
   cfg.context.gravity.topk = args.uint("traffic-topk", 0);
   cfg.engine = engine_from(args);
@@ -344,10 +358,6 @@ SynthesisConfig config_from(const CliOptions& args) {
     cfg.engine.multipath.max_util_weight = args.num("max-util-weight", 0.0);
     cfg.engine.multipath.oversub_weight = args.num("oversub-weight", 0.0);
   }
-  // 0 = all available cores; any value yields bit-identical output.
-  const std::size_t threads = args.uint("threads", 0);
-  cfg.ga.parallel.num_threads = threads;
-  cfg.parallel.num_threads = threads;
   return cfg;
 }
 
@@ -646,13 +656,7 @@ int cmd_grow(const CliOptions& args) {
   cfg.new_pops = args.uint("new-pops", 5);
   cfg.population_growth = args.num("growth", 1.2);
   cfg.decommission_factor = args.num("decommission", 1.0);
-  cfg.costs.k0 = args.num("k0", 10.0);
-  cfg.costs.k1 = args.num("k1", 1.0);
-  cfg.costs.k2 = args.num("k2", 4e-4);
-  cfg.costs.k3 = args.num("k3", 10.0);
-  cfg.ga.population = args.uint("population", 48);
-  cfg.ga.generations = args.uint("generations", 40);
-  cfg.ga.parallel.num_threads = args.uint("threads", 0);
+  read_cost_and_ga(args, cfg.costs, cfg.ga);
   cfg.observer = telemetry.observer();
   cfg.stop = telemetry.stop();
   const std::uint64_t seed = args.uint("seed", 1);
