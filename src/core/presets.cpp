@@ -36,17 +36,4 @@ std::string to_string(NetworkStyle style) {
   throw std::invalid_argument("to_string: unknown NetworkStyle");
 }
 
-NetworkStyle network_style_from_string(const std::string& name) {
-  for (NetworkStyle style : all_network_styles()) {
-    if (to_string(style) == name) return style;
-  }
-  throw std::invalid_argument("unknown network style: " + name);
-}
-
-std::vector<NetworkStyle> all_network_styles() {
-  return {NetworkStyle::kTree, NetworkStyle::kHubAndSpoke,
-          NetworkStyle::kRegional, NetworkStyle::kBalanced,
-          NetworkStyle::kMesh};
-}
-
 }  // namespace cold

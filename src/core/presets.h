@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cost/cost_model.h"
 
@@ -28,12 +27,5 @@ CostParams preset_costs(NetworkStyle style);
 
 /// Stable identifier (for CLIs / serialization), e.g. "hub-and-spoke".
 std::string to_string(NetworkStyle style);
-
-/// Parses the identifier produced by to_string; throws std::invalid_argument
-/// on unknown names.
-NetworkStyle network_style_from_string(const std::string& name);
-
-/// All styles in declaration order.
-std::vector<NetworkStyle> all_network_styles();
 
 }  // namespace cold

@@ -60,9 +60,9 @@ class Evaluator {
  public:
   /// `lengths`: symmetric PoP distance matrix. `traffic`: demand matrix
   /// (ordered pairs, symmetric under the gravity model). Both n x n.
-  /// Compat form: wraps the matrices in an always-dense DistanceProvider
-  /// and a CompressedTraffic, so this path is bit-for-bit the historical
-  /// dense evaluator at any n.
+  /// Owns copies of both matrices (an always-dense DistanceProvider and a
+  /// CompressedTraffic), so callers may pass temporaries. Only tests use
+  /// this form (tools/link_audit_allow.txt).
   Evaluator(Matrix<double> lengths, Matrix<double> traffic, CostParams params,
             EvalEngineConfig engine = {});
 

@@ -28,15 +28,6 @@ bool try_swap(Topology& g, Rng& rng, bool require_2k) {
   return true;
 }
 
-std::size_t rewire(Topology& g, std::size_t attempts, Rng& rng,
-                   bool require_2k) {
-  std::size_t applied = 0;
-  for (std::size_t i = 0; i < attempts; ++i) {
-    if (try_swap(g, rng, require_2k)) ++applied;
-  }
-  return applied;
-}
-
 Topology sample(const Topology& g, Rng& rng, bool require_2k) {
   Topology out = g;
   const std::size_t target = 10 * g.num_edges();
@@ -49,14 +40,6 @@ Topology sample(const Topology& g, Rng& rng, bool require_2k) {
 }
 
 }  // namespace
-
-std::size_t rewire_preserving_1k(Topology& g, std::size_t attempts, Rng& rng) {
-  return rewire(g, attempts, rng, /*require_2k=*/false);
-}
-
-std::size_t rewire_preserving_2k(Topology& g, std::size_t attempts, Rng& rng) {
-  return rewire(g, attempts, rng, /*require_2k=*/true);
-}
 
 Topology sample_1k_random(const Topology& g, Rng& rng) {
   return sample(g, rng, /*require_2k=*/false);

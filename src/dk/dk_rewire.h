@@ -13,17 +13,9 @@
 
 namespace cold {
 
-/// Attempts `attempts` random double edge swaps, applying those that keep
-/// the graph simple. Preserves the degree sequence (1K). Returns the number
-/// of applied swaps.
-std::size_t rewire_preserving_1k(Topology& g, std::size_t attempts, Rng& rng);
-
-/// Like rewire_preserving_1k, but only applies swaps that also preserve the
-/// joint degree distribution (2K).
-std::size_t rewire_preserving_2k(Topology& g, std::size_t attempts, Rng& rng);
-
-/// Convenience: a fresh 1K-random (resp. 2K-random) sample: copies g and
-/// applies ~10 * |E| accepted swaps (a common mixing heuristic).
+/// A fresh 1K-random (resp. 2K-random) sample: copies g and applies
+/// ~10 * |E| accepted random double edge swaps that keep the graph simple
+/// (a common mixing heuristic).
 Topology sample_1k_random(const Topology& g, Rng& rng);
 Topology sample_2k_random(const Topology& g, Rng& rng);
 

@@ -18,24 +18,6 @@ Matrix<double> distance_matrix(const std::vector<Point>& points) {
   return d;
 }
 
-std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
-                          const std::vector<bool>& excluded) {
-  if (excluded.size() != points.size()) {
-    throw std::invalid_argument("nearest_point: excluded mask size mismatch");
-  }
-  std::size_t best = points.size();
-  double best_dist = 0.0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (excluded[i]) continue;
-    const double d = distance(points[i], from);
-    if (best == points.size() || d < best_dist) {
-      best = i;
-      best_dist = d;
-    }
-  }
-  return best;
-}
-
 DistanceProvider::DistanceProvider(const Matrix<double>& dense)
     // Aliasing shared_ptr with an empty control block: a view, no ownership.
     : dense_(std::shared_ptr<const Matrix<double>>(

@@ -15,12 +15,6 @@ namespace cold {
 /// Symmetric n x n matrix of Euclidean distances; zero diagonal.
 Matrix<double> distance_matrix(const std::vector<Point>& points);
 
-/// Index of the point in `points` closest to `from`, excluding indices for
-/// which `excluded[i]` is true. Returns points.size() if all are excluded.
-/// Deterministic tie-break: lowest index wins.
-std::size_t nearest_point(const std::vector<Point>& points, const Point& from,
-                          const std::vector<bool>& excluded);
-
 /// The evaluation engine's distance oracle: answers lengths(i, j) either
 /// from a materialized dense matrix or on demand from PoP coordinates.
 ///

@@ -53,23 +53,4 @@ std::vector<Point> ClusteredProcess::sample(std::size_t n,
   return points;
 }
 
-FixedLocations::FixedLocations(std::vector<Point> points)
-    : points_(std::move(points)) {}
-
-std::vector<Point> FixedLocations::sample(std::size_t n,
-                                          const Rectangle& region, Rng&) const {
-  if (n > points_.size()) {
-    throw std::invalid_argument(
-        "FixedLocations: fewer stored points than requested");
-  }
-  std::vector<Point> out(points_.begin(),
-                         points_.begin() + static_cast<std::ptrdiff_t>(n));
-  for (const Point& p : out) {
-    if (!region.contains(p)) {
-      throw std::invalid_argument("FixedLocations: point outside region");
-    }
-  }
-  return out;
-}
-
 }  // namespace cold

@@ -51,17 +51,4 @@ class ClusteredProcess final : public PointProcess {
   double spread_;
 };
 
-/// Fixed, user-supplied locations (e.g. real city coordinates). Sampling
-/// returns the first n stored points; throws if fewer are available.
-class FixedLocations final : public PointProcess {
- public:
-  explicit FixedLocations(std::vector<Point> points);
-
-  std::vector<Point> sample(std::size_t n, const Rectangle& region,
-                            Rng& rng) const override;
-
- private:
-  std::vector<Point> points_;
-};
-
 }  // namespace cold

@@ -30,6 +30,4 @@ Point Rectangle::clamp(const Point& p) const {
   return Point{std::clamp(p.x, 0.0, width_), std::clamp(p.y, 0.0, height_)};
 }
 
-double Rectangle::diameter() const { return std::hypot(width_, height_); }
-
 }  // namespace cold

@@ -33,10 +33,6 @@ class Rectangle {
   /// cluster offsets can fall outside).
   Point clamp(const Point& p) const;
 
-  /// Length of the diagonal — the maximum possible link length, used by the
-  /// Waxman baseline.
-  double diameter() const;
-
  private:
   double width_;
   double height_;

@@ -76,25 +76,6 @@ Topology minimum_spanning_tree(const DistanceProvider& weights) {
   return tree;
 }
 
-std::vector<Edge> minimum_spanning_forest(const Topology& g,
-                                          const DistanceProvider& weights) {
-  const std::size_t n = g.num_nodes();
-  if (weights.rows() != n || weights.cols() != n) {
-    throw std::invalid_argument("minimum_spanning_forest: weight shape mismatch");
-  }
-  std::vector<Edge> edges = g.edges();
-  std::stable_sort(edges.begin(), edges.end(),
-                   [&](const Edge& a, const Edge& b) {
-                     return weights(a.u, a.v) < weights(b.u, b.v);
-                   });
-  UnionFind uf(n);
-  std::vector<Edge> out;
-  for (const Edge& e : edges) {
-    if (uf.unite(e.u, e.v)) out.push_back(e);
-  }
-  return out;
-}
-
 std::size_t connect_components(Topology& g, const DistanceProvider& distances) {
   const std::size_t n = g.num_nodes();
   if (distances.rows() != n || distances.cols() != n) {

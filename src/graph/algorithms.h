@@ -26,12 +26,6 @@ bool is_connected(const Topology& g);
 /// complete: any node pair may become a tree edge. Requires n >= 1.
 Topology minimum_spanning_tree(const DistanceProvider& weights);
 
-/// Minimum spanning forest restricted to edges of `g` (Kruskal). Each
-/// component of `g` yields its own tree. Used to cross-check Prim and to
-/// extract tree skeletons from existing networks.
-std::vector<Edge> minimum_spanning_forest(const Topology& g,
-                                          const DistanceProvider& weights);
-
 /// The paper's connectedness repair (§4.1.3): find connected components,
 /// compute the shortest inter-component link for each component pair, and
 /// add the minimum spanning tree over components (weights = physical link

@@ -140,12 +140,6 @@ std::size_t edge_connectivity(const Topology& g) {
   return best;
 }
 
-bool survives_failures(const Topology& g, const std::vector<Edge>& fail) {
-  Topology damaged = g;
-  for (const Edge& e : fail) damaged.remove_edge(e.u, e.v);
-  return is_connected(damaged);
-}
-
 ResilienceReport analyze_resilience(const Topology& g) {
   ResilienceReport report;
   const auto bridges = find_bridges(g);

@@ -27,10 +27,6 @@ std::vector<NodeId> find_articulation_points(const Topology& g);
 /// other node — O(n) flow computations; fine for PoP-scale graphs.
 std::size_t edge_connectivity(const Topology& g);
 
-/// True iff the graph remains connected after removing every one of `fail`
-/// simultaneously (links absent from g are ignored).
-bool survives_failures(const Topology& g, const std::vector<Edge>& fail);
-
 /// Resilience summary used by reports and benches.
 struct ResilienceReport {
   std::size_t bridges = 0;

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <queue>
-#include <stack>
 
 #include "graph/algorithms.h"
-#include "graph/shortest_paths.h"
 
 namespace cold {
 
@@ -104,26 +100,6 @@ double global_clustering(const Topology& g) {
   return 3.0 * static_cast<double>(count_triangles(g)) / triples;
 }
 
-double average_local_clustering(const Topology& g) {
-  const std::size_t n = g.num_nodes();
-  if (n == 0) return 0.0;
-  double total = 0.0;
-  for (NodeId v = 0; v < n; ++v) {
-    const int d = g.degree(v);
-    if (d < 2) continue;
-    const auto nbrs = g.neighbors(v);
-    std::size_t links = 0;
-    for (std::size_t a = 0; a < nbrs.size(); ++a) {
-      for (std::size_t b = a + 1; b < nbrs.size(); ++b) {
-        if (g.has_edge(nbrs[a], nbrs[b])) ++links;
-      }
-    }
-    total += 2.0 * static_cast<double>(links) /
-             (static_cast<double>(d) * (d - 1));
-  }
-  return total / static_cast<double>(n);
-}
-
 double assortativity(const Topology& g) {
   // Newman's formula via sums over edges.
   const auto edges = g.edges();
@@ -141,134 +117,6 @@ double assortativity(const Topology& g) {
   const double den = s_sq / m - (s_sum / m) * (s_sum / m);
   if (den == 0.0) return 0.0;
   return num / den;
-}
-
-double smax_ratio(const Topology& g) {
-  const auto edges = g.edges();
-  if (edges.empty()) return 0.0;
-  double s = 0.0;
-  for (const Edge& e : edges) {
-    s += static_cast<double>(g.degree(e.u)) * g.degree(e.v);
-  }
-  // Greedy upper bound on s_max: pair the largest degree products first.
-  // (Exact s_max requires searching graphs with the same degree sequence;
-  // the standard greedy bound is tight enough to order graphs, which is all
-  // the entropy comparison in [1] needs.)
-  std::vector<int> deg(g.degrees());
-  std::sort(deg.begin(), deg.end(), std::greater<int>());
-  // Build the multiset of the |E| largest degree-pair products d_i * d_j
-  // over i < j (greedy): iterate pairs in decreasing product order via a
-  // priority queue.
-  using Item = std::pair<double, std::pair<std::size_t, std::size_t>>;
-  std::priority_queue<Item> pq;
-  const std::size_t n = deg.size();
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    pq.push({static_cast<double>(deg[i]) * deg[i + 1], {i, i + 1}});
-  }
-  double smax = 0.0;
-  std::size_t taken = 0;
-  while (taken < edges.size() && !pq.empty()) {
-    const auto [prod, ij] = pq.top();
-    pq.pop();
-    smax += prod;
-    ++taken;
-    const auto [i, j] = ij;
-    if (j + 1 < n) {
-      pq.push({static_cast<double>(deg[i]) * deg[j + 1], {i, j + 1}});
-    }
-  }
-  return smax == 0.0 ? 0.0 : s / smax;
-}
-
-namespace {
-
-// Brandes' betweenness; accumulates node and/or edge scores.
-void brandes(const Topology& g, std::vector<double>* node_score,
-             std::vector<double>* edge_score,
-             const std::vector<Edge>* edges) {
-  const std::size_t n = g.num_nodes();
-  // Edge scores are indexed into the caller's lexicographically sorted edge
-  // list (Topology::edges() order), so a canonical pair resolves to its
-  // index by binary search — no n² lookup table.
-  const auto edge_at = [edges](NodeId a, NodeId b) {
-    const Edge e = make_edge(a, b);
-    return static_cast<std::size_t>(
-        std::lower_bound(edges->begin(), edges->end(), e) - edges->begin());
-  };
-  std::vector<double> sigma(n), delta(n);
-  std::vector<int> dist(n);
-  std::vector<std::vector<NodeId>> preds(n);
-  for (NodeId s = 0; s < n; ++s) {
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
-    std::fill(dist.begin(), dist.end(), -1);
-    for (auto& p : preds) p.clear();
-    std::vector<NodeId> stack;
-    std::queue<NodeId> q;
-    sigma[s] = 1.0;
-    dist[s] = 0;
-    q.push(s);
-    while (!q.empty()) {
-      const NodeId v = q.front();
-      q.pop();
-      stack.push_back(v);
-      for (const NodeId w : g.neighbors(v)) {
-        if (dist[w] < 0) {
-          dist[w] = dist[v] + 1;
-          q.push(w);
-        }
-        if (dist[w] == dist[v] + 1) {
-          sigma[w] += sigma[v];
-          preds[w].push_back(v);
-        }
-      }
-    }
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      const NodeId w = *it;
-      for (NodeId v : preds[w]) {
-        const double share = sigma[v] / sigma[w] * (1.0 + delta[w]);
-        delta[v] += share;
-        if (edge_score != nullptr) {
-          (*edge_score)[edge_at(v, w)] += share;
-        }
-      }
-      if (w != s && node_score != nullptr) (*node_score)[w] += delta[w];
-    }
-  }
-  // Each undirected pair was counted from both endpoints; halve.
-  if (node_score != nullptr) {
-    for (double& x : *node_score) x /= 2.0;
-  }
-  if (edge_score != nullptr) {
-    for (double& x : *edge_score) x /= 2.0;
-  }
-}
-
-}  // namespace
-
-std::vector<double> node_betweenness(const Topology& g) {
-  std::vector<double> score(g.num_nodes(), 0.0);
-  brandes(g, &score, nullptr, nullptr);
-  return score;
-}
-
-std::vector<double> edge_betweenness(const Topology& g) {
-  const auto edges = g.edges();
-  std::vector<double> score(edges.size(), 0.0);
-  brandes(g, nullptr, &score, &edges);
-  return score;
-}
-
-std::vector<std::size_t> degree_histogram(const Topology& g) {
-  int max_deg = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_deg = std::max(max_deg, g.degree(v));
-  }
-  std::vector<std::size_t> hist(static_cast<std::size_t>(max_deg) + 1, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ++hist[static_cast<std::size_t>(g.degree(v))];
-  }
-  return hist;
 }
 
 TopologyMetrics compute_metrics(const Topology& g) {

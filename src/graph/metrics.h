@@ -2,8 +2,7 @@
 // average node degree (Fig 5), diameter (Fig 6), global clustering
 // coefficient (Fig 7), coefficient of variation of node degree (Fig 8),
 // number of hub/core PoPs (Fig 9), plus the supporting statistics mentioned
-// in §6 (assortativity, average shortest-path length, betweenness, and the
-// Li et al. degree entropy).
+// in §6 (assortativity and average shortest-path length).
 #pragma once
 
 #include <vector>
@@ -31,33 +30,12 @@ double average_path_length(const Topology& g);
 /// 0 when there are no triples.
 double global_clustering(const Topology& g);
 
-/// Mean of per-node local clustering coefficients (nodes with degree < 2
-/// contribute 0, as is conventional).
-double average_local_clustering(const Topology& g);
-
 /// Number of triangles in the graph.
 std::size_t count_triangles(const Topology& g);
 
 /// Degree assortativity (Pearson correlation of degrees across edges).
 /// 0 when degenerate (e.g. regular graphs).
 double assortativity(const Topology& g);
-
-/// Normalized degree-weighted edge entropy in the spirit of Li et al. [1]:
-/// S(g) = sum over edges of d_u * d_v, normalized by the maximum achievable
-/// over graphs with the same degree sequence (s_max computed greedily).
-/// Values near 1 indicate hub-hub attachment (high assortativity of big
-/// nodes); HOT-style networks sit low.
-double smax_ratio(const Topology& g);
-
-/// Node betweenness centrality (Brandes, unweighted). Returns one value per
-/// node; counts are not normalized.
-std::vector<double> node_betweenness(const Topology& g);
-
-/// Edge betweenness centrality (Brandes, unweighted), aligned with g.edges().
-std::vector<double> edge_betweenness(const Topology& g);
-
-/// Degree histogram: index d -> number of nodes of degree d.
-std::vector<std::size_t> degree_histogram(const Topology& g);
 
 /// One-stop summary used by the bench harnesses.
 struct TopologyMetrics {

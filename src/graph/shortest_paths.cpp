@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "graph/algorithms.h"
 
 namespace cold {
 
@@ -366,38 +365,6 @@ ShortestPathTree shortest_path_tree(const Topology& g,
   ShortestPathTree tree;
   shortest_path_tree(g, lengths, source, tree);
   return tree;
-}
-
-Matrix<double> floyd_warshall(const Topology& g, const DistanceProvider& lengths) {
-  const std::size_t n = g.num_nodes();
-  if (lengths.rows() != n || lengths.cols() != n) {
-    throw std::invalid_argument("floyd_warshall: length shape mismatch");
-  }
-  Matrix<double> d = Matrix<double>::square(n, kInf);
-  for (NodeId i = 0; i < n; ++i) {
-    d(i, i) = 0.0;
-    for (const NodeId j : g.neighbors(i)) d(i, j) = lengths(i, j);
-  }
-  for (NodeId k = 0; k < n; ++k) {
-    for (NodeId i = 0; i < n; ++i) {
-      if (d(i, k) == kInf) continue;
-      for (NodeId j = 0; j < n; ++j) {
-        const double via = d(i, k) + d(k, j);
-        if (via < d(i, j)) d(i, j) = via;
-      }
-    }
-  }
-  return d;
-}
-
-Matrix<int> all_pairs_hops(const Topology& g) {
-  const std::size_t n = g.num_nodes();
-  Matrix<int> hops(n, n, -1);
-  for (NodeId s = 0; s < n; ++s) {
-    const std::vector<int> h = bfs_hops(g, s);
-    for (NodeId t = 0; t < n; ++t) hops(s, t) = h[t];
-  }
-  return hops;
 }
 
 }  // namespace cold

@@ -154,12 +154,4 @@ SpUpdateResult update_shortest_path_tree(const Topology& g,
                                          SpUpdateWorkspace& ws,
                                          std::size_t max_resettled);
 
-/// All-pairs shortest path lengths via Floyd–Warshall. O(n^3); used for
-/// cross-checking Dijkstra and for small-instance analysis.
-Matrix<double> floyd_warshall(const Topology& g,
-                              const DistanceProvider& lengths);
-
-/// All-pairs hop counts via BFS; -1 where unreachable.
-Matrix<int> all_pairs_hops(const Topology& g);
-
 }  // namespace cold

@@ -142,13 +142,6 @@ std::size_t Topology::num_leaf_nodes() const {
   return count;
 }
 
-void Topology::clear_edges() {
-  std::fill(degree_.begin(), degree_.end(), 0);
-  for (auto& list : nbrs_) list.clear();
-  num_edges_ = 0;
-  fingerprint_ = 0;
-}
-
 std::size_t Topology::edge_difference(const Topology& a, const Topology& b) {
   if (a.n_ != b.n_) {
     throw std::invalid_argument("edge_difference: size mismatch");

@@ -17,7 +17,7 @@
 //
 // Lifetime rules: neighbors(v) returns a view into the topology's internal
 // storage. It is valid until the next mutating call (add_edge / remove_edge
-// / set_edge / clear_edges / assignment / destruction). Do not hold a view
+// / set_edge / assignment / destruction). Do not hold a view
 // across a mutation — copy first (e.g. when removing a node's edges, pop
 // neighbors(v).front() until the degree is 0).
 #pragma once
@@ -76,9 +76,6 @@ class Topology {
 
   int degree(NodeId v) const { return degree_[v]; }
 
-  /// Degrees of all nodes.
-  const std::vector<int>& degrees() const { return degree_; }
-
   /// All edges as canonical (u < v) pairs in lexicographic order.
   std::vector<Edge> edges() const;
 
@@ -95,9 +92,6 @@ class Topology {
 
   /// Nodes with degree exactly 1 — leaf PoPs.
   std::size_t num_leaf_nodes() const;
-
-  /// Removes all edges.
-  void clear_edges();
 
   /// Heap bytes the topology owns (vector capacities, not allocator
   /// headers): the degree array, the list headers and every list.

@@ -15,15 +15,6 @@
 
 namespace cold {
 
-GrowthEvaluator::GrowthEvaluator(Matrix<double> lengths,
-                                 Matrix<double> traffic, CostParams params,
-                                 std::vector<Edge> installed,
-                                 double decommission_factor,
-                                 EvalEngineConfig engine)
-    : GrowthEvaluator(DistanceProvider::from_matrix(std::move(lengths)),
-                      CompressedTraffic(traffic), params, std::move(installed),
-                      decommission_factor, engine) {}
-
 GrowthEvaluator::GrowthEvaluator(DistanceProvider lengths,
                                  CompressedTraffic traffic, CostParams params,
                                  std::vector<Edge> installed,

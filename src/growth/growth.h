@@ -59,13 +59,7 @@ GrowthResult grow_network(const Network& base, const GrowthConfig& config,
 /// candidate. Exposed for testing.
 class GrowthEvaluator {
  public:
-  /// Compat form: dense matrices, wrapped exactly like Evaluator's matrix
-  /// constructor (always-dense provider, CSR traffic).
-  GrowthEvaluator(Matrix<double> lengths, Matrix<double> traffic,
-                  CostParams params, std::vector<Edge> installed,
-                  double decommission_factor, EvalEngineConfig engine = {});
-
-  /// Matrix-free form: shares the provider/CSR cores with the caller.
+  /// Shares the provider/CSR cores with the caller.
   GrowthEvaluator(DistanceProvider lengths, CompressedTraffic traffic,
                   CostParams params, std::vector<Edge> installed,
                   double decommission_factor, EvalEngineConfig engine = {});

@@ -234,7 +234,7 @@ HeuristicResult run_random_greedy(Scorer& sc, Rng& rng,
 
 void require_two_pops(const Evaluator& eval) {
   if (eval.num_nodes() < 2) {
-    throw std::invalid_argument("run_hub_heuristic: need at least 2 PoPs");
+    throw std::invalid_argument("run_all_heuristics: need at least 2 PoPs");
   }
 }
 
@@ -293,14 +293,6 @@ Topology build_hub_topology(std::size_t n, const std::vector<NodeId>& hubs,
     g.add_edge(v, best);
   }
   return g;
-}
-
-HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
-                                  Rng& rng,
-                                  const HubHeuristicOptions& options) {
-  require_two_pops(eval);
-  Scorer sc(eval);
-  return run_from_star(sc, strategy, rng, options, best_star(sc));
 }
 
 std::vector<HeuristicResult> run_all_heuristics(

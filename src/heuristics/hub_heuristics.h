@@ -54,20 +54,15 @@ struct HeuristicResult {
   std::uint64_t wall_ns = 0;  ///< wall-clock spent computing this result
 };
 
-/// Runs one heuristic against the evaluator's context. The returned
-/// topology is always connected; its cost is finite.
-HeuristicResult run_hub_heuristic(Evaluator& eval, HubStrategy strategy,
-                                  Rng& rng,
-                                  const HubHeuristicOptions& options = {});
-
-/// Runs every heuristic; results are in all_hub_strategies() order. The
-/// optional observer receives one HeuristicDone per heuristic; the optional
-/// stop condition is checked between heuristics (a stopped sweep returns
-/// the results computed so far) and charged with their evaluations.
-/// Results are bit-identical to one run_hub_heuristic call per strategy on
-/// the same `rng`. The best-star scan they all start from runs once for the
-/// whole sweep, not once per strategy and per RandomGreedy permutation. The
-/// first strategy's wall_ns and evaluations include that shared scan.
+/// Runs every heuristic against the evaluator's context; results are in
+/// all_hub_strategies() order, each topology connected with a finite cost.
+/// The optional observer receives one HeuristicDone per heuristic; the
+/// optional stop condition is checked between heuristics (a stopped sweep
+/// returns the results computed so far) and charged with their evaluations.
+/// Only RandomGreedy draws from `rng`. The best-star scan they all start
+/// from runs once for the whole sweep, not once per strategy and per
+/// RandomGreedy permutation. The first strategy's wall_ns and evaluations
+/// include that shared scan.
 std::vector<HeuristicResult> run_all_heuristics(
     Evaluator& eval, Rng& rng, const HubHeuristicOptions& options = {},
     RunObserver* observer = nullptr, StopCondition* stop = nullptr);

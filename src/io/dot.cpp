@@ -6,18 +6,6 @@
 
 namespace cold {
 
-void write_dot(std::ostream& os, const Topology& g, const DotOptions& options) {
-  os << "graph " << options.graph_name << " {\n";
-  os << "  node [shape=circle];\n";
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    os << "  n" << v << ";\n";
-  }
-  for (const Edge& e : g.edges()) {
-    os << "  n" << e.u << " -- n" << e.v << ";\n";
-  }
-  os << "}\n";
-}
-
 void write_dot(std::ostream& os, const Network& net, const DotOptions& options) {
   os << "graph " << options.graph_name << " {\n";
   os << "  node [shape=circle];\n";

@@ -4,7 +4,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "graph/topology.h"
 #include "net/network.h"
 
 namespace cold {
@@ -15,10 +14,6 @@ struct DotOptions {
   bool include_capacities = true;  ///< emit capacity/length labels
   double position_scale = 10.0;    ///< unit-square coords -> inches
 };
-
-/// Writes a bare topology (no attributes beyond structure).
-void write_dot(std::ostream& os, const Topology& g,
-               const DotOptions& options = {});
 
 /// Writes a full network with coordinates, link lengths and capacities.
 void write_dot(std::ostream& os, const Network& net,

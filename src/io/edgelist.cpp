@@ -1,6 +1,5 @@
 #include "io/edgelist.h"
 
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -82,16 +81,6 @@ EdgeListData read_edge_list(std::istream& is) {
 EdgeListData edge_list_from_string(const std::string& text) {
   std::istringstream is(text);
   return read_edge_list(is);
-}
-
-void write_edge_list(std::ostream& os, const EdgeListData& data) {
-  for (NodeId v = 0; v < data.topology.num_nodes(); ++v) {
-    os << "node " << v << ' ' << data.locations[v].x << ' '
-       << data.locations[v].y << ' ' << data.populations[v] << '\n';
-  }
-  for (const Edge& e : data.topology.edges()) {
-    os << "edge " << e.u << ' ' << e.v << '\n';
-  }
 }
 
 }  // namespace cold

@@ -28,7 +28,4 @@ struct EdgeListData {
 EdgeListData read_edge_list(std::istream& is);
 EdgeListData edge_list_from_string(const std::string& text);
 
-/// Writes the same format.
-void write_edge_list(std::ostream& os, const EdgeListData& data);
-
 }  // namespace cold

@@ -1,11 +1,6 @@
 #include "io/graphml.h"
 
-#include <cctype>
-#include <map>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
-#include <vector>
 
 namespace cold {
 
@@ -41,250 +36,6 @@ void write_graphml(std::ostream& os, const Network& net,
     os << "    </edge>\n";
   }
   os << "  </graph>\n</graphml>\n";
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal XML pull-parser: just enough for GraphML (tags, attributes, text,
-// comments). No namespaces beyond ignoring prefixes, no DTD, no CDATA.
-// ---------------------------------------------------------------------------
-
-struct XmlTag {
-  std::string name;
-  std::map<std::string, std::string> attrs;
-  bool closing = false;      // </name>
-  bool self_closing = false; // <name ... />
-};
-
-class XmlScanner {
- public:
-  explicit XmlScanner(std::string text) : text_(std::move(text)) {}
-
-  // Advances to the next tag; returns false at end of input. Text content
-  // between tags is accumulated into `last_text`.
-  bool next(XmlTag& tag) {
-    last_text.clear();
-    while (pos_ < text_.size()) {
-      const std::size_t lt = text_.find('<', pos_);
-      if (lt == std::string::npos) {
-        pos_ = text_.size();
-        return false;
-      }
-      last_text.append(text_, pos_, lt - pos_);
-      if (text_.compare(lt, 4, "<!--") == 0) {
-        const std::size_t end = text_.find("-->", lt);
-        if (end == std::string::npos) fail("unterminated comment");
-        pos_ = end + 3;
-        continue;
-      }
-      if (text_.compare(lt, 2, "<?") == 0) {
-        const std::size_t end = text_.find("?>", lt);
-        if (end == std::string::npos) fail("unterminated declaration");
-        pos_ = end + 2;
-        continue;
-      }
-      const std::size_t gt = text_.find('>', lt);
-      if (gt == std::string::npos) fail("unterminated tag");
-      parse_tag(text_.substr(lt + 1, gt - lt - 1), tag);
-      pos_ = gt + 1;
-      return true;
-    }
-    return false;
-  }
-
-  std::string last_text;
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("GraphML parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void parse_tag(std::string body, XmlTag& tag) {
-    tag.attrs.clear();
-    tag.closing = false;
-    tag.self_closing = false;
-    if (!body.empty() && body.front() == '/') {
-      tag.closing = true;
-      body.erase(body.begin());
-    }
-    if (!body.empty() && body.back() == '/') {
-      tag.self_closing = true;
-      body.pop_back();
-    }
-    std::size_t i = 0;
-    auto skip_ws = [&] {
-      while (i < body.size() && std::isspace(static_cast<unsigned char>(body[i]))) ++i;
-    };
-    skip_ws();
-    const std::size_t name_start = i;
-    while (i < body.size() && !std::isspace(static_cast<unsigned char>(body[i]))) ++i;
-    tag.name = body.substr(name_start, i - name_start);
-    // Strip any namespace prefix.
-    const std::size_t colon = tag.name.find(':');
-    if (colon != std::string::npos) tag.name = tag.name.substr(colon + 1);
-    if (tag.name.empty()) fail("empty tag name");
-    // Attributes: name="value".
-    while (true) {
-      skip_ws();
-      if (i >= body.size()) break;
-      const std::size_t eq = body.find('=', i);
-      if (eq == std::string::npos) fail("attribute without value");
-      std::string key = body.substr(i, eq - i);
-      while (!key.empty() && std::isspace(static_cast<unsigned char>(key.back()))) {
-        key.pop_back();
-      }
-      i = eq + 1;
-      skip_ws();
-      if (i >= body.size() || (body[i] != '"' && body[i] != '\'')) {
-        fail("unquoted attribute value");
-      }
-      const char quote = body[i++];
-      const std::size_t end = body.find(quote, i);
-      if (end == std::string::npos) fail("unterminated attribute value");
-      tag.attrs[key] = body.substr(i, end - i);
-      i = end + 1;
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-std::string xml_unescape(const std::string& s) {
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '&') {
-      out += s[i];
-      continue;
-    }
-    if (s.compare(i, 4, "&lt;") == 0) { out += '<'; i += 3; }
-    else if (s.compare(i, 4, "&gt;") == 0) { out += '>'; i += 3; }
-    else if (s.compare(i, 5, "&amp;") == 0) { out += '&'; i += 4; }
-    else if (s.compare(i, 6, "&quot;") == 0) { out += '"'; i += 5; }
-    else if (s.compare(i, 6, "&apos;") == 0) { out += '\''; i += 5; }
-    else out += s[i];
-  }
-  return out;
-}
-
-}  // namespace
-
-GraphMlData graphml_from_string(const std::string& text) {
-  XmlScanner scanner(text);
-  XmlTag tag;
-
-  // key id -> canonical attribute name ("x", "y", "population").
-  std::map<std::string, std::string> key_names;
-  auto canonical = [](std::string name) {
-    for (char& c : name) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (name == "longitude") return std::string("x");
-    if (name == "latitude") return std::string("y");
-    return name;
-  };
-
-  struct RawNode {
-    std::string id;
-    double x = 0, y = 0;
-    double population = 1.0;
-    bool located = false;
-  };
-  std::vector<RawNode> nodes;
-  std::map<std::string, std::size_t> node_index;
-  std::vector<std::pair<std::string, std::string>> edges;
-  bool saw_graphml = false, saw_graph = false;
-
-  // Parse state: inside which element, and which data key.
-  enum class Ctx { kNone, kNode, kEdge };
-  Ctx ctx = Ctx::kNone;
-  std::string data_key;
-  bool in_data = false;
-
-  while (scanner.next(tag)) {
-    if (in_data && tag.name == "data" && tag.closing) {
-      // Attach the accumulated text to the current node.
-      if (ctx == Ctx::kNode && !nodes.empty()) {
-        const std::string name =
-            key_names.count(data_key) ? key_names[data_key] : canonical(data_key);
-        const std::string value = xml_unescape(scanner.last_text);
-        try {
-          if (name == "x") { nodes.back().x = std::stod(value); nodes.back().located = true; }
-          else if (name == "y") { nodes.back().y = std::stod(value); nodes.back().located = true; }
-          else if (name == "population" || name == "pop") {
-            nodes.back().population = std::stod(value);
-          }
-        } catch (const std::exception&) {
-          // Non-numeric attribute (e.g. a label): ignore.
-        }
-      }
-      in_data = false;
-      continue;
-    }
-    if (tag.closing) {
-      if (tag.name == "node" || tag.name == "edge") ctx = Ctx::kNone;
-      continue;
-    }
-    if (tag.name == "graphml") saw_graphml = true;
-    else if (tag.name == "graph") saw_graph = true;
-    else if (tag.name == "key") {
-      const auto id = tag.attrs.find("id");
-      const auto name = tag.attrs.find("attr.name");
-      if (id != tag.attrs.end() && name != tag.attrs.end()) {
-        key_names[id->second] = canonical(name->second);
-      }
-    } else if (tag.name == "node") {
-      const auto id = tag.attrs.find("id");
-      if (id == tag.attrs.end()) throw std::runtime_error("GraphML: node without id");
-      if (node_index.count(id->second)) {
-        throw std::runtime_error("GraphML: duplicate node id " + id->second);
-      }
-      node_index[id->second] = nodes.size();
-      nodes.push_back(RawNode{id->second, 0, 0, 1.0, false});
-      ctx = tag.self_closing ? Ctx::kNone : Ctx::kNode;
-    } else if (tag.name == "edge") {
-      const auto s = tag.attrs.find("source");
-      const auto t = tag.attrs.find("target");
-      if (s == tag.attrs.end() || t == tag.attrs.end()) {
-        throw std::runtime_error("GraphML: edge without endpoints");
-      }
-      edges.emplace_back(s->second, t->second);
-      ctx = tag.self_closing ? Ctx::kNone : Ctx::kEdge;
-    } else if (tag.name == "data" && !tag.self_closing) {
-      const auto key = tag.attrs.find("key");
-      data_key = key == tag.attrs.end() ? "" : key->second;
-      in_data = true;
-    }
-  }
-  if (!saw_graphml || !saw_graph) {
-    throw std::runtime_error("GraphML: missing <graphml>/<graph> structure");
-  }
-
-  GraphMlData out;
-  out.topology = Topology(nodes.size());
-  out.locations.reserve(nodes.size());
-  out.populations.reserve(nodes.size());
-  for (const RawNode& node : nodes) {
-    out.locations.push_back(Point{node.x, node.y});
-    out.populations.push_back(node.population > 0 ? node.population : 1.0);
-    out.has_locations = out.has_locations || node.located;
-  }
-  for (const auto& [s, t] : edges) {
-    const auto si = node_index.find(s);
-    const auto ti = node_index.find(t);
-    if (si == node_index.end() || ti == node_index.end()) {
-      throw std::runtime_error("GraphML: edge endpoint not declared");
-    }
-    if (si->second == ti->second) continue;  // drop self-loops
-    out.topology.add_edge(si->second, ti->second);
-  }
-  return out;
-}
-
-GraphMlData read_graphml(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return graphml_from_string(buffer.str());
 }
 
 }  // namespace cold

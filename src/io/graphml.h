@@ -4,9 +4,7 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "geom/point.h"
 #include "net/network.h"
 
 namespace cold {
@@ -15,23 +13,5 @@ namespace cold {
 /// length/load/capacity edge attributes.
 void write_graphml(std::ostream& os, const Network& net,
                    const std::string& graph_id = "cold");
-
-/// A topology plus whatever node attributes the file carried. Suitable for
-/// feeding real-world maps (e.g. Internet Topology Zoo GraphML) into the
-/// metrics and ABC-estimation pipelines.
-struct GraphMlData {
-  Topology topology;
-  std::vector<Point> locations;      ///< x/y (or Longitude/Latitude), else 0
-  std::vector<double> populations;   ///< population attr, else 1.0
-  bool has_locations = false;
-};
-
-/// Parses a GraphML document (the subset produced by write_graphml plus the
-/// Topology Zoo conventions: node/edge elements, double/float/string data
-/// keys, attr.name aliases x|Longitude and y|Latitude). Node ids may be
-/// arbitrary strings; they are densely renumbered in document order.
-/// Throws std::runtime_error on malformed XML or missing structure.
-GraphMlData read_graphml(std::istream& is);
-GraphMlData graphml_from_string(const std::string& text);
 
 }  // namespace cold

@@ -78,13 +78,21 @@ Network network_from_json(const std::string& json) {
   // check comes before n sizes any allocation.
   if (n > pops.size()) throw std::runtime_error("JSON: num_pops exceeds pops");
 
+  // Ids below n, none twice: with at least n entries that lists each id
+  // exactly once.
   std::vector<Point> locations(n);
   std::vector<double> populations(n);
+  std::vector<bool> listed(n, false);
   for (const JsonValue& pop : pops) {
     const std::uint64_t id = pop.field("id").uint();
     if (id >= n) throw std::runtime_error("JSON: pop id out of range");
+    if (listed[id]) throw std::runtime_error("JSON: duplicate pop id");
+    listed[id] = true;
     locations[id] = Point{pop.field("x").number(), pop.field("y").number()};
     populations[id] = pop.field("population").number();
+    if (!(populations[id] > 0)) {
+      throw std::runtime_error("JSON: population must be > 0");
+    }
   }
 
   Topology g(n);
@@ -94,7 +102,8 @@ Network network_from_json(const std::string& json) {
     if (u >= n || v >= n) {
       throw std::runtime_error("JSON: link endpoint out of range");
     }
-    g.add_edge(u, v);
+    if (u == v) throw std::runtime_error("JSON: self-loop link");
+    if (!g.add_edge(u, v)) throw std::runtime_error("JSON: duplicate link");
   }
 
   Matrix<double> traffic = Matrix<double>::square(n, 0.0);
@@ -106,8 +115,14 @@ Network network_from_json(const std::string& json) {
     for (std::size_t j = 0; j < n; ++j) traffic(i, j) = row[j].number();
   }
 
-  // Routing, loads and capacities are derived state: rebuild them.
-  return build_network(g, locations, populations, traffic, overprovision);
+  // Routing, loads and capacities are derived state: rebuild them. A file
+  // that breaks build_network's invariants (a disconnected network, a bad
+  // traffic matrix or overprovision) is a malformed file.
+  try {
+    return build_network(g, locations, populations, traffic, overprovision);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("JSON: ") + e.what());
+  }
 }
 
 Network read_network_json(std::istream& is) {

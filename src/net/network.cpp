@@ -9,22 +9,6 @@
 
 namespace cold {
 
-double Network::link_capacity(NodeId a, NodeId b) const {
-  const Edge e = make_edge(a, b);
-  for (const Link& l : links) {
-    if (l.edge == e) return l.capacity;
-  }
-  throw std::invalid_argument("link_capacity: no such link");
-}
-
-double Network::max_utilization() const {
-  double worst = 0.0;
-  for (const Link& l : links) {
-    if (l.capacity > 0.0) worst = std::max(worst, l.load / l.capacity);
-  }
-  return worst;
-}
-
 Network build_network(const Topology& topology,
                       const std::vector<Point>& locations,
                       const std::vector<double>& populations,

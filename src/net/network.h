@@ -47,13 +47,6 @@ struct Network {
   /// Whether the n^2 next-hop matrix was materialized (iff
   /// lengths.has_dense()).
   bool has_routing() const { return !routing.empty(); }
-
-  /// Capacity of link {a, b}; throws if the link does not exist.
-  double link_capacity(NodeId a, NodeId b) const;
-
-  /// Maximum link utilization (load / capacity) over all links; 0 if there
-  /// are no links or all capacities are 0.
-  double max_utilization() const;
 };
 
 /// Tuning for build_network beyond the topology and context.

@@ -215,39 +215,6 @@ void accumulate_source_loads(const Topology& g, const DistanceProvider& lengths,
                        ws.split, stats);
 }
 
-double total_demand_weighted_length(const Topology& g,
-                                    const DistanceProvider& lengths,
-                                    const CompressedTraffic& traffic,
-                                    RoutingWorkspace& ws) {
-  const std::size_t n = g.num_nodes();
-  if (traffic.rows() != n || traffic.cols() != n) {
-    throw std::invalid_argument(
-        "total_demand_weighted_length: traffic shape mismatch");
-  }
-  const SpLengthCache* cache = maybe_length_cache(g, lengths, ws);
-  double total = 0.0;
-  for (NodeId s = 0; s < n; ++s) {
-    shortest_path_tree(g, lengths, s, ws.tree, cache);
-    if (ws.tree.order.size() != n) {
-      return std::numeric_limits<double>::infinity();
-    }
-    // CSR row walk: zero demands contribute exact +0.0 addends in the
-    // dense loop, so skipping them is bit-neutral.
-    const CompressedTraffic::RowSpan row = traffic.row_span(s);
-    for (std::size_t k = 0; k < row.len; ++k) {
-      total += row.val[k] * ws.tree.dist[row.col[k]];
-    }
-  }
-  return total;
-}
-
-double total_demand_weighted_length(const Topology& g,
-                                    const DistanceProvider& lengths,
-                                    const CompressedTraffic& traffic) {
-  RoutingWorkspace ws;
-  return total_demand_weighted_length(g, lengths, traffic, ws);
-}
-
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
                               RoutingWorkspace& ws) {
@@ -269,12 +236,6 @@ Matrix<NodeId> routing_matrix(const Topology& g,
     }
   }
   return next_hop;
-}
-
-Matrix<NodeId> routing_matrix(const Topology& g,
-                              const DistanceProvider& lengths) {
-  RoutingWorkspace ws;
-  return routing_matrix(g, lengths, ws);
 }
 
 std::vector<NodeId> route_path(const Matrix<NodeId>& next_hop, NodeId s,

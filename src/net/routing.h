@@ -193,29 +193,13 @@ void accumulate_source_loads(const Topology& g, const DistanceProvider& lengths,
                              RoutingWorkspace& ws,
                              MultipathStats* stats = nullptr);
 
-/// Sum over routes of demand * route physical length (the paper's
-/// sum_r t_r L_r from eq. (1)). Returns infinity if disconnected; throws
-/// std::invalid_argument unless `traffic` is n x n. The workspace overload
-/// is allocation-free in the steady state; the 3-argument form is a thin
-/// allocating wrapper around it.
-double total_demand_weighted_length(const Topology& g,
-                                    const DistanceProvider& lengths,
-                                    const CompressedTraffic& traffic,
-                                    RoutingWorkspace& ws);
-double total_demand_weighted_length(const Topology& g,
-                                    const DistanceProvider& lengths,
-                                    const CompressedTraffic& traffic);
-
 /// Full next-hop routing matrix: next_hop(s, t) is the neighbour of s on the
 /// chosen shortest path toward t; next_hop(s, s) == s. Throws if `g` is
-/// disconnected. Same wrapper arrangement as total_demand_weighted_length.
-/// O(n^2) output — callers synthesizing at scale should skip it, as
-/// build_network does above DistanceProvider::kDenseMaxNodes.
+/// disconnected. O(n^2) output — callers synthesizing at scale should skip
+/// it, as build_network does above DistanceProvider::kDenseMaxNodes.
 Matrix<NodeId> routing_matrix(const Topology& g,
                               const DistanceProvider& lengths,
                               RoutingWorkspace& ws);
-Matrix<NodeId> routing_matrix(const Topology& g,
-                              const DistanceProvider& lengths);
 
 /// Extracts the node sequence s -> t implied by a next-hop matrix.
 std::vector<NodeId> route_path(const Matrix<NodeId>& next_hop, NodeId s,

@@ -10,11 +10,9 @@ namespace cold {
 
 namespace {
 
-// Core engine shared by link and PoP failure: compare shortest paths and
-// loads on `damaged` against the baseline network. `ignore_endpoint` (if
-// < n) removes demands sourced or sunk at that node from consideration.
-FailureImpact assess(const Network& net, const Topology& damaged,
-                     NodeId ignore_endpoint) {
+// Core engine shared by the single- and multi-link failures: compare
+// shortest paths and loads on `damaged` against the baseline network.
+FailureImpact assess(const Network& net, const Topology& damaged) {
   const std::size_t n = net.num_pops();
   FailureImpact impact;
 
@@ -23,7 +21,6 @@ FailureImpact assess(const Network& net, const Topology& damaged,
   // Demand-level accounting.
   double stretch_weight = 0.0, stretch_sum = 0.0;
   for (NodeId s = 0; s < n; ++s) {
-    if (s == ignore_endpoint) continue;
     shortest_path_tree(net.topology, net.lengths, s, base_tree);
     shortest_path_tree(damaged, net.lengths, s, dam_tree);
     // Walk the CSR row (ascending t, zeros absent) — same visit order as
@@ -31,7 +28,6 @@ FailureImpact assess(const Network& net, const Topology& damaged,
     const CompressedTraffic::RowSpan row = net.traffic.row_span(s);
     for (std::size_t k = 0; k < row.len; ++k) {
       const NodeId t = row.col[k];
-      if (t == ignore_endpoint) continue;
       const double demand = row.val[k];
       if (demand <= 0.0) continue;
       impact.total_traffic += demand;
@@ -83,7 +79,7 @@ FailureImpact simulate_link_failure(const Network& net, Edge link) {
   }
   Topology damaged = net.topology;
   damaged.remove_edge(link.u, link.v);
-  return assess(net, damaged, /*ignore_endpoint=*/net.num_pops());
+  return assess(net, damaged);
 }
 
 FailureImpact simulate_multi_link_failure(const Network& net,
@@ -97,20 +93,7 @@ FailureImpact simulate_multi_link_failure(const Network& net,
           "simulate_multi_link_failure: no such link (or duplicate)");
     }
   }
-  return assess(net, damaged, /*ignore_endpoint=*/net.num_pops());
-}
-
-FailureImpact simulate_pop_failure(const Network& net, NodeId pop) {
-  if (pop >= net.num_pops()) {
-    throw std::out_of_range("simulate_pop_failure: no such PoP");
-  }
-  Topology damaged = net.topology;
-  // Iterating the intact topology's neighbour view while mutating the copy
-  // is safe — but fetch it once into the loop over the *source* graph.
-  for (const NodeId u : net.topology.neighbors(pop)) {
-    damaged.remove_edge(pop, u);
-  }
-  return assess(net, damaged, pop);
+  return assess(net, damaged);
 }
 
 std::vector<FailureImpact> single_link_failure_sweep(const Network& net) {

@@ -7,8 +7,7 @@
 // analyses answer the questions a simulation study typically asks:
 //   * if link X fails, which demands lose connectivity, how much does their
 //     path stretch, and which surviving links overload?
-//   * across all single-link (or single-PoP) failures, what are the worst
-//     cases?
+//   * across all single-link failures, what are the worst cases?
 #pragma once
 
 #include <vector>
@@ -41,11 +40,6 @@ FailureImpact simulate_link_failure(const Network& net, Edge link);
 /// engine's sampled two-link scenarios (cost/resilience.h).
 FailureImpact simulate_multi_link_failure(const Network& net,
                                           const std::vector<Edge>& links);
-
-/// Simulates the failure of a whole PoP: all its links are removed and
-/// demands sourced/sunk at it are written off (not counted as disconnected);
-/// transit through it must reroute.
-FailureImpact simulate_pop_failure(const Network& net, NodeId pop);
 
 /// Sweep over every single-link failure. Returns impacts aligned with
 /// net.links order.

@@ -35,18 +35,6 @@ std::string to_string(StopReason reason) {
   throw std::invalid_argument("unknown StopReason");
 }
 
-StopCondition StopCondition::wall_clock(double seconds) {
-  StopCondition c;
-  c.max_seconds = seconds;
-  return c;
-}
-
-StopCondition StopCondition::eval_budget(std::size_t evaluations) {
-  StopCondition c;
-  c.max_evaluations = evaluations;
-  return c;
-}
-
 namespace {
 
 std::int64_t now_ns() {

@@ -395,10 +395,6 @@ class StopCondition {
     return *this;
   }
 
-  /// Convenience factories for the two budget kinds.
-  static StopCondition wall_clock(double seconds);
-  static StopCondition eval_budget(std::size_t evaluations);
-
   /// 0 = unlimited, as is a deadline past the int64 nanosecond clock. Set
   /// before the run starts.
   double max_seconds = 0.0;

@@ -210,22 +210,6 @@ CompressedTraffic gravity_traffic(const std::vector<double>& populations,
   return out;
 }
 
-double total_traffic(const TrafficMatrix& tm) {
-  double total = 0.0;
-  for (double x : tm.data()) total += x;
-  return total;
-}
-
-double total_traffic(const CompressedTraffic& tm) { return tm.total(); }
-
-std::vector<double> traffic_per_pop(const TrafficMatrix& tm) {
-  std::vector<double> row_sums(tm.rows(), 0.0);
-  for (std::size_t i = 0; i < tm.rows(); ++i) {
-    for (std::size_t j = 0; j < tm.cols(); ++j) row_sums[i] += tm(i, j);
-  }
-  return row_sums;
-}
-
 std::vector<double> traffic_per_pop(const CompressedTraffic& tm) {
   std::vector<double> row_sums(tm.rows(), 0.0);
   for (std::size_t i = 0; i < tm.rows(); ++i) row_sums[i] = tm.row_total(i);

@@ -156,13 +156,8 @@ TrafficMatrix gravity_matrix(const std::vector<double>& populations,
 CompressedTraffic gravity_traffic(const std::vector<double>& populations,
                                   const GravityOptions& options = {});
 
-/// Sum over all ordered pairs (total offered traffic).
-double total_traffic(const TrafficMatrix& tm);
-double total_traffic(const CompressedTraffic& tm);
-
 /// Per-PoP total traffic (row sums); proportional to population under the
 /// gravity model.
-std::vector<double> traffic_per_pop(const TrafficMatrix& tm);
 std::vector<double> traffic_per_pop(const CompressedTraffic& tm);
 
 /// Validates gravity-matrix invariants (symmetry, zero diagonal,

@@ -37,14 +37,4 @@ std::vector<double> ParetoPopulation::sample(std::size_t n, Rng& rng) const {
   return pops;
 }
 
-UniformPopulation::UniformPopulation(double value) : value_(value) {
-  if (value <= 0) {
-    throw std::invalid_argument("UniformPopulation: value must be > 0");
-  }
-}
-
-std::vector<double> UniformPopulation::sample(std::size_t n, Rng&) const {
-  return std::vector<double>(n, value_);
-}
-
 }  // namespace cold

@@ -48,16 +48,4 @@ class ParetoPopulation final : public PopulationModel {
   double mean_;
 };
 
-/// Every PoP has the same population — handy for tests and for isolating
-/// geometric effects in ablations.
-class UniformPopulation final : public PopulationModel {
- public:
-  explicit UniformPopulation(double value = 30.0);
-  std::vector<double> sample(std::size_t n, Rng& rng) const override;
-  double mean() const override { return value_; }
-
- private:
-  double value_;
-};
-
 }  // namespace cold

@@ -64,42 +64,6 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& xs,
   return ci;
 }
 
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const Summary sx = summarize(xs);
-  const Summary sy = summarize(ys);
-  if (sx.stddev == 0.0 || sy.stddev == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    cov += (xs[i] - sx.mean) * (ys[i] - sy.mean);
-  }
-  cov /= static_cast<double>(xs.size() - 1);
-  return cov / (sx.stddev * sy.stddev);
-}
-
-double coefficient_of_variation(const std::vector<double>& xs) {
-  const Summary s = summarize(xs);
-  if (s.mean == 0.0) return 0.0;
-  return s.stddev / s.mean;
-}
-
-double entropy(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0) throw std::invalid_argument("entropy: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) return 0.0;
-  double h = 0.0;
-  for (double w : weights) {
-    if (w > 0.0) {
-      const double p = w / total;
-      h -= p * std::log(p);
-    }
-  }
-  return h;
-}
-
 std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo,
                                    double hi, std::size_t bins) {
   if (bins == 0 || hi <= lo) {
@@ -164,18 +128,6 @@ ConfidenceInterval normal_mean_ci(const MetricAggregate& agg, double level) {
   ci.lo = agg.mean - half;
   ci.hi = agg.mean + half;
   return ci;
-}
-
-std::vector<double> lin_space(double lo, double hi, std::size_t count) {
-  if (count == 0) return {};
-  if (count == 1) return {lo};
-  std::vector<double> out;
-  out.reserve(count);
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(lo + step * static_cast<double>(i));
-  }
-  return out;
 }
 
 }  // namespace cold

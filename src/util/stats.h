@@ -83,16 +83,6 @@ ConfidenceInterval normal_mean_ci(const MetricAggregate& agg,
 /// std::erf — deterministic, ~1e-12 accurate. `p` in (0, 1).
 double normal_quantile(double p);
 
-/// Pearson correlation of two equal-length samples; 0 if degenerate.
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Coefficient of variation (stddev / mean); 0 if the mean is 0.
-double coefficient_of_variation(const std::vector<double>& xs);
-
-/// Shannon entropy (nats) of a discrete empirical distribution given by
-/// non-negative weights; 0 for degenerate input.
-double entropy(const std::vector<double>& weights);
-
 /// Histogram with `bins` equal-width bins over [lo, hi]. Values outside the
 /// range are clamped into the first/last bin. Returns per-bin counts.
 std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo,
@@ -100,8 +90,5 @@ std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo,
 
 /// Log-spaced grid of `count` points from lo to hi inclusive (lo, hi > 0).
 std::vector<double> log_space(double lo, double hi, std::size_t count);
-
-/// Linearly spaced grid of `count` points from lo to hi inclusive.
-std::vector<double> lin_space(double lo, double hi, std::size_t count);
 
 }  // namespace cold

@@ -111,14 +111,6 @@ TEST(EdgeConnectivity, BoundedByMinDegree) {
   }
 }
 
-TEST(SurvivesFailures, MatchesBridgeSemantics) {
-  const Topology g = zoo_ring(6);
-  EXPECT_TRUE(survives_failures(g, {Edge{0, 1}}));
-  EXPECT_FALSE(survives_failures(g, {Edge{0, 1}, Edge{3, 4}}));
-  const Topology p = path_graph(4);
-  EXPECT_FALSE(survives_failures(p, {Edge{1, 2}}));
-}
-
 TEST(AnalyzeResilience, TreeVsRing) {
   const ResilienceReport tree = analyze_resilience(path_graph(6));
   EXPECT_EQ(tree.bridges, 5u);

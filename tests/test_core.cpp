@@ -53,11 +53,20 @@ TEST(GenerateContext, DifferentSeedsDifferentContexts) {
   EXPECT_FALSE(a.locations == b.locations);
 }
 
+// Every PoP gets population 5, so a context shows whether it was used.
+class ConstantPopulation final : public PopulationModel {
+ public:
+  std::vector<double> sample(std::size_t n, Rng&) const override {
+    return std::vector<double>(n, 5.0);
+  }
+  double mean() const override { return 5.0; }
+};
+
 TEST(GenerateContext, CustomModelsAreUsed) {
   ContextConfig cfg;
   cfg.num_pops = 12;
   cfg.point_process = std::make_shared<ClusteredProcess>(3, 0.02);
-  cfg.population_model = std::make_shared<UniformPopulation>(5.0);
+  cfg.population_model = std::make_shared<ConstantPopulation>();
   Rng rng(3);
   const Context ctx = generate_context(cfg, rng);
   for (double p : ctx.populations) EXPECT_DOUBLE_EQ(p, 5.0);

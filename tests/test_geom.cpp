@@ -38,10 +38,6 @@ TEST(Rectangle, ContainsAndClamp) {
   EXPECT_DOUBLE_EQ(c.y, 1.0);
 }
 
-TEST(Rectangle, DiameterIsDiagonal) {
-  EXPECT_DOUBLE_EQ(Rectangle(3.0, 4.0).diameter(), 5.0);
-}
-
 TEST(Rectangle, RejectsNonPositive) {
   EXPECT_THROW(Rectangle(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Rectangle(1.0, -2.0), std::invalid_argument);
@@ -100,21 +96,6 @@ TEST(ClusteredProcess, Validates) {
   EXPECT_THROW(ClusteredProcess(3, 0.0), std::invalid_argument);
 }
 
-TEST(FixedLocations, ReturnsPrefixAndValidates) {
-  Rng rng(5);
-  FixedLocations fixed({{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}});
-  const auto two = fixed.sample(2, Rectangle(), rng);
-  ASSERT_EQ(two.size(), 2u);
-  EXPECT_DOUBLE_EQ(two[1].x, 0.3);
-  EXPECT_THROW(fixed.sample(4, Rectangle(), rng), std::invalid_argument);
-}
-
-TEST(FixedLocations, RejectsOutOfRegion) {
-  Rng rng(6);
-  FixedLocations fixed({{5.0, 5.0}});
-  EXPECT_THROW(fixed.sample(1, Rectangle(), rng), std::invalid_argument);
-}
-
 TEST(DistanceMatrix, SymmetricZeroDiagonal) {
   const std::vector<Point> pts{{0, 0}, {3, 4}, {6, 8}};
   const auto d = distance_matrix(pts);
@@ -136,18 +117,6 @@ TEST(DistanceMatrix, TriangleInequality) {
       }
     }
   }
-}
-
-TEST(NearestPoint, HonoursExclusionsAndTies) {
-  const std::vector<Point> pts{{0, 0}, {1, 0}, {2, 0}};
-  std::vector<bool> excl{false, false, false};
-  EXPECT_EQ(nearest_point(pts, {0.9, 0.0}, excl), 1u);
-  excl[1] = true;
-  EXPECT_EQ(nearest_point(pts, {0.9, 0.0}, excl), 0u);
-  excl = {true, true, true};
-  EXPECT_EQ(nearest_point(pts, {0.9, 0.0}, excl), pts.size());
-  // Tie at equal distance: lowest index wins.
-  EXPECT_EQ(nearest_point(pts, {0.5, 0.0}, {false, false, false}), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,15 @@ Evaluator make_evaluator(std::size_t n, CostParams params,
   Rng rng(seed);
   const Context ctx = generate_context(cfg, rng);
   return Evaluator(ctx.distances, ctx.traffic, params, engine);
+}
+
+// One strategy's result out of the full sweep.
+HeuristicResult run_strategy(Evaluator& eval, HubStrategy strategy, Rng& rng,
+                             const HubHeuristicOptions& options = {}) {
+  for (HeuristicResult& r : run_all_heuristics(eval, rng, options)) {
+    if (r.name == to_string(strategy)) return r;
+  }
+  throw std::logic_error("run_strategy: strategy missing from the sweep");
 }
 
 TEST(HubHeuristics, AllStrategiesReturnConnectedFiniteCost) {
@@ -57,15 +67,14 @@ TEST(HubHeuristics, HighBandwidthCostGrowsHubs) {
   // Large k2 rewards direct links: the hub set should grow well past 1.
   Evaluator eval = make_evaluator(15, CostParams{1, 1, 0.5, 0});
   Rng rng(5);
-  const auto r =
-      run_hub_heuristic(eval, HubStrategy::kComplete, rng);
+  const auto r = run_strategy(eval, HubStrategy::kComplete, rng);
   EXPECT_GT(r.topology.num_core_nodes(), 5u);
 }
 
 TEST(HubHeuristics, CompleteStrategyHubsFormClique) {
   Evaluator eval = make_evaluator(15, CostParams{5, 1, 1e-3, 20});
   Rng rng(6);
-  const auto r = run_hub_heuristic(eval, HubStrategy::kComplete, rng);
+  const auto r = run_strategy(eval, HubStrategy::kComplete, rng);
   // Every pair of core nodes must be directly linked.
   std::vector<NodeId> cores;
   for (NodeId v = 0; v < 15; ++v) {
@@ -81,7 +90,7 @@ TEST(HubHeuristics, CompleteStrategyHubsFormClique) {
 TEST(HubHeuristics, MstStrategyHubsFormTree) {
   Evaluator eval = make_evaluator(15, CostParams{5, 1, 1e-3, 20});
   Rng rng(7);
-  const auto r = run_hub_heuristic(eval, HubStrategy::kMst, rng);
+  const auto r = run_strategy(eval, HubStrategy::kMst, rng);
   // Whole topology is hubs-tree + leaf links: total edges = n - 1.
   EXPECT_EQ(r.topology.num_edges(), 14u);
   EXPECT_TRUE(is_connected(r.topology));
@@ -94,23 +103,21 @@ TEST(HubHeuristics, RandomGreedyMorePermutationsNeverWorse) {
   few.num_permutations = 1;
   many.num_permutations = 8;
   Rng rng1(8), rng2(8);
-  const auto r_few =
-      run_hub_heuristic(eval1, HubStrategy::kRandomGreedy, rng1, few);
+  const auto r_few = run_strategy(eval1, HubStrategy::kRandomGreedy, rng1, few);
   const auto r_many =
-      run_hub_heuristic(eval2, HubStrategy::kRandomGreedy, rng2, many);
+      run_strategy(eval2, HubStrategy::kRandomGreedy, rng2, many);
   EXPECT_LE(r_many.cost, r_few.cost + 1e-9);
 }
 
 TEST(HubHeuristics, SharedStarScanMatchesSequentialRuns) {
-  // run_all_heuristics scans for the best star once for the whole sweep.
-  // Two references on the same Rng seed: four run_hub_heuristic calls (one
-  // scan each), and a replay with one scan per strategy and per
-  // RandomGreedy permutation — p one-permutation RandomGreedy runs draw the
-  // same permutations as one p-permutation run, and the first strict
-  // minimum among them is its result. Results, cost bits and the Rng
-  // stream must agree exactly, and the sweep saves the cost of 3 and p + 2
-  // star scans respectively — with the cache on or off, since hits count
-  // as evaluations.
+  // run_all_heuristics scans for the best star once for the whole sweep,
+  // including every RandomGreedy permutation. The reference replays the
+  // sweep once per permutation on the same Rng seed, each replay with one
+  // permutation and its own scan: p one-permutation RandomGreedy runs draw
+  // the same permutations as one p-permutation run, and the first strict
+  // minimum among them is its result; the other strategies draw nothing.
+  // Results, cost bits and the Rng stream must agree exactly, with the
+  // cache on or off, and the replays' extra scans cost evaluations.
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const std::size_t n : {12u, 20u}) {
     for (const bool cache : {false, true}) {
@@ -120,56 +127,32 @@ TEST(HubHeuristics, SharedStarScanMatchesSequentialRuns) {
       engine.cache.enabled = cache;
       const CostParams costs{10, 1, 4e-4, 10};
       Evaluator shared = make_evaluator(n, costs, n, engine);
-      Evaluator per_call = make_evaluator(n, costs, n, engine);
       Evaluator per_permutation = make_evaluator(n, costs, n, engine);
-      Rng rng_shared(11), rng_per_call(11), rng_per_permutation(11);
+      Rng rng_shared(11), rng_per_permutation(11);
       const std::vector<HeuristicResult> all =
           run_all_heuristics(shared, rng_shared, options);
-
-      std::vector<HeuristicResult> calls;
-      for (const HubStrategy s : all_hub_strategies()) {
-        calls.push_back(run_hub_heuristic(per_call, s, rng_per_call, options));
-      }
 
       std::vector<HeuristicResult> replay;
       HubHeuristicOptions one_permutation;
       one_permutation.num_permutations = 1;
       for (std::size_t p = 0; p < options.num_permutations; ++p) {
-        HeuristicResult r =
-            run_hub_heuristic(per_permutation, HubStrategy::kRandomGreedy,
-                              rng_per_permutation, one_permutation);
-        if (replay.empty() || r.cost < replay[0].cost) {
-          replay.assign(1, std::move(r));
+        std::vector<HeuristicResult> sweep = run_all_heuristics(
+            per_permutation, rng_per_permutation, one_permutation);
+        if (replay.empty()) {
+          replay = std::move(sweep);
+        } else if (sweep[0].cost < replay[0].cost) {
+          replay[0] = std::move(sweep[0]);
         }
-      }
-      for (const HubStrategy s : all_hub_strategies()) {
-        if (s == HubStrategy::kRandomGreedy) continue;
-        replay.push_back(
-            run_hub_heuristic(per_permutation, s, rng_per_permutation));
       }
 
-      for (const std::vector<HeuristicResult>* want : {&calls, &replay}) {
-        ASSERT_EQ(all.size(), want->size());
-        for (std::size_t i = 0; i < all.size(); ++i) {
-          const HeuristicResult& w = (*want)[i];
-          EXPECT_EQ(all[i].name, w.name);
-          EXPECT_TRUE(all[i].topology == w.topology) << w.name;
-          EXPECT_EQ(bits(all[i].cost), bits(w.cost)) << w.name;
-        }
+      ASSERT_EQ(all.size(), replay.size());
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i].name, replay[i].name);
+        EXPECT_TRUE(all[i].topology == replay[i].topology) << replay[i].name;
+        EXPECT_EQ(bits(all[i].cost), bits(replay[i].cost)) << replay[i].name;
       }
-      const std::uint64_t next = rng_shared.next_u64();
-      EXPECT_EQ(next, rng_per_call.next_u64());
-      EXPECT_EQ(next, rng_per_permutation.next_u64());
-      // Every star scan scores the same screened survivors, so each extra
-      // scan costs the same count: 3 extra scans for the per-call runs and
-      // p + 2 for the replay, each routing at least one centre.
-      const std::size_t per_call_extra =
-          per_call.evaluations() - shared.evaluations();
-      const std::size_t per_permutation_extra =
-          per_permutation.evaluations() - shared.evaluations();
-      EXPECT_GE(per_call_extra, 3u);
-      EXPECT_EQ(per_call_extra * (options.num_permutations + 2),
-                per_permutation_extra * 3);
+      EXPECT_EQ(rng_shared.next_u64(), rng_per_permutation.next_u64());
+      EXPECT_GT(per_permutation.evaluations(), shared.evaluations());
     }
   }
 }
@@ -440,7 +423,7 @@ TEST(HubHeuristics, TwoNodeNetwork) {
   const Context ctx = generate_context(cfg, ctx_rng);
   Evaluator eval(ctx.distances, ctx.traffic, CostParams{});
   Rng rng(9);
-  const auto r = run_hub_heuristic(eval, HubStrategy::kComplete, rng);
+  const auto r = run_strategy(eval, HubStrategy::kComplete, rng);
   EXPECT_EQ(r.topology.num_edges(), 1u);
 }
 
@@ -448,7 +431,7 @@ TEST(HubHeuristics, RejectsTrivialInstances) {
   Evaluator eval(Matrix<double>::square(1, 0.0), Matrix<double>::square(1, 0.0),
                  CostParams{});
   Rng rng(10);
-  EXPECT_THROW(run_hub_heuristic(eval, HubStrategy::kMst, rng),
+  EXPECT_THROW(run_strategy(eval, HubStrategy::kMst, rng),
                std::invalid_argument);
 }
 

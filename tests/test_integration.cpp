@@ -36,9 +36,6 @@ TEST(Integration, EndToEndSynthesisProducesSimulationReadyNetwork) {
     EXPECT_GE(l.capacity, l.load);
     EXPECT_GT(l.length, 0.0);
   }
-  // All traffic must be carried: utilization of every link is exactly 1
-  // under overprovision = 1 where load > 0.
-  EXPECT_LE(r.network.max_utilization(), 1.0 + 1e-12);
 }
 
 TEST(Integration, CostReportedEqualsIndependentRecomputation) {
@@ -116,9 +113,11 @@ TEST(Integration, CostRegimeLimitsAtN20) {
     const Topology s = star.synthesize(seed).network.topology;
     EXPECT_EQ(s.num_edges(), 19u) << "k3 regime, seed " << seed;
     EXPECT_EQ(s.num_core_nodes(), 1u) << "k3 regime, seed " << seed;
-    const std::vector<int>& deg = s.degrees();
-    EXPECT_EQ(*std::max_element(deg.begin(), deg.end()), 19)
-        << "k3 regime, seed " << seed;
+    int max_degree = 0;
+    for (NodeId v = 0; v < 20; ++v) {
+      max_degree = std::max(max_degree, s.degree(v));
+    }
+    EXPECT_EQ(max_degree, 19) << "k3 regime, seed " << seed;
   }
 }
 
@@ -149,7 +148,7 @@ TEST(Integration, GravityTrafficIsFullyRouted) {
   for (const Link& l : r.network.links) carried += l.load;
   // Each unit of demand contributes at least once per hop traversed; total
   // carried >= total offered (every demand crosses >= 1 link).
-  EXPECT_GE(carried + 1e-9, total_traffic(r.network.traffic));
+  EXPECT_GE(carried + 1e-9, r.network.traffic.total());
 }
 
 TEST(Integration, HeavyTailContextStillSynthesizes) {

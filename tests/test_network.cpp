@@ -41,7 +41,6 @@ TEST(BuildNetwork, OverprovisionScalesCapacity) {
   for (const Link& l : net.links) {
     EXPECT_DOUBLE_EQ(l.capacity, 1.5 * l.load);
   }
-  EXPECT_NEAR(net.max_utilization(), 1.0 / 1.5, 1e-12);
   EXPECT_NO_THROW(validate_network(net));
 }
 
@@ -74,18 +73,11 @@ TEST(BuildNetwork, RejectsUnderProvision) {
                std::invalid_argument);
 }
 
-TEST(Network, LinkCapacityLookup) {
-  const Network net = make_test_network(2.0);
-  EXPECT_GT(net.link_capacity(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(net.link_capacity(0, 1), net.link_capacity(1, 0));
-  EXPECT_THROW(net.link_capacity(0, 2), std::invalid_argument);
-}
-
 TEST(Network, LoadsAreConsistentWithDemands) {
   // Total link load * length == demand-weighted shortest path length; and
   // every link's load is bounded by the total offered traffic.
   const Network net = make_test_network();
-  const double total = total_traffic(net.traffic);
+  const double total = net.traffic.total();
   for (const Link& l : net.links) {
     EXPECT_LE(l.load, total + 1e-9);
   }

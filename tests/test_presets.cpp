@@ -8,18 +8,6 @@
 namespace cold {
 namespace {
 
-TEST(Presets, NamesRoundTrip) {
-  for (NetworkStyle style : all_network_styles()) {
-    EXPECT_EQ(network_style_from_string(to_string(style)), style);
-    EXPECT_NO_THROW(preset_costs(style).validate());
-  }
-  EXPECT_THROW(network_style_from_string("bogus"), std::invalid_argument);
-}
-
-TEST(Presets, AllStylesListed) {
-  EXPECT_EQ(all_network_styles().size(), 5u);
-}
-
 // Each preset must land in its advertised region of metric space; this is
 // the contract users rely on when picking a preset.
 struct StyleExpectation {

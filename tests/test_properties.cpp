@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "baselines/erdos_renyi.h"
-#include "graph/connectivity.h"
-#include "graph/spectral.h"
 #include "heuristics/local_search.h"
 #include "core/context.h"
 #include "core/synthesizer.h"
@@ -213,38 +211,6 @@ TEST_P(MutationProperty, GraphStaysSimple) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-
-// ---------------------------------------------------------------------------
-// Fiedler's inequality ties the spectral and combinatorial robustness views:
-// lambda_2 <= vertex connectivity <= edge connectivity <= min degree for
-// non-complete graphs. We check the two ends we compute.
-// ---------------------------------------------------------------------------
-
-class FiedlerProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FiedlerProperty, AlgebraicConnectivityBoundsEdgeConnectivity) {
-  Rng rng(GetParam());
-  Topology g(14);
-  for (NodeId i = 0; i < 14; ++i) {
-    for (NodeId j = i + 1; j < 14; ++j) {
-      if (rng.bernoulli(0.3)) g.add_edge(i, j);
-    }
-  }
-  ContextConfig cfg;
-  cfg.num_pops = 14;
-  const Context ctx = generate_context(cfg, rng);
-  connect_components(g, ctx.distances);
-  if (g.num_edges() == 14 * 13 / 2) return;  // complete graph: bound differs
-  const double lambda2 = algebraic_connectivity(g).algebraic_connectivity;
-  const std::size_t kappa = edge_connectivity(g);
-  int min_degree = 14;
-  for (NodeId v = 0; v < 14; ++v) min_degree = std::min(min_degree, g.degree(v));
-  EXPECT_LE(lambda2, static_cast<double>(kappa) + 1e-6);
-  EXPECT_LE(kappa, static_cast<std::size_t>(min_degree));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FiedlerProperty,
-                         ::testing::Range<std::uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------------
 // Synthesized networks keep their invariants across the optimizer choice.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/algorithms.h"
@@ -80,7 +81,11 @@ TEST(Expansion, InterPopLinksInheritCapacity) {
     if (!rl.inter_pop) continue;
     const std::size_t pa = rn.routers[rl.a].pop;
     const std::size_t pb = rn.routers[rl.b].pop;
-    EXPECT_DOUBLE_EQ(rl.capacity, net.link_capacity(pa, pb));
+    const Edge e = make_edge(pa, pb);
+    const auto link = std::find_if(net.links.begin(), net.links.end(),
+                                   [&](const Link& l) { return l.edge == e; });
+    ASSERT_NE(link, net.links.end());
+    EXPECT_DOUBLE_EQ(rl.capacity, link->capacity);
   }
 }
 

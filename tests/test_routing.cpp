@@ -9,6 +9,7 @@
 #include "geom/distance.h"
 #include "geom/point_process.h"
 #include "graph/algorithms.h"
+#include "reference.h"
 #include "traffic/gravity.h"
 #include "util/rng.h"
 
@@ -97,7 +98,7 @@ TEST(RouteLoads, TotalLoadLengthEqualsDemandWeightedLength) {
   ASSERT_TRUE(route_loads(g, len, traffic, loads, ws));
   double lhs = 0.0;
   for (const Edge& e : g.edges()) lhs += len(e.u, e.v) * loads.at(e.u, e.v);
-  const double rhs = total_demand_weighted_length(g, len, traffic);
+  const double rhs = reference::total_demand_weighted_length(g, len, traffic);
   EXPECT_NEAR(lhs, rhs, 1e-6 * rhs);
 }
 
@@ -106,7 +107,7 @@ TEST(TotalDemandWeightedLength, InfiniteWhenDisconnected) {
   g.add_edge(0, 1);
   Matrix<double> len = Matrix<double>::square(3, 1.0);
   const auto traffic = gravity_matrix({1.0, 1.0, 1.0});
-  EXPECT_EQ(total_demand_weighted_length(g, len, traffic),
+  EXPECT_EQ(reference::total_demand_weighted_length(g, len, traffic),
             std::numeric_limits<double>::infinity());
 }
 
@@ -123,10 +124,10 @@ TEST(TotalDemandWeightedLength, RejectsTrafficOfTheWrongShape) {
     Matrix<double> tm = Matrix<double>::square(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) tm(i, i) = 0.0;
     const CompressedTraffic traffic(tm);
-    EXPECT_THROW(total_demand_weighted_length(g, len, traffic),
+    EXPECT_THROW(reference::total_demand_weighted_length(g, len, traffic),
                  std::invalid_argument)
         << n;
-    EXPECT_THROW(total_demand_weighted_length(g, len, traffic, ws),
+    EXPECT_THROW(reference::total_demand_weighted_length(g, len, traffic, ws),
                  std::invalid_argument)
         << n;
     EXPECT_THROW(route_loads(g, len, traffic, loads, ws),
@@ -144,7 +145,8 @@ TEST(RoutingMatrix, NextHopsFollowShortestPaths) {
   g.add_edge(0, 2);
   Matrix<double> len = Matrix<double>::square(4, 1.0);
   len(0, 2) = len(2, 0) = 1.2;  // diagonal slightly longer than 1 hop
-  const auto next = routing_matrix(g, len);
+  RoutingWorkspace ws;
+  const auto next = routing_matrix(g, len, ws);
   EXPECT_EQ(next(0, 0), 0u);
   EXPECT_EQ(next(0, 2), 2u);  // direct (1.2) beats 2 hops (2.0)
   EXPECT_EQ(next(1, 3), 0u);  // 1-0-3 (2.0) vs 1-2-3 (2.0): tie -> lower parent id
@@ -207,18 +209,20 @@ TEST(RoutingWorkspaceOverloads, MatchAllocatingWrappers) {
   RoutingWorkspace ws;
   // Same workspace reused across calls and entry points: results must not
   // depend on leftover scratch state.
-  EXPECT_EQ(total_demand_weighted_length(g, len, traffic, ws),
-            total_demand_weighted_length(g, len, traffic));
-  const auto with_ws = routing_matrix(g, len, ws);
-  const auto wrapper = routing_matrix(g, len);
-  EXPECT_TRUE(with_ws == wrapper);
+  EdgeLoads loads;
+  ASSERT_TRUE(route_loads(g, len, traffic, loads, ws));
+  const auto reused = routing_matrix(g, len, ws);
+  RoutingWorkspace fresh;
+  const auto with_fresh = routing_matrix(g, len, fresh);
+  EXPECT_TRUE(reused == with_fresh);
 }
 
 TEST(RoutingMatrix, ThrowsOnDisconnected) {
   Topology g(3);
   g.add_edge(0, 1);
   Matrix<double> len = Matrix<double>::square(3, 1.0);
-  EXPECT_THROW(routing_matrix(g, len), std::invalid_argument);
+  RoutingWorkspace ws;
+  EXPECT_THROW(routing_matrix(g, len, ws), std::invalid_argument);
 }
 
 TEST(RoutePath, ValidatesNodes) {

@@ -69,26 +69,6 @@ TEST(LinkFailure, ValidatesLink) {
   EXPECT_THROW(simulate_link_failure(net, Edge{n, 0}), std::out_of_range);
 }
 
-TEST(PopFailure, TransitReroutesEndpointWrittenOff) {
-  const Network net = ring_network();
-  const FailureImpact impact = simulate_pop_failure(net, 1);
-  EXPECT_FALSE(impact.disconnected);  // remaining nodes still connected
-  // Demands to/from PoP 1 are excluded from the total.
-  EXPECT_NEAR(impact.total_traffic, 600.0, 1e-9);  // 3 remaining pairs x2 x100
-}
-
-TEST(PopFailure, HubFailureStrandsLeaves) {
-  // Star: losing the hub strands everything.
-  const std::vector<Point> pts{{0.5, 0.5}, {0, 0}, {1, 0}, {1, 1}};
-  const Topology g = Topology::star(4, 0);
-  const std::vector<double> pops{10, 10, 10, 10};
-  const Network net = build_network(g, pts, pops, gravity_matrix(pops));
-  const FailureImpact impact = simulate_pop_failure(net, 0);
-  EXPECT_TRUE(impact.disconnected);
-  EXPECT_NEAR(impact.traffic_disconnected, impact.total_traffic, 1e-9);
-  EXPECT_THROW(simulate_pop_failure(net, 9), std::out_of_range);
-}
-
 TEST(Sweep, CoversEveryLink) {
   const Network net = ring_network();
   const auto sweep = single_link_failure_sweep(net);
@@ -211,24 +191,6 @@ TEST(LinkFailure, ZeroLengthEdgeRerouteHasUnitStretch) {
   EXPECT_FALSE(via_zero.disconnected);
   EXPECT_DOUBLE_EQ(via_zero.traffic_rerouted, 0.0);
   EXPECT_DOUBLE_EQ(via_zero.worst_stretch, 1.0);
-}
-
-TEST(PopFailure, ArticulationHubSplitsThePath) {
-  // Path 0-1-2-3-4: PoP 2 is an articulation point. Its failure writes off
-  // demands touching 2 and strands all {0,1} <-> {3,4} transit.
-  const std::vector<Point> pts{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}};
-  Topology g(5);
-  for (NodeId u = 0; u + 1 < 5; ++u) g.add_edge(u, u + 1);
-  const std::vector<double> pops{10, 10, 10, 10, 10};
-  const Network net = build_network(g, pts, pops, gravity_matrix(pops), 1.0);
-
-  const FailureImpact impact = simulate_pop_failure(net, 2);
-  EXPECT_TRUE(impact.disconnected);
-  // 12 ordered pairs among {0,1,3,4}; the 8 crossing the cut strand.
-  EXPECT_NEAR(impact.total_traffic, 1200.0, 1e-9);
-  EXPECT_NEAR(impact.traffic_disconnected, 800.0, 1e-9);
-  // The survivors (0<->1, 3<->4) keep their direct links: no reroute.
-  EXPECT_DOUBLE_EQ(impact.traffic_rerouted, 0.0);
 }
 
 TEST(Sweep, DisconnectedSeedCountsBaselineUnreachableAsDisconnected) {

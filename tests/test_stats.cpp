@@ -63,31 +63,6 @@ TEST(BootstrapCi, TightensWithSampleSize) {
   EXPECT_LT(ci_large.hi - ci_large.lo, ci_small.hi - ci_small.lo);
 }
 
-TEST(Pearson, PerfectCorrelation) {
-  std::vector<double> xs{1, 2, 3, 4}, ys{2, 4, 6, 8}, zs{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(xs, zs), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateReturnsZero) {
-  EXPECT_DOUBLE_EQ(pearson({1, 1, 1}, {1, 2, 3}), 0.0);
-  EXPECT_DOUBLE_EQ(pearson({1.0}, {1.0}), 0.0);
-}
-
-TEST(CoefficientOfVariation, KnownValue) {
-  // stddev of {2,4} = sqrt(2), mean 3.
-  EXPECT_NEAR(coefficient_of_variation({2.0, 4.0}), std::sqrt(2.0) / 3.0,
-              1e-12);
-  EXPECT_DOUBLE_EQ(coefficient_of_variation({0.0, 0.0}), 0.0);
-}
-
-TEST(Entropy, UniformIsLogN) {
-  EXPECT_NEAR(entropy({1, 1, 1, 1}), std::log(4.0), 1e-12);
-  EXPECT_DOUBLE_EQ(entropy({5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(entropy({}), 0.0);
-  EXPECT_THROW(entropy({1.0, -1.0}), std::invalid_argument);
-}
-
 TEST(Histogram, BinsAndClamping) {
   const auto h = histogram({0.1, 0.9, 1.5, -3.0, 10.0}, 0.0, 2.0, 2);
   ASSERT_EQ(h.size(), 2u);
@@ -105,16 +80,6 @@ TEST(LogSpace, EndpointsAndMonotonicity) {
   // Log-spaced: constant ratio.
   EXPECT_NEAR(g[1] / g[0], g[2] / g[1], 1e-9);
   EXPECT_THROW(log_space(0.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(LinSpace, EndpointsAndStep) {
-  const auto g = lin_space(0.0, 1.0, 3);
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_DOUBLE_EQ(g[0], 0.0);
-  EXPECT_DOUBLE_EQ(g[1], 0.5);
-  EXPECT_DOUBLE_EQ(g[2], 1.0);
-  EXPECT_TRUE(lin_space(0.0, 1.0, 0).empty());
-  EXPECT_EQ(lin_space(2.0, 5.0, 1).size(), 1u);
 }
 
 }  // namespace

@@ -70,7 +70,8 @@ TEST(StopCondition, DefaultNeverStops) {
 }
 
 TEST(StopCondition, EvalBudgetFires) {
-  StopCondition stop = StopCondition::eval_budget(100);
+  StopCondition stop;
+  stop.max_evaluations = 100;
   stop.arm();
   stop.add_evaluations(99);
   EXPECT_FALSE(stop.should_stop());
@@ -81,7 +82,8 @@ TEST(StopCondition, EvalBudgetFires) {
 }
 
 TEST(StopCondition, DeadlineFiresOnceArmed) {
-  StopCondition stop = StopCondition::wall_clock(1e-9);
+  StopCondition stop;
+  stop.max_seconds = 1e-9;
   EXPECT_FALSE(stop.should_stop());  // not armed yet: clock hasn't started
   stop.arm();
   EXPECT_TRUE(stop.should_stop());
@@ -94,19 +96,22 @@ TEST(StopCondition, DeadlineBeyondTheClockIsNoDeadline) {
   for (const double seconds :
        {1e10, 1e300, std::numeric_limits<double>::infinity(),
         std::numeric_limits<double>::quiet_NaN()}) {
-    StopCondition stop = StopCondition::wall_clock(seconds);
+    StopCondition stop;
+    stop.max_seconds = seconds;
     stop.arm();
     EXPECT_FALSE(stop.should_stop()) << seconds;
     EXPECT_EQ(stop.reason(), StopReason::kNone) << seconds;
   }
   // A long but representable deadline is armed and simply not yet due.
-  StopCondition year = StopCondition::wall_clock(3.15e7);
+  StopCondition year;
+  year.max_seconds = 3.15e7;
   year.arm();
   EXPECT_FALSE(year.should_stop());
 }
 
 TEST(StopCondition, RequestWinsPrecedence) {
-  StopCondition stop = StopCondition::eval_budget(1);
+  StopCondition stop;
+  stop.max_evaluations = 1;
   stop.arm();
   stop.add_evaluations(5);
   stop.request_stop();
@@ -307,7 +312,8 @@ TEST(GaTelemetry, TraceIsIdenticalAcrossThreadCounts) {
 
 TEST(GaTelemetry, EvalBudgetStopsEarlyWithValidResult) {
   Evaluator eval = small_evaluator(7);
-  StopCondition stop = StopCondition::eval_budget(120);
+  StopCondition stop;
+  stop.max_evaluations = 120;
   GaRunOptions options;
   options.config.population = 16;
   options.config.generations = 10'000;
@@ -400,7 +406,8 @@ TEST(SynthesizerTelemetry, TraceIsIdenticalAcrossThreadCounts) {
 TEST(SynthesizerTelemetry, StopBudgetYieldsValidPartialNetwork) {
   SynthesisConfig cfg = small_config();
   cfg.ga.generations = 10'000;
-  StopCondition stop = StopCondition::eval_budget(200);
+  StopCondition stop;
+  stop.max_evaluations = 200;
   cfg.stop = &stop;
   const SynthesisResult r = Synthesizer(cfg).synthesize(1);
   EXPECT_TRUE(r.ga.stopped_early);
@@ -462,7 +469,8 @@ TEST(EnsembleTelemetry, RunsArriveInSeedOrder) {
 TEST(EnsembleTelemetry, EvalBudgetTruncatesRunsButKeepsThemValid) {
   SynthesisConfig cfg = small_config(8);
   cfg.parallel.num_threads = 1;
-  StopCondition stop = StopCondition::eval_budget(300);
+  StopCondition stop;
+  stop.max_evaluations = 300;
   cfg.stop = &stop;
   const EnsembleResult e =
       generate_ensemble(Synthesizer(cfg), {.count = 50, .base_seed = 1});
@@ -561,7 +569,8 @@ TEST(RunReport, StoppedRunProducesValidReport) {
   // No heuristic seeding: the budget must land inside the GA so the report
   // captures at least one completed generation.
   cfg.seed_with_heuristics = false;
-  StopCondition stop = StopCondition::eval_budget(150);
+  StopCondition stop;
+  stop.max_evaluations = 150;
   cfg.stop = &stop;
   JsonReportSink sink;
   cfg.observer = &sink;

@@ -99,13 +99,6 @@ TEST(Topology, CoreAndLeafCounts) {
   EXPECT_EQ(g.num_leaf_nodes(), 2u);  // 0 and 3 (4 has degree 0)
 }
 
-TEST(Topology, ClearEdges) {
-  Topology g = Topology::complete(4);
-  g.clear_edges();
-  EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_EQ(g.degree(2), 0);
-}
-
 TEST(Topology, EdgeDifference) {
   Topology a(4), b(4);
   a.add_edge(0, 1);
@@ -197,7 +190,7 @@ TEST(TopologyFingerprint, CopySemanticsAndClear) {
   EXPECT_EQ(copy.fingerprint(), g.fingerprint());
   g.remove_edge(0, 1);
   EXPECT_NE(copy.fingerprint(), g.fingerprint());  // copy is independent
-  g.clear_edges();
+  for (const Edge& e : g.edges()) g.remove_edge(e.u, e.v);
   EXPECT_EQ(g.fingerprint(), 0u);
   EXPECT_EQ(g.neighbors(0).size(), 0u);
 }
