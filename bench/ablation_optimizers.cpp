@@ -56,7 +56,7 @@ int main() {
       // Hill climbing from the MST.
       Evaluator eval_hc(ctx.distances, ctx.traffic, costs);
       EvaluatorObjective obj_hc(eval_hc);
-      const LocalSearchResult hc = hill_climb(obj_hc, HillClimbConfig{});
+      const LocalSearchResult hc = hill_climb(obj_hc);
       hc_evals += hc.evaluations;
 
       // Annealing at (roughly) the GA's evaluation budget.

@@ -114,7 +114,7 @@ ThroughputSample measure_matrix_free_throughput(std::size_t n,
   double dense_cost = 0.0, free_cost = 0.0;
   for (const bool dense : {true, false}) {
     const DistanceProvider lengths =
-        dense ? DistanceProvider::from_matrix(distance_matrix(ctx.locations))
+        dense ? DistanceProvider(distance_matrix(ctx.locations))
               : DistanceProvider::on_demand(ctx.locations);
     EvalEngineConfig uncached;  // time full sweeps, not cache hits or
     uncached.cache.enabled = false;  // delta repairs of the same topology

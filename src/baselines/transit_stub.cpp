@@ -35,10 +35,6 @@ TransitStubResult transit_stub(const TransitStubParams& params, Rng& rng) {
   if (params.transit_domains == 0 || params.transit_size == 0) {
     throw std::invalid_argument("transit_stub: need >= 1 transit domain/node");
   }
-  if (params.transit_edge_prob < 0 || params.transit_edge_prob > 1 ||
-      params.stub_edge_prob < 0 || params.stub_edge_prob > 1) {
-    throw std::invalid_argument("transit_stub: probabilities outside [0,1]");
-  }
   const std::size_t transit_total =
       params.transit_domains * params.transit_size;
   const std::size_t stubs_total = transit_total * params.stubs_per_transit;
@@ -58,15 +54,13 @@ TransitStubResult transit_stub(const TransitStubParams& params, Rng& rng) {
       result.kinds[v] = TsNodeKind::kTransit;
       result.domain[v] = d;
     }
-    add_connected_er(result.topology, transit[d], params.transit_edge_prob,
-                     rng);
+    add_connected_er(result.topology, transit[d], kTransitEdgeProb, rng);
   }
-  // Inter-transit links: every domain pair gets `inter_transit_links`
-  // random links (at least one, so the backbone is connected).
+  // Inter-transit links: every domain pair gets kInterTransitLinks random
+  // links, so the backbone is connected.
   for (std::size_t a = 0; a < params.transit_domains; ++a) {
     for (std::size_t b = a + 1; b < params.transit_domains; ++b) {
-      const std::size_t want = std::max<std::size_t>(1, params.inter_transit_links);
-      for (std::size_t l = 0; l < want; ++l) {
+      for (std::size_t l = 0; l < kInterTransitLinks; ++l) {
         const NodeId u = transit[a][rng.uniform_index(transit[a].size())];
         const NodeId v = transit[b][rng.uniform_index(transit[b].size())];
         result.topology.add_edge(u, v);
@@ -85,7 +79,7 @@ TransitStubResult transit_stub(const TransitStubParams& params, Rng& rng) {
         ++next;
       }
       if (!stub.empty()) {
-        add_connected_er(result.topology, stub, params.stub_edge_prob, rng);
+        add_connected_er(result.topology, stub, kStubEdgeProb, rng);
         // Home the stub on its transit node through a random member.
         result.topology.add_edge(t, stub[rng.uniform_index(stub.size())]);
       }

@@ -20,14 +20,18 @@
 
 namespace cold {
 
+/// Intra-transit-domain link density.
+inline constexpr double kTransitEdgeProb = 0.6;
+/// Random links between each pair of transit domains.
+inline constexpr std::size_t kInterTransitLinks = 2;
+/// Intra-stub-domain link density.
+inline constexpr double kStubEdgeProb = 0.4;
+
 struct TransitStubParams {
   std::size_t transit_domains = 2;
   std::size_t transit_size = 4;       ///< nodes per transit domain
-  double transit_edge_prob = 0.6;     ///< intra-transit-domain density
-  std::size_t inter_transit_links = 2;///< extra links between domain pairs
   std::size_t stubs_per_transit = 2;  ///< stub domains per transit node
   std::size_t stub_size = 3;          ///< nodes per stub domain
-  double stub_edge_prob = 0.4;        ///< intra-stub density
 };
 
 enum class TsNodeKind { kTransit, kStub };

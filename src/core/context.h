@@ -35,6 +35,15 @@ struct Context {
   std::size_t num_pops() const { return locations.size(); }
 };
 
+/// Gravity scale of the traffic units. It calibrates the units so the
+/// paper's k2 axis (Figs 5-9, k2 in [2.5e-5, 2e-3] with k0 = 10, k1 = 1,
+/// n = 30) reproduces the published metric ranges — e.g. average degree
+/// rising from ~1.9 to ~3.2. The absolute unit is arbitrary (k2 multiplies
+/// traffic, so scale and k2 trade off exactly); see EXPERIMENTS.md
+/// "Traffic-unit calibration". Growth and multi-AS synthesis use the same
+/// units.
+inline constexpr double kTrafficScale = 10.0;
+
 /// Declarative recipe for generating contexts. Defaults mirror the paper:
 /// uniform locations on the unit square, exponential populations (mean 30),
 /// gravity traffic.
@@ -48,13 +57,8 @@ struct ContextConfig {
   /// Population model; null means ExponentialPopulation(30).
   std::shared_ptr<const PopulationModel> population_model;
 
-  /// Traffic options. The default scale (10) calibrates the traffic units so
-  /// the paper's k2 axis (Figs 5-9, k2 in [2.5e-5, 2e-3] with k0 = 10,
-  /// k1 = 1, n = 30) reproduces the published metric ranges — e.g. average
-  /// degree rising from ~1.9 to ~3.2. The absolute unit is arbitrary (k2
-  /// multiplies traffic, so scale and k2 trade off exactly); see
-  /// EXPERIMENTS.md "Traffic-unit calibration".
-  GravityOptions gravity{.scale = 10.0};
+  /// Traffic options; the default scale is kTrafficScale.
+  GravityOptions gravity{.scale = kTrafficScale};
 };
 
 /// Draws one context. Deterministic given `rng`.

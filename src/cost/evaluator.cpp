@@ -45,11 +45,6 @@ std::uint64_t multipath_salt(const MultipathConfig& c) {
 
 }  // namespace
 
-Evaluator::Evaluator(Matrix<double> lengths, Matrix<double> traffic,
-                     CostParams params, EvalEngineConfig engine)
-    : Evaluator(DistanceProvider::from_matrix(std::move(lengths)),
-                CompressedTraffic(traffic), params, engine) {}
-
 Evaluator::Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
                      CostParams params, EvalEngineConfig engine)
     : lengths_(std::move(lengths)),

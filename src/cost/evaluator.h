@@ -58,18 +58,11 @@ struct EvalResult {
 
 class Evaluator {
  public:
-  /// `lengths`: symmetric PoP distance matrix. `traffic`: demand matrix
-  /// (ordered pairs, symmetric under the gravity model). Both n x n.
-  /// Owns copies of both matrices (an always-dense DistanceProvider and a
-  /// CompressedTraffic), so callers may pass temporaries. Only tests use
-  /// this form (tools/link_audit_allow.txt).
-  Evaluator(Matrix<double> lengths, Matrix<double> traffic, CostParams params,
-            EvalEngineConfig engine = {});
-
-  /// Matrix-free form: the provider may be coordinate-backed (no n^2
-  /// matrix) and the traffic is CSR. Both share their immutable cores
-  /// across clones. Costs are bit-identical to the dense form. Both forms
-  /// throw std::invalid_argument when params.validate() or
+  /// `lengths`: PoP distances, dense or coordinate-backed (no n^2 matrix);
+  /// `traffic`: the demand CSR. A Matrix converts to either, owned by the
+  /// result, so callers may pass temporaries. Both share their immutable
+  /// cores across clones; costs are bit-identical for either distance
+  /// backend. Throws std::invalid_argument when params.validate() or
   /// engine.validate() does.
   Evaluator(DistanceProvider lengths, CompressedTraffic traffic,
             CostParams params, EvalEngineConfig engine = {});

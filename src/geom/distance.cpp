@@ -18,26 +18,12 @@ Matrix<double> distance_matrix(const std::vector<Point>& points) {
   return d;
 }
 
-DistanceProvider::DistanceProvider(const Matrix<double>& dense)
-    // Aliasing shared_ptr with an empty control block: a view, no ownership.
-    : dense_(std::shared_ptr<const Matrix<double>>(
-          std::shared_ptr<const Matrix<double>>(), &dense)),
-      n_(dense.rows()) {
+DistanceProvider::DistanceProvider(Matrix<double> dense)
+    : n_(dense.rows()) {
   if (dense.rows() != dense.cols()) {
     throw std::invalid_argument("DistanceProvider: matrix must be square");
   }
-}
-
-DistanceProvider::DistanceProvider(std::shared_ptr<const Matrix<double>> dense)
-    : dense_(std::move(dense)), n_(dense_ != nullptr ? dense_->rows() : 0) {
-  if (dense_ != nullptr && dense_->rows() != dense_->cols()) {
-    throw std::invalid_argument("DistanceProvider: matrix must be square");
-  }
-}
-
-DistanceProvider DistanceProvider::from_matrix(Matrix<double> dense) {
-  return DistanceProvider(
-      std::make_shared<const Matrix<double>>(std::move(dense)));
+  dense_ = std::make_shared<const Matrix<double>>(std::move(dense));
 }
 
 DistanceProvider DistanceProvider::from_points(std::vector<Point> points) {

@@ -30,10 +30,9 @@ Matrix<double> distance_matrix(const std::vector<Point>& points);
 ///     while large n stays O(n) resident.
 ///   - on_demand(pts): coordinate-backed and never materialized, at any n
 ///     (from_points above kDenseMaxNodes; tests and benches force it).
-///   - from a Matrix<double>: dense, always. The implicit lvalue-reference
-///     form is a non-owning view (the caller's matrix must outlive the
-///     provider) so legacy call sites passing a bare matrix keep working;
-///     the owning forms share the matrix across copies.
+///   - from a Matrix<double>: dense, always. The implicit conversion takes
+///     the matrix by value and owns it (shared across copies), so a
+///     temporary matrix is safe; move an lvalue in to avoid the copy.
 ///
 /// Copies share the immutable core (points / dense matrix) but never a
 /// mutable cache, so cloned Evaluators can use their copies from distinct
@@ -44,12 +43,9 @@ class DistanceProvider {
  public:
   DistanceProvider() = default;
 
-  /// Non-owning dense view (implicit, for legacy Matrix call sites). The
-  /// referenced matrix must outlive every copy of this provider.
-  DistanceProvider(const Matrix<double>& dense);  // NOLINT(runtime/explicit)
-
-  /// Owning dense provider (shared across copies).
-  explicit DistanceProvider(std::shared_ptr<const Matrix<double>> dense);
+  /// Owning dense provider (implicit, so Matrix arguments convert); the
+  /// matrix is shared across copies.
+  DistanceProvider(Matrix<double> dense);  // NOLINT(runtime/explicit)
 
   /// Largest n for which from_points materializes the dense matrix.
   static constexpr std::size_t kDenseMaxNodes = 512;
@@ -60,9 +56,6 @@ class DistanceProvider {
 
   /// Coordinate-backed provider that never materializes the dense matrix.
   static DistanceProvider on_demand(std::vector<Point> points);
-
-  /// Owning dense provider from a matrix rvalue/copy.
-  static DistanceProvider from_matrix(Matrix<double> dense);
 
   // Copies share the immutable core; tile caches are never shared.
   DistanceProvider(const DistanceProvider& other);
@@ -115,7 +108,7 @@ class DistanceProvider {
   static constexpr std::size_t kRowTiles = 8;  ///< cached rows per instance
 
   std::shared_ptr<const Matrix<double>> dense_;   ///< null when matrix-free
-  std::shared_ptr<const std::vector<Point>> points_;  ///< null for dense views
+  std::shared_ptr<const std::vector<Point>> points_;  ///< null when matrix-built
   std::size_t n_ = 0;
 
   mutable std::vector<Tile> tiles_;  ///< row cache (matrix-free mode only)

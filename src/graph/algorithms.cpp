@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace cold {
 
@@ -105,7 +106,7 @@ std::size_t connect_components(Topology& g, const DistanceProvider& distances) {
   }
   // MST over the component graph (paper §4.1.3: minimum in physical link
   // distance), then add the corresponding real links.
-  const Topology comp_tree = minimum_spanning_tree(comp_dist);
+  const Topology comp_tree = minimum_spanning_tree(std::move(comp_dist));
   std::size_t added = 0;
   for (const Edge& ce : comp_tree.edges()) {
     const Edge real = comp_edge(ce.u, ce.v);

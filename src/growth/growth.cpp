@@ -121,12 +121,10 @@ GrowthResult grow_network(const Network& base, const GrowthConfig& config,
   for (double p : new_pops_model.sample(config.new_pops, rng)) {
     populations.push_back(p);
   }
-  // Same calibrated traffic units as ContextConfig's default.
-  GravityOptions gravity;
-  gravity.scale = 10.0;
   result.context.locations = locations;
   result.context.populations = populations;
-  result.context.traffic = gravity_traffic(populations, gravity);
+  result.context.traffic =
+      gravity_traffic(populations, {.scale = kTrafficScale});
   result.context.distances = DistanceProvider::from_points(locations);
 
   // Installed plant.

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/algorithms.h"
 #include "heuristics/hub_bound.h"
@@ -107,7 +108,7 @@ void rewire_fixed(HubState& state, HubStrategy strategy,
       hub_dist(i, j) = lengths(state.hubs[i], state.hubs[j]);
     }
   }
-  for (const Edge& e : minimum_spanning_tree(hub_dist).edges()) {
+  for (const Edge& e : minimum_spanning_tree(std::move(hub_dist)).edges()) {
     state.hub_links.push_back(make_edge(state.hubs[e.u], state.hubs[e.v]));
   }
 }

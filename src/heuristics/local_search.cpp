@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "ga/operators.h"
 #include "ga/repair.h"
@@ -10,35 +9,18 @@
 
 namespace cold {
 
-namespace {
-
-Topology starting_point(Objective& objective, const Topology& initial) {
-  if (initial.num_nodes() == 0) {
-    return minimum_spanning_tree(objective.lengths());
-  }
-  if (initial.num_nodes() != objective.num_nodes()) {
-    throw std::invalid_argument("local search: initial topology size mismatch");
-  }
-  Topology g = initial;
-  repair_connectivity(g, objective.lengths());
-  return g;
-}
-
-}  // namespace
-
-LocalSearchResult hill_climb(Objective& objective,
-                             const HillClimbConfig& config) {
+LocalSearchResult hill_climb(Objective& objective) {
   const std::size_t n = objective.num_nodes();
   LocalSearchResult result;
-  result.best = starting_point(objective, config.initial);
+  result.best = minimum_spanning_tree(objective.lengths());
   result.best_cost = objective.cost(result.best);
   ++result.evaluations;
 
-  for (std::size_t pass = 0; pass < config.max_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kHillClimbMaxPasses; ++pass) {
     bool improved = false;
     NodeId best_i = 0, best_j = 0;
     double best_cost = result.best_cost;
-    for (NodeId i = 0; i < n && !(improved && !config.steepest); ++i) {
+    for (NodeId i = 0; i < n; ++i) {
       for (NodeId j = i + 1; j < n; ++j) {
         Topology trial = result.best;
         trial.set_edge(i, j, !trial.has_edge(i, j));
@@ -49,7 +31,6 @@ LocalSearchResult hill_climb(Objective& objective,
           best_i = i;
           best_j = j;
           improved = true;
-          if (!config.steepest) break;
         }
       }
     }
@@ -66,7 +47,7 @@ LocalSearchResult simulated_annealing(Objective& objective,
                                       Rng& rng) {
   const std::size_t n = objective.num_nodes();
   LocalSearchResult result;
-  Topology current = starting_point(objective, config.initial);
+  Topology current = minimum_spanning_tree(objective.lengths());
   double current_cost = objective.cost(current);
   ++result.evaluations;
   result.best = current;
@@ -74,31 +55,28 @@ LocalSearchResult simulated_annealing(Objective& objective,
 
   // Auto-calibrate T0 so a median-size uphill move is accepted ~60% of the
   // time initially: sample some random flips and use their mean |delta|.
-  double temperature = config.initial_temperature;
-  if (temperature <= 0.0) {
-    double total_delta = 0.0;
-    int samples = 0;
-    for (int s = 0; s < 20; ++s) {
-      Topology trial = current;
-      const NodeId i = rng.uniform_index(n);
-      const NodeId j = rng.uniform_index(n);
-      if (i == j) continue;
-      trial.set_edge(i, j, !trial.has_edge(i, j));
-      repair_connectivity(trial, objective.lengths());
-      const double c = objective.cost(trial);
-      ++result.evaluations;
-      if (std::isfinite(c)) {
-        total_delta += std::abs(c - current_cost);
-        ++samples;
-      }
+  double total_delta = 0.0;
+  int samples = 0;
+  for (int s = 0; s < 20; ++s) {
+    Topology trial = current;
+    const NodeId i = rng.uniform_index(n);
+    const NodeId j = rng.uniform_index(n);
+    if (i == j) continue;
+    trial.set_edge(i, j, !trial.has_edge(i, j));
+    repair_connectivity(trial, objective.lengths());
+    const double c = objective.cost(trial);
+    ++result.evaluations;
+    if (std::isfinite(c)) {
+      total_delta += std::abs(c - current_cost);
+      ++samples;
     }
-    const double mean_delta = samples > 0 ? total_delta / samples : 1.0;
-    temperature = std::max(1e-9, mean_delta / std::log(1.0 / 0.6));
   }
+  const double mean_delta = samples > 0 ? total_delta / samples : 1.0;
+  double temperature = std::max(1e-9, mean_delta / std::log(1.0 / 0.6));
 
   for (std::size_t it = 0; it < config.iterations; ++it) {
     Topology trial = current;
-    if (rng.bernoulli(config.node_move_prob)) {
+    if (rng.bernoulli(kAnnealingNodeMoveProb)) {
       if (!node_mutation(trial, objective.lengths(), rng)) {
         link_mutation(trial, rng);
       }
@@ -122,7 +100,7 @@ LocalSearchResult simulated_annealing(Objective& objective,
         result.best_cost = current_cost;
       }
     }
-    temperature *= config.cooling;
+    temperature *= kAnnealingCooling;
   }
   return result;
 }

@@ -26,34 +26,29 @@ struct LocalSearchResult {
   std::size_t moves_accepted = 0;
 };
 
-struct HillClimbConfig {
-  /// Starting point; if empty (0 nodes), the distance-MST is used.
-  Topology initial;
-  /// Maximum full neighbourhood passes (each pass evaluates every possible
-  /// link flip once).
-  std::size_t max_passes = 50;
-  /// Steepest-descent (scan all flips, take the best) vs first-improvement.
-  bool steepest = true;
-};
+/// Maximum full neighbourhood passes of hill_climb (each pass evaluates
+/// every possible link flip once).
+inline constexpr std::size_t kHillClimbMaxPasses = 50;
 
-/// Deterministic hill climbing over single link flips. Terminates at a local
-/// optimum or after max_passes.
-LocalSearchResult hill_climb(Objective& objective,
-                             const HillClimbConfig& config);
+/// Deterministic steepest-descent hill climbing over single link flips,
+/// starting from the distance-MST. Terminates at a local optimum or after
+/// kHillClimbMaxPasses.
+LocalSearchResult hill_climb(Objective& objective);
+
+/// Geometric cooling factor of simulated_annealing, per iteration.
+inline constexpr double kAnnealingCooling = 0.9995;
+/// Probability an annealing move is a node-to-leaf collapse rather than a
+/// link flip (mirrors the GA's node mutation; helps in high-k3 regimes).
+inline constexpr double kAnnealingNodeMoveProb = 0.2;
 
 struct AnnealingConfig {
-  Topology initial;           ///< empty -> distance-MST
   std::size_t iterations = 20000;
-  double initial_temperature = 0.0;  ///< 0 -> auto-calibrated from sampling
-  double cooling = 0.9995;           ///< geometric cooling per iteration
-  /// Probability a move is a node-to-leaf collapse rather than a link flip
-  /// (mirrors the GA's node mutation; helps in high-k3 regimes).
-  double node_move_prob = 0.2;
 };
 
-/// Simulated annealing with link-flip and node-collapse moves. Infeasible
-/// (disconnected) proposals are repaired before evaluation, exactly like GA
-/// offspring. Deterministic given `rng`.
+/// Simulated annealing from the distance-MST with link-flip and
+/// node-collapse moves; the initial temperature is calibrated from sampled
+/// flips. Infeasible (disconnected) proposals are repaired before
+/// evaluation, exactly like GA offspring. Deterministic given `rng`.
 LocalSearchResult simulated_annealing(Objective& objective,
                                       const AnnealingConfig& config, Rng& rng);
 

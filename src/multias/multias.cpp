@@ -107,10 +107,9 @@ MultiAsResult synthesize_multi_as(const MultiAsConfig& config,
     const ExponentialPopulation pop_model(30.0);
     std::vector<double> populations = pop_model.sample(asn.cities.size(), rng);
     for (double p : populations) as_total_population[as] += p;
-    GravityOptions gravity;
-    gravity.scale = config.gravity_scale;
-    const Context ctx =
-        make_context(locations, populations, gravity_matrix(populations, gravity));
+    const Context ctx = make_context(
+        locations, populations,
+        gravity_matrix(populations, {.scale = kTrafficScale}));
 
     SynthesisConfig scfg;
     scfg.costs = config.costs;
@@ -137,8 +136,7 @@ MultiAsResult synthesize_multi_as(const MultiAsConfig& config,
       // Inter-AS demand: a fraction of the gravity product between the two
       // ASes' total populations (same units as the intra-AS matrices),
       // spread over both ASes' cities in proportion to their populations.
-      const double pair_demand = config.inter_as_traffic_fraction *
-                                 config.gravity_scale *
+      const double pair_demand = kInterAsTrafficFraction * kTrafficScale *
                                  as_total_population[a] *
                                  as_total_population[b];
       std::vector<std::pair<std::size_t, double>> demand_by_city;

@@ -32,13 +32,12 @@ struct MultiAsConfig {
   /// Interconnect existence cost (the paper's "cost assigned to PoP
   /// interconnects in the same city").
   double interconnect_cost = 50.0;
-  /// Gravity scale for both intra-AS matrices and inter-AS demand; matches
-  /// the calibrated default of ContextConfig (see core/context.h).
-  double gravity_scale = 10.0;
-  /// Fraction of the gravity product between two ASes' total populations
-  /// that crosses between them.
-  double inter_as_traffic_fraction = 0.001;
 };
+
+/// Fraction of the gravity product between two ASes' total populations
+/// that crosses between them. Intra-AS matrices and inter-AS demand share
+/// the gravity scale kTrafficScale (core/context.h).
+inline constexpr double kInterAsTrafficFraction = 0.001;
 
 /// One AS's synthesized network plus its city mapping.
 struct AsNetwork {

@@ -23,10 +23,6 @@ RouterNetwork expand_to_router_level(const Network& net,
     throw std::invalid_argument(
         "expand_to_router_level: access_router_capacity must be > 0");
   }
-  if (config.core_routers_per_hub < 1) {
-    throw std::invalid_argument(
-        "expand_to_router_level: need >= 1 core router per hub");
-  }
   const std::size_t n = net.num_pops();
   const std::vector<double> offered = traffic_per_pop(net.traffic);
 
@@ -36,7 +32,7 @@ RouterNetwork expand_to_router_level(const Network& net,
   // 1. Instantiate routers per PoP from the template.
   for (std::size_t p = 0; p < n; ++p) {
     const bool is_core_pop = net.topology.degree(p) > 1;
-    const int num_core = is_core_pop ? config.core_routers_per_hub : 1;
+    const int num_core = is_core_pop ? kCoreRoutersPerHub : 1;
     for (int c = 0; c < num_core; ++c) {
       Router r;
       r.pop = p;
@@ -50,10 +46,7 @@ RouterNetwork expand_to_router_level(const Network& net,
     }
     int num_access = static_cast<int>(
         std::ceil(offered[p] / config.access_router_capacity));
-    num_access = std::max(1, num_access);
-    if (config.max_access_routers > 0) {
-      num_access = std::min(num_access, config.max_access_routers);
-    }
+    num_access = std::clamp(num_access, 1, kMaxAccessRouters);
     for (int a = 0; a < num_access; ++a) {
       Router r;
       r.pop = p;

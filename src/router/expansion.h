@@ -23,13 +23,14 @@
 
 namespace cold {
 
+/// Core routers in a core (degree > 1) PoP.
+inline constexpr int kCoreRoutersPerHub = 2;
+/// Cap on access routers per PoP (guards degenerate traffic inputs).
+inline constexpr int kMaxAccessRouters = 64;
+
 struct ExpansionConfig {
   /// Offered traffic one access router can terminate (> 0).
   double access_router_capacity = 100.0;
-  /// Core routers in a core (degree > 1) PoP.
-  int core_routers_per_hub = 2;
-  /// Cap on access routers per PoP (guards degenerate traffic inputs; 0 = no cap).
-  int max_access_routers = 64;
 };
 
 enum class RouterRole { kCore, kAccess };

@@ -374,26 +374,10 @@ class StopCondition {
  public:
   StopCondition() = default;
 
-  /// Copies transfer the configured limits and a snapshot of the runtime
-  /// state (atomics forbid default copies). Entry points always take the
-  /// condition by pointer; copying mid-run forks the accounting.
-  StopCondition(const StopCondition& other)
-      : max_seconds(other.max_seconds),
-        max_evaluations(other.max_evaluations),
-        requested_(other.requested_.load(std::memory_order_relaxed)),
-        evaluations_(other.evaluations_.load(std::memory_order_relaxed)),
-        deadline_ns_(other.deadline_ns_.load(std::memory_order_relaxed)) {}
-  StopCondition& operator=(const StopCondition& other) {
-    max_seconds = other.max_seconds;
-    max_evaluations = other.max_evaluations;
-    requested_.store(other.requested_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    evaluations_.store(other.evaluations_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    deadline_ns_.store(other.deadline_ns_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    return *this;
-  }
+  /// Not copyable: entry points take the condition by pointer, and a copy
+  /// would fork the evaluation accounting and the deadline.
+  StopCondition(const StopCondition&) = delete;
+  StopCondition& operator=(const StopCondition&) = delete;
 
   /// 0 = unlimited, as is a deadline past the int64 nanosecond clock. Set
   /// before the run starts.

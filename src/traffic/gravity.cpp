@@ -31,18 +31,12 @@ TrafficMatrix gravity_matrix(const std::vector<double>& populations,
   const std::size_t n = populations.size();
   check_populations(populations);
   TrafficMatrix tm = TrafficMatrix::square(n, 0.0);
-  double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double t = options.scale * populations[i] * populations[j];
       tm(i, j) = t;
       tm(j, i) = t;
-      total += 2.0 * t;
     }
-  }
-  if (options.normalize_total > 0.0 && total > 0.0) {
-    const double f = options.normalize_total / total;
-    for (double& x : tm.data()) x *= f;
   }
   return tm;
 }
@@ -104,20 +98,6 @@ CompressedTraffic gravity_traffic(const std::vector<double>& populations,
     const std::size_t b = i < j ? j : i;
     return options.scale * populations[a] * populations[b];
   };
-  // Exact total, accumulated in gravity_matrix's order so the
-  // normalize_total factor is the bit-identical double.
-  double exact_total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      exact_total += 2.0 * demand(i, j);
-    }
-  }
-  double norm = 1.0;
-  bool normalize = false;
-  if (options.normalize_total > 0.0 && exact_total > 0.0) {
-    norm = options.normalize_total / exact_total;
-    normalize = true;
-  }
 
   auto d = std::make_shared<CompressedTraffic::Data>();
   d->n = n;
@@ -134,6 +114,13 @@ CompressedTraffic gravity_traffic(const std::vector<double>& populations,
   double kept_scale = 1.0;
   if (d->topk != 0) {
     const std::size_t k = d->topk;
+    // Exact total over unordered pairs, for the renormalization below.
+    double exact_total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        exact_total += 2.0 * demand(i, j);
+      }
+    }
     kept.resize(n);
     std::vector<std::uint32_t> order(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -187,7 +174,6 @@ CompressedTraffic gravity_traffic(const std::vector<double>& populations,
     const auto push = [&](std::uint32_t j) {
       double t = demand(i, j);
       if (d->topk != 0) t *= kept_scale;
-      if (normalize) t *= norm;
       if (t == 0.0) return;
       d->col.push_back(j);
       d->val.push_back(t);

@@ -33,9 +33,6 @@ struct GravityOptions {
   /// Overall scaling applied to every entry. With populations of mean m and
   /// scale s, the expected total offered load is ~ s * m^2 * n * (n-1).
   double scale = 1.0;
-  /// If > 0, rescale the whole matrix so its total (sum over ordered pairs)
-  /// equals this value; overrides `scale`.
-  double normalize_total = 0.0;
   /// If > 0, keep only each PoP's K largest demands (deterministic
   /// tie-break: smallest peer index), symmetrized by union with the
   /// transpose and renormalized so the total offered load matches the

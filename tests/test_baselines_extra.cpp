@@ -131,9 +131,6 @@ TEST(TransitStub, Validates) {
   TransitStubParams p;
   p.transit_domains = 0;
   EXPECT_THROW(transit_stub(p, rng), std::invalid_argument);
-  TransitStubParams q;
-  q.transit_edge_prob = 1.5;
-  EXPECT_THROW(transit_stub(q, rng), std::invalid_argument);
 }
 
 }  // namespace

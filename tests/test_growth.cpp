@@ -55,7 +55,7 @@ TEST(GrowthEvaluator, ChargesForRemovedInstalledLinks) {
 
 TEST(GrowthEvaluator, InfeasibleStaysInfinite) {
   const std::vector<Point> pts{{0, 0}, {1, 0}, {2, 0}};
-  GrowthEvaluator eval(DistanceProvider::from_matrix(distance_matrix(pts)),
+  GrowthEvaluator eval(distance_matrix(pts),
                        gravity_matrix({1, 1, 1}), CostParams{}, {{0, 1}}, 1.0);
   Topology g(3);
   g.add_edge(0, 1);

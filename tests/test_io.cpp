@@ -32,16 +32,6 @@ TEST(Dot, NetworkExportHasPositionsAndCapacities) {
   EXPECT_NE(out.find("lightblue"), std::string::npos);  // core PoPs coloured
 }
 
-TEST(Dot, OptionsSuppressAttributes) {
-  DotOptions opt;
-  opt.include_positions = false;
-  opt.include_capacities = false;
-  std::ostringstream os;
-  write_dot(os, make_test_network(), opt);
-  EXPECT_EQ(os.str().find("pos=\""), std::string::npos);
-  EXPECT_EQ(os.str().find("cap="), std::string::npos);
-}
-
 TEST(Json, RoundTripPreservesNetwork) {
   const Network net = make_test_network();
   const std::string json = network_to_json(net);

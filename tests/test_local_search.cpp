@@ -24,7 +24,7 @@ Evaluator make_evaluator(std::size_t n, CostParams params,
 TEST(HillClimb, ReachesLocalOptimum) {
   Evaluator eval = make_evaluator(10, CostParams{10, 1, 4e-4, 0});
   EvaluatorObjective obj(eval);
-  const LocalSearchResult r = hill_climb(obj, HillClimbConfig{});
+  const LocalSearchResult r = hill_climb(obj);
   EXPECT_TRUE(is_connected(r.best));
   EXPECT_TRUE(std::isfinite(r.best_cost));
   // Local optimality: no single flip improves.
@@ -46,33 +46,10 @@ TEST(HillClimb, NearOptimalOnTinyInstances) {
     Evaluator eval = make_evaluator(5, CostParams{10, 1, 1e-3, 5}, seed);
     const BruteForceResult exact = brute_force_optimum(eval);
     EvaluatorObjective obj(eval);
-    const LocalSearchResult r = hill_climb(obj, HillClimbConfig{});
+    const LocalSearchResult r = hill_climb(obj);
     EXPECT_LE(r.best_cost, exact.cost * 1.25) << seed;
     EXPECT_GE(r.best_cost, exact.cost - 1e-9) << seed;
   }
-}
-
-TEST(HillClimb, FirstImprovementAlsoTerminates) {
-  Evaluator eval = make_evaluator(8, CostParams{10, 1, 1e-3, 0});
-  EvaluatorObjective obj(eval);
-  HillClimbConfig cfg;
-  cfg.steepest = false;
-  const LocalSearchResult r = hill_climb(obj, cfg);
-  EXPECT_TRUE(is_connected(r.best));
-  EXPECT_GT(r.evaluations, 0u);
-}
-
-TEST(HillClimb, CustomInitialPoint) {
-  Evaluator eval = make_evaluator(8, CostParams{10, 1, 1e-4, 0});
-  EvaluatorObjective obj(eval);
-  HillClimbConfig cfg;
-  cfg.initial = Topology::complete(8);
-  const LocalSearchResult r = hill_climb(obj, cfg);
-  // From a clique at low k2, search must strip links.
-  EXPECT_LT(r.best.num_edges(), 28u);
-  HillClimbConfig bad;
-  bad.initial = Topology(5);
-  EXPECT_THROW(hill_climb(obj, bad), std::invalid_argument);
 }
 
 TEST(Annealing, ProducesValidSolution) {
@@ -117,7 +94,7 @@ TEST(Annealing, BeatsPureHillClimbOnHubInstances) {
   Evaluator eval_hc = make_evaluator(12, CostParams{10, 1, 1e-4, 500}, 4);
   Evaluator eval_sa = make_evaluator(12, CostParams{10, 1, 1e-4, 500}, 4);
   EvaluatorObjective o_hc(eval_hc), o_sa(eval_sa);
-  const LocalSearchResult hc = hill_climb(o_hc, HillClimbConfig{});
+  const LocalSearchResult hc = hill_climb(o_hc);
   Rng rng(4);
   AnnealingConfig cfg;
   cfg.iterations = 8000;

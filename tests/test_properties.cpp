@@ -236,7 +236,7 @@ TEST_P(OptimizerEquivalenceProperty, AllOptimizersProduceFeasibleNetworks) {
 
   Evaluator eval_hc(ctx.distances, ctx.traffic, costs);
   EvaluatorObjective obj_hc(eval_hc);
-  const LocalSearchResult hc = hill_climb(obj_hc, HillClimbConfig{});
+  const LocalSearchResult hc = hill_climb(obj_hc);
   EXPECT_TRUE(is_connected(hc.best));
 
   Evaluator eval_sa(ctx.distances, ctx.traffic, costs);

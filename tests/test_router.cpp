@@ -57,14 +57,13 @@ TEST(Expansion, MaxAccessRoutersCaps) {
   const Network net = star_network();
   ExpansionConfig cfg;
   cfg.access_router_capacity = 0.001;  // would demand thousands
-  cfg.max_access_routers = 3;
   const RouterNetwork rn = expand_to_router_level(net, cfg);
   for (std::size_t p = 0; p < net.num_pops(); ++p) {
     int access = 0;
     for (const Router& r : rn.routers) {
       if (r.pop == p && r.role == RouterRole::kAccess) ++access;
     }
-    EXPECT_LE(access, 3);
+    EXPECT_EQ(access, kMaxAccessRouters);
   }
 }
 
@@ -127,9 +126,6 @@ TEST(Expansion, ValidatesConfig) {
   ExpansionConfig bad;
   bad.access_router_capacity = 0.0;
   EXPECT_THROW(expand_to_router_level(net, bad), std::invalid_argument);
-  ExpansionConfig bad2;
-  bad2.core_routers_per_hub = 0;
-  EXPECT_THROW(expand_to_router_level(net, bad2), std::invalid_argument);
 }
 
 TEST(ValidateRouterNetwork, DetectsMissingRealization) {

@@ -49,13 +49,6 @@ TEST(GravityMatrix, ScaleApplies) {
   EXPECT_DOUBLE_EQ(tm(0, 1), 4.0);
 }
 
-TEST(GravityMatrix, NormalizeTotal) {
-  GravityOptions opt;
-  opt.normalize_total = 100.0;
-  const TrafficMatrix tm = gravity_matrix({1.0, 2.0, 3.0}, opt);
-  EXPECT_NEAR(CompressedTraffic(tm).total(), 100.0, 1e-9);
-}
-
 TEST(GravityMatrix, RejectsNonPositivePopulations) {
   EXPECT_THROW(gravity_matrix({1.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(gravity_matrix({1.0, -2.0}), std::invalid_argument);

@@ -6,7 +6,7 @@
 //                 [--max-evals N] [--engine default|reference]
 //                 [--multipath off|ecmp|wcmp] [--max-util-weight X]
 //                 [--oversub-weight X]
-//   cold ensemble [--count N] [--retain-runs on|off|auto] [--exemplars N]
+//   cold ensemble [--count N] [--exemplars N]
 //                 + synth options except --format and --out
 //   cold metrics  --in FILE [--format text|json] [--out FILE]
 //   cold estimate --in FILE [--draws N] [--epsilon E] [--seed S]
@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abc/abc.h"
@@ -65,7 +66,7 @@ const std::vector<OptionSpec> kCostOpts = {
 const std::vector<OptionSpec> kGaOpts = {
     {"population", true, "M (48)"},
     {"generations", true, "T (40)"},
-    {"threads", true, "K (0 = all cores)"},
+    {"threads", true, "K (0 = all cores; output identical for any K)"},
 };
 
 // Evaluation-engine switches. Exact: every setting produces bit-identical
@@ -134,8 +135,10 @@ CliOptions spec_for(const std::string& command) {
   }
   if (command == "ensemble") {
     return {"ensemble",
-            concat_specs({{{"count", true, "N (20)"},
-                           {"retain-runs", true, "on|off|auto (auto)"},
+            concat_specs({{{"count", true,
+                            "N (20): up to 1024 runs every run is retained "
+                            "(bootstrap CIs); above that the ensemble "
+                            "streams"},
                            {"exemplars", true,
                             "N (0): keep a deterministic reservoir sample of "
                             "N runs (streams the ensemble)"}},
@@ -165,65 +168,35 @@ CliOptions spec_for(const std::string& command) {
                                   kCostOpts, kGaOpts, kEngineOpts, kOutputOpts,
                                   kReportOpt, kRunControlOpts})};
   }
+  if (command == "report-diff") {
+    return {"report-diff", {{"format", true, "text|json (text)"},
+                            {"out", true, "FILE (stdout)"}}};
+  }
   throw std::invalid_argument("unknown command: " + command);
 }
 
+/// Every command with its one-line summary, in usage order.
+const std::vector<std::pair<std::string, std::string>> kCommands = {
+    {"synth", "synthesize one network"},
+    {"ensemble", "synthesize many networks, print metric CIs"},
+    {"metrics", "print metrics of an edge-list file"},
+    {"estimate", "ABC-estimate cost parameters from an edge-list file"},
+    {"grow", "grow a network saved as JSON"},
+    {"report-diff",
+     "compare two JSON run reports: cold report-diff <a.json> <b.json>; "
+     "exits 1 when any timing-free field diverges"},
+};
+
+/// Usage text, generated from each command's option specs.
 void print_usage() {
-  std::cerr <<
-      "usage: cold <command> [options]\n"
-      "  synth     synthesize one network\n"
-      "            --pops N (30) --k0 X (10) --k2 X (4e-4) --k3 X (10)\n"
-      "            --seed S (1) --population M (48) --generations T (40)\n"
-      "            --overprovision O (1) --format dot|json|graphml (json)\n"
-      "            --threads K (0 = all cores; output identical for any K)\n"
-      "            --traffic-topk K (0 = exact: keep each PoP's K largest\n"
-      "            demands, symmetrized and renormalized — approximate,\n"
-      "            recorded in the run report)\n"
-      "            --objective cost|resilient (cost): resilient optimizes\n"
-      "            cost + L * survivability penalty, scored by\n"
-      "            delta-powered failure sweeps (--resilience-weight L (1),\n"
-      "            --failure-scenarios single|double-sampled (single));\n"
-      "            not available for grow\n"
-      "            --multipath off|ecmp|wcmp (off): split each demand across\n"
-      "            all equal-cost shortest paths instead of one tree path\n"
-      "            (wcmp weights branches by downstream degree); exact on\n"
-      "            unique-shortest-path topologies (bit-identical networks);\n"
-      "            --max-util-weight X (0) and --oversub-weight X (0) add\n"
-      "            utilization terms to the objective; mutually exclusive\n"
-      "            with --objective resilient; not available for grow\n"
-      "            --out FILE (stdout)\n"
-      "  ensemble  synthesize many networks, print metric CIs\n"
-      "            --count N (20) --retain-runs on|off|auto (auto: retain\n"
-      "            up to 1024 runs, stream aggregates above — memory stays\n"
-      "            flat for any count) --exemplars N (0: keep a\n"
-      "            deterministic reservoir of N full runs while streaming;\n"
-      "            seeds land in the report's ensemble_exemplars block)\n"
-      "            + synth options except --format and --out (the summary\n"
-      "            goes to stdout)\n"
-      "  metrics   print metrics of an edge-list file\n"
-      "            --in FILE --format text|json (text) --out FILE\n"
-      "  estimate  ABC-estimate cost parameters from an edge-list file\n"
-      "            --in FILE --draws N (100) --epsilon E (0.5) --seed S (1)\n"
-      "            --format text|json (text) --out FILE\n"
-      "  grow      grow a network saved as JSON\n"
-      "            --in FILE.json --new-pops N (5) --growth F (1.2)\n"
-      "            --decommission D (1.0) --seed S (1) --out FILE (stdout)\n"
-      "  report-diff  compare two JSON run reports\n"
-      "            cold report-diff <a.json> <b.json>\n"
-      "            --format text|json (text) --out FILE (stdout)\n"
-      "            exit 1 when any timing-free field diverges\n"
-      "  telemetry (all commands): --report FILE writes a JSON run report;\n"
-      "            synth/ensemble/grow also take --progress, --max-seconds T\n"
-      "            and --max-evals N (stop budgets; partial results stay\n"
-      "            valid)\n"
-      "  engine    (synth/ensemble/grow): --engine default|reference\n"
-      "            (default): default memoizes cost evaluations in one\n"
-      "            256 KiB cache shared by every worker thread and\n"
-      "            re-routes near-parent offspring incrementally from\n"
-      "            retained shortest-path trees (at most 256 MiB per run);\n"
-      "            reference turns both off. Both keep a dense distance\n"
-      "            matrix up to 512 PoPs. Both are exact and change\n"
-      "            performance only\n";
+  std::cerr << "usage: cold <command> [options]\n";
+  for (const auto& [command, summary] : kCommands) {
+    std::cerr << "  " << command << ": " << summary << "\n";
+    const CliOptions options = spec_for(command);
+    for (const OptionSpec& spec : options.specs()) {
+      std::cerr << "      --" << spec.name << " " << spec.help << "\n";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -426,26 +399,10 @@ int cmd_ensemble(const CliOptions& args) {
   EnsembleOptions opts;
   opts.count = args.uint("count", 20);
   opts.base_seed = args.uint("seed", 1);
-  const std::string retain = args.get("retain-runs", "auto");
-  if (retain == "on") {
-    opts.retain = RetainMode::kRetainAll;
-  } else if (retain == "off") {
-    opts.retain = RetainMode::kStreamed;
-  } else if (retain == "auto") {
-    opts.retain = RetainMode::kAuto;
-  } else {
-    throw std::invalid_argument("--retain-runs must be on, off or auto");
-  }
   opts.reservoir = args.uint("exemplars", 0);
-  if (opts.reservoir > 0) {
-    if (opts.retain == RetainMode::kRetainAll) {
-      throw std::invalid_argument(
-          "--exemplars needs a streamed ensemble (drop --retain-runs on)");
-    }
-    // The reservoir only exists in streamed mode; make --exemplars N
-    // sufficient on its own.
-    opts.retain = RetainMode::kStreamed;
-  }
+  // The reservoir only exists in streamed mode; otherwise runs are retained
+  // up to kRetainAutoThreshold and streamed above it.
+  if (opts.reservoir > 0) opts.retain = RetainMode::kStreamed;
   const EnsembleResult e = generate_ensemble(synth, opts);
   auto show = [](const char* name, const ConfidenceInterval& ci) {
     std::cout << name << ": " << ci.mean << "  [" << ci.lo << ", " << ci.hi
@@ -616,9 +573,7 @@ int cmd_report_diff(int argc, const char* const* argv) {
         "cold report-diff <a.json> <b.json> [--format text|json] "
         "[--out FILE]");
   }
-  CliOptions args{"report-diff",
-                  {{"format", true, "text|json (text)"},
-                   {"out", true, "FILE (stdout)"}}};
+  CliOptions args = spec_for("report-diff");
   args.parse(argc, argv, 4);
 
   const auto load = [](const std::string& path) {
