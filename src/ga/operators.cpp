@@ -60,38 +60,70 @@ Topology crossover(const std::vector<const Topology*>& parents,
     }
   }
   const std::vector<double> weights = inverse_cost_weights(parent_costs);
-  // Each pair draws its donor exactly as Rng::weighted_index(weights) would
-  // (one uniform() scaled by the same left-to-right total, then the same
-  // subtract-and-compare walk), so children and RNG streams are unchanged;
-  // only the total is summed once. The weights are non-negative with a
+  // Every node pair consumes exactly one draw, as one
+  // Rng::weighted_index(weights) per pair would, so children and RNG
+  // streams do not depend on how the pairs are visited. A pair on which all
+  // parents agree gives the same gene whatever donor is drawn, so its draw
+  // is skipped with Rng::discard; only a disputed pair draws its donor (one
+  // uniform() scaled by the same left-to-right total, then the same
+  // subtract-and-compare walk). The weights are non-negative with a
   // positive sum by construction, so weighted_index's checks cannot fire.
   double total = 0.0;
   for (const double w : weights) total += w;
-  const std::size_t last = weights.size() - 1;
-  // Per-parent cursors into row i's sorted adjacency: j only grows along a
-  // row, so each donor test is a forward merge step, not a search.
-  std::vector<const NodeId*> cursor(parents.size());
-  std::vector<const NodeId*> row_end(parents.size());
+  const std::size_t count = parents.size();
+  const std::size_t last = count - 1;
+  // Per-parent cursors into row i's sorted adjacency above i. The pairs
+  // (i, j) with a link in some parent are the merge of these rows; every
+  // other pair is absent in all parents.
+  std::vector<const NodeId*> cursor(count);
+  std::vector<const NodeId*> row_end(count);
+  std::uint64_t skipped = 0;  // draws owed to agreeing pairs, not yet taken
   Topology child(n);
   for (NodeId i = 0; i < n; ++i) {
-    for (std::size_t p = 0; p < parents.size(); ++p) {
+    for (std::size_t p = 0; p < count; ++p) {
       const std::span<const NodeId> row = parents[p]->neighbors(i);
       cursor[p] = std::upper_bound(row.data(), row.data() + row.size(), i);
       row_end[p] = row.data() + row.size();
     }
-    for (NodeId j = i + 1; j < n; ++j) {
-      double target = rng.uniform() * total;
-      std::size_t d = 0;
-      while (d < last) {
-        target -= weights[d];
-        if (target < 0) break;
-        ++d;
+    NodeId next = i + 1;  // first pair (i, next) not yet accounted for
+    for (;;) {
+      NodeId j = n;
+      std::size_t holders = 0;
+      for (std::size_t p = 0; p < count; ++p) {
+        if (cursor[p] == row_end[p]) continue;
+        if (*cursor[p] < j) {
+          j = *cursor[p];
+          holders = 1;
+        } else if (*cursor[p] == j) {
+          ++holders;
+        }
       }
-      const NodeId*& c = cursor[d];
-      while (c != row_end[d] && *c < j) ++c;
-      if (c != row_end[d] && *c == j) child.add_edge(i, j);
+      if (j == n) break;
+      skipped += j - next;  // (i, next..j-1): absent in every parent
+      next = j + 1;
+      bool linked = true;
+      if (holders == count) {
+        ++skipped;  // present in every parent
+      } else {
+        rng.discard(skipped);
+        skipped = 0;
+        double target = rng.uniform() * total;
+        std::size_t d = 0;
+        while (d < last) {
+          target -= weights[d];
+          if (target < 0) break;
+          ++d;
+        }
+        linked = cursor[d] != row_end[d] && *cursor[d] == j;
+      }
+      if (linked) child.add_edge(i, j);
+      for (std::size_t p = 0; p < count; ++p) {
+        if (cursor[p] != row_end[p] && *cursor[p] == j) ++cursor[p];
+      }
     }
+    skipped += n - next;
   }
+  rng.discard(skipped);
   return child;
 }
 

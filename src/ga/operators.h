@@ -20,8 +20,12 @@ std::vector<std::size_t> select_parents(const std::vector<double>& costs,
 
 /// Uniform crossover: for each of the C(n,2) possible links, copy
 /// presence/absence from one parent chosen with probability inversely
-/// proportional to its cost. All parents must have the same node count and
-/// strictly positive finite costs.
+/// proportional to its cost. All parents must have the same node count; an
+/// infeasible (+inf) parent weighs 0, and if every parent is infeasible they
+/// weigh the same. Advances rng by exactly C(n,2) raw draws, one per pair,
+/// but only pairs the parents disagree on pay for a uniform() draw: the
+/// rest are skipped with Rng::discard. O(n * parents + sum of parent
+/// degrees) plus the cost of advancing rng.
 Topology crossover(const std::vector<const Topology*>& parents,
                    const std::vector<double>& parent_costs, Rng& rng);
 

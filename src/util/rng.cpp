@@ -18,9 +18,24 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
   return mix(seed) ^ mix(mix(stream) + 0x632be59bd9b4e019ULL);
 }
 
-double Rng::uniform() {
-  // 53 random bits -> double in [0, 1).
-  return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+void Mt19937_64::twist() {
+  constexpr std::uint64_t kUpper = 0xFFFFFFFF80000000ULL;  // top 33 bits
+  constexpr std::uint64_t kLower = 0x7FFFFFFFULL;          // low 31 bits
+  constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+  // x' = far ^ (y >> 1) ^ (y odd ? kMatrix : 0), with the select as a mask.
+  auto next = [](std::uint64_t hi, std::uint64_t lo, std::uint64_t far) {
+    const std::uint64_t y = (hi & kUpper) | (lo & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::uint64_t* x = state_.data();
+  for (std::size_t k = 0; k < kN - kM; ++k) {
+    x[k] = next(x[k], x[k + 1], x[k + kM]);
+  }
+  for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+    x[k] = next(x[k], x[k + 1], x[k + kM - kN]);
+  }
+  x[kN - 1] = next(x[kN - 1], x[0], x[kM - 1]);
+  pos_ = 0;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "geom/distance.h"
 #include "reference.h"
@@ -93,46 +94,98 @@ TEST(Crossover, CheaperParentDonatesMore) {
   EXPECT_NEAR(mean_edges, 0.9 * 28.0, 1.0);
 }
 
-// The merge-cursor crossover is the per-pair weighted_index/has_edge loop
-// of tests/reference.h, byte for byte: same child, same RNG stream after
-// the call, for 1-4 parents of any density and costs including +inf (one
-// infeasible parent weighs 0; all infeasible falls back to uniform).
-TEST(Crossover, MatchesReferenceChildAndRngStream) {
+// Asserts that crossover is reference::crossover (the per-pair
+// weighted_index/has_edge loop of tests/reference.h) byte for byte: same
+// child, same fingerprint, same RNG stream after the call. Checked for
+// finite costs, one infeasible (+inf, weight 0) parent and all infeasible
+// (uniform fallback), under three seeds.
+void expect_matches_reference(const std::vector<Topology>& parents) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<const Topology*> ptrs;
+  for (const Topology& g : parents) ptrs.push_back(&g);
+  const std::size_t count = parents.size();
+  std::vector<std::vector<double>> cost_sets;
+  std::vector<double> costs;
+  for (std::size_t p = 0; p < count; ++p) costs.push_back(1.0 + 3.0 * p);
+  cost_sets.push_back(costs);
+  costs.back() = kInf;
+  cost_sets.push_back(costs);
+  cost_sets.push_back(std::vector<double>(count, kInf));
+  for (const std::vector<double>& c : cost_sets) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng fast(seed), slow(seed);
+      const Topology got = crossover(ptrs, c, fast);
+      const Topology want = reference::crossover(ptrs, c, slow);
+      ASSERT_TRUE(got == want) << "seed=" << seed;
+      ASSERT_EQ(got.fingerprint(), want.fingerprint());
+      ASSERT_EQ(fast.next_u64(), slow.next_u64()) << "seed=" << seed;
+    }
+  }
+}
+
+Topology random_graph(std::size_t n, double density, Rng& gen) {
+  Topology g(n);
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = i + 1; j < n; ++j) {
+      if (gen.bernoulli(density)) g.add_edge(i, j);
+    }
+  }
+  return g;
+}
+
+Topology random_spanning_tree(std::size_t n, Rng& gen) {
+  Topology g(n);
+  for (NodeId v = 1; v < n; ++v) g.add_edge(v, gen.uniform_index(v));
+  return g;
+}
+
+// Random parents of every density, and the shapes the GA breeds from:
+// identical parents (every pair agrees, so the stream advances by discards
+// alone), disjoint parents (every link is disputed), spanning trees, a
+// parent with a degree-(n-1) hub, and the n = 1 and n = 2 corners.
+TEST(Crossover, MatchesReferenceChildAndRngStream) {
   Rng gen(8);
   for (const std::size_t n : {2u, 3u, 17u, 100u}) {
     for (std::size_t count = 1; count <= 4; ++count) {
+      SCOPED_TRACE("random n=" + std::to_string(n) +
+                   " parents=" + std::to_string(count));
       std::vector<Topology> parents;
       for (std::size_t p = 0; p < count; ++p) {
         const double density = p == 0 ? 1.0 : 0.15 * static_cast<double>(p);
-        Topology g(n);
-        for (NodeId i = 0; i < n; ++i) {
-          for (NodeId j = i + 1; j < n; ++j) {
-            if (gen.bernoulli(density)) g.add_edge(i, j);
-          }
-        }
-        parents.push_back(g);
+        parents.push_back(random_graph(n, density, gen));
       }
-      std::vector<const Topology*> ptrs;
-      for (const Topology& g : parents) ptrs.push_back(&g);
-      std::vector<std::vector<double>> cost_sets;
-      std::vector<double> costs;
-      for (std::size_t p = 0; p < count; ++p) costs.push_back(1.0 + 3.0 * p);
-      cost_sets.push_back(costs);
-      costs.back() = kInf;
-      cost_sets.push_back(costs);
-      cost_sets.push_back(std::vector<double>(count, kInf));
-      for (const std::vector<double>& c : cost_sets) {
-        for (const std::uint64_t seed : {1u, 2u, 3u}) {
-          Rng fast(seed), slow(seed);
-          const Topology got = crossover(ptrs, c, fast);
-          const Topology want = reference::crossover(ptrs, c, slow);
-          ASSERT_TRUE(got == want) << "n=" << n << " parents=" << count;
-          ASSERT_EQ(got.fingerprint(), want.fingerprint());
-          ASSERT_EQ(fast.next_u64(), slow.next_u64())
-              << "n=" << n << " parents=" << count;
+      expect_matches_reference(parents);
+    }
+  }
+  for (const std::size_t n : {1u, 2u, 5u, 17u, 100u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Topology g = random_graph(n, 0.3, gen);
+    {
+      SCOPED_TRACE("identical");
+      expect_matches_reference({g, g});
+      expect_matches_reference({g, g, g});
+      expect_matches_reference({Topology(n), Topology(n)});
+      expect_matches_reference({Topology::complete(n), Topology::complete(n)});
+    }
+    {
+      SCOPED_TRACE("disjoint");
+      Topology complement(n);
+      for (NodeId i = 0; i < n; ++i) {
+        for (NodeId j = i + 1; j < n; ++j) {
+          if (!g.has_edge(i, j)) complement.add_edge(i, j);
         }
       }
+      expect_matches_reference({g, complement});
+      expect_matches_reference({complement, Topology(n), g});
+    }
+    {
+      SCOPED_TRACE("spanning trees and hubs");
+      const Topology a = random_spanning_tree(n, gen);
+      const Topology b = random_spanning_tree(n, gen);
+      expect_matches_reference({a, b});
+      expect_matches_reference({a, Topology::star(n, 0)});
+      expect_matches_reference({Topology::star(n, n - 1), b, a});
+      expect_matches_reference({Topology::star(n, n / 2), Topology::star(n, 0)});
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <set>
 
 namespace cold {
@@ -174,6 +176,39 @@ TEST(Rng, SpawnProducesIndependentChild) {
   Rng parent(18);
   Rng child = parent.spawn();
   EXPECT_NE(parent.next_u64(), child.next_u64());
+}
+
+// Rng's engine is MT19937-64 as the C++ standard defines it: raw outputs
+// and discard() match std::mt19937_64 draw for draw, across block
+// boundaries, and the standard's conformance value holds.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        mix_seed(42, 3)}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    for (int i = 0; i < 2500; ++i) {
+      ASSERT_EQ(ours(), theirs()) << "seed=" << seed << " draw=" << i;
+    }
+  }
+  for (const std::uint64_t k : {0u, 1u, 311u, 312u, 313u, 4950u, 100000u}) {
+    // From a fresh engine and from one part-way into a block.
+    for (const int warmup : {0, 7}) {
+      Mt19937_64 ours(mix_seed(42, 3));
+      std::mt19937_64 theirs(mix_seed(42, 3));
+      for (int i = 0; i < warmup; ++i) ASSERT_EQ(ours(), theirs());
+      ours.discard(k);
+      theirs.discard(k);
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(ours(), theirs()) << "k=" << k << " warmup=" << warmup;
+      }
+    }
+  }
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed (seed 5489) mt19937_64 produces this value.
+  Mt19937_64 pinned(5489);
+  pinned.discard(9999);
+  EXPECT_EQ(pinned(), 9981545732273789042ULL);
 }
 
 TEST(Rng, ShuffleKeepsElements) {

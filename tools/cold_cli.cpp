@@ -380,7 +380,14 @@ int cmd_synth(const CliOptions& args) {
             << r.network.num_links() << " links";
   const std::uint64_t hits = r.counters[Counter::kCacheHits];
   const std::uint64_t lookups = hits + r.counters[Counter::kCacheMisses];
-  if (lookups > 0) std::cerr << ", cache " << hits << "/" << lookups << " hits";
+  if (lookups > 0) {
+    std::cerr << ", cache " << hits << "/" << lookups << " hits";
+    // Workers share one cache, so which of two racing lookups of the same
+    // topology hits depends on scheduling; the network does not.
+    if (synth.config().ga.parallel.resolved_threads() > 1) {
+      std::cerr << " (scheduling-dependent)";
+    }
+  }
   if (r.ga.stopped_early) {
     std::cerr << " [stopped early: " << to_string(r.ga.stop_reason) << "]";
   }
